@@ -45,6 +45,7 @@ from .posets import (
     subspace_poset,
 )
 from .simplicial import (
+    _label_from_data,
     chain_complex,
     complex_from_data,
     euler_characteristic,
@@ -93,14 +94,6 @@ def _group_table(groups: dict) -> dict:
         for d, g in sorted(groups.items())
         if not g.is_trivial
     }
-
-
-def _label_from_json(v):
-    if isinstance(v, list):
-        return tuple(_label_from_json(x) for x in v)
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise InputError(f"unsupported element label {v!r}")
-    return v
 
 
 # -- homology -----------------------------------------------------------------
@@ -157,9 +150,9 @@ def _poset_from_args(args):
     data = _load_json(args.file)
     if not isinstance(data, dict) or "elements" not in data:
         raise InputError("poset data needs an 'elements' field")
-    elements = [_label_from_json(e) for e in data["elements"]]
+    elements = [_label_from_data(e) for e in data["elements"]]
     pairs = [
-        (_label_from_json(a), _label_from_json(b))
+        (_label_from_data(a), _label_from_data(b))
         for a, b in data.get("leq", [])
     ]
     return poset_from_relation(elements, pairs=pairs)
@@ -220,19 +213,23 @@ def cmd_cover(args) -> dict:
     space = complex_from_data(data["complex"])
     if "pieces" not in data:
         raise InputError("cover data needs a 'pieces' field")
+    pieces = data["pieces"]
+    if not isinstance(pieces, list) or \
+            not all(isinstance(p, list) for p in pieces):
+        raise InputError("'pieces' must be a list of lists of facet indices")
     # piece entries index the facet list as written in the file
     raw_facets = data["complex"]["facets"]
     piece_facets = []
-    for indices in data["pieces"]:
+    for indices in pieces:
         facets = []
         for i in indices:
             if not isinstance(i, int) or not 0 <= i < len(raw_facets):
                 raise InputError(f"facet index {i!r} out of range")
-            facets.append([_label_from_json(v) for v in raw_facets[i]])
+            facets.append([_label_from_data(v) for v in raw_facets[i]])
         piece_facets.append(facets)
     basepoint = space.basepoint
     if "basepoint" in data:
-        basepoint = _label_from_json(data["basepoint"])
+        basepoint = _label_from_data(data["basepoint"])
     cov = cover_from_subcomplexes(space, piece_facets, basepoint)
     return verify_cover_theorem(cov, args.r).to_data()
 
@@ -361,12 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("deloop", "suspension bounds for poset inclusions", cmd_deloop)
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--tot", nargs=2, type=int, metavar=("N", "M"),
-                     help="delooping range of a stage-M totalization")
+                     help="bound k = 2N - M + 2 on the fiber of "
+                          "Tot_M -> Tot_N; no bound past M = 2N + 1")
     grp.add_argument("--subset", nargs=2, type=int, metavar=("SIZE", "R"),
-                     help="subsets of cardinality >= R")
+                     help="subsets of a SIZE-set of cardinality <= R "
+                          "inside all nonempty subsets")
     grp.add_argument("--subspace", nargs=3, type=int,
                      metavar=("Q", "N", "R"),
-                     help="subspaces of F_Q^N of dimension >= R")
+                     help="subspaces of F_Q^N of dimension <= R "
+                          "inside all nonzero subspaces")
     grp.add_argument("--delta", nargs=2, type=int, metavar=("N", "M"),
                      help="truncated simplex category model")
 

@@ -34,7 +34,6 @@ from .intlinalg import IntMatrix, kernel_basis, lattice_basis, solve_matrix
 
 __all__ = [
     "CosimplicialChain",
-    "cosimplicial_from_maps",
     "validate_cosimplicial",
     "Conormalization",
     "conormalize",
@@ -105,30 +104,6 @@ class CosimplicialChain:
     def codegeneracy(self, k: int, i: int) -> ChainMap:
         """s^i out of level k (so 1 <= k <= M, 0 <= i <= k-1)."""
         return self.codegeneracies[k - 1][i]
-
-
-def cosimplicial_from_maps(levels, coface_mats, codegeneracy_mats) \
-        -> CosimplicialChain:
-    """Build from per-map {degree: matrix} dictionaries."""
-    levels = tuple(levels)
-    m = len(levels) - 1
-    if len(coface_mats) != m or len(codegeneracy_mats) != m:
-        raise InputError("map tables must cover levels 0..M-1")
-    cofaces = tuple(
-        tuple(
-            chain_map(levels[k], levels[k + 1], mats)
-            for mats in coface_mats[k]
-        )
-        for k in range(m)
-    )
-    codegeneracies = tuple(
-        tuple(
-            chain_map(levels[k + 1], levels[k], mats)
-            for mats in codegeneracy_mats[k]
-        )
-        for k in range(m)
-    )
-    return CosimplicialChain(levels, cofaces, codegeneracies)
 
 
 def validate_cosimplicial(x: CosimplicialChain):

@@ -1,8 +1,12 @@
 """Delooping certificates from pointwise suspension diagrams.
 
 Given a full, downward closed subposet inclusion, every ambient element d
-receives the unreduced suspension of its slice's order complex.  Elements
-of the subposet get homology points.  When every complement element gets
+receives the unreduced suspension of its slice's order complex.  Since
+the reduced homology of a suspension is that of the nonempty complex
+shifted up one degree, the analysis reads the slice order complexes
+themselves and shifts their signatures; ``posets.t_functor`` builds the
+suspended diagram and serves as the reference.  Elements of the
+subposet get homology points.  When every complement element gets
 a homology wedge of spheres of one common dimension p, the number
 
     d_max = p - (length of the longest complement chain)
@@ -26,13 +30,14 @@ from .errors import InputError, InvariantError, PreconditionError
 from .posets import (
     PosetInclusion,
     check_fence_condition,
+    down_slice,
     full_subposet,
+    order_complex,
     poset_dimension,
     subset_poset,
     subspace_poset,
-    t_functor,
 )
-from .simplicial import wedge_signature
+from .simplicial import WedgeSignature, wedge_signature
 
 __all__ = [
     "InclusionReport",
@@ -40,9 +45,6 @@ __all__ = [
     "tot_truncation_bound",
     "subset_deloop_bound",
     "cover_suspension_bound",
-    "suspension_functor_connectivity",
-    "lifting_criterion",
-    "unpointed_check",
     "delta_model",
     "subset_model",
     "subspace_model",
@@ -95,6 +97,11 @@ class InclusionReport:
 def analyze_inclusion(incl: PosetInclusion) -> InclusionReport:
     """Run the suspension-diagram analysis on a downward closed inclusion.
 
+    The value over an ambient element is the order complex of its slice
+    shifted up one degree: a noncontractible signature gains one sphere
+    dimension, which is the signature of the slice's unreduced
+    suspension as ``t_functor`` builds it.
+
     Raises PreconditionError when the inclusion is not downward closed,
     a slice is empty, or the complement values fail to be homology wedges
     of a single sphere dimension.  Raises InvariantError if a subposet
@@ -107,12 +114,19 @@ def analyze_inclusion(incl: PosetInclusion) -> InclusionReport:
             f"inclusion is not downward closed: {x!r} < {c!r} "
             f"({len(witnesses)} witnesses)"
         )
-    diagram = t_functor(incl)
+    slices = {d: down_slice(incl, d) for d in incl.ambient.elements}
+    for d, sl in slices.items():
+        if not sl.elements:
+            raise PreconditionError(
+                f"slice under {d!r} is empty; cannot take its suspension"
+            )
     inside = set(incl.sub.elements)
     signatures = []
     complement_sigs = []
-    for e in incl.ambient.elements:
-        sig = wedge_signature(diagram.values[e])
+    for e, sl in slices.items():
+        sig = wedge_signature(order_complex(sl))
+        if sig is not None and not sig.is_contractible:
+            sig = WedgeSignature(sig.sphere_dim + 1, sig.count)
         if e in inside:
             if sig is None or not sig.is_contractible:
                 raise InvariantError(
@@ -194,26 +208,6 @@ def cover_suspension_bound(n: int, r: int) -> int:
     if not 1 <= r <= n:
         raise PreconditionError("need 1 <= r <= n")
     return 2 * r - n + 1
-
-
-def suspension_functor_connectivity(p: int, d: int) -> int:
-    """Looking at p-sphere values through d suspensions leaves p - d."""
-    if d < 0 or d > p:
-        raise PreconditionError(
-            "cannot unwind more suspensions than the sphere dimension"
-        )
-    return p - d
-
-
-def lifting_criterion(complex_dim: int, m: int) -> bool:
-    """A map out of a complex of this dimension lifts through the
-    stage-m comparison when the dimension is at most m."""
-    return complex_dim <= m
-
-
-def unpointed_check(n: int, r: int) -> bool:
-    """Range in which the unpointed and pointed analyses agree."""
-    return n <= 2 * r - 1
 
 
 # -- model builders ----------------------------------------------------------

@@ -25,7 +25,6 @@ __all__ = [
     "label_key",
     "SimplicialComplex",
     "complex_from_facets",
-    "complex_from_simplices",
     "skeleton",
     "barycentric_subdivision",
     "unreduced_suspension",
@@ -168,10 +167,6 @@ def complex_from_facets(facets, basepoint=None) -> SimplicialComplex:
         if not absorbed:
             keep.append(f)
     return SimplicialComplex(tuple(keep), basepoint)
-
-
-def complex_from_simplices(simplices, basepoint=None) -> SimplicialComplex:
-    return complex_from_facets(simplices, basepoint)
 
 
 def skeleton(k: SimplicialComplex, r: int) -> SimplicialComplex:
@@ -329,9 +324,11 @@ def complex_to_data(k: SimplicialComplex):
 def complex_from_data(data) -> SimplicialComplex:
     if not isinstance(data, dict) or "facets" not in data:
         raise InputError("complex data needs a 'facets' field")
-    facets = [
-        [_label_from_data(v) for v in f] for f in data["facets"]
-    ]
+    raw = data["facets"]
+    if not isinstance(raw, list) or \
+            not all(isinstance(f, list) for f in raw):
+        raise InputError("'facets' must be a list of lists of labels")
+    facets = [[_label_from_data(v) for v in f] for f in raw]
     base = data.get("basepoint")
     if base is not None:
         base = _label_from_data(base)

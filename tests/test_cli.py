@@ -224,6 +224,30 @@ def test_cover_schema_errors(tmp_path, capsys):
     assert run(["cover", "--r", "1", path], capsys)[0] == 2
 
 
+def assert_one_line_input_error(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("input error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_facets_must_be_a_list_of_lists(tmp_path, capsys):
+    # a string of facets must not be read as one point per character
+    for facets in ("abc", [[0, 1], "ab"], 7):
+        path = write_json(tmp_path, "f.json", {"facets": facets})
+        assert_one_line_input_error(["homology", path], capsys)
+
+
+def test_cover_pieces_must_be_a_list_of_lists(tmp_path, capsys):
+    for pieces in (3, [[0, 1], 2], "ab"):
+        path = write_json(tmp_path, "p.json", {
+            "complex": {"facets": SUSPENSION_FACETS, "basepoint": 0},
+            "pieces": pieces,
+        })
+        assert_one_line_input_error(["cover", "--r", "1", path], capsys)
+
+
 # -- tot ----------------------------------------------------------------------
 
 def test_tot_fiber_identification(tmp_path, capsys):

@@ -5,28 +5,31 @@ complexes before the analyzer existed, and the numeric bound helpers
 must agree with the analyzer on every model where both apply.
 """
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tottower import InvariantError, PreconditionError, InputError
+from tottower import posets
 from tottower.deloop import (
     analyze_inclusion,
     delta_model,
-    lifting_criterion,
     subset_deloop_bound,
     subset_model,
     cover_suspension_bound,
     subspace_model,
-    suspension_functor_connectivity,
     tot_truncation_bound,
-    unpointed_check,
 )
 from tottower.posets import (
     PosetInclusion,
+    check_fence_condition,
     full_subposet,
     poset_from_relation,
+    t_functor,
 )
+from tottower.simplicial import wedge_signature
 
 
 def test_subset_two_one():
@@ -152,13 +155,6 @@ def test_numeric_helpers():
     assert subset_deloop_bound(6, 5) == 5
     assert cover_suspension_bound(4, 3) == 3
     assert cover_suspension_bound(3, 2) == 2
-    assert suspension_functor_connectivity(5, 2) == 3
-    with pytest.raises(PreconditionError):
-        suspension_functor_connectivity(1, 2)
-    assert lifting_criterion(3, 3)
-    assert not lifting_criterion(4, 3)
-    assert unpointed_check(3, 2)
-    assert not unpointed_check(4, 2)
     with pytest.raises(PreconditionError):
         subset_deloop_bound(3, 0)
     with pytest.raises(InputError):
@@ -172,3 +168,150 @@ def test_delta_model_degenerate_point():
     assert incl.sub.elements == incl.ambient.elements == ((0,),)
     report = analyze_inclusion(incl)
     assert report.trivial_fiber
+
+
+# -- differential: unsuspended slices against the t_functor diagram ----------
+
+def _reference_signatures(incl):
+    """Signatures of the suspended values that t_functor builds, with the
+    checks of analyze_inclusion in its order and with its messages."""
+    ok, witnesses = check_fence_condition(incl)
+    if not ok:
+        x, c = witnesses[0]
+        raise PreconditionError(
+            f"inclusion is not downward closed: {x!r} < {c!r} "
+            f"({len(witnesses)} witnesses)"
+        )
+    diagram = t_functor(incl)
+    inside = set(incl.sub.elements)
+    signatures = []
+    for e in incl.ambient.elements:
+        sig = wedge_signature(diagram.values[e])
+        if e in inside:
+            if sig is None or not sig.is_contractible:
+                raise InvariantError(
+                    f"value over subposet element {e!r} is not a "
+                    f"homology point"
+                )
+        elif sig is None:
+            raise PreconditionError(
+                f"value over {e!r} is not a homology wedge of "
+                f"spheres in one dimension"
+            )
+        signatures.append((e, sig))
+    dims = sorted({
+        sig.sphere_dim for e, sig in signatures
+        if e not in inside and not sig.is_contractible
+    })
+    if len(dims) > 1:
+        raise PreconditionError(
+            f"complement values mix sphere dimensions {dims}"
+        )
+    return tuple(signatures)
+
+
+def _assert_matches_reference(incl):
+    try:
+        want = _reference_signatures(incl)
+    except (PreconditionError, InvariantError) as exc:
+        with pytest.raises(type(exc)) as got:
+            analyze_inclusion(incl)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    assert analyze_inclusion(incl).signatures == want
+
+
+# every inclusion the acceptance gate's deloop-bounds criterion builds
+GATE_MODELS = (
+    [("subset", (size, r)) for size in range(2, 6)
+     for r in range(1, size + 1)]
+    + [("delta", (n, m)) for n in range(1, 4)
+       for m in range(n, min(2 * n + 1, 4) + 1)]
+    + [("subspace", (2, n, r)) for n in range(2, 5) for r in range(2, n)]
+)
+BUILDERS = {
+    "subset": subset_model, "delta": delta_model, "subspace": subspace_model,
+}
+
+
+@pytest.mark.parametrize(
+    "family,args", GATE_MODELS,
+    ids=[f"{f}{a}" for f, a in GATE_MODELS],
+)
+def test_analysis_matches_t_functor_on_gate_models(family, args):
+    _assert_matches_reference(BUILDERS[family](*args))
+
+
+@given(st.integers(1, 6), st.data())
+def test_analysis_matches_t_functor_on_random_inclusions(n, data):
+    # pairs only run upward in the labels, so the relation has no cycle
+    upward = list(itertools.combinations(range(n), 2))
+    keep = data.draw(st.lists(
+        st.booleans(), min_size=len(upward), max_size=len(upward)))
+    ambient = poset_from_relation(
+        range(n), pairs=[pr for pr, k in zip(upward, keep) if k])
+    seeds = data.draw(st.sets(st.integers(0, n - 1)))
+    if data.draw(st.booleans()):
+        # every slice is nonempty once all minimal elements are inside
+        seeds |= {
+            e for i, e in enumerate(ambient.elements)
+            if ambient.down[i] == 1 << i
+        }
+    inside = [
+        e for e in ambient.elements if any(ambient.leq(e, s) for s in seeds)
+    ]
+    incl = PosetInclusion(full_subposet(ambient, inside), ambient)
+    _assert_matches_reference(incl)
+
+
+def _crown_with_point(extra=()):
+    # a, b < c, d is a circle; e sits apart; z lies above all five, so
+    # its slice has reduced homology in degrees 0 and 1 and is no wedge
+    low = ["a", "b", "c", "d", "e"]
+    pairs = [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
+    pairs += [(x, "z") for x in low]
+    ambient = poset_from_relation(low + ["z", *extra], pairs=pairs)
+    return PosetInclusion(full_subposet(ambient, low), ambient)
+
+
+def test_slice_that_is_no_wedge_matches_reference():
+    incl = _crown_with_point()
+    _assert_matches_reference(incl)
+    with pytest.raises(PreconditionError, match="'z' is not a homology"):
+        analyze_inclusion(incl)
+
+
+def test_empty_slice_matches_reference():
+    ambient = poset_from_relation(["a", "b"])
+    incl = PosetInclusion(full_subposet(ambient, ["a"]), ambient)
+    _assert_matches_reference(incl)
+    with pytest.raises(PreconditionError, match="slice under 'b' is empty"):
+        analyze_inclusion(incl)
+
+
+def test_empty_slice_is_found_before_any_homology():
+    # 'zz' sorts after the non-wedge value over 'z' and has an empty
+    # slice; the empty slice must still be the error reported
+    incl = _crown_with_point(extra=["zz"])
+    _assert_matches_reference(incl)
+    with pytest.raises(PreconditionError, match="slice under 'zz' is empty"):
+        analyze_inclusion(incl)
+
+
+def test_fence_check_comes_before_empty_slices():
+    ambient = poset_from_relation(["a", "b"], pairs=[("a", "b")])
+    incl = PosetInclusion(full_subposet(ambient, ["b"]), ambient)
+    _assert_matches_reference(incl)
+    with pytest.raises(PreconditionError, match="not downward closed"):
+        analyze_inclusion(incl)
+
+
+def test_analysis_never_suspends(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze_inclusion built a suspension")
+
+    monkeypatch.setattr(posets, "t_functor", refuse)
+    monkeypatch.setattr(posets, "unreduced_suspension", refuse)
+    report = analyze_inclusion(subset_model(4, 2))
+    assert report.d_max == 1
