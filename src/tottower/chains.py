@@ -48,12 +48,12 @@ class ChainComplexInt:
     boundaries: tuple
 
     def __post_init__(self):
-        if not isinstance(self.lo, int):
+        if isinstance(self.lo, bool) or not isinstance(self.lo, int):
             raise InputError("lowest degree must be an integer")
         if not self.ranks:
             raise InputError("a complex needs at least one degree")
         for n in self.ranks:
-            if not isinstance(n, int) or n < 0:
+            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
                 raise InputError("ranks must be nonnegative integers")
         if len(self.boundaries) != len(self.ranks) - 1:
             raise InputError("wrong number of boundary matrices")

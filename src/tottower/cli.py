@@ -23,6 +23,7 @@ from .abelian import format_group
 from .cosimplicial import (
     conormalize,
     cosimplicial_from_data,
+    tot_n,
     tower,
     tower_fiber,
     validate_cosimplicial,
@@ -45,10 +46,10 @@ from .posets import (
     subspace_poset,
 )
 from .simplicial import (
-    _label_from_data,
     chain_complex,
     complex_from_data,
     euler_characteristic,
+    label_from_data,
     reduced_homology,
     wedge_signature,
 )
@@ -150,11 +151,16 @@ def _poset_from_args(args):
     data = _load_json(args.file)
     if not isinstance(data, dict) or "elements" not in data:
         raise InputError("poset data needs an 'elements' field")
-    elements = [_label_from_data(e) for e in data["elements"]]
-    pairs = [
-        (_label_from_data(a), _label_from_data(b))
-        for a, b in data.get("leq", [])
-    ]
+    raw_elements = data["elements"]
+    if not isinstance(raw_elements, list):
+        raise InputError("'elements' must be a list of labels")
+    raw_leq = data.get("leq", [])
+    if not isinstance(raw_leq, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in raw_leq
+    ):
+        raise InputError("'leq' must be a list of [lower, upper] pairs")
+    elements = [label_from_data(e) for e in raw_elements]
+    pairs = [(label_from_data(a), label_from_data(b)) for a, b in raw_leq]
     return poset_from_relation(elements, pairs=pairs)
 
 
@@ -223,13 +229,14 @@ def cmd_cover(args) -> dict:
     for indices in pieces:
         facets = []
         for i in indices:
-            if not isinstance(i, int) or not 0 <= i < len(raw_facets):
+            if isinstance(i, bool) or not isinstance(i, int) \
+                    or not 0 <= i < len(raw_facets):
                 raise InputError(f"facet index {i!r} out of range")
-            facets.append([_label_from_data(v) for v in raw_facets[i]])
+            facets.append([label_from_data(v) for v in raw_facets[i]])
         piece_facets.append(facets)
     basepoint = space.basepoint
     if "basepoint" in data:
-        basepoint = _label_from_data(data["basepoint"])
+        basepoint = label_from_data(data["basepoint"])
     cov = cover_from_subcomplexes(space, piece_facets, basepoint)
     return verify_cover_theorem(cov, args.r).to_data()
 
@@ -263,23 +270,20 @@ def _fiber_report(x, conorm, n: int, m: int) -> dict:
 
 def cmd_tot(args) -> dict:
     x = _load_cosimplicial(args.file)
-    conorm = conormalize(x)
     if args.fiber is not None:
         n, m = args.fiber
-        report = _fiber_report(x, conorm, n, m)
+        report = _fiber_report(x, conormalize(x), n, m)
         report["weakenings"] = [STABLE_MODEL_DISCLAIMER]
         return report
     if args.stage is not None:
-        tw = tower(x, conorm)
         if not 0 <= args.stage <= x.truncation:
             raise InputError("stage must lie in 0..truncation")
         return {
             "stage": args.stage,
-            "homology": _group_table(
-                tw.stage(args.stage).homology_all()
-            ),
+            "homology": _group_table(tot_n(x, args.stage).homology_all()),
             "weakenings": [],
         }
+    conorm = conormalize(x)
     tw = tower(x, conorm)
     stages = {
         str(n): _group_table(tw.stage(n).homology_all())

@@ -9,10 +9,12 @@ we extract:
   the same matrix) with the alternating coface sum as differential;
 * matching objects M^m as compatible-tuple kernels, with the canonical
   comparison map out of X^{m+1};
-* partial totalizations Tot_n and tower fibers, assembled from stripe
-  windows: tot degree k takes (N^s)_{k+s}, the internal boundary is
-  weighted by (-1)^s, the conormalized coface sum crosses stripes
-  unsigned.
+* partial totalizations Tot_n and tower fibers, each the total complex
+  of a ``StripeWindow`` a < s <= b: tot degree k takes (N^s)_{k+s}, the
+  internal boundary is weighted by (-1)^s, the conormalized coface sum
+  crosses stripes unsigned.  Stage n is the window -1 < s <= n, the
+  fiber of Tot_m -> Tot_n the window n < s <= m; the same window gives
+  the stage projections, the fiber maps and the spectral filtration.
 
 Stripe windows read nothing outside their own levels, which is what
 makes the fiber of Tot_m -> Tot_n depend only on cosimplicial degrees
@@ -37,9 +39,11 @@ __all__ = [
     "validate_cosimplicial",
     "Conormalization",
     "conormalize",
+    "coface_sum",
     "MatchingObject",
     "matching_object",
     "matching_kernel_agrees",
+    "StripeWindow",
     "tot_n",
     "TotTower",
     "tower",
@@ -156,7 +160,7 @@ def validate_cosimplicial(x: CosimplicialChain):
 
 # -- conormalization ---------------------------------------------------------
 
-def _level_delta(x: CosimplicialChain, s: int) -> ChainMap:
+def coface_sum(x: CosimplicialChain, s: int) -> ChainMap:
     """Alternating coface sum X^s -> X^{s+1}."""
     total = x.coface(s, 0)
     for i in range(1, s + 2):
@@ -223,7 +227,7 @@ def conormalize(x: CosimplicialChain) -> Conormalization:
         bases.append(basis)
     deltas = []
     for s in range(x.truncation):
-        delta = _level_delta(x, s)
+        delta = coface_sum(x, s)
         above = x.levels[s + 1]
         comps = {}
         for t in x.levels[s].degrees():
@@ -341,86 +345,94 @@ def matching_kernel_agrees(x: CosimplicialChain, m: int,
 
 # -- totalization ------------------------------------------------------------
 
-def _window_layout(conorm: Conormalization, a: int, b: int) -> dict:
-    """Stripe layout of the window a < s <= b.
+class StripeWindow:
+    """Stripe layout of the window a < s <= b of a conormalization.
 
-    Maps each tot degree k to [(s, rank of (N^s)_{k+s})] in ascending
-    stripe order, covering every stripe at every degree of the union
-    window (with zero ranks where a stripe is out of range)."""
-    stripes = range(a + 1, b + 1)
-    if not stripes:
-        return {}
-    lo = min(conorm.pieces[s].lo - s for s in stripes)
-    hi = max(conorm.pieces[s].hi - s for s in stripes)
-    return {
-        k: [(s, conorm.pieces[s].rank(k + s)) for s in stripes]
-        for k in range(lo, hi + 1)
-    }
+    ``blocks`` maps each tot degree k to [(s, rank of (N^s)_{k+s})] in
+    ascending stripe order, covering every stripe at every degree of the
+    union window (with zero ranks where a stripe is out of range).
+    Stripes sit in ascending coordinate blocks, so the stripes >= s form
+    a contiguous tail of the coordinates at every degree.
+    """
 
+    def __init__(self, conorm: Conormalization, a: int, b: int):
+        self.conorm = conorm
+        self.b = b
+        stripes = range(a + 1, b + 1)
+        self.blocks = {}
+        if stripes:
+            lo = min(conorm.pieces[s].lo - s for s in stripes)
+            hi = max(conorm.pieces[s].hi - s for s in stripes)
+            self.blocks = {
+                k: [(s, conorm.pieces[s].rank(k + s)) for s in stripes]
+                for k in range(lo, hi + 1)
+            }
+        self._boundaries = {}
 
-def _layout_offsets(layout: dict) -> dict:
-    offsets = {}
-    for k, blocks in layout.items():
-        pos, table = 0, {}
-        for s, r in blocks:
-            table[s] = pos
-            pos += r
-        offsets[k] = table
-    return offsets
+    def rank(self, k: int) -> int:
+        return sum(r for _, r in self.blocks.get(k, ()))
 
+    def start(self, s: int, k: int) -> int:
+        """First coordinate of the stripes >= s at tot degree k."""
+        return sum(r for st, r in self.blocks.get(k, ()) if st < s)
 
-def _window_boundary(conorm: Conormalization, b: int, layout: dict,
-                     offsets: dict, k: int) -> IntMatrix:
-    """Differential from tot degree k to k-1 within the window.
+    def head(self, s: int, k: int) -> IntMatrix:
+        """Coordinate projection onto the stripes < s at tot degree k."""
+        start = self.start(s, k)
+        return IntMatrix.from_dict(
+            start, self.rank(k), {(i, i): 1 for i in range(start)}
+        )
 
-    Applies the stripe boundary with sign (-1)^s and the unsigned
-    connecting map into the next stripe when that stripe is inside."""
-    entries = {}
-    for s, r in layout[k]:
-        if not r:
-            continue
-        col0 = offsets[k][s]
-        t = k + s
-        block = conorm.pieces[s].boundary(t)
-        row0 = offsets[k - 1][s]
-        sign = -1 if s % 2 else 1
-        for (i, j, v) in block.entries:
-            entries[(row0 + i, col0 + j)] = sign * v
-        if s + 1 <= b:
-            block = conorm.deltas[s].component(t)
-            row0 = offsets[k - 1][s + 1]
+    def tail(self, s: int, k: int) -> IntMatrix:
+        """Coordinate inclusion of the stripes >= s at tot degree k."""
+        n = self.rank(k)
+        start = self.start(s, k)
+        return IntMatrix.from_dict(
+            n, n - start, {(start + i, i): 1 for i in range(n - start)}
+        )
+
+    def boundary(self, k: int) -> IntMatrix:
+        """Differential from tot degree k to k-1 (zero off the window).
+
+        Applies the stripe boundary with sign (-1)^s and the unsigned
+        coface sum into the next stripe when that stripe is inside."""
+        if k in self._boundaries:
+            return self._boundaries[k]
+        entries = {}
+        for s, r in self.blocks.get(k, ()):
+            if not r:
+                continue
+            col0 = self.start(s, k)
+            t = k + s
+            block = self.conorm.pieces[s].boundary(t)
+            row0 = self.start(s, k - 1)
+            sign = -1 if s % 2 else 1
             for (i, j, v) in block.entries:
-                entries[(row0 + i, col0 + j)] = v
-    nrows = sum(r for _, r in layout[k - 1])
-    ncols = sum(r for _, r in layout[k])
-    return IntMatrix.from_dict(nrows, ncols, entries)
+                entries[(row0 + i, col0 + j)] = sign * v
+            if s + 1 <= self.b:
+                block = self.conorm.deltas[s].component(t)
+                row0 = self.start(s + 1, k - 1)
+                for (i, j, v) in block.entries:
+                    entries[(row0 + i, col0 + j)] = v
+        mat = IntMatrix.from_dict(self.rank(k - 1), self.rank(k), entries)
+        self._boundaries[k] = mat
+        return mat
 
+    def complex(self) -> ChainComplexInt:
+        """Total complex of the window, zero-rank end degrees dropped.
 
-def _assemble_window(conorm: Conormalization, a: int, b: int) \
-        -> ChainComplexInt:
-    """Total complex of the stripes a < s <= b.
-
-    Tot degree k collects (N^s)_{k+s}; the differential applies the
-    stripe boundary with sign (-1)^s and the coface sum into the next
-    stripe with no sign.  The square vanishes because the coface sum is
-    itself a chain map and squares to zero."""
-    if a == b:
-        return ChainComplexInt(0, (0,), ())
-    layout = _window_layout(conorm, a, b)
-    offsets = _layout_offsets(layout)
-    degs = sorted(layout)
-    ranks = tuple(sum(r for _, r in layout[k]) for k in degs)
-    live = [idx for idx, r in enumerate(ranks) if r]
-    if not live:
-        return ChainComplexInt(0, (0,), ())
-    # zero-rank degrees at the ends carry nothing; drop them
-    degs = degs[live[0]:live[-1] + 1]
-    ranks = ranks[live[0]:live[-1] + 1]
-    boundaries = tuple(
-        _window_boundary(conorm, b, layout, offsets, k)
-        for k in degs[1:]
-    )
-    return ChainComplexInt(degs[0], ranks, boundaries)
+        The square of the differential vanishes because the coface sum
+        is itself a chain map and squares to zero.  An empty window
+        gives the zero complex."""
+        live = [k for k in self.blocks if self.rank(k)]
+        if not live:
+            return ChainComplexInt(0, (0,), ())
+        degs = range(live[0], live[-1] + 1)
+        return ChainComplexInt(
+            degs[0],
+            tuple(self.rank(k) for k in degs),
+            tuple(self.boundary(k) for k in degs[1:]),
+        )
 
 
 def tot_n(x: CosimplicialChain, n: int,
@@ -432,27 +444,7 @@ def tot_n(x: CosimplicialChain, n: int,
         raise InputError("need 0 <= n <= truncation")
     if conorm is None:
         conorm = conormalize(x)
-    return _assemble_window(conorm, -1, n)
-
-
-def _projection_components(src_layout: dict, dst_layout: dict) -> dict:
-    """Identity on shared stripes, zero on the rest, per tot degree."""
-    comps = {}
-    for k, blocks in src_layout.items():
-        entries = {}
-        dst_offsets = {}
-        pos = 0
-        for s, r in dst_layout.get(k, ()):
-            dst_offsets[s] = pos
-            pos += r
-        pos = 0
-        for s, r in blocks:
-            if s in dst_offsets:
-                for i in range(r):
-                    entries[(dst_offsets[s] + i, pos + i)] = 1
-            pos += r
-        comps[k] = entries
-    return comps
+    return StripeWindow(conorm, -1, n).complex()
 
 
 @dataclass(frozen=True)
@@ -482,15 +474,9 @@ def tower(x: CosimplicialChain,
     )
     projections = []
     for n in range(1, x.truncation + 1):
-        src, dst = stages[n], stages[n - 1]
-        src_layout = _window_layout(conorm, -1, n)
-        dst_layout = _window_layout(conorm, -1, n - 1)
-        comps = _projection_components(src_layout, dst_layout)
-        mats = {
-            k: IntMatrix.from_dict(dst.rank(k), src.rank(k), comps[k])
-            for k in src_layout
-        }
-        projections.append(chain_map(src, dst, mats))
+        win = StripeWindow(conorm, -1, n)
+        mats = {k: win.head(n, k) for k in win.blocks}
+        projections.append(chain_map(stages[n], stages[n - 1], mats))
     return TotTower(stages=stages, projections=tuple(projections))
 
 
@@ -506,7 +492,7 @@ def tower_fiber(x: CosimplicialChain, n: int, m: int,
         raise InputError("need 0 <= n <= m <= truncation")
     if conorm is None:
         conorm = conormalize(x)
-    return _assemble_window(conorm, n, m)
+    return StripeWindow(conorm, n, m).complex()
 
 
 # -- stable-shadow functoriality ---------------------------------------------
@@ -595,31 +581,24 @@ def _fiber_map(f: CosimplicialMap, n: int, m: int,
     Each level map carries the kernel of the codegeneracies into the
     same kernel on the other side, so solving through the embeddings is
     guaranteed to succeed."""
-    fib_src = _assemble_window(conorm_src, n, m)
-    fib_dst = _assemble_window(conorm_dst, n, m)
-    src_layout = _window_layout(conorm_src, n, m)
-    dst_layout = _window_layout(conorm_dst, n, m)
-    dst_offsets = _layout_offsets(dst_layout)
+    src = StripeWindow(conorm_src, n, m)
+    dst = StripeWindow(conorm_dst, n, m)
     comps = {}
-    for k in src_layout:
+    for k, blocks in src.blocks.items():
         entries = {}
-        col = 0
-        for s, r in src_layout[k]:
-            if r and k in dst_offsets:
+        for s, r in blocks:
+            if r and k in dst.blocks:
                 t = k + s
                 restricted = solve_matrix(
                     conorm_dst.embeddings[s].component(t),
                     f.components[s].component(t)
                     @ conorm_src.embeddings[s].component(t),
                 )
-                row0 = dst_offsets[k][s]
+                row0, col0 = dst.start(s, k), src.start(s, k)
                 for (i, j, v) in restricted.entries:
-                    entries[(row0 + i, col + j)] = v
-            col += r
-        comps[k] = IntMatrix.from_dict(
-            fib_dst.rank(k), fib_src.rank(k), entries
-        )
-    return chain_map(fib_src, fib_dst, comps)
+                    entries[(row0 + i, col0 + j)] = v
+        comps[k] = IntMatrix.from_dict(dst.rank(k), src.rank(k), entries)
+    return chain_map(src.complex(), dst.complex(), comps)
 
 
 def quasi_iso_invariance(f: CosimplicialMap) -> bool:
@@ -684,7 +663,8 @@ def cosimplicial_from_data(data) -> CosimplicialChain:
         raw_codegens = data["codegeneracies"]
     except (TypeError, KeyError) as exc:
         raise InputError(f"cosimplicial data missing field: {exc}")
-    if data.get("truncation") != len(levels) - 1:
+    truncation = data.get("truncation")
+    if isinstance(truncation, bool) or truncation != len(levels) - 1:
         raise InputError("truncation does not match level count")
     m = len(levels) - 1
     if len(raw_cofaces) != m or len(raw_codegens) != m:

@@ -102,7 +102,9 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, ncols: int | None = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
+        if not isinstance(rows, list) or \
+                not all(isinstance(r, list) for r in rows):
+            raise InputError("matrix rows must be a list of lists")
         if ncols is None:
             if not rows:
                 raise InputError("cannot infer column count from zero rows")

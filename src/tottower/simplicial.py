@@ -35,6 +35,7 @@ __all__ = [
     "euler_characteristic",
     "complex_to_data",
     "complex_from_data",
+    "label_from_data",
 ]
 
 
@@ -306,9 +307,10 @@ def _label_to_data(v):
     return v
 
 
-def _label_from_data(v):
+def label_from_data(v):
+    """A JSON vertex label: an int, a string, or a list read as a tuple."""
     if isinstance(v, list):
-        return tuple(_label_from_data(x) for x in v)
+        return tuple(label_from_data(x) for x in v)
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise InputError(f"unsupported vertex label {v!r}")
     return v
@@ -328,8 +330,8 @@ def complex_from_data(data) -> SimplicialComplex:
     if not isinstance(raw, list) or \
             not all(isinstance(f, list) for f in raw):
         raise InputError("'facets' must be a list of lists of labels")
-    facets = [[_label_from_data(v) for v in f] for f in raw]
+    facets = [[label_from_data(v) for v in f] for f in raw]
     base = data.get("basepoint")
     if base is not None:
-        base = _label_from_data(base)
+        base = label_from_data(base)
     return complex_from_facets(facets, base)

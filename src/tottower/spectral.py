@@ -34,10 +34,8 @@ from .abelian import (
 from .cosimplicial import (
     Conormalization,
     CosimplicialChain,
-    _layout_offsets,
-    _level_delta,
-    _window_boundary,
-    _window_layout,
+    StripeWindow,
+    coface_sum,
     conormalize,
 )
 from .errors import InputError, InvariantError
@@ -54,88 +52,29 @@ __all__ = [
 
 
 class _Filtration:
-    """Total complex of all stripes with coordinate-block bookkeeping.
-
-    Keeps the untrimmed layout so every stripe keeps its coordinate
-    block at every degree; the sign conventions are shared with the
-    window assembly used by the tower stages.
-    """
+    """The decreasing filtration F^s of the full totalization by the
+    stripes >= s, with the z-lattices every page reads cached."""
 
     def __init__(self, conorm: Conormalization):
-        top = conorm.truncation
-        layout = _window_layout(conorm, -1, top)
-        self.top = top
-        self.layout = layout
-        self.degs = sorted(layout)
-        offsets = _layout_offsets(layout)
-        self.rank = {k: sum(r for _, r in layout[k]) for k in self.degs}
-        self._d = {
-            k: _window_boundary(conorm, top, layout, offsets, k)
-            for k in self.degs if k - 1 in layout
-        }
+        self.top = conorm.truncation
+        self.win = StripeWindow(conorm, -1, self.top)
         self._z = {}
-
-    def nrank(self, k: int) -> int:
-        return self.rank.get(k, 0)
-
-    def dmat(self, k: int) -> IntMatrix:
-        """Total differential out of degree k (zero off the window)."""
-        if k in self._d:
-            return self._d[k]
-        return IntMatrix.zeros(self.nrank(k - 1), self.nrank(k))
-
-    def _start(self, s: int, k: int) -> int:
-        # stripes sit in ascending coordinate blocks, so the filtration
-        # piece F^s is a contiguous tail
-        return sum(r for st, r in self.layout.get(k, ()) if st < s)
-
-    def incl(self, s: int, k: int) -> IntMatrix:
-        """Coordinate inclusion of the stripes >= s at total degree k."""
-        n = self.nrank(k)
-        start = self._start(s, k)
-        return IntMatrix.from_dict(
-            n, n - start, {(start + i, i): 1 for i in range(n - start)}
-        )
-
-    def proj_low(self, s: int, k: int) -> IntMatrix:
-        """Coordinate projection onto the stripes < s at total degree k."""
-        n = self.nrank(k)
-        start = self._start(s, k)
-        return IntMatrix.from_dict(
-            start, n, {(i, i): 1 for i in range(start)}
-        )
 
     def z_lattice(self, s: int, r: int, k: int) -> IntMatrix:
         """Basis of {x in F^s at degree k : D x in F^{s+r}}."""
         key = (s, r, k)
         if key not in self._z:
-            inc = self.incl(s, k)
-            cond = self.proj_low(s + r, k - 1) @ self.dmat(k) @ inc
+            inc = self.win.tail(s, k)
+            cond = self.win.head(s + r, k - 1) @ self.win.boundary(k) @ inc
             self._z[key] = lattice_basis(inc @ kernel_basis(cond))
         return self._z[key]
-
-    def cycles_in(self, s: int, k: int) -> IntMatrix:
-        # F^{s + top + 1} = 0, so the z-lattice condition is D x = 0
-        return self.z_lattice(s, self.top + 1, k)
-
-    def support(self) -> tuple:
-        """(s, k) pairs whose stripe carries a nonzero coordinate block.
-
-        Off the support every page entry is trivial: a filtration piece
-        with nothing in stripe s has Z_r contained in the denominator.
-        """
-        return tuple(
-            (s, k)
-            for k in self.degs
-            for s, r in self.layout[k]
-            if r
-        )
 
     def page_spot(self, s: int, r: int, k: int):
         numer = self.z_lattice(s, r, k)
         denom = IntMatrix.hstack([
             self.z_lattice(s + 1, r - 1, k),
-            self.dmat(k + 1) @ self.z_lattice(s - r + 1, r - 1, k + 1),
+            self.win.boundary(k + 1)
+            @ self.z_lattice(s - r + 1, r - 1, k + 1),
         ])
         return subquotient_presentation(numer, denom)
 
@@ -222,15 +161,17 @@ def _graded_limit(fil: _Filtration) -> dict:
     differential.
     """
     out = {}
-    for k in fil.degs:
-        if not fil.nrank(k):
+    # F^{top + 1} = 0, so at r = top + 1 the z-lattice condition is D x = 0
+    cycles_r = fil.top + 1
+    for k in fil.win.blocks:
+        if not fil.win.rank(k):
             continue
-        image = fil.dmat(k + 1)
+        image = fil.win.boundary(k + 1)
         for s in range(fil.top + 1):
-            numer = lattice_basis(
-                IntMatrix.hstack([fil.cycles_in(s, k), image])
-            )
-            denom = IntMatrix.hstack([fil.cycles_in(s + 1, k), image])
+            cycles = fil.z_lattice(s, cycles_r, k)
+            numer = lattice_basis(IntMatrix.hstack([cycles, image]))
+            below = fil.z_lattice(s + 1, cycles_r, k)
+            denom = IntMatrix.hstack([below, image])
             group = subquotient_presentation(numer, denom).group()
             if not group.is_trivial:
                 out[(s, k + s)] = group
@@ -270,16 +211,16 @@ def _verify_limit(stable: dict, graded: dict) -> None:
 
 
 def spectral_sequence(x: CosimplicialChain, r_max: int | None = None,
-                      conorm: Conormalization | None = None,
-                      verify: bool = True) -> SpectralSequence:
+                      conorm: Conormalization | None = None) \
+        -> SpectralSequence:
     """Pages 1..r_max of the stripe-filtration spectral sequence.
 
     Page 1 is the homology of the stripes, the first differential is
     induced by the connecting maps, and entries stabilize at page
     truncation + 1.  ``r_max`` defaults to truncation + 2, one page past
-    stabilization.  With ``verify`` set, each page is checked to be the
-    homology of its predecessor and the stable page is checked against
-    the graded totalization homology; disagreement raises.
+    stabilization.  Each page is checked to be the homology of its
+    predecessor and the stable page is checked against the graded
+    totalization homology; disagreement raises.
     """
     if conorm is None:
         conorm = conormalize(x)
@@ -289,7 +230,12 @@ def spectral_sequence(x: CosimplicialChain, r_max: int | None = None,
     if r_max < 1:
         raise InputError("need r_max >= 1")
     fil = _Filtration(conorm)
-    support = fil.support()
+    # off the support every page entry is trivial: a filtration piece
+    # with nothing in stripe s has Z_r contained in the denominator
+    support = tuple(
+        (s, k) for k, blocks in fil.win.blocks.items()
+        for s, r in blocks if r
+    )
     stable_r = top + 1
     spots_by_r = {}
     homs_by_r = {}
@@ -301,20 +247,18 @@ def spectral_sequence(x: CosimplicialChain, r_max: int | None = None,
         for (s, k), spot in spots.items():
             target = (s + r, k - 1)
             if target in spots:
-                homs[(s, k)] = induced_hom(spot, spots[target], fil.dmat(k))
+                homs[(s, k)] = induced_hom(spot, spots[target],
+                                           fil.win.boundary(k))
         spots_by_r[r] = spots
         homs_by_r[r] = homs
-    if verify:
-        _verify_pages(spots_by_r, homs_by_r, support,
-                      max(r_max, stable_r))
+    _verify_pages(spots_by_r, homs_by_r, support, max(r_max, stable_r))
     stable = {
         (s, k + s): spot.group()
         for (s, k), spot in spots_by_r[stable_r].items()
         if not spot.group().is_trivial
     }
     graded = _graded_limit(fil)
-    if verify:
-        _verify_limit(stable, graded)
+    _verify_limit(stable, graded)
     pages = []
     for r in range(1, r_max + 1):
         entries = tuple(
@@ -394,7 +338,7 @@ def e2_from_level_homology(x: CosimplicialChain) -> dict:
         ]
         homs = [
             induced_hom(spots[s], spots[s + 1],
-                        _level_delta(x, s).component(t))
+                        coface_sum(x, s).component(t))
             for s in range(top)
         ]
         for s in range(top + 1):

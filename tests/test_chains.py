@@ -149,3 +149,14 @@ def test_serialization_roundtrip():
         ChainComplexInt.from_data(
             {"lo": 0, "ranks": [2, 1], "boundaries": [[[1], [0], [0]]]}
         )
+
+
+@pytest.mark.parametrize("data", [
+    {"lo": True, "ranks": [1], "boundaries": []},
+    {"lo": 0, "ranks": [True], "boundaries": []},
+    {"lo": 0, "ranks": [1, 1], "boundaries": [5]},
+    {"lo": 0, "ranks": [1, 1], "boundaries": [[5]]},
+], ids=["bool-lo", "bool-rank", "int-matrix", "int-row"])
+def test_from_data_rejects_booleans_and_non_list_matrices(data):
+    with pytest.raises(InputError):
+        ChainComplexInt.from_data(data)

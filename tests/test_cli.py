@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tottower import cli
 from tottower.chains import ChainComplexInt
 from tottower.cli import main
 from tottower.constructions import cech_object, constant_object
@@ -140,6 +141,16 @@ def test_poset_from_file(tmp_path, capsys):
     assert report["free"] is True and report["rank"] == 0
 
 
+@pytest.mark.parametrize("data", [
+    {"elements": "abc"},
+    {"elements": ["a", "b"], "leq": 5},
+    {"elements": ["a", "b"], "leq": [["a"]]},
+], ids=["string-elements", "int-leq", "short-pair"])
+def test_poset_file_schema_errors(tmp_path, capsys, data):
+    path = write_json(tmp_path, "poset.json", data)
+    assert_one_line_input_error(["poset", "dim", path], capsys)
+
+
 def test_poset_needs_exactly_one_source(capsys):
     code, _, _ = run(
         ["poset", "--subset-size", "3", "--subspace", "q=2", "n=2",
@@ -239,6 +250,15 @@ def test_facets_must_be_a_list_of_lists(tmp_path, capsys):
         assert_one_line_input_error(["homology", path], capsys)
 
 
+def test_cover_facet_index_must_not_be_a_boolean(tmp_path, capsys):
+    # read as index 1, this would be a valid cover of the triangle
+    path = write_json(tmp_path, "p.json", {
+        "complex": {"facets": [[0, 1], [1, 2], [0, 2]], "basepoint": 0},
+        "pieces": [[True, 0], [2, 0]],
+    })
+    assert_one_line_input_error(["cover", "--r", "1", path], capsys)
+
+
 def test_cover_pieces_must_be_a_list_of_lists(tmp_path, capsys):
     for pieces in (3, [[0, 1], 2], "ab"):
         path = write_json(tmp_path, "p.json", {
@@ -274,6 +294,32 @@ def test_tot_stage_flag(tmp_path, capsys):
     report = run_report(["tot", "--stage", "1", path], capsys)
     assert report["homology"] == {"-1": "Z", "0": "Z"}
     assert run(["tot", "--stage", "7", path], capsys)[0] == 2
+
+
+def test_tot_stage_builds_only_that_stage(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tot --stage must not build this")
+
+    path = cech_file(tmp_path)
+    monkeypatch.setattr(cli, "tower", refuse)
+    report = run_report(["tot", "--stage", "1", path], capsys)
+    assert report["homology"] == {"-1": "Z", "0": "Z"}
+    # the range is checked before any conormalization
+    monkeypatch.setattr(cli, "conormalize", refuse)
+    monkeypatch.setattr(cli, "tot_n", refuse)
+    assert_one_line_input_error(["tot", "--stage", "3", path], capsys)
+
+
+def test_cosimplicial_schema_errors(tmp_path, capsys):
+    # read as 1, a boolean truncation would match the two levels
+    data = cosimplicial_to_data(cech_object(2, 1))
+    data["truncation"] = True
+    path = write_json(tmp_path, "bool.json", data)
+    assert_one_line_input_error(["tot", path], capsys)
+    data = cosimplicial_to_data(cech_object(2, 1))
+    data["cofaces"][0][0] = {"0": 5}
+    path = write_json(tmp_path, "int.json", data)
+    assert_one_line_input_error(["tot", path], capsys)
 
 
 def test_tot_fiber_window_validated(tmp_path, capsys):

@@ -15,6 +15,7 @@ from tottower.constructions import (
 )
 from tottower.cosimplicial import (
     CosimplicialChain,
+    StripeWindow,
     conormalize,
     cosimplicial_from_data,
     cosimplicial_map,
@@ -217,6 +218,28 @@ def test_corpus_adjacent_fiber_is_piece(obj):
                             offset=-m)
         for k in fib.degrees():
             assert fib.rank(k) == piece.rank(k + m)
+
+
+@pytest.mark.parametrize("obj", CORPUS, ids=lambda o: o.name)
+def test_corpus_fiber_includes_into_stage(obj):
+    """The stripes > n of stage m are a subcomplex equal to the fiber of
+    Tot_m -> Tot_n, and the stage projections down to n kill it.
+
+    The ChainMap constructor checks both the shapes, which ties the
+    fiber's ranks to the tail, and the commuting with the boundaries."""
+    conorm = conormalize(obj.x)
+    tw = tower(obj.x, conorm)
+    for m in range(1, obj.x.truncation + 1):
+        win = StripeWindow(conorm, -1, m)
+        for n in range(m):
+            fib = tower_fiber(obj.x, n, m, conorm)
+            incl = chain_map(fib, tw.stage(m), {
+                k: win.tail(n + 1, k) for k in win.blocks
+            })
+            down = incl
+            for j in range(m, n, -1):
+                down = tw.projection(j).compose(down)
+            assert down.is_zero
 
 
 def test_tower_stage_ranks_are_stripe_sums():
