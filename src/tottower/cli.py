@@ -51,7 +51,7 @@ from .simplicial import (
     euler_characteristic,
     label_from_data,
     reduced_homology,
-    wedge_signature,
+    wedge_signature_from_homology,
 )
 from .spectral import (
     e2_from_level_homology,
@@ -77,6 +77,8 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply to read")
 
 
 def _emit(report: dict, output: str | None):
@@ -175,11 +177,12 @@ def cmd_poset(args) -> dict:
             "reduced": _group_table(reduced_homology(k)),
             "weakenings": [],
         }
-    sig = wedge_signature(k)
+    groups = reduced_homology(k)
+    sig = wedge_signature_from_homology(groups)
     if sig is None:
         return {
             "free": False,
-            "reduced": _group_table(reduced_homology(k)),
+            "reduced": _group_table(groups),
             "weakenings": [HOMOLOGY_ONLY_DISCLAIMER],
         }
     return {

@@ -637,6 +637,12 @@ def _map_from_data(src, dst, data) -> ChainMap:
             k = int(key)
         except (TypeError, ValueError):
             raise InputError(f"bad degree key {key!r}")
+        if k not in src.degrees() or k not in dst.degrees():
+            raise InputError(
+                f"degree key {key!r} is outside the source level "
+                f"(degrees {src.lo}..{src.hi}) or the target level "
+                f"(degrees {dst.lo}..{dst.hi})"
+            )
         mats[k] = IntMatrix.from_rows(rows, ncols=src.rank(k))
     return chain_map(src, dst, mats)
 
@@ -667,6 +673,11 @@ def cosimplicial_from_data(data) -> CosimplicialChain:
     if isinstance(truncation, bool) or truncation != len(levels) - 1:
         raise InputError("truncation does not match level count")
     m = len(levels) - 1
+    for name, table in (("cofaces", raw_cofaces),
+                        ("codegeneracies", raw_codegens)):
+        if not isinstance(table, list) or \
+                not all(isinstance(row, list) for row in table):
+            raise InputError(f"'{name}' must be a list of lists of maps")
     if len(raw_cofaces) != m or len(raw_codegens) != m:
         raise InputError("map tables must cover levels 0..M-1")
     cofaces = tuple(

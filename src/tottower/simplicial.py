@@ -32,10 +32,12 @@ __all__ = [
     "reduced_homology",
     "WedgeSignature",
     "wedge_signature",
+    "wedge_signature_from_homology",
     "euler_characteristic",
     "complex_to_data",
     "complex_from_data",
     "label_from_data",
+    "MAX_LABEL_DEPTH",
 ]
 
 
@@ -289,7 +291,11 @@ def wedge_signature(k: SimplicialComplex):
     The empty complex has nonzero reduced homology in degree -1 and so has
     no signature.
     """
-    groups = reduced_homology(k)
+    return wedge_signature_from_homology(reduced_homology(k))
+
+
+def wedge_signature_from_homology(groups: dict):
+    """wedge_signature read off a reduced homology table (degree -> group)."""
     nonzero = {d: h for d, h in groups.items() if not h.is_trivial}
     if not nonzero:
         return WedgeSignature.contractible()
@@ -307,10 +313,23 @@ def _label_to_data(v):
     return v
 
 
-def label_from_data(v):
-    """A JSON vertex label: an int, a string, or a list read as a tuple."""
+# A label's lists may nest at most this deep.  Deeper input is refused
+# with InputError rather than left to exhaust Python's recursion limit.
+MAX_LABEL_DEPTH = 100
+
+
+def label_from_data(v, depth: int = 0):
+    """A JSON vertex label: an int, a string, or a list read as a tuple.
+
+    ``depth`` counts the lists already entered; a label nested more than
+    MAX_LABEL_DEPTH lists deep raises InputError.
+    """
     if isinstance(v, list):
-        return tuple(label_from_data(x) for x in v)
+        if depth == MAX_LABEL_DEPTH:
+            raise InputError(
+                f"vertex label nested more than {MAX_LABEL_DEPTH} lists deep"
+            )
+        return tuple(label_from_data(x, depth + 1) for x in v)
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise InputError(f"unsupported vertex label {v!r}")
     return v

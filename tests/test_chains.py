@@ -3,14 +3,28 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tottower import chains
 from tottower.abelian import HomologyGroup
 from tottower.chains import (
     ChainComplexInt,
     chain_map,
     identity_chain_map,
 )
+from tottower.constructions import corpus
+from tottower.cosimplicial import tower, tower_fiber
 from tottower.errors import InputError, InvariantError
-from tottower.intlinalg import IntMatrix, kernel_basis, matrix_rank
+from tottower.intlinalg import (
+    IntMatrix,
+    kernel_basis,
+    matrix_rank,
+    snf_invariants,
+)
+from tottower.posets import order_complex, subset_poset, subspace_poset
+from tottower.simplicial import (
+    chain_complex,
+    complex_from_facets,
+    reduced_homology,
+)
 
 
 def circle_complex():
@@ -76,11 +90,11 @@ def random_complex(draw_mats):
     return ChainComplexInt(0, (d1.nrows, d1.ncols, d2.ncols), (d1, d2))
 
 
-def mats_strategy():
+def mats_strategy(bound=3):
     def inner(dims):
         m, n, p = dims
         d1 = st.lists(
-            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
             min_size=m, max_size=m,
         ).map(lambda rows: IntMatrix.from_rows(rows, ncols=n))
 
@@ -160,3 +174,91 @@ def test_serialization_roundtrip():
 def test_from_data_rejects_booleans_and_non_list_matrices(data):
     with pytest.raises(InputError):
         ChainComplexInt.from_data(data)
+
+
+# -- unit reduction before Smith ----------------------------------------------
+
+def assert_invariants_match_direct_smith(c):
+    # the rank path reduces unit pairs first; invariant factors are
+    # unique, so the whole tuple must equal a plain Smith form's
+    direct = tuple(snf_invariants(b) for b in c.boundaries)
+    assert c._boundary_invariants == direct
+    # and the reduction runs until no unit entry is left
+    _, residuals = chains._unit_reduce(c.boundaries)
+    assert not any(abs(v) == 1 for r in residuals for _, _, v in r.entries)
+
+
+def test_unit_reduction_revisits_touched_columns():
+    # column 0 has no unit until clearing row 0 against column 1 turns
+    # its 3 into 3 - 2 = 1, so column 0 must be visited again
+    c = ChainComplexInt(0, (2, 2), (IntMatrix.from_rows([[2, 1], [3, 1]]),))
+    assert_invariants_match_direct_smith(c)
+    assert chains._unit_reduce(c.boundaries)[0] == [2]
+
+
+@given(mats_strategy())
+def test_unit_reduction_matches_smith_on_random_complexes(draw_mats):
+    assert_invariants_match_direct_smith(random_complex(draw_mats))
+
+
+@given(mats_strategy(bound=5))
+def test_unit_reduction_matches_smith_with_torsion(draw_mats):
+    assert_invariants_match_direct_smith(random_complex(draw_mats))
+
+
+def test_unit_reduction_matches_smith_on_corpus():
+    for obj in corpus(seed=20250811, count=20):
+        x = obj.x
+        complexes = list(x.levels) + list(tower(x).stages) + [
+            tower_fiber(x, n, m)
+            for m in range(x.truncation + 1) for n in range(m)
+        ]
+        for c in complexes:
+            assert_invariants_match_direct_smith(c)
+
+
+def acceptance_posets():
+    """The posets whose homology the acceptance gate checks."""
+    for n in range(2, 7):
+        for r in range(1, n):
+            yield subset_poset(range(n), max_card=r)
+    for q in (2, 3):
+        for n in range(2, 5):
+            for r in range(2, n + 1):
+                yield subspace_poset(q, n, r)
+
+
+def test_unit_reduction_matches_smith_on_acceptance_posets():
+    for p in acceptance_posets():
+        c = chain_complex(order_complex(p), reduced=True)
+        assert_invariants_match_direct_smith(c)
+
+
+RP2_FACETS = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+]
+
+
+def test_unit_reduction_keeps_torsion_of_rp2():
+    c = chain_complex(complex_from_facets(RP2_FACETS))
+    assert_invariants_match_direct_smith(c)
+    assert c.homology(1) == HomologyGroup(0, (2,))
+    assert c.homology(2) == HomologyGroup(0)
+
+
+def test_unit_reduction_leaves_smith_small_work(monkeypatch):
+    # the unreduced boundaries of this complex reach 4620 x 5880 cells;
+    # after the unit pairs are gone Smith sees only the homology
+    cells = []
+
+    def counting(mat):
+        cells.append(mat.nrows * mat.ncols)
+        return snf_invariants(mat)
+
+    monkeypatch.setattr(chains, "snf_invariants", counting)
+    k = order_complex(subset_poset(range(7), min_card=1, max_card=5))
+    assert reduced_homology(k) == {
+        d: HomologyGroup(6 if d == 4 else 0) for d in range(-1, 5)
+    }
+    assert cells and max(cells) <= 100

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tottower import cli
+from tottower import cli, simplicial
 from tottower.chains import ChainComplexInt
 from tottower.cli import main
 from tottower.constructions import cech_object, constant_object
@@ -141,6 +141,28 @@ def test_poset_from_file(tmp_path, capsys):
     assert report["free"] is True and report["rank"] == 0
 
 
+def test_non_free_wedge_check_builds_one_complex(tmp_path, capsys,
+                                                monkeypatch):
+    # a circle (two minima below two maxima) plus an isolated point:
+    # reduced homology Z in degrees 0 and 1, so no wedge signature
+    path = write_json(tmp_path, "circle.json", {
+        "elements": ["a", "b", "c", "d", "e"],
+        "leq": [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]],
+    })
+    calls = []
+    build = simplicial.chain_complex
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(simplicial, "chain_complex", counting)
+    report = run_report(["poset", "wedge-check", path], capsys)
+    assert report["free"] is False
+    assert report["reduced"] == {"0": "Z", "1": "Z"}
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("data", [
     {"elements": "abc"},
     {"elements": ["a", "b"], "leq": 5},
@@ -241,6 +263,7 @@ def assert_one_line_input_error(argv, capsys):
     assert err.startswith("input error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 def test_facets_must_be_a_list_of_lists(tmp_path, capsys):
@@ -320,6 +343,40 @@ def test_cosimplicial_schema_errors(tmp_path, capsys):
     data["cofaces"][0][0] = {"0": 5}
     path = write_json(tmp_path, "int.json", data)
     assert_one_line_input_error(["tot", path], capsys)
+    # a map-table row that is not a list of maps
+    data = cosimplicial_to_data(cech_object(2, 1))
+    data["cofaces"] = [5]
+    path = write_json(tmp_path, "row.json", data)
+    assert_one_line_input_error(["tot", path], capsys)
+    data = cosimplicial_to_data(cech_object(2, 1))
+    data["codegeneracies"] = 5
+    path = write_json(tmp_path, "table.json", data)
+    assert_one_line_input_error(["tot", path], capsys)
+    # a degree key outside both levels is named, not read as ragged rows
+    data = cosimplicial_to_data(cech_object(2, 1))
+    data["cofaces"][0][0]["7"] = [[1]]
+    path = write_json(tmp_path, "key.json", data)
+    err = assert_one_line_input_error(["tot", path], capsys)
+    assert "'7'" in err and "ragged" not in err
+
+
+def nested_label_file(tmp_path, depth):
+    label = "[" * depth + "1" + "]" * depth
+    path = tmp_path / f"nested{depth}.json"
+    path.write_text('{"facets": [[' + label + ']]}')
+    return str(path)
+
+
+def test_label_nested_600_deep_is_refused(tmp_path, capsys):
+    path = nested_label_file(tmp_path, 600)
+    err = assert_one_line_input_error(["homology", path], capsys)
+    assert "vertex label nested more than" in err
+
+
+def test_json_nested_1000_deep_is_refused(tmp_path, capsys):
+    path = nested_label_file(tmp_path, 1000)
+    err = assert_one_line_input_error(["homology", path], capsys)
+    assert "nested too deeply" in err
 
 
 def test_tot_fiber_window_validated(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from tottower.abelian import HomologyGroup
 from tottower.errors import InputError
 from tottower.simplicial import (
+    MAX_LABEL_DEPTH,
     SimplicialComplex,
     WedgeSignature,
     barycentric_subdivision,
@@ -19,6 +20,7 @@ from tottower.simplicial import (
     complex_from_facets,
     complex_to_data,
     euler_characteristic,
+    label_from_data,
     label_key,
     reduced_homology,
     skeleton,
@@ -185,3 +187,19 @@ def test_serialization_roundtrip():
         complex_from_data({"facets": [[1.5]]})
     with pytest.raises(InputError):
         complex_from_data({"nope": []})
+
+
+def test_label_depth_cap():
+    def nested(depth):
+        v = 1
+        for _ in range(depth):
+            v = [v]
+        return v
+
+    inner = label_from_data(nested(MAX_LABEL_DEPTH))
+    for _ in range(MAX_LABEL_DEPTH):
+        assert isinstance(inner, tuple) and len(inner) == 1
+        inner = inner[0]
+    assert inner == 1
+    with pytest.raises(InputError):
+        label_from_data(nested(MAX_LABEL_DEPTH + 1))
