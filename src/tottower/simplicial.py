@@ -318,18 +318,22 @@ def _label_to_data(v):
 MAX_LABEL_DEPTH = 100
 
 
-def label_from_data(v, depth: int = 0):
+def label_from_data(v):
     """A JSON vertex label: an int, a string, or a list read as a tuple.
 
-    ``depth`` counts the lists already entered; a label nested more than
-    MAX_LABEL_DEPTH lists deep raises InputError.
+    A label nested more than MAX_LABEL_DEPTH lists deep raises InputError.
     """
+    return _label_from_data(v, 0)
+
+
+def _label_from_data(v, depth: int):
+    # depth counts the lists already entered.
     if isinstance(v, list):
-        if depth == MAX_LABEL_DEPTH:
+        if depth >= MAX_LABEL_DEPTH:
             raise InputError(
                 f"vertex label nested more than {MAX_LABEL_DEPTH} lists deep"
             )
-        return tuple(label_from_data(x, depth + 1) for x in v)
+        return tuple(_label_from_data(x, depth + 1) for x in v)
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise InputError(f"unsupported vertex label {v!r}")
     return v
