@@ -3,9 +3,10 @@
 Groups are carried around in two forms.  ``HomologyGroup`` is the abstract
 answer: a free rank plus invariant factors in divisibility order, suitable
 for equality tests and reports.  ``Subquotient`` keeps enough of a
-presentation (numerator basis, transform into diagonal coordinates) to
-push elements through and to induce homomorphisms, which is what the
-spectral sequence machinery needs.
+presentation (the numerator's Smith form and the transform into generator
+coordinates) to push elements through and to induce homomorphisms, which
+is what the spectral sequence machinery needs.  Each subquotient takes
+exactly two Smith forms, and pushing elements through takes none.
 
 Isomorphy of an explicit homomorphism is decided without any search: two
 finitely generated abelian groups with equal invariants are abstractly
@@ -21,12 +22,11 @@ from dataclasses import dataclass
 from .errors import InputError, InvariantError
 from .intlinalg import (
     IntMatrix,
+    SNFResult,
     kernel_basis,
     lattice_basis,
-    quotient_invariants,
     smith_normal_form,
     snf_invariants,
-    solve_matrix,
 )
 
 __all__ = [
@@ -188,8 +188,7 @@ def presented_homology(f: GroupHom, g: GroupHom) -> HomologyGroup:
     paired = kernel_basis(IntMatrix.hstack([g.mat, -rc]))
     numer = lattice_basis(paired.take_rows(range(m)))
     denom = IntMatrix.hstack([f.mat, rb])
-    free, torsion = quotient_invariants(numer, denom)
-    return HomologyGroup(free, torsion)
+    return subquotient_presentation(numer, denom).group()
 
 
 @dataclass(frozen=True)
@@ -197,34 +196,36 @@ class Subquotient:
     """Presentation of L/L' for lattices L' <= L inside some Z^N.
 
     ``gens`` columns are ambient representatives of the generators, whose
-    orders are listed in ``orders`` (0 = infinite, otherwise >= 2; trivial
-    generators are dropped).  ``coords`` expresses any ambient vector of L
-    in these generators, reducing finite coordinates mod their order.
+    orders are listed in ``orders``: the invariant factors >= 2 in
+    divisibility order, then a 0 per infinite summand (trivial generators
+    are dropped).  ``_numer`` is the Smith form of the basis of L and
+    ``_u`` sends L-coordinates to generator coordinates.
     """
 
     ambient: int
     orders: tuple
     gens: IntMatrix
-    _basis: IntMatrix
+    _numer: SNFResult
     _u: IntMatrix
-    _keep: tuple
-    _all_orders: tuple
 
     def group(self) -> HomologyGroup:
-        return group_from_orders(self.orders)
+        return HomologyGroup(self.orders.count(0),
+                             tuple(o for o in self.orders if o))
 
-    def coords(self, vec: IntMatrix) -> tuple:
-        if vec.shape != (self.ambient, 1):
-            raise InputError("expected an ambient column vector")
-        x = solve_matrix(self._basis, vec)
-        y = self._u @ x
-        col = {i: v for i, _, v in y.entries}
-        out = []
-        for idx in self._keep:
-            o = self._all_orders[idx]
-            v = col.get(idx, 0)
-            out.append(v % o if o else v)
-        return tuple(out)
+    def coords(self, vecs: IntMatrix) -> IntMatrix:
+        """Generator coordinates of each column of ``vecs``, column by column.
+
+        Every column must lie in L, or InvariantError is raised.  Finite
+        coordinates are reduced mod their order.
+        """
+        if vecs.nrows != self.ambient:
+            raise InputError("expected ambient column vectors")
+        y = self._u @ self._numer.solve(vecs)
+        data = {}
+        for i, j, v in y.entries:
+            o = self.orders[i]
+            data[(i, j)] = v % o if o else v
+        return IntMatrix.from_dict(y.nrows, y.ncols, data)
 
 
 def subquotient_presentation(numer_basis: IntMatrix,
@@ -239,15 +240,13 @@ def subquotient_presentation(numer_basis: IntMatrix,
     res = smith_normal_form(numer_basis)
     if res.rank != numer_basis.ncols:
         raise InputError("numerator columns are not independent")
-    k = numer_basis.ncols
-    w = solve_matrix(numer_basis, denom_gens)
-    wres = smith_normal_form(w)
-    all_orders = tuple(wres.invariants) + (0,) * (k - wres.rank)
-    keep = tuple(i for i, d in enumerate(all_orders) if d != 1)
-    gens = (numer_basis @ wres.u_inv).take_columns(keep)
-    orders = tuple(all_orders[i] for i in keep)
-    return Subquotient(numer_basis.nrows, orders, gens,
-                       numer_basis, wres.u, keep, all_orders)
+    wres = smith_normal_form(res.solve(denom_gens))
+    all_orders = wres.invariants + (0,) * (numer_basis.ncols - wres.rank)
+    keep = [i for i, d in enumerate(all_orders) if d != 1]
+    return Subquotient(numer_basis.nrows,
+                       tuple(all_orders[i] for i in keep),
+                       (numer_basis @ wres.u_inv).take_columns(keep),
+                       res, wres.u.take_rows(keep))
 
 
 def induced_hom(src: Subquotient, dst: Subquotient,
@@ -260,12 +259,5 @@ def induced_hom(src: Subquotient, dst: Subquotient,
     """
     if ambient_map.shape != (dst.ambient, src.ambient):
         raise InputError("ambient map shape mismatch")
-    img = ambient_map @ src.gens
-    data = {}
-    for j in range(img.ncols):
-        coords = dst.coords(img.take_columns([j]))
-        for i, v in enumerate(coords):
-            if v:
-                data[(i, j)] = v
-    mat = IntMatrix.from_dict(len(dst.orders), len(src.orders), data)
-    return GroupHom(src.orders, dst.orders, mat)
+    return GroupHom(src.orders, dst.orders,
+                    dst.coords(ambient_map @ src.gens))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .abelian import HomologyGroup
 from .chains import (
     ChainComplexInt,
     ChainMap,
@@ -510,26 +511,13 @@ def shift_object(x: CosimplicialChain, j: int) -> CosimplicialChain:
     )
 
 
-def _groups_match(left: dict, right: dict, offset: int = 0) -> bool:
-    """left[k] == right[k - offset] as groups, trivial outside range."""
-    degrees = set(left) | {k + offset for k in right}
-    for k in degrees:
-        a = left.get(k)
-        b = right.get(k - offset)
-        a_trivial = a is None or a.is_trivial
-        b_trivial = b is None or b.is_trivial
-        if a_trivial != b_trivial:
-            return False
-        if not a_trivial and (a.rank, a.torsion) != (b.rank, b.torsion):
-            return False
-    return True
-
-
 def shift_check(x: CosimplicialChain, n: int, m: int, j: int) -> bool:
     """Does shifting the object shift the fiber's homology by j?"""
     shifted = tower_fiber(shift_object(x, j), n, m).homology_all()
     plain = tower_fiber(x, n, m).homology_all()
-    return _groups_match(shifted, plain, offset=j)
+    zero = HomologyGroup(0)
+    return all(shifted.get(k, zero) == plain.get(k - j, zero)
+               for k in set(shifted) | {d + j for d in plain})
 
 
 @dataclass(frozen=True)
@@ -637,6 +625,9 @@ def _map_from_data(src, dst, data) -> ChainMap:
             k = int(key)
         except (TypeError, ValueError):
             raise InputError(f"bad degree key {key!r}")
+        if str(k) != key:
+            # "+0", "00" and " 0" would all land on degree 0
+            raise InputError(f"bad degree key {key!r}, write it as '{k}'")
         if k not in src.degrees() or k not in dst.degrees():
             raise InputError(
                 f"degree key {key!r} is outside the source level "

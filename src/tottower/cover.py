@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+from .abelian import HomologyGroup
 from .chains import ChainComplexInt
 from .errors import InputError, PreconditionError
 from .intlinalg import IntMatrix
@@ -296,20 +297,14 @@ def verify_cover_theorem(cov: CoverDiagram, r: int) -> CoverReport:
     space_homology = chain_complex(cov.space).homology_all()
     bar_homology = bar.homology_all()
     degrees = sorted(set(space_homology) | set(bar_homology))
+    zero = HomologyGroup(0)
     table = []
     matches = True
     for d in degrees:
-        a = bar_homology.get(d)
-        b = space_homology.get(d)
-        a_str = str(a) if a is not None else "0"
-        b_str = str(b) if b is not None else "0"
-        table.append((d, a_str, b_str))
-        trivial_a = a is None or a.is_trivial
-        trivial_b = b is None or b.is_trivial
-        if trivial_a != trivial_b or (
-            not trivial_a and (a.rank, a.torsion) != (b.rank, b.torsion)
-        ):
-            matches = False
+        a = bar_homology.get(d, zero)
+        b = space_homology.get(d, zero)
+        table.append((d, str(a), str(b)))
+        matches = matches and a == b
     bound = 2 * r - cov.size
     diagnostics = []
     if acyclic_ok:

@@ -30,7 +30,6 @@ __all__ = [
     "kernel_basis",
     "solve_matrix",
     "lattice_basis",
-    "quotient_invariants",
 ]
 
 
@@ -584,6 +583,24 @@ class SNFResult:
             {(t, t): d for t, d in enumerate(self.invariants)},
         )
 
+    def solve(self, b: IntMatrix) -> IntMatrix:
+        """One integral solution x of a @ x == b for the factored a.
+
+        Needs the transforms; raises InvariantError when some column of b
+        has no integral solution.
+        """
+        c = self.u @ b
+        data = {}
+        for i, j, w in c.entries:
+            if i >= self.rank:
+                raise InvariantError("system has no integral solution")
+            q, r = divmod(w, self.invariants[i])
+            if r:
+                raise InvariantError("system has no integral solution")
+            data[(i, j)] = q
+        y = IntMatrix.from_dict(self.ncols, b.ncols, data)
+        return self.v @ y
+
 
 def smith_normal_form(mat: IntMatrix, transforms: bool = True) -> SNFResult:
     """Smith normal form with the (|value|, row, column) pivot rule.
@@ -625,20 +642,6 @@ def kernel_basis(mat: IntMatrix) -> IntMatrix:
     return res.v.take_columns(range(res.rank, mat.ncols))
 
 
-def _diag_solve(res: SNFResult, b: IntMatrix, a_ncols: int) -> IntMatrix:
-    c = res.u @ b
-    data = {}
-    for i, j, w in c.entries:
-        if i >= res.rank:
-            raise InvariantError("system has no integral solution")
-        q, r = divmod(w, res.invariants[i])
-        if r:
-            raise InvariantError("system has no integral solution")
-        data[(i, j)] = q
-    y = IntMatrix.from_dict(a_ncols, b.ncols, data)
-    return res.v @ y
-
-
 def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """One integral solution x of a @ x == b, column by column.
 
@@ -648,8 +651,7 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """
     if a.nrows != b.nrows:
         raise InputError("solve requires matching row counts")
-    res = smith_normal_form(a)
-    return _diag_solve(res, b, a.ncols)
+    return smith_normal_form(a).solve(b)
 
 
 def _combine(ca: int, da: dict, cb: int, db: dict) -> dict:
@@ -706,23 +708,3 @@ def lattice_basis(mat: IntMatrix) -> IntMatrix:
         for k, v in col.items():
             data[(k, idx)] = v
     return IntMatrix.from_dict(mat.nrows, len(basis), data)
-
-
-def quotient_invariants(numer: IntMatrix, denom: IntMatrix):
-    """Invariants of (lattice spanned by numer) / (lattice spanned by denom).
-
-    ``numer`` columns must be independent; ``denom`` columns must lie in
-    their span, or InvariantError is raised.  Returns (free_rank, torsion)
-    with torsion the invariant factors greater than one, in divisibility
-    order.
-    """
-    if numer.nrows != denom.nrows:
-        raise InputError("numerator and denominator live in different ranks")
-    res = smith_normal_form(numer)
-    if res.rank != numer.ncols:
-        raise InputError("numerator columns are not independent")
-    coords = _diag_solve(res, denom, numer.ncols)
-    inv = snf_invariants(coords)
-    free = numer.ncols - len(inv)
-    torsion = tuple(d for d in inv if d > 1)
-    return free, torsion

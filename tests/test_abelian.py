@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tottower import abelian, intlinalg
 from tottower.abelian import (
     GroupHom,
     HomologyGroup,
@@ -13,8 +14,16 @@ from tottower.abelian import (
     presented_homology,
     subquotient_presentation,
 )
+from tottower.constructions import corpus
 from tottower.errors import InputError, InvariantError
-from tottower.intlinalg import IntMatrix
+from tottower.intlinalg import (
+    IntMatrix,
+    kernel_basis,
+    lattice_basis,
+    smith_normal_form,
+    snf_invariants,
+    solve_matrix,
+)
 
 
 def test_format_group():
@@ -101,18 +110,43 @@ def test_subquotient_presentation():
     denom = IntMatrix.from_rows([[4], [0]])
     sq = subquotient_presentation(numer, denom)
     assert sq.group() == HomologyGroup(1, (2,))
-    zero = (0,) * len(sq.orders)
-    assert sq.coords(IntMatrix.from_rows([[4], [0]])) == zero
-    assert sq.coords(IntMatrix.from_rows([[2], [0]])) != zero
-    # coords are additive mod the orders
-    s = sq.coords(IntMatrix.from_rows([[2], [5]]))
-    t1 = sq.coords(IntMatrix.from_rows([[2], [0]]))
-    t2 = sq.coords(IntMatrix.from_rows([[0], [5]]))
-    summed = tuple(
+    assert sq.coords(IntMatrix.from_rows([[4], [0]])).is_zero
+    assert not sq.coords(IntMatrix.from_rows([[2], [0]])).is_zero
+    # coords are additive mod the orders, and one call takes many columns
+    cols = sq.coords(IntMatrix.from_rows([[2, 2, 0], [5, 0, 5]]))
+    assert cols.shape == (len(sq.orders), 3)
+    s, t1, t2 = ([cols.entry(i, j) for i in range(cols.nrows)]
+                 for j in range(3))
+    summed = [
         (a + b) % o if o else a + b
         for a, b, o in zip(t1, t2, sq.orders)
-    )
+    ]
     assert s == summed
+    assert sq.coords(IntMatrix.from_rows([[2], [5]])) \
+        == cols.take_columns([0])
+
+
+def test_subquotient_group_hand_values():
+    i2 = IntMatrix.identity(2)
+
+    def group(numer, denom):
+        return subquotient_presentation(numer, denom).group()
+
+    assert group(i2, IntMatrix.from_rows([[2, 0], [0, 3]])) \
+        == HomologyGroup(0, (6,))
+    assert group(i2, IntMatrix.from_rows([[1], [0]])) == HomologyGroup(1)
+    numer = IntMatrix.from_rows([[1, 0], [0, 2], [0, 0]])
+    denom = IntMatrix.from_rows([[2], [0], [0]])
+    assert group(numer, denom) == HomologyGroup(1, (2,))
+
+
+def test_subquotient_presentation_rejects_bad_input():
+    dep = IntMatrix.from_rows([[1, 2], [2, 4]])
+    with pytest.raises(InputError):
+        subquotient_presentation(dep, IntMatrix.zeros(2, 1))
+    i2 = IntMatrix.identity(2)
+    with pytest.raises(InputError):
+        subquotient_presentation(i2, IntMatrix.zeros(3, 1))
 
 
 def test_subquotient_rejects_outside_vectors():
@@ -120,6 +154,8 @@ def test_subquotient_rejects_outside_vectors():
     sq = subquotient_presentation(numer, IntMatrix.zeros(2, 0))
     with pytest.raises(InvariantError):
         sq.coords(IntMatrix.from_rows([[1], [0]]))
+    with pytest.raises(InputError):
+        sq.coords(IntMatrix.from_rows([[2], [0], [0]]))
 
 
 def test_induced_hom_on_subquotients():
@@ -141,3 +177,134 @@ def test_identity_hom_is_iso(orders):
     ident = GroupHom(orders, orders, IntMatrix.identity(n))
     assert ident.is_iso()
     assert ident.compose(ident).mat == ident.mat
+
+
+# -- the per-column path that Subquotient replaced, kept as a reference -------
+
+class ReferenceSubquotient:
+    """One fresh ``solve_matrix`` (so one Smith form) per coordinate column,
+    and the group read off Smith invariants of the quotient directly."""
+
+    def __init__(self, numer, denom):
+        self.numer = numer
+        w = solve_matrix(numer, denom)
+        wres = smith_normal_form(w)
+        all_orders = wres.invariants + (0,) * (numer.ncols - wres.rank)
+        self.keep = [i for i, d in enumerate(all_orders) if d != 1]
+        self.orders = tuple(all_orders[i] for i in self.keep)
+        self.gens = (numer @ wres.u_inv).take_columns(self.keep)
+        self.u = wres.u
+        inv = snf_invariants(w)
+        self.group = HomologyGroup(numer.ncols - len(inv),
+                                   tuple(d for d in inv if d > 1))
+
+    def coords(self, vecs):
+        data = {}
+        for j in range(vecs.ncols):
+            x = solve_matrix(self.numer, vecs.take_columns([j]))
+            y = (self.u @ x).take_rows(self.keep)
+            for i, _, v in y.entries:
+                o = self.orders[i]
+                data[(i, j)] = v % o if o else v
+        return IntMatrix.from_dict(len(self.orders), vecs.ncols, data)
+
+
+def assert_matches_reference(numer, denom, vecs):
+    sq = subquotient_presentation(numer, denom)
+    ref = ReferenceSubquotient(numer, denom)
+    assert sq.group() == ref.group
+    assert (sq.orders, sq.gens) == (ref.orders, ref.gens)
+    try:
+        expected = ref.coords(vecs)
+    except InvariantError:
+        with pytest.raises(InvariantError):
+            sq.coords(vecs)
+    else:
+        assert sq.coords(vecs) == expected
+    return sq, ref
+
+
+def draw_matrix(data, nrows, ncols, bound=3):
+    rows = data.draw(st.lists(
+        st.lists(st.integers(-bound, bound), min_size=ncols, max_size=ncols),
+        min_size=nrows, max_size=nrows,
+    ))
+    return IntMatrix.from_rows(rows, ncols=ncols)
+
+
+@given(st.data())
+def test_subquotients_match_per_column_reference(data):
+    n = data.draw(st.integers(1, 4))
+    numer = lattice_basis(draw_matrix(data, n, data.draw(st.integers(0, 4))))
+    k = numer.ncols
+    denom = numer @ draw_matrix(data, k, data.draw(st.integers(0, 4)), 4)
+    sq, ref = assert_matches_reference(numer, denom,
+                                       numer @ draw_matrix(data, k, 3))
+    # a vector that need not lie in the numerator: both paths agree or
+    # both refuse
+    assert_matches_reference(numer, denom, draw_matrix(data, n, 1))
+    # a second subquotient that receives the first through a map a
+    n2 = data.draw(st.integers(1, 4))
+    a = draw_matrix(data, n2, n)
+    numer2 = lattice_basis(IntMatrix.hstack([a @ numer,
+                                             draw_matrix(data, n2, 2)]))
+    denom2 = IntMatrix.hstack([
+        a @ denom, numer2 @ draw_matrix(data, numer2.ncols, 2, 4),
+    ])
+    sq2, ref2 = assert_matches_reference(numer2, denom2, a @ numer)
+    hom = induced_hom(sq, sq2, a)
+    assert (hom.src_orders, hom.dst_orders) == (ref.orders, ref2.orders)
+    assert hom.mat == ref2.coords(a @ ref.gens)
+
+
+def test_corpus_induced_homs_match_per_column_reference():
+    checked = 0
+    for obj in corpus(seed=20250811, count=20):
+        x = obj.x
+        pres = []
+        for level in x.levels:
+            pres.append({})
+            for k in level.degrees():
+                numer = kernel_basis(level.boundary(k))
+                sq, ref = assert_matches_reference(
+                    numer, level.boundary(k + 1), numer,
+                )
+                assert sq.group() == level.homology(k)
+                pres[-1][k] = sq, ref
+        for n, row in enumerate(x.cofaces):
+            for d in row:
+                for k in pres[n].keys() & pres[n + 1].keys():
+                    (sq, ref), (sq2, ref2) = pres[n][k], pres[n + 1][k]
+                    hom = induced_hom(sq, sq2, d.component(k))
+                    assert hom.mat == ref2.coords(d.component(k) @ ref.gens)
+                    checked += 1
+    assert checked > 100
+
+
+# -- Smith form budget -------------------------------------------------------
+
+def count_smith_forms(monkeypatch):
+    calls = []
+    real = intlinalg.smith_normal_form
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    for module in (intlinalg, abelian):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+    return calls
+
+
+def test_subquotients_reuse_the_numerator_smith_form(monkeypatch):
+    # Z^3 / (2Z + 6Z + 0) = Z/2 + Z/6 + Z, three generator columns
+    numer = IntMatrix.identity(3)
+    denom = IntMatrix.from_rows([[2, 0], [0, 6], [0, 0]])
+    src = subquotient_presentation(numer, denom)
+    calls = count_smith_forms(monkeypatch)
+    dst = subquotient_presentation(numer, denom)
+    assert len(calls) == 2  # the numerator, then the quotient
+    calls.clear()
+    hom = induced_hom(src, dst, IntMatrix.identity(3).scale(5))
+    assert hom.mat == IntMatrix.from_rows([[1, 0, 0], [0, 5, 0], [0, 0, 5]])
+    assert calls == []

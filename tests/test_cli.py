@@ -358,6 +358,18 @@ def test_cosimplicial_schema_errors(tmp_path, capsys):
     path = write_json(tmp_path, "key.json", data)
     err = assert_one_line_input_error(["tot", path], capsys)
     assert "'7'" in err and "ragged" not in err
+    # a degree key is one integer written one way; "+0" must not overwrite
+    # "0" (or be overwritten by it) in either order
+    right = cosimplicial_to_data(cech_object(2, 1))["cofaces"][0][0]["0"]
+    wrong = [[0] * len(row) for row in right]
+    for table in ({"0": wrong, "+0": right}, {"+0": right, "0": wrong},
+                  {" 0": right}, {"00": right}):
+        data = cosimplicial_to_data(cech_object(2, 1))
+        data["cofaces"][0][0] = table
+        path = write_json(tmp_path, "alias.json", data)
+        err = assert_one_line_input_error(["tot", path], capsys)
+        alias = next(k for k in table if k != "0")
+        assert repr(alias) in err
 
 
 def nested_label_file(tmp_path, depth):

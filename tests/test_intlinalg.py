@@ -17,7 +17,6 @@ from tottower.intlinalg import (
     kernel_basis,
     lattice_basis,
     matrix_rank,
-    quotient_invariants,
     smith_normal_form,
     snf_invariants,
     solve_matrix,
@@ -221,25 +220,6 @@ def test_lattice_basis_spans_same_lattice(a):
         solve_matrix(basis, a)
     else:
         assert a.is_zero
-
-
-def test_quotient_invariants_hand_values():
-    i2 = IntMatrix.identity(2)
-    assert quotient_invariants(i2, IntMatrix.from_rows([[2, 0], [0, 3]])) \
-        == (0, (6,))
-    assert quotient_invariants(i2, IntMatrix.from_rows([[1], [0]])) == (1, ())
-    numer = IntMatrix.from_rows([[1, 0], [0, 2], [0, 0]])
-    denom = IntMatrix.from_rows([[2], [0], [0]])
-    assert quotient_invariants(numer, denom) == (1, (2,))
-
-
-def test_quotient_invariants_rejects_bad_input():
-    dep = IntMatrix.from_rows([[1, 2], [2, 4]])
-    with pytest.raises(InputError):
-        quotient_invariants(dep, IntMatrix.zeros(2, 1))
-    i2 = IntMatrix.identity(2)
-    with pytest.raises(InputError):
-        quotient_invariants(i2, IntMatrix.zeros(3, 1))
 
 
 # -- IntMatrix plumbing -----------------------------------------------------
