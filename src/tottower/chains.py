@@ -31,6 +31,7 @@ from .abelian import (
 )
 from .errors import InputError, InvariantError
 from .intlinalg import IntMatrix, kernel_basis, snf_invariants
+from .schema import checked, field, list_of
 
 __all__ = [
     "ChainComplexInt",
@@ -53,13 +54,10 @@ class ChainComplexInt:
     boundaries: tuple
 
     def __post_init__(self):
-        if isinstance(self.lo, bool) or not isinstance(self.lo, int):
-            raise InputError("lowest degree must be an integer")
         if not self.ranks:
             raise InputError("a complex needs at least one degree")
-        for n in self.ranks:
-            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-                raise InputError("ranks must be nonnegative integers")
+        if min(self.ranks) < 0:
+            raise InputError("ranks must be nonnegative integers")
         if len(self.boundaries) != len(self.ranks) - 1:
             raise InputError("wrong number of boundary matrices")
         for t, b in enumerate(self.boundaries):
@@ -175,20 +173,18 @@ class ChainComplexInt:
 
     @classmethod
     def from_data(cls, data) -> "ChainComplexInt":
-        try:
-            lo = data["lo"]
-            ranks = tuple(data["ranks"])
-            raw = data["boundaries"]
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"chain complex data missing field: {exc}")
+        lo, ranks, raw = (field(data, key, "chain complex")
+                          for key in ("lo", "ranks", "boundaries"))
+        checked(lo, int, "lowest degree must be an integer")
+        list_of(ranks, int, "'ranks' must be a list of integers")
+        checked(raw, list, "'boundaries' must be a list of matrices")
         if len(raw) != max(len(ranks) - 1, 0):
             raise InputError("wrong number of boundary matrices")
-        bnds = []
-        for t, rows in enumerate(raw):
-            bnds.append(IntMatrix.from_rows(rows, ncols=ranks[t + 1]))
-            if bnds[-1].nrows != ranks[t]:
-                raise InputError("boundary row count disagrees with ranks")
-        return cls(lo, ranks, tuple(bnds))
+        # the constructor checks the row counts
+        return cls(lo, tuple(ranks), tuple(
+            IntMatrix.from_rows(rows, ncols=ranks[t + 1])
+            for t, rows in enumerate(raw)
+        ))
 
 
 def _unit_reduce(boundaries: tuple) -> tuple:

@@ -45,10 +45,13 @@ from .posets import (
     subset_poset,
     subspace_poset,
 )
+from .schema import checked, field, list_of
 from .simplicial import (
     chain_complex,
     complex_from_data,
+    complex_from_facets,
     euler_characteristic,
+    facets_from_data,
     label_from_data,
     reduced_homology,
     wedge_signature_from_homology,
@@ -151,16 +154,12 @@ def _poset_from_args(args):
         max_dim = args.max_dim if args.max_dim is not None else opts["n"]
         return subspace_poset(opts["q"], opts["n"], max_dim)
     data = _load_json(args.file)
-    if not isinstance(data, dict) or "elements" not in data:
-        raise InputError("poset data needs an 'elements' field")
-    raw_elements = data["elements"]
-    if not isinstance(raw_elements, list):
-        raise InputError("'elements' must be a list of labels")
-    raw_leq = data.get("leq", [])
-    if not isinstance(raw_leq, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 for pair in raw_leq
-    ):
-        raise InputError("'leq' must be a list of [lower, upper] pairs")
+    raw_elements = checked(field(data, "elements", "poset"), list,
+                           "'elements' must be a list of labels")
+    bad_leq = "'leq' must be a list of [lower, upper] pairs"
+    raw_leq = list_of(data.get("leq", []), list, bad_leq)
+    if any(len(pair) != 2 for pair in raw_leq):
+        raise InputError(bad_leq)
     elements = [label_from_data(e) for e in raw_elements]
     pairs = [(label_from_data(a), label_from_data(b)) for a, b in raw_leq]
     return poset_from_relation(elements, pairs=pairs)
@@ -217,27 +216,16 @@ def cmd_deloop(args) -> dict:
 
 def cmd_cover(args) -> dict:
     data = _load_json(args.file)
-    if not isinstance(data, dict) or "complex" not in data:
-        raise InputError("cover data needs a 'complex' field")
-    space = complex_from_data(data["complex"])
-    if "pieces" not in data:
-        raise InputError("cover data needs a 'pieces' field")
-    pieces = data["pieces"]
-    if not isinstance(pieces, list) or \
-            not all(isinstance(p, list) for p in pieces):
-        raise InputError("'pieces' must be a list of lists of facet indices")
     # piece entries index the facet list as written in the file
-    raw_facets = data["complex"]["facets"]
+    facets, basepoint = facets_from_data(field(data, "complex", "cover"))
+    space = complex_from_facets(facets, basepoint)
+    bad_pieces = "'pieces' must be a list of lists of facet indices"
     piece_facets = []
-    for indices in pieces:
-        facets = []
-        for i in indices:
-            if isinstance(i, bool) or not isinstance(i, int) \
-                    or not 0 <= i < len(raw_facets):
-                raise InputError(f"facet index {i!r} out of range")
-            facets.append([label_from_data(v) for v in raw_facets[i]])
-        piece_facets.append(facets)
-    basepoint = space.basepoint
+    for indices in checked(field(data, "pieces", "cover"), list, bad_pieces):
+        for i in list_of(indices, int, bad_pieces):
+            if not 0 <= i < len(facets):
+                raise InputError(f"facet index {i} out of range")
+        piece_facets.append([facets[i] for i in indices])
     if "basepoint" in data:
         basepoint = label_from_data(data["basepoint"])
     cov = cover_from_subcomplexes(space, piece_facets, basepoint)

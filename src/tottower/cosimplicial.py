@@ -34,6 +34,7 @@ from .chains import (
 )
 from .errors import InputError, InvariantError, PreconditionError
 from .intlinalg import IntMatrix, kernel_basis, lattice_basis, solve_matrix
+from .schema import checked, degree_key, field, list_of
 
 __all__ = [
     "CosimplicialChain",
@@ -617,17 +618,10 @@ def _map_to_data(f: ChainMap) -> dict:
 
 
 def _map_from_data(src, dst, data) -> ChainMap:
-    if not isinstance(data, dict):
-        raise InputError("chain map data must be a degree table")
+    checked(data, dict, "chain map data must be a degree table")
     mats = {}
     for key, rows in data.items():
-        try:
-            k = int(key)
-        except (TypeError, ValueError):
-            raise InputError(f"bad degree key {key!r}")
-        if str(k) != key:
-            # "+0", "00" and " 0" would all land on degree 0
-            raise InputError(f"bad degree key {key!r}, write it as '{k}'")
+        k = degree_key(key)
         if k not in src.degrees() or k not in dst.degrees():
             raise InputError(
                 f"degree key {key!r} is outside the source level "
@@ -635,6 +629,10 @@ def _map_from_data(src, dst, data) -> ChainMap:
                 f"(degrees {dst.lo}..{dst.hi})"
             )
         mats[k] = IntMatrix.from_rows(rows, ncols=src.rank(k))
+        shape = (dst.rank(k), src.rank(k))
+        if mats[k].shape != shape:  # chain_map drops zero maps unchecked
+            raise InputError(f"component in degree {k} has shape "
+                             f"{mats[k].shape}, expected {shape}")
     return chain_map(src, dst, mats)
 
 
@@ -652,37 +650,27 @@ def cosimplicial_to_data(x: CosimplicialChain) -> dict:
 
 
 def cosimplicial_from_data(data) -> CosimplicialChain:
-    try:
-        levels = tuple(
-            ChainComplexInt.from_data(d) for d in data["levels"]
-        )
-        raw_cofaces = data["cofaces"]
-        raw_codegens = data["codegeneracies"]
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"cosimplicial data missing field: {exc}")
-    truncation = data.get("truncation")
-    if isinstance(truncation, bool) or truncation != len(levels) - 1:
+    raw_levels, truncation, raw_cofaces, raw_codegens = (
+        field(data, key, "cosimplicial")
+        for key in ("levels", "truncation", "cofaces", "codegeneracies")
+    )
+    levels = tuple(ChainComplexInt.from_data(d) for d in checked(
+        raw_levels, list, "'levels' must be a list of chain complexes"
+    ))
+    checked(truncation, int, "'truncation' must be an integer")
+    if truncation != len(levels) - 1:
         raise InputError("truncation does not match level count")
-    m = len(levels) - 1
     for name, table in (("cofaces", raw_cofaces),
                         ("codegeneracies", raw_codegens)):
-        if not isinstance(table, list) or \
-                not all(isinstance(row, list) for row in table):
-            raise InputError(f"'{name}' must be a list of lists of maps")
-    if len(raw_cofaces) != m or len(raw_codegens) != m:
-        raise InputError("map tables must cover levels 0..M-1")
+        list_of(table, list, f"'{name}' must be a list of lists of maps")
+        if len(table) != truncation:
+            raise InputError("map tables must cover levels 0..M-1")
     cofaces = tuple(
-        tuple(
-            _map_from_data(levels[k], levels[k + 1], d)
-            for d in raw_cofaces[k]
-        )
-        for k in range(m)
+        tuple(_map_from_data(src, dst, d) for d in row)
+        for src, dst, row in zip(levels, levels[1:], raw_cofaces)
     )
     codegeneracies = tuple(
-        tuple(
-            _map_from_data(levels[k + 1], levels[k], d)
-            for d in raw_codegens[k]
-        )
-        for k in range(m)
+        tuple(_map_from_data(src, dst, d) for d in row)
+        for src, dst, row in zip(levels[1:], levels, raw_codegens)
     )
     return CosimplicialChain(levels, cofaces, codegeneracies)

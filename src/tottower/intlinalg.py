@@ -17,8 +17,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, compress
 
 from .errors import InputError, InvariantError
+from .schema import int_rows, is_int
 
 __all__ = [
     "IntMatrix",
@@ -48,10 +50,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True, repr=False)
 class IntMatrix:
     """Immutable sparse integer matrix.
@@ -68,7 +66,7 @@ class IntMatrix:
     entries: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if not _is_int(self.nrows) or not _is_int(self.ncols):
+        if not is_int(self.nrows) or not is_int(self.ncols):
             raise InputError("matrix dimensions must be integers")
         if self.nrows < 0 or self.ncols < 0:
             raise InputError("matrix dimensions must be nonnegative")
@@ -77,7 +75,7 @@ class IntMatrix:
             if len(item) != 3:
                 raise InputError(f"bad matrix entry {item!r}")
             i, j, v = item
-            if not (_is_int(i) and _is_int(j) and _is_int(v)):
+            if not (is_int(i) and is_int(j) and is_int(v)):
                 raise InputError(f"bad matrix entry {item!r}")
             if not (0 <= i < self.nrows and 0 <= j < self.ncols):
                 raise InputError(
@@ -101,21 +99,13 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, ncols: int | None = None) -> "IntMatrix":
-        if not isinstance(rows, list) or \
-                not all(isinstance(r, list) for r in rows):
-            raise InputError("matrix rows must be a list of lists")
-        if ncols is None:
-            if not rows:
-                raise InputError("cannot infer column count from zero rows")
-            ncols = len(rows[0])
-        data = {}
+        ncols = int_rows(rows, ncols)
+        # a list, not a range: compress then makes no int object per cell
+        cols = list(range(ncols))
+        entries = []
         for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise InputError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    data[(i, j)] = v
-        return cls.from_dict(len(rows), ncols, data)
+            entries += [(i, j, row[j]) for j in compress(cols, row)]
+        return cls(len(rows), ncols, tuple(entries))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
@@ -130,32 +120,16 @@ class IntMatrix:
         mats = list(mats)
         if not mats:
             raise InputError("hstack of nothing")
-        nrows = mats[0].nrows
-        data = {}
-        off = 0
-        for m in mats:
-            if m.nrows != nrows:
-                raise InputError("hstack with mismatched row counts")
-            for i, j, v in m.entries:
-                data[(i, off + j)] = v
-            off += m.ncols
-        return cls.from_dict(nrows, off, data)
+        return cls.from_blocks([mats[0].nrows], [m.ncols for m in mats],
+                               {(0, j): m for j, m in enumerate(mats)})
 
     @classmethod
     def vstack(cls, mats) -> "IntMatrix":
         mats = list(mats)
         if not mats:
             raise InputError("vstack of nothing")
-        ncols = mats[0].ncols
-        data = {}
-        off = 0
-        for m in mats:
-            if m.ncols != ncols:
-                raise InputError("vstack with mismatched column counts")
-            for i, j, v in m.entries:
-                data[(off + i, j)] = v
-            off += m.nrows
-        return cls.from_dict(off, ncols, data)
+        return cls.from_blocks([m.nrows for m in mats], [mats[0].ncols],
+                               {(i, 0): m for i, m in enumerate(mats)})
 
     @classmethod
     def from_blocks(cls, row_sizes, col_sizes, blocks) -> "IntMatrix":
@@ -167,12 +141,8 @@ class IntMatrix:
         """
         row_sizes = list(row_sizes)
         col_sizes = list(col_sizes)
-        row_off = [0]
-        for s in row_sizes:
-            row_off.append(row_off[-1] + s)
-        col_off = [0]
-        for s in col_sizes:
-            col_off.append(col_off[-1] + s)
+        row_off = [0, *accumulate(row_sizes)]
+        col_off = [0, *accumulate(col_sizes)]
         data = {}
         for (bi, bj), m in blocks.items():
             if not (0 <= bi < len(row_sizes) and 0 <= bj < len(col_sizes)):
@@ -215,9 +185,6 @@ class IntMatrix:
             raise InputError(f"index ({i}, {j}) out of range")
         return self._cells.get((i, j), 0)
 
-    def row_dict(self, i: int) -> dict:
-        return dict(self._row_items[i])
-
     def to_rows(self) -> list:
         out = [[0] * self.ncols for _ in range(self.nrows)]
         for i, j, v in self.entries:
@@ -241,7 +208,7 @@ class IntMatrix:
         )
 
     def scale(self, c: int) -> "IntMatrix":
-        if not _is_int(c):
+        if not is_int(c):
             raise InputError("scalar must be an integer")
         if c == 0:
             return IntMatrix.zeros(self.nrows, self.ncols)

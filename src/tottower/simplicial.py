@@ -20,6 +20,7 @@ from .abelian import HomologyGroup
 from .chains import ChainComplexInt
 from .errors import InputError
 from .intlinalg import IntMatrix
+from .schema import field, is_int, list_of
 
 __all__ = [
     "label_key",
@@ -36,6 +37,7 @@ __all__ = [
     "euler_characteristic",
     "complex_to_data",
     "complex_from_data",
+    "facets_from_data",
     "label_from_data",
     "MAX_LABEL_DEPTH",
 ]
@@ -334,7 +336,7 @@ def _label_from_data(v, depth: int):
                 f"vertex label nested more than {MAX_LABEL_DEPTH} lists deep"
             )
         return tuple(_label_from_data(x, depth + 1) for x in v)
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
+    if not (is_int(v) or isinstance(v, str)):
         raise InputError(f"unsupported vertex label {v!r}")
     return v
 
@@ -346,15 +348,14 @@ def complex_to_data(k: SimplicialComplex):
     return out
 
 
-def complex_from_data(data) -> SimplicialComplex:
-    if not isinstance(data, dict) or "facets" not in data:
-        raise InputError("complex data needs a 'facets' field")
-    raw = data["facets"]
-    if not isinstance(raw, list) or \
-            not all(isinstance(f, list) for f in raw):
-        raise InputError("'facets' must be a list of lists of labels")
-    facets = [[label_from_data(v) for v in f] for f in raw]
+def facets_from_data(data) -> tuple:
+    """Facets (label lists, in file order) and basepoint of complex data."""
+    raw = list_of(field(data, "facets", "complex"), list,
+                  "'facets' must be a list of lists of labels")
     base = data.get("basepoint")
-    if base is not None:
-        base = label_from_data(base)
-    return complex_from_facets(facets, base)
+    facets = [[label_from_data(v) for v in f] for f in raw]
+    return facets, None if base is None else label_from_data(base)
+
+
+def complex_from_data(data) -> SimplicialComplex:
+    return complex_from_facets(*facets_from_data(data))

@@ -133,9 +133,6 @@ class SpectralSequence:
     def entry(self, r: int, s: int, t: int) -> HomologyGroup:
         return self.page(r).entry(s, t)
 
-    def stable_table(self) -> dict:
-        return dict(self.e_infinity)
-
     def to_data(self) -> dict:
         return {
             "truncation": self.truncation,

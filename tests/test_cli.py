@@ -370,6 +370,37 @@ def test_cosimplicial_schema_errors(tmp_path, capsys):
         err = assert_one_line_input_error(["tot", path], capsys)
         alias = next(k for k in table if k != "0")
         assert repr(alias) in err
+    # a falsy cell that is not the integer 0 must not be read as 0
+    for cell in (False, None, 0.0, "", [], {}):
+        data = cosimplicial_to_data(cech_object(2, 1))
+        row = data["cofaces"][0][0]["0"][0]
+        row[row.index(0)] = cell
+        path = write_json(tmp_path, "cell.json", data)
+        err = assert_one_line_input_error(["tot", path], capsys)
+        assert "matrix row 0 is not 2 integers" in err
+    # an all-zero map of the wrong shape is not the zero map
+    for table, slot, shape in (
+        ("cofaces", {"0": []}, "(0, 2), expected (4, 2)"),
+        ("cofaces", {"0": [[0, 0]]}, "(1, 2), expected (4, 2)"),
+        ("codegeneracies", {"0": [[0] * 4] * 5}, "(5, 4), expected (2, 4)"),
+    ):
+        data = cosimplicial_to_data(cech_object(2, 1))
+        data[table][0][0] = slot
+        path = write_json(tmp_path, "shape.json", data)
+        err = assert_one_line_input_error(["tot", path], capsys)
+        assert f"component in degree 0 has shape {shape}" in err
+    # level fields of the wrong type are named, not read as empty or as 1
+    for field, value in (("boundaries", {}), ("boundaries", ""),
+                         ("boundaries", 5), ("ranks", 5), ("levels", 5),
+                         ("truncation", 1.0)):
+        data = cosimplicial_to_data(cech_object(2, 1))
+        if field in ("levels", "truncation"):
+            data[field] = value
+        else:
+            data["levels"][0][field] = value
+        path = write_json(tmp_path, "field.json", data)
+        err = assert_one_line_input_error(["tot", path], capsys)
+        assert f"'{field}' must be" in err
 
 
 def nested_label_file(tmp_path, depth):
