@@ -621,13 +621,21 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return smith_normal_form(a).solve(b)
 
 
-def _combine(ca: int, da: dict, cb: int, db: dict) -> dict:
-    out = {}
-    for k in da.keys() | db.keys():
-        v = ca * da.get(k, 0) + cb * db.get(k, 0)
-        if v:
-            out[k] = v
-    return out
+def _subtract(dst: dict, q: int, src: dict, cid: int, index: dict) -> None:
+    """dst -= q * src in place, for q != 0.
+
+    ``index`` maps a row to the ids of the columns nonzero there; column
+    ``cid`` (which is dst) enters or leaves it as dst gains or loses rows.
+    """
+    for k, v in src.items():
+        nv = dst.get(k, 0) - q * v
+        if nv:
+            if k not in dst:
+                index.setdefault(k, set()).add(cid)
+            dst[k] = nv
+        else:
+            del dst[k]
+            index[k].discard(cid)
 
 
 def lattice_basis(mat: IntMatrix) -> IntMatrix:
@@ -637,41 +645,47 @@ def lattice_basis(mat: IntMatrix) -> IntMatrix:
     positive, and earlier columns are reduced at later pivot rows into
     [0, pivot).  Two column sets span the same lattice exactly when they
     produce equal output here.
+
+    Rows are cleared top down.  At each row the columns nonzero there are
+    reduced against the one with the smallest |entry| (ties: fewest
+    nonzeros, then lowest id) until one is left; it becomes the next basis
+    column and reduces the earlier ones at its row.  Two row -> column-id
+    indexes, one over the working columns and one over the basis, let
+    each step touch only the columns nonzero at that row.  The Hermite
+    form is unique, so the pivot rule changes speed, never output.
     """
-    remaining = []
-    for j in range(mat.ncols):
-        remaining.append({})
+    cols = [{} for _ in range(mat.ncols)]
+    at_row = {}
     for i, j, v in mat.entries:
-        remaining[j][i] = v
-    remaining = [c for c in remaining if c]
+        cols[j][i] = v
+        at_row.setdefault(i, set()).add(j)
     basis = []
+    basis_at = {}
     for r in range(mat.nrows):
-        hit = [t for t, c in enumerate(remaining) if r in c]
+        hit = at_row.get(r)
         if not hit:
             continue
-        t0 = hit[0]
-        for t in hit[1:]:
-            a, b = remaining[t0][r], remaining[t][r]
-            g, x, y = xgcd(a, b)
-            c0, c1 = remaining[t0], remaining[t]
-            remaining[t0] = _combine(x, c0, y, c1)
-            remaining[t] = _combine(-(b // g), c0, a // g, c1)
-        main = remaining.pop(t0)
+        while len(hit) > 1:
+            p = min(hit, key=lambda t: (abs(cols[t][r]), len(cols[t]), t))
+            main, d = cols[p], cols[p][r]
+            for t in [t for t in hit if t != p]:
+                _subtract(cols[t], cols[t][r] // d, main, t, at_row)
+        p = next(iter(hit))
+        main = cols[p]
+        for k in main:
+            at_row[k].discard(p)
         if main[r] < 0:
             main = {k: -v for k, v in main.items()}
         d = main[r]
-        for _, bc in basis:
-            q = bc.get(r, 0) // d
+        for b in list(basis_at.get(r, ())):
+            q = basis[b][r] // d
             if q:
-                for k, v in main.items():
-                    nv = bc.get(k, 0) - q * v
-                    if nv:
-                        bc[k] = nv
-                    else:
-                        bc.pop(k, None)
-        basis.append((r, main))
+                _subtract(basis[b], q, main, b, basis_at)
+        for k in main:
+            basis_at.setdefault(k, set()).add(len(basis))
+        basis.append(main)
     data = {}
-    for idx, (_, col) in enumerate(basis):
+    for idx, col in enumerate(basis):
         for k, v in col.items():
             data[(k, idx)] = v
     return IntMatrix.from_dict(mat.nrows, len(basis), data)

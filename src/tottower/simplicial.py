@@ -53,7 +53,7 @@ def label_key(v):
         return (1, v)
     if isinstance(v, tuple):
         return (2, tuple(label_key(x) for x in v))
-    raise InputError(f"unsupported vertex label {v!r}")
+    raise InputError(f"unsupported vertex label of type {type(v).__name__}")
 
 
 def _facet_key(f):
@@ -337,7 +337,9 @@ def _label_from_data(v, depth: int):
             )
         return tuple(_label_from_data(x, depth + 1) for x in v)
     if not (is_int(v) or isinstance(v, str)):
-        raise InputError(f"unsupported vertex label {v!r}")
+        raise InputError(
+            f"unsupported vertex label of type {type(v).__name__}"
+        )
     return v
 
 

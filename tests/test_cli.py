@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line reports and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from tottower import cli, simplicial
 from tottower.chains import ChainComplexInt
 from tottower.cli import main
-from tottower.constructions import cech_object, constant_object
+from tottower.constructions import cech_object, constant_object, corpus
 from tottower.cosimplicial import cosimplicial_to_data
 
 CYCLE = [[0, 1], [1, 2], [2, 3], [0, 3]]
@@ -420,6 +421,45 @@ def test_json_nested_1000_deep_is_refused(tmp_path, capsys):
     path = nested_label_file(tmp_path, 1000)
     err = assert_one_line_input_error(["homology", path], capsys)
     assert "nested too deeply" in err
+
+
+def test_unsupported_label_is_named_by_type(tmp_path, capsys):
+    label = '{"a": ' * 300 + "1" + "}" * 300
+    path = tmp_path / "dict_label.json"
+    path.write_text('{"facets": [[0, ' + label + ']]}')
+    err = assert_one_line_input_error(["homology", str(path)], capsys)
+    assert "unsupported vertex label of type dict" in err
+    assert len(err) < 200
+
+
+# sha256 of the report bytes, computed before the indexed Hermite form
+# replaced the pairwise one; any change to a page or group string shows
+REPORT_SHA256 = {
+    ("ss", "cech_3_3"):
+        "1d00688e5758dfd9857d8c2416b1ddd237e0f84f68251f96b7f49ea16a311f1a",
+    ("tot", "cech_3_3"):
+        "1fb889a4d6a21f175db89facabe4deaa762e34729f4fdf7154885b55839c811a",
+    # corpus object 8 has torsion on its pages
+    ("ss", "corpus_8"):
+        "2a111874663e8f0cf51aa6a7c76c18cbc4539c8944f550f875606a1482f6fc45",
+}
+
+
+def test_report_bytes_are_pinned(tmp_path, capsys):
+    files = {
+        "cech_3_3": write_json(tmp_path, "cech_3_3.json",
+                               cosimplicial_to_data(cech_object(3, 3))),
+        "corpus_8": write_json(
+            tmp_path, "corpus_8.json",
+            cosimplicial_to_data(corpus(seed=20250811, count=9)[8].x),
+        ),
+    }
+    for (command, name), expected in REPORT_SHA256.items():
+        code, out, err = run([command, files[name]], capsys)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, \
+            (command, name)
+    assert "Z/" in run(["ss", files["corpus_8"]], capsys)[1]
 
 
 def test_tot_fiber_window_validated(tmp_path, capsys):

@@ -11,6 +11,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from tottower import abelian, cosimplicial, spectral
+from tottower.constructions import cech_object, corpus
 from tottower.errors import InputError, InvariantError
 from tottower.intlinalg import (
     IntMatrix,
@@ -22,6 +24,7 @@ from tottower.intlinalg import (
     solve_matrix,
     xgcd,
 )
+from tottower.spectral import spectral_sequence
 
 
 # -- oracle helpers -------------------------------------------------------
@@ -71,6 +74,80 @@ def dense_strategy(max_dim=4, max_val=9):
     return st.tuples(
         st.integers(1, max_dim), st.integers(1, max_dim)
     ).flatmap(build)
+
+
+def sparse_strategy(max_dim=12):
+    """Sparse matrices with torsion: several columns often share a row,
+    and pivots need not be units."""
+    entry = st.sampled_from((0,) * 8 + (1, -1, 2, -2, 3, -3, 4, 6))
+
+    def build(dims):
+        m, n = dims
+        return st.lists(
+            st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m,
+        ).map(lambda rows: IntMatrix.from_rows(rows, ncols=n))
+    return st.tuples(
+        st.integers(1, max_dim), st.integers(1, max_dim)
+    ).flatmap(build)
+
+
+# The column Hermite form as the package computed it before the indexed
+# elimination, kept verbatim as the reference for the differential tests.
+
+def _combine(ca: int, da: dict, cb: int, db: dict) -> dict:
+    out = {}
+    for k in da.keys() | db.keys():
+        v = ca * da.get(k, 0) + cb * db.get(k, 0)
+        if v:
+            out[k] = v
+    return out
+
+
+def _reference_lattice_basis(mat: IntMatrix) -> IntMatrix:
+    """Canonical basis of the lattice spanned by the columns.
+
+    Column Hermite form: pivot rows strictly increase, pivot entries are
+    positive, and earlier columns are reduced at later pivot rows into
+    [0, pivot).  Two column sets span the same lattice exactly when they
+    produce equal output here.
+    """
+    remaining = []
+    for j in range(mat.ncols):
+        remaining.append({})
+    for i, j, v in mat.entries:
+        remaining[j][i] = v
+    remaining = [c for c in remaining if c]
+    basis = []
+    for r in range(mat.nrows):
+        hit = [t for t, c in enumerate(remaining) if r in c]
+        if not hit:
+            continue
+        t0 = hit[0]
+        for t in hit[1:]:
+            a, b = remaining[t0][r], remaining[t][r]
+            g, x, y = xgcd(a, b)
+            c0, c1 = remaining[t0], remaining[t]
+            remaining[t0] = _combine(x, c0, y, c1)
+            remaining[t] = _combine(-(b // g), c0, a // g, c1)
+        main = remaining.pop(t0)
+        if main[r] < 0:
+            main = {k: -v for k, v in main.items()}
+        d = main[r]
+        for _, bc in basis:
+            q = bc.get(r, 0) // d
+            if q:
+                for k, v in main.items():
+                    nv = bc.get(k, 0) - q * v
+                    if nv:
+                        bc[k] = nv
+                    else:
+                        bc.pop(k, None)
+        basis.append((r, main))
+    data = {}
+    for idx, (_, col) in enumerate(basis):
+        for k, v in col.items():
+            data[(k, idx)] = v
+    return IntMatrix.from_dict(mat.nrows, len(basis), data)
 
 
 # -- xgcd ------------------------------------------------------------------
@@ -218,6 +295,59 @@ def test_lattice_basis_spans_same_lattice(a):
     # each original column is an integer combination of the basis
     if basis.ncols:
         solve_matrix(basis, a)
+    else:
+        assert a.is_zero
+
+
+def test_lattice_basis_hand_value():
+    # three columns meet at row 0 with no unit among them; |det| = 58
+    a = IntMatrix.from_rows([[4, 6, -2], [1, 0, 3], [0, 2, 5]])
+    assert lattice_basis(a).to_rows() == [[2, 0, 0], [0, 1, 0], [20, 18, 29]]
+
+
+@given(sparse_strategy())
+def test_lattice_basis_matches_reference(a):
+    assert lattice_basis(a) == _reference_lattice_basis(a)
+
+
+def test_lattice_basis_matches_reference_on_spectral_calls(monkeypatch):
+    """Every lattice_basis call spectral_sequence makes on the seeded
+    corpus and on cech_object(3, 3) gives the reference's output."""
+    seen = []
+
+    def record(mat):
+        seen.append(mat)
+        return lattice_basis(mat)
+    for module in (spectral, abelian, cosimplicial):
+        monkeypatch.setattr(module, "lattice_basis", record)
+    for obj in corpus(seed=20250811, count=20):
+        spectral_sequence(obj.x)
+    spectral_sequence(cech_object(3, 3))
+    assert len(seen) > 100
+    assert any(
+        sum(1 for i, _, _ in m.entries if i == r) > 1
+        for m in seen for r in range(m.nrows)
+    )
+    for mat in seen:
+        assert lattice_basis(mat) == _reference_lattice_basis(mat)
+
+
+@given(sparse_strategy())
+def test_lattice_basis_is_hermite_normal_form(a):
+    basis = lattice_basis(a)
+    cols = [{} for _ in range(basis.ncols)]
+    for i, j, v in basis.entries:
+        cols[j][i] = v
+    pivots = [min(c) for c in cols]
+    assert all(p < q for p, q in zip(pivots, pivots[1:]))
+    for j, (c, p) in enumerate(zip(cols, pivots)):
+        assert c[p] > 0
+        for earlier in cols[:j]:
+            assert 0 <= earlier.get(p, 0) < c[p]
+    assert matrix_rank(basis) == basis.ncols == matrix_rank(a)
+    if basis.ncols:
+        assert basis @ solve_matrix(basis, a) == a
+        assert a @ solve_matrix(a, basis) == basis
     else:
         assert a.is_zero
 
