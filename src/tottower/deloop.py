@@ -30,6 +30,7 @@ from .errors import InputError, InvariantError, PreconditionError
 from .posets import (
     PosetInclusion,
     check_fence_condition,
+    checked_chain_count,
     down_slice,
     full_subposet,
     order_complex,
@@ -105,7 +106,8 @@ def analyze_inclusion(incl: PosetInclusion) -> InclusionReport:
     Raises PreconditionError when the inclusion is not downward closed,
     a slice is empty, or the complement values fail to be homology wedges
     of a single sphere dimension.  Raises InvariantError if a subposet
-    value comes out noncontractible, which theory forbids.
+    value comes out noncontractible, which theory forbids, and InputError
+    if a slice has more than ``posets.MAX_CHAINS`` maximal chains.
     """
     ok, witnesses = check_fence_condition(incl)
     if not ok:
@@ -120,6 +122,8 @@ def analyze_inclusion(incl: PosetInclusion) -> InclusionReport:
             raise PreconditionError(
                 f"slice under {d!r} is empty; cannot take its suspension"
             )
+        # refuse an oversized slice before any order complex is built
+        checked_chain_count(sl)
     inside = set(incl.sub.elements)
     signatures = []
     complement_sigs = []

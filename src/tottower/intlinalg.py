@@ -235,12 +235,19 @@ class IntMatrix:
                 f"by {other.nrows}x{other.ncols}"
             )
         orows = other._row_items
+        n = other.ncols
+        # cell (i, j) is keyed i * n + j: ints hash and sort faster than
+        # pairs, and only the nonzero cells are sorted
         acc: dict = {}
+        get = acc.get
         for i, k, v in self.entries:
+            base = i * n
             for j, w in orows[k]:
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + v * w
-        return IntMatrix.from_dict(self.nrows, other.ncols, acc)
+                key = base + j
+                acc[key] = get(key, 0) + v * w
+        cells = sorted(kx for kx in acc.items() if kx[1])
+        return IntMatrix(self.nrows, n,
+                         tuple((*divmod(key, n), x) for key, x in cells))
 
     def take_rows(self, indices) -> "IntMatrix":
         idx = list(indices)

@@ -13,6 +13,7 @@ its reduced row echelon basis so equality is literal tuple equality.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,10 +37,23 @@ __all__ = [
     "down_slice",
     "lan_point",
     "order_complex",
+    "checked_chain_count",
+    "MAX_CHAINS",
+    "MAX_POSET_ELEMENTS",
     "check_fence_condition",
     "DiagramOfComplexes",
     "t_functor",
 ]
+
+
+# order_complex refuses a poset with more maximal chains than this.  The
+# chains are the facets of its order complex, and each brings up to
+# 2^length faces: on a 2-vCPU Xeon VM a wedge check of the subsets of an
+# 8-set with card <= 6 (20160 chains of 6) takes about 5 s and 280 MiB.
+MAX_CHAINS = 25_000
+# subset_poset and subspace_poset refuse to build more elements than this:
+# relating them costs one comparison per ordered pair, about 30 s at 4096.
+MAX_POSET_ELEMENTS = 4096
 
 
 def _bits(mask: int):
@@ -120,14 +134,30 @@ class FinPoset:
                     out.append((j, i))
         return tuple(out)
 
+    @cached_property
+    def _succ(self) -> tuple:
+        """Per index, the sorted indices of the elements covering it."""
+        succ = [[] for _ in self.elements]
+        for j, i in self.covers:
+            succ[j].append(i)
+        return tuple(sorted(lst) for lst in succ)
+
+    def maximal_chain_count(self) -> int:
+        """How many maximal chains there are, counted without listing any."""
+        n = len(self.elements)
+        succ = self._succ
+        # up[i]: the maximal chains of the part above e_i that start at
+        # e_i.  A larger element has a larger down-set, so it comes first.
+        order = sorted(range(n), key=lambda i: self.down[i].bit_count())
+        up = [0] * n
+        for i in reversed(order):
+            up[i] = sum(up[t] for t in succ[i]) or 1
+        return sum(up[i] for i, m in enumerate(self.down) if m == 1 << i)
+
     def maximal_chains(self) -> tuple:
         """All maximal chains, each as an ascending tuple of elements."""
         n = len(self.elements)
-        succ = [[] for _ in range(n)]
-        for j, i in self.covers:
-            succ[j].append(i)
-        for lst in succ:
-            lst.sort()
+        succ = self._succ
         minimal = [
             i for i in range(n) if self.down[i] == (1 << i)
         ]
@@ -211,10 +241,29 @@ def poset_dimension(p: FinPoset) -> int:
     return max(heights)
 
 
+def _refuse_large(totals) -> None:
+    # totals: the running element count of a poset, level by level
+    for total in totals:
+        if total > MAX_POSET_ELEMENTS:
+            raise InputError(
+                f"the poset would have more than {MAX_POSET_ELEMENTS} "
+                f"elements"
+            )
+
+
 def subset_poset(base, min_card: int = 1, max_card: int | None = None) \
         -> FinPoset:
     """Nonempty subsets of ``base`` with min_card <= size <= max_card,
-    ordered by inclusion.  Subsets are key-sorted tuples."""
+    ordered by inclusion.  Subsets are key-sorted tuples.
+
+    ``base`` must have a len().  More than MAX_POSET_ELEMENTS subsets are
+    refused with InputError before any is built.
+    """
+    n = len(base)
+    top = n if max_card is None else min(max_card, n)
+    _refuse_large(itertools.accumulate(
+        math.comb(n, k) for k in range(max(min_card, 1), top + 1)
+    ))
     items = sorted(base, key=label_key)
     if len(set(items)) != len(items):
         raise InputError("base set has repeated items")
@@ -291,7 +340,9 @@ def subspace_poset(q: int, n: int, max_dim: int) -> FinPoset:
     """Nonzero subspaces of F_q^n of dimension <= max_dim, by inclusion.
 
     Each subspace is the tuple of rows of its reduced row echelon basis.
-    The enumeration is cross-checked against the Gaussian binomials.
+    The enumeration is cross-checked against the Gaussian binomials, which
+    also count the elements up front: more than MAX_POSET_ELEMENTS are
+    refused with InputError before any is built.
     """
     if not _is_prime(q):
         raise InputError("q must be prime")
@@ -300,6 +351,9 @@ def subspace_poset(q: int, n: int, max_dim: int) -> FinPoset:
     if max_dim < 1:
         raise InputError("need max_dim >= 1")
     max_dim = min(max_dim, n)
+    _refuse_large(itertools.accumulate(
+        gaussian_binomial(n, k, q) for k in range(1, max_dim + 1)
+    ))
     elements = []
     for k in range(1, max_dim + 1):
         level = list(_rref_matrices(n, k, q))
@@ -345,8 +399,24 @@ def down_slice(incl: PosetInclusion, d) -> FinPoset:
     return full_subposet(incl.sub, picked)
 
 
+def checked_chain_count(p: FinPoset) -> int:
+    """The number of maximal chains of p; InputError above MAX_CHAINS."""
+    count = p.maximal_chain_count()
+    if count > MAX_CHAINS:
+        raise InputError(
+            f"poset has {count} maximal chains; order complexes are "
+            f"built for at most {MAX_CHAINS}"
+        )
+    return count
+
+
 def order_complex(p: FinPoset) -> SimplicialComplex:
-    """Complex of chains; the empty poset gives the empty complex."""
+    """Complex of chains; the empty poset gives the empty complex.
+
+    A poset with more than MAX_CHAINS maximal chains is refused with
+    InputError before any chain is listed.
+    """
+    checked_chain_count(p)
     return complex_from_facets(p.maximal_chains())
 
 

@@ -8,6 +8,12 @@ simplices of the original complex.
 A complex is stored by its facets.  Chain complexes use the sorted list of
 k-simplices as the degree-k basis and the alternating-sum boundary on
 key-sorted vertex tuples.
+
+Vertices are coded once: the distinct labels, sorted by ``label_key``, get
+the codes 0..n-1, and simplices are enumerated, sorted and looked up as
+tuples of these ints.  The coding preserves order, so every simplex order
+equals the ``label_key`` order of the labels themselves.  Labels come back
+only in ``facets``, ``vertices`` and ``simplices_by_dim``.
 """
 
 from __future__ import annotations
@@ -60,6 +66,15 @@ def _facet_key(f):
     return tuple(label_key(v) for v in f)
 
 
+def _code_table(labels) -> dict:
+    """Each distinct label -> its rank in label_key order.
+
+    Every label must already have passed ``label_key``: only then do set
+    and dict lookups, which go by ``==``, agree with it (``True == 1``).
+    """
+    return {v: i for i, v in enumerate(sorted(set(labels), key=label_key))}
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Facet list in canonical form, optionally pointed.
@@ -110,30 +125,39 @@ class SimplicialComplex:
                 raise InputError("basepoint is not a vertex")
 
     @cached_property
+    def _coded(self) -> tuple:
+        """(labels, by_dim): the vertices in label_key order, vertex
+        labels[i] having code i, and per dimension the simplices as
+        sorted tuples of codes, in sorted order."""
+        code = _code_table(v for f in self.facets for v in f)
+        facets = [tuple(map(code.__getitem__, f)) for f in self.facets]
+        top = max(map(len, facets), default=0)
+        by_dim = {
+            k - 1: tuple(sorted({
+                s for f in facets for s in itertools.combinations(f, k)
+            }))
+            for k in range(1, top + 1)
+        }
+        return tuple(code), by_dim
+
+    @cached_property
     def simplices_by_dim(self) -> dict:
-        seen = set()
-        by_dim: dict = {}
-        for f in self.facets:
-            for k in range(1, len(f) + 1):
-                for s in itertools.combinations(f, k):
-                    if s not in seen:
-                        seen.add(s)
-                        by_dim.setdefault(k - 1, []).append(s)
+        labels, by_dim = self._coded
         return {
-            d: tuple(sorted(lst, key=_facet_key))
-            for d, lst in by_dim.items()
+            d: tuple(tuple(map(labels.__getitem__, s)) for s in simps)
+            for d, simps in by_dim.items()
         }
 
     @property
     def dimension(self) -> int:
         """Top simplex dimension; -1 for the empty complex."""
-        return max(self.simplices_by_dim, default=-1)
+        return max(self._coded[1], default=-1)
 
     def vertices(self) -> tuple:
-        return tuple(v for (v,) in self.simplices_by_dim.get(0, ()))
+        return self._coded[0]
 
     def simplex_count(self, d: int) -> int:
-        return len(self.simplices_by_dim.get(d, ()))
+        return len(self._coded[1].get(d, ()))
 
     @property
     def is_empty(self) -> bool:
@@ -145,16 +169,19 @@ def complex_from_facets(facets, basepoint=None) -> SimplicialComplex:
 
     A facet with a repeated vertex is an error, not something to clean up.
     """
-    canon = []
+    raw = []
     for f in facets:
         f = list(f)
         if not f:
             raise InputError("empty facet")
-        sf = tuple(sorted(f, key=label_key))
-        if len(set(sf)) != len(sf):
+        for v in f:
+            label_key(v)
+        if len(set(f)) != len(f):
             raise InputError(f"facet {f!r} repeats a vertex")
-        canon.append(sf)
-    canon = sorted(set(canon), key=_facet_key)
+        raw.append(f)
+    code = _code_table(v for f in raw for v in f)
+    labels = tuple(code)
+    canon = sorted({tuple(sorted(map(code.__getitem__, f))) for f in raw})
     by_size: dict = {}
     for f in canon:
         by_size.setdefault(len(f), []).append(frozenset(f))
@@ -170,7 +197,7 @@ def complex_from_facets(facets, basepoint=None) -> SimplicialComplex:
                 absorbed = True
                 break
         if not absorbed:
-            keep.append(f)
+            keep.append(tuple(map(labels.__getitem__, f)))
     return SimplicialComplex(tuple(keep), basepoint)
 
 
@@ -231,23 +258,25 @@ def chain_complex(k: SimplicialComplex, reduced: bool = False) \
         if reduced:
             return ChainComplexInt(-1, (1, 0), (IntMatrix.zeros(1, 0),))
         return ChainComplexInt(0, (0,), ())
-    by_dim = k.simplices_by_dim
-    index = {
-        d: {s: i for i, s in enumerate(simps)}
-        for d, simps in by_dim.items()
-    }
+    by_dim = k._coded[1]
     ranks = tuple(len(by_dim[d]) for d in range(top + 1))
     bnds = []
     for d in range(1, top + 1):
-        data = {}
+        row_of = {s: i for i, s in enumerate(by_dim[d - 1])}
+        # combinations(s, d) drops s[d], s[d-1], ..., s[0] in turn, and
+        # the face without s[i] has sign (-1)^i
+        signs = [(-1) ** (d - t) for t in range(d + 1)]
+        # columns are visited in order, so each row fills up sorted
+        rows = [[] for _ in range(ranks[d - 1])]
         for j, s in enumerate(by_dim[d]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                data[(index[d - 1][face], j)] = -1 if i % 2 else 1
-        bnds.append(IntMatrix.from_dict(ranks[d - 1], ranks[d], data))
+            for face, sign in zip(itertools.combinations(s, d), signs):
+                i = row_of[face]
+                rows[i].append((i, j, sign))
+        bnds.append(IntMatrix(ranks[d - 1], ranks[d],
+                              tuple(itertools.chain.from_iterable(rows))))
     if not reduced:
         return ChainComplexInt(0, ranks, tuple(bnds))
-    aug = IntMatrix.from_dict(1, ranks[0], {(0, j): 1 for j in range(ranks[0])})
+    aug = IntMatrix(1, ranks[0], tuple((0, j, 1) for j in range(ranks[0])))
     return ChainComplexInt(-1, (1,) + ranks, (aug,) + tuple(bnds))
 
 
@@ -256,9 +285,7 @@ def reduced_homology(k: SimplicialComplex) -> dict:
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:
-    return sum(
-        (-1) ** d * len(simps) for d, simps in k.simplices_by_dim.items()
-    )
+    return sum((-1) ** d * len(simps) for d, simps in k._coded[1].items())
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,16 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
-from tottower import cli, simplicial
+from tottower import cli, posets, simplicial
 from tottower.chains import ChainComplexInt
 from tottower.cli import main
 from tottower.constructions import cech_object, constant_object, corpus
 from tottower.cosimplicial import cosimplicial_to_data
+from tottower.posets import PosetInclusion, full_subposet, poset_from_relation
 
 CYCLE = [[0, 1], [1, 2], [2, 3], [0, 3]]
 SUSPENSION_FACETS = (
@@ -460,6 +462,102 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == expected, \
             (command, name)
     assert "Z/" in run(["ss", files["corpus_8"]], capsys)[1]
+
+
+# sha256 of the simplicial reports, computed before vertices were coded
+# as ints; a change to a simplex order that reaches a report shows here
+SIMPLICIAL_REPORT_SHA256 = {
+    "deloop_subset_6_4":
+        "5717b55e69ae4f9b4f9aa67122f8e5347486722012a6ad7ffae89d06f729a1bd",
+    "cover_r1":
+        "792d122614b0efc598344d546c61eefc59aa361be799a1bab64a60589d065813",
+    "cover_r2":
+        "d863edd43ab83812e247a4cdfed2dfc838e94abca200a718e4b8959abbc51e93",
+    "homology_mixed":
+        "8a05f9bde2fda84bf67851ee0c614452c9f85a18a32335e2fc27e5b074f0d2c5",
+}
+# a real projective plane on int, string and nested-list labels, plus an
+# edge apart from it
+MIXED_LABELS = {1: 0, 2: "a", 3: [1, "b"], 4: "b", 5: [[2]], 6: [0, [1]]}
+MIXED_FACETS = [
+    [MIXED_LABELS[v] for v in f]
+    for f in ([1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
+              [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6])
+] + [[-3, "z"]]
+
+
+def test_simplicial_report_bytes_are_pinned(tmp_path, capsys):
+    cover = suspension_cover(tmp_path)
+    mixed = write_json(tmp_path, "mixed.json",
+                       {"facets": MIXED_FACETS, "basepoint": "a"})
+    argvs = {
+        "deloop_subset_6_4": ["deloop", "--subset", "6", "4"],
+        "cover_r1": ["cover", "--r", "1", cover],
+        "cover_r2": ["cover", "--r", "2", cover],
+        "homology_mixed": ["homology", mixed],
+    }
+    for name, expected in SIMPLICIAL_REPORT_SHA256.items():
+        code, out, err = run(argvs[name], capsys)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, name
+    report = run_report(argvs["homology_mixed"], capsys)
+    assert report["homology"] == {"0": "Z^2", "1": "Z/2"}
+
+
+# -- caps on enumeration ------------------------------------------------------
+
+# 10 layers of 10 incomparable elements, each below the whole next layer:
+# 100 elements, 900 pairs and 10^10 maximal chains
+LAYERED = {
+    "elements": [[layer, i] for layer in range(10) for i in range(10)],
+    "leq": [[[layer, i], [layer + 1, j]]
+            for layer in range(9) for i in range(10) for j in range(10)],
+}
+
+
+def assert_quick_refusal(argv, capsys, what):
+    start = time.perf_counter()
+    err = assert_one_line_input_error(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert what in err
+
+
+def test_too_many_chains_is_refused_quickly(tmp_path, capsys):
+    path = write_json(tmp_path, "layered.json", LAYERED)
+    for action in ("wedge-check", "homology"):
+        assert_quick_refusal(["poset", action, path], capsys,
+                             "10000000000 maximal chains")
+    assert run_report(["poset", "dim", path], capsys)["dim"] == 9
+
+
+def test_deloop_slice_with_too_many_chains_is_refused_quickly(
+        monkeypatch, capsys):
+    # the layered poset under one more element; its slice is the whole
+    # layered poset, so the inclusion is refused before any order complex
+    elements = [tuple(e) for e in LAYERED["elements"]]
+    pairs = [(tuple(a), tuple(b)) for a, b in LAYERED["leq"]]
+    ambient = poset_from_relation(
+        elements + ["top"], pairs=pairs + [(e, "top") for e in elements])
+    incl = PosetInclusion(full_subposet(ambient, elements), ambient)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an order complex was built")
+
+    monkeypatch.setattr(cli, "subset_model", lambda size, r: incl)
+    monkeypatch.setattr("tottower.deloop.order_complex", refuse)
+    assert_quick_refusal(["deloop", "--subset", "1", "1"], capsys,
+                         "maximal chains")
+
+
+def test_too_many_poset_elements_is_refused_quickly(capsys):
+    for argv in (
+        ["poset", "--subset-size", "40", "--max-card", "20", "dim"],
+        ["deloop", "--subset", "40", "20"],
+        ["poset", "--subspace", "q=2", "n=40", "dim"],
+        ["deloop", "--subspace", "2", "40", "3"],
+    ):
+        assert_quick_refusal(argv, capsys,
+                             f"more than {posets.MAX_POSET_ELEMENTS} elements")
 
 
 def test_tot_fiber_window_validated(tmp_path, capsys):

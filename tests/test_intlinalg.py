@@ -367,6 +367,37 @@ def test_matmul_associative(a, b, c):
     assert (a @ b2).transpose() == b2.transpose() @ a.transpose()
 
 
+def dense_product(a_rows, b_rows, ncols):
+    """Schoolbook product of two lists of rows."""
+    return [
+        [sum(x * b_rows[k][j] for k, x in enumerate(row))
+         for j in range(ncols)]
+        for row in a_rows
+    ]
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_matmul_matches_dense_product(m, n, p, data):
+    def rows(nrows, ncols):
+        return data.draw(st.lists(
+            st.lists(st.integers(-3, 3) | st.just(0), min_size=ncols,
+                     max_size=ncols),
+            min_size=nrows, max_size=nrows,
+        ))
+
+    a_rows, b_rows = rows(m, n), rows(n, p)
+    a = IntMatrix.from_rows(a_rows, n)
+    b = IntMatrix.from_rows(b_rows, p)
+    want = dense_product(a_rows, b_rows, p)
+    assert (a @ b) == IntMatrix.from_rows(want, p)
+    assert (a @ b).to_rows() == want
+    # [a a] times [b; -b] cancels to zero cell by cell
+    zero = IntMatrix.hstack([a, a]) @ IntMatrix.vstack([b, -b])
+    assert zero.shape == (m, p) and zero.is_zero
+    with pytest.raises(InputError):
+        a @ IntMatrix.zeros(n + 1, p)
+
+
 def test_matrix_validation():
     with pytest.raises(InputError):
         IntMatrix(2, 2, ((0, 0, 0),))

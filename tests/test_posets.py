@@ -11,6 +11,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from tottower import posets
 from tottower.errors import InputError, PreconditionError
 from tottower.posets import (
     DiagramOfComplexes,
@@ -24,6 +25,7 @@ from tottower.posets import (
     order_complex,
     poset_dimension,
     poset_from_relation,
+    checked_chain_count,
     subset_poset,
     subspace_poset,
     t_functor,
@@ -188,3 +190,57 @@ def test_random_subposets_stay_posets(n, data):
     for a, b in itertools.product(p.elements, repeat=2):
         if p.leq(a, b) and p.leq(b, a):
             assert a == b
+
+
+@given(st.integers(1, 7), st.data())
+def test_chain_count_matches_enumeration(n, data):
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=12,
+    ))
+    try:
+        p = poset_from_relation(range(n), pairs=pairs)
+    except InputError:
+        return  # the random relation had a cycle
+    assert p.maximal_chain_count() == len(p.maximal_chains())
+
+
+def test_chain_count_on_model_posets():
+    assert poset_from_relation([]).maximal_chain_count() == 0
+    for p in (subset_poset(range(5)), subset_poset(range(6), max_card=4),
+              subspace_poset(3, 4, 3), subspace_poset(2, 4, 4)):
+        assert p.maximal_chain_count() == len(p.maximal_chains())
+    assert subset_poset(range(5)).maximal_chain_count() == 120
+    # complete flags in F_3^4: [4]_3! = 1 * 4 * 13 * 40
+    assert subspace_poset(3, 4, 4).maximal_chain_count() == 2080
+
+
+def test_chain_cap_is_checked_before_listing(monkeypatch):
+    monkeypatch.setattr(posets, "MAX_CHAINS", 6)
+    assert checked_chain_count(subset_poset(range(3))) == 6
+    assert order_complex(subset_poset(range(3))).dimension == 2
+    big = subset_poset(range(4), max_card=3)
+
+    def refuse(self):
+        raise AssertionError("chains were listed")
+
+    monkeypatch.setattr(FinPoset, "maximal_chains", refuse)
+    with pytest.raises(InputError, match="24 maximal chains"):
+        order_complex(big)
+
+
+def test_element_cap_is_checked_before_building(monkeypatch):
+    monkeypatch.setattr(posets, "MAX_POSET_ELEMENTS", 7)
+    assert len(subset_poset(range(3))) == 7
+    assert len(subset_poset(range(5), min_card=4, max_card=4)) == 5
+    assert len(subspace_poset(2, 3, 1)) == 7
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elements were related")
+
+    monkeypatch.setattr(posets, "poset_from_relation", refuse)
+    for build in (lambda: subset_poset(range(4), max_card=2),
+                  lambda: subset_poset(range(5), min_card=2, max_card=2),
+                  lambda: subspace_poset(2, 3, 2)):
+        with pytest.raises(InputError, match="more than 7 elements"):
+            build()

@@ -5,11 +5,16 @@ for a complex whose reduced homology is free of rank c in a single degree
 p, the alternating simplex count must equal 1 + (-1)^p c.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
+from test_chains import acceptance_posets
 from tottower.abelian import HomologyGroup
+from tottower.chains import ChainComplexInt
 from tottower.errors import InputError
+from tottower.intlinalg import IntMatrix
 from tottower.simplicial import (
     MAX_LABEL_DEPTH,
     SimplicialComplex,
@@ -203,3 +208,149 @@ def test_label_depth_cap():
     assert inner == 1
     with pytest.raises(InputError):
         label_from_data(nested(MAX_LABEL_DEPTH + 1))
+
+
+# -- the label-keyed code before vertices were coded as ints ----------------
+# kept verbatim as the reference for the coded one
+
+def _facet_key(f):
+    return tuple(label_key(v) for v in f)
+
+
+def reference_complex_from_facets(facets, basepoint=None):
+    canon = []
+    for f in facets:
+        f = list(f)
+        if not f:
+            raise InputError("empty facet")
+        sf = tuple(sorted(f, key=label_key))
+        if len(set(sf)) != len(sf):
+            raise InputError(f"facet {f!r} repeats a vertex")
+        canon.append(sf)
+    canon = sorted(set(canon), key=_facet_key)
+    by_size: dict = {}
+    for f in canon:
+        by_size.setdefault(len(f), []).append(frozenset(f))
+    bigger = sorted(by_size, reverse=True)
+    keep = []
+    for f in canon:
+        s = frozenset(f)
+        absorbed = False
+        for sz in bigger:
+            if sz <= len(f):
+                break
+            if any(s <= t for t in by_size[sz]):
+                absorbed = True
+                break
+        if not absorbed:
+            keep.append(f)
+    return SimplicialComplex(tuple(keep), basepoint)
+
+
+def reference_simplices_by_dim(k) -> dict:
+    seen = set()
+    by_dim: dict = {}
+    for f in k.facets:
+        for n in range(1, len(f) + 1):
+            for s in itertools.combinations(f, n):
+                if s not in seen:
+                    seen.add(s)
+                    by_dim.setdefault(n - 1, []).append(s)
+    return {
+        d: tuple(sorted(lst, key=_facet_key))
+        for d, lst in by_dim.items()
+    }
+
+
+def reference_chain_complex(k, reduced=False):
+    by_dim = reference_simplices_by_dim(k)
+    top = max(by_dim, default=-1)
+    if top < 0:
+        if reduced:
+            return ChainComplexInt(-1, (1, 0), (IntMatrix.zeros(1, 0),))
+        return ChainComplexInt(0, (0,), ())
+    index = {
+        d: {s: i for i, s in enumerate(simps)}
+        for d, simps in by_dim.items()
+    }
+    ranks = tuple(len(by_dim[d]) for d in range(top + 1))
+    bnds = []
+    for d in range(1, top + 1):
+        data = {}
+        for j, s in enumerate(by_dim[d]):
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1:]
+                data[(index[d - 1][face], j)] = -1 if i % 2 else 1
+        bnds.append(IntMatrix.from_dict(ranks[d - 1], ranks[d], data))
+    if not reduced:
+        return ChainComplexInt(0, ranks, tuple(bnds))
+    aug = IntMatrix.from_dict(1, ranks[0], {(0, j): 1 for j in range(ranks[0])})
+    return ChainComplexInt(-1, (1,) + ranks, (aug,) + tuple(bnds))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return ("InputError", str(exc))
+
+
+def assert_matches_reference(facets, basepoint=None, reduced=(False, True)):
+    got = outcome(complex_from_facets, facets, basepoint)
+    want = outcome(reference_complex_from_facets, facets, basepoint)
+    assert got == want
+    if isinstance(got, tuple):
+        return
+    assert got.simplices_by_dim == reference_simplices_by_dim(want)
+    assert list(got.simplices_by_dim) == sorted(got.simplices_by_dim)
+    assert got.vertices() == tuple(
+        v for (v,) in reference_simplices_by_dim(want).get(0, ())
+    )
+    for r in reduced:
+        assert chain_complex(got, r) == reference_chain_complex(want, r)
+
+
+LABELS = st.recursive(
+    st.integers(-3, 3) | st.sampled_from(["a", "b", "ab", ""]),
+    lambda inner: st.tuples(inner, inner) | st.tuples(inner),
+    max_leaves=4,
+)
+# labels the program refuses, hashable or not, and some equal to a valid
+# one under == (True == 1, 1.0 == 1)
+BAD_LABELS = st.sampled_from([True, False, 1.0, 0.0, None, [1], (1, True)])
+
+
+def facet_lists(labels):
+    facet = st.lists(labels, min_size=1, max_size=4, unique_by=repr)
+    return st.lists(facet, max_size=6).flatmap(
+        lambda fs: st.tuples(
+            st.just(fs),
+            # repeated and contained facets
+            st.lists(st.sampled_from(fs), max_size=3) if fs else st.just([]),
+            st.lists(st.sampled_from(fs), max_size=3) if fs else st.just([]),
+        )
+    ).map(lambda t: t[0] + t[1] + [f[:-1] or f for f in t[2]])
+
+
+@given(facet_lists(LABELS), st.data())
+def test_coded_complex_matches_reference(facets, data):
+    verts = [v for f in facets for v in f]
+    basepoint = data.draw(
+        st.sampled_from(verts) | LABELS if verts else LABELS | st.none()
+    )
+    assert_matches_reference(facets, basepoint)
+
+
+@given(facet_lists(LABELS | BAD_LABELS), st.data())
+def test_coded_complex_refuses_like_reference(facets, data):
+    # empty facets and repeated vertices are refused, and the first bad
+    # label met names the error
+    facets = data.draw(st.sampled_from([
+        facets, facets + [[]], facets + [[0, 0]], [[]] + facets,
+    ]))
+    assert_matches_reference(facets)
+
+
+def test_coded_complex_matches_reference_on_acceptance_posets():
+    for p in acceptance_posets():
+        assert_matches_reference(p.maximal_chains(), reduced=(True,))
