@@ -10,13 +10,20 @@ of the working matrix, pick the one minimizing (|value|, row, column).
 Clearing a pivot's row and column can leave remainders; when that happens
 the rule is simply applied again, and termination follows because the
 minimal absolute value strictly drops on every such retry.
+
+Equal matrices share one factorization.  ``smith_normal_form`` and
+``lattice_basis`` remember the results of their latest MEMO_SIZE distinct
+inputs, keyed on the matrix itself (``IntMatrix`` equality is structural),
+and return the remembered object for an equal input.  Both results are
+exact functions of an immutable input and are themselves immutable, so a
+hit is exactly what recomputing would give.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, compress
 
 from .errors import InputError, InvariantError
@@ -32,7 +39,15 @@ __all__ = [
     "kernel_basis",
     "solve_matrix",
     "lattice_basis",
+    "MEMO_SIZE",
 ]
+
+# How many distinct inputs smith_normal_form (per value of transforms) and
+# lattice_basis each remember.  A Tot spectral sequence rebuilds the same
+# lattices on every page past stabilization, in the graded limit, in page
+# verification and in the E2 oracle: ss on the Cech object of 4 points
+# with truncation 4 takes 329 Smith forms of 49 distinct inputs.
+MEMO_SIZE = 1024
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -582,7 +597,13 @@ def smith_normal_form(mat: IntMatrix, transforms: bool = True) -> SNFResult:
     With ``transforms`` the result carries unimodular u, v, u_inv such that
     u @ mat @ v is the invariant diagonal and u @ u_inv is the identity.
     Skipping transforms roughly halves the work for rank-only callers.
+    An input equal to a recent one gets that one's result object back.
     """
+    return _smith_memo(mat, bool(transforms))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _smith_memo(mat: IntMatrix, transforms: bool) -> SNFResult:
     worker = _Smith(mat, transforms)
     order = worker.eliminate()
     worker.fix_divisibility(order)
@@ -659,8 +680,14 @@ def lattice_basis(mat: IntMatrix) -> IntMatrix:
     column and reduces the earlier ones at its row.  Two row -> column-id
     indexes, one over the working columns and one over the basis, let
     each step touch only the columns nonzero at that row.  The Hermite
-    form is unique, so the pivot rule changes speed, never output.
+    form is unique, so the pivot rule changes speed, never output, and
+    an input equal to a recent one gets that one's result object back.
     """
+    return _hermite_memo(mat)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _hermite_memo(mat: IntMatrix) -> IntMatrix:
     cols = [{} for _ in range(mat.ncols)]
     at_row = {}
     for i, j, v in mat.entries:

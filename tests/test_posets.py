@@ -203,6 +203,15 @@ def test_chain_count_matches_enumeration(n, data):
     except InputError:
         return  # the random relation had a cycle
     assert p.maximal_chain_count() == len(p.maximal_chains())
+    chains = sum(
+        1 for size in range(1, n + 1)
+        for c in itertools.combinations(p.elements, size)
+        if all(p.leq(a, b) or p.leq(b, a)
+               for a, b in itertools.combinations(c, 2))
+    )
+    k = order_complex(p)
+    faces = sum(k.simplex_count(d) for d in range(k.dimension + 1))
+    assert p.chain_count() == chains == faces
 
 
 def test_chain_count_on_model_posets():
@@ -213,6 +222,12 @@ def test_chain_count_on_model_posets():
     assert subset_poset(range(5)).maximal_chain_count() == 120
     # complete flags in F_3^4: [4]_3! = 1 * 4 * 13 * 40
     assert subspace_poset(3, 4, 4).maximal_chain_count() == 2080
+    assert poset_from_relation([]).chain_count() == 0
+    # the wedge_subset benchmark poset
+    p = subset_poset(range(7), max_card=5)
+    k = order_complex(p)
+    assert p.chain_count() == 14511 == sum(
+        k.simplex_count(d) for d in range(k.dimension + 1))
 
 
 def test_chain_cap_is_checked_before_listing(monkeypatch):
@@ -227,6 +242,35 @@ def test_chain_cap_is_checked_before_listing(monkeypatch):
     monkeypatch.setattr(FinPoset, "maximal_chains", refuse)
     with pytest.raises(InputError, match="24 maximal chains"):
         order_complex(big)
+
+
+def test_face_cap_is_checked_before_listing(monkeypatch):
+    monkeypatch.setattr(posets, "MAX_FACES", 26)
+    # the subsets of a 3-set: 7 elements, 6 maximal chains, 26 chains
+    assert checked_chain_count(subset_poset(range(3))) == 6
+    # a total order of 5: one maximal chain, 2^5 - 1 chains
+    line = poset_from_relation(range(5), pairs=[(i, i + 1) for i in range(4)])
+
+    def refuse(self):
+        raise AssertionError("chains were listed")
+
+    monkeypatch.setattr(FinPoset, "maximal_chains", refuse)
+    with pytest.raises(InputError, match="poset has 31 chains"):
+        order_complex(line)
+
+
+def test_subspace_poset_refuses_a_large_q_before_testing_it():
+    assert len(subspace_poset(4093, 1, 1)) == 1
+    for q in (10**18 + 3, 4099, 1, 0):
+        with pytest.raises(InputError, match="prime of at most 4096"):
+            subspace_poset(q, 1, 1)
+    # elements are counted before q is found not prime
+    with pytest.raises(InputError, match="more than 4096 elements"):
+        subspace_poset(4, 40, 3)
+    with pytest.raises(InputError, match="more than 4096 elements"):
+        subspace_poset(2, 10**9, 1)
+    with pytest.raises(InputError, match="q must be prime"):
+        subspace_poset(4, 2, 2)
 
 
 def test_element_cap_is_checked_before_building(monkeypatch):

@@ -15,7 +15,9 @@ from tottower.abelian import HomologyGroup
 from tottower.chains import ChainComplexInt
 from tottower.errors import InputError
 from tottower.intlinalg import IntMatrix
+from tottower import simplicial
 from tottower.simplicial import (
+    MAX_FACES,
     MAX_LABEL_DEPTH,
     SimplicialComplex,
     WedgeSignature,
@@ -208,6 +210,19 @@ def test_label_depth_cap():
     assert inner == 1
     with pytest.raises(InputError):
         label_from_data(nested(MAX_LABEL_DEPTH + 1))
+
+
+def test_face_cap_refuses_a_large_facet_before_listing(monkeypatch):
+    top = MAX_FACES.bit_length() - 1  # the largest facet under the cap
+    assert 2 ** top - 1 <= MAX_FACES < 2 ** (top + 1) - 1
+    for size in (top + 1, 40):
+        k = complex_from_facets([range(size)])
+        with pytest.raises(InputError, match=f"facet of {size} vertices"):
+            k.dimension
+    monkeypatch.setattr(simplicial, "MAX_FACES", 7)
+    assert complex_from_facets([[0, 1, 2], [2, 3]]).dimension == 2
+    with pytest.raises(InputError, match="more than 7 faces"):
+        euler_characteristic(complex_from_facets([[0, 1, 2, 3]]))
 
 
 # -- the label-keyed code before vertices were coded as ints ----------------

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from tottower.abelian import HomologyGroup
+from tottower import intlinalg, spectral
+from tottower.abelian import GroupHom, HomologyGroup
 from tottower.chains import ChainComplexInt, chain_map
 from tottower.constructions import cech_object, constant_object, corpus, gamma_co
-from tottower.errors import InputError
+from tottower.errors import InputError, InvariantError
 from tottower.intlinalg import IntMatrix
 from tottower.spectral import (
     differential_range,
@@ -167,3 +168,37 @@ def test_report_serializes():
     assert data["pages"]["2"] == {"(0,0)": "Z", "(2,0)": "Z"}
     assert data["truncation"] == 2
     assert data["e_infinity"] == data["pages"]["3"]
+
+
+# -- the second routes catch a fault even with every factorization memoized --
+
+def test_page_check_catches_a_wrong_differential(monkeypatch):
+    spectral_sequence(zigzag_two_step())  # warms the memo
+
+    def zero_map(src, dst, mat):
+        return GroupHom(src.orders, dst.orders,
+                        IntMatrix.zeros(len(dst.orders), len(src.orders)))
+    monkeypatch.setattr(spectral, "induced_hom", zero_map)
+    hits = intlinalg._smith_memo.cache_info().hits
+    with pytest.raises(InvariantError,
+                       match=r"page 3 entry .* is not the homology of page 2"):
+        spectral_sequence(zigzag_two_step())
+    assert intlinalg._smith_memo.cache_info().hits > hits
+
+
+def test_limit_check_catches_a_wrong_graded_limit(monkeypatch):
+    x = cech_object(2, 2)
+    spectral_sequence(x)  # warms the memo
+    graded_limit = spectral._graded_limit
+
+    def perturbed(fil):
+        out = graded_limit(fil)
+        out[(0, 0)] = HomologyGroup(2)
+        return out
+    monkeypatch.setattr(spectral, "_graded_limit", perturbed)
+    hits = intlinalg._smith_memo.cache_info().hits
+    with pytest.raises(InvariantError,
+                       match=r"stable page entry \(s=0, t=0\) is Z but the "
+                             r"filtration of the totalization gives Z\^2"):
+        spectral_sequence(x)
+    assert intlinalg._smith_memo.cache_info().hits > hits
