@@ -19,6 +19,7 @@ every corpus is reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -420,15 +421,6 @@ def random_chain_map(rng: random.Random, src: ChainComplexInt,
     return chain_map(src, dst, mats)
 
 
-def _binomial(n: int, k: int) -> int:
-    if not 0 <= k <= n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def _random_piece_system(rng: random.Random, truncation: int,
                          degree_lo: int = -3, degree_hi: int = 3,
                          level_budget: int = 4):
@@ -438,7 +430,7 @@ def _random_piece_system(rng: random.Random, truncation: int,
     The top level of the block object holds binomial(M, j) copies of
     piece j, so the budget constrains the weighted rank sum per degree.
     """
-    weights = [_binomial(truncation, j) for j in range(truncation + 1)]
+    weights = [math.comb(truncation, j) for j in range(truncation + 1)]
     span = degree_hi - degree_lo + 1
     budget = [level_budget] * span
     ranks = [[0] * span for _ in range(truncation + 1)]

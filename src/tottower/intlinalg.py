@@ -69,11 +69,15 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 class IntMatrix:
     """Immutable sparse integer matrix.
 
-    ``entries`` holds (row, col, value) triples, values nonzero, sorted
-    row-major with no duplicates.  Equality and hashing are structural, so
-    two matrices are equal exactly when they have the same shape and the
-    same entries.  Zero-row and zero-column shapes are legal; they show up
-    constantly at the ends of chain complexes.
+    ``entries`` holds (row, col, value) triples of ints, in range, values
+    nonzero, sorted row-major with no duplicates.  The constructor checks
+    only the dimensions and trusts its entries: every caller in the
+    package builds them that way.  ``from_rows`` is the checked entry
+    point for data from outside the program; it checks every cell.
+    Equality and hashing are structural, so two matrices are equal
+    exactly when they have the same shape and the same entries.  Zero-row
+    and zero-column shapes are legal; they show up constantly at the ends
+    of chain complexes.
     """
 
     nrows: int
@@ -85,23 +89,6 @@ class IntMatrix:
             raise InputError("matrix dimensions must be integers")
         if self.nrows < 0 or self.ncols < 0:
             raise InputError("matrix dimensions must be nonnegative")
-        prev = None
-        for item in self.entries:
-            if len(item) != 3:
-                raise InputError(f"bad matrix entry {item!r}")
-            i, j, v = item
-            if not (is_int(i) and is_int(j) and is_int(v)):
-                raise InputError(f"bad matrix entry {item!r}")
-            if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-                raise InputError(
-                    f"entry {item!r} out of range for "
-                    f"{self.nrows}x{self.ncols} matrix"
-                )
-            if v == 0:
-                raise InputError("explicit zero entries are not allowed")
-            if prev is not None and prev >= (i, j):
-                raise InputError("entries must be sorted row-major, no duplicates")
-            prev = (i, j)
 
     # -- constructors -------------------------------------------------
 
@@ -239,9 +226,6 @@ class IntMatrix:
         for i, j, v in other.entries:
             data[(i, j)] = data.get((i, j), 0) + v
         return IntMatrix.from_dict(self.nrows, self.ncols, data)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:

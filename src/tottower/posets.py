@@ -226,10 +226,6 @@ def poset_from_relation(elements, leq=None, pairs=None) -> FinPoset:
             if acc != down[i]:
                 down[i] = acc
                 changed = True
-    for i in range(n):
-        for j in _bits(down[i]):
-            if i != j and (down[j] >> i) & 1:
-                raise InputError("relation has a cycle")
     return FinPoset(tuple(elems), tuple(down))
 
 

@@ -49,9 +49,12 @@ __all__ = [
     "MAX_FACES",
 ]
 
-# Complexes with more faces than this are refused with InputError before
-# any face is listed: a facet of v vertices alone has 2^v - 1 faces, and
-# posets.order_complex counts all chains first.  On a 2-vCPU Xeon VM the
+# Complexes with more faces than this are refused with InputError: a facet
+# of v vertices alone has 2^v - 1 faces, so one too large is refused before
+# any face is listed, and posets.order_complex counts all chains first.
+# Otherwise the faces are counted as they are listed, and listing stops at
+# the first facet that takes the count past the cap, so no more than twice
+# MAX_FACES faces are ever held.  On a 2-vCPU Xeon VM the
 # homology of one facet of 16 vertices (65535 faces) takes about 6.9 s and
 # 210 MiB, and each further vertex doubles the faces.  The largest complex
 # the tests, the benchmark and the scripts build has 14511 faces; the order
@@ -140,8 +143,10 @@ class SimplicialComplex:
         labels[i] having code i, and per dimension the simplices as
         sorted tuples of codes, in sorted order.
 
-        A facet with more than MAX_FACES faces is refused with InputError
-        before any face is listed."""
+        A complex with more than MAX_FACES faces is refused with
+        InputError: before any face is listed when one facet has that
+        many, else part-way through listing, at the first facet that
+        takes the count of distinct faces past the cap."""
         top = max(map(len, self.facets), default=0)
         if 2 ** top - 1 > MAX_FACES:
             raise InputError(
@@ -149,13 +154,17 @@ class SimplicialComplex:
                 f"faces; complexes are built with at most that many"
             )
         code = _code_table(v for f in self.facets for v in f)
-        facets = [tuple(map(code.__getitem__, f)) for f in self.facets]
-        by_dim = {
-            k - 1: tuple(sorted({
-                s for f in facets for s in itertools.combinations(f, k)
-            }))
-            for k in range(1, top + 1)
-        }
+        faces = [set() for _ in range(top)]
+        for f in self.facets:
+            f = tuple(map(code.__getitem__, f))
+            for k in range(len(f)):
+                faces[k].update(itertools.combinations(f, k + 1))
+            if sum(map(len, faces)) > MAX_FACES:
+                raise InputError(
+                    f"complex has more than {MAX_FACES} faces; complexes "
+                    f"are built with at most that many"
+                )
+        by_dim = {d: tuple(sorted(s)) for d, s in enumerate(faces)}
         return tuple(code), by_dim
 
     @cached_property

@@ -595,6 +595,14 @@ def test_too_many_faces_is_refused_quickly(tmp_path, capsys):
                          f"more than {simplicial.MAX_FACES} faces")
 
 
+def test_many_facets_under_the_face_cap_are_refused_quickly(tmp_path, capsys):
+    # each facet has 2^14 - 1 faces, under the cap; the five have 81915
+    facets = [list(range(14 * i, 14 * i + 14)) for i in range(5)]
+    path = write_json(tmp_path, "facets.json", {"facets": facets})
+    assert_quick_refusal(["homology", path], capsys,
+                         f"complex has more than {simplicial.MAX_FACES} faces")
+
+
 def test_tot_fiber_window_validated(tmp_path, capsys):
     path = cech_file(tmp_path)
     assert run(["tot", "--fiber", "2", "1", path], capsys)[0] == 2

@@ -14,6 +14,12 @@ from hypothesis import given, strategies as st
 
 from tottower import abelian, cosimplicial, intlinalg, spectral
 from tottower.constructions import cech_object, corpus
+from tottower.cosimplicial import (
+    cosimplicial_from_data,
+    cosimplicial_to_data,
+    tower,
+)
+from tottower.cover import cover_from_subcomplexes, hocolim_chain
 from tottower.errors import InputError, InvariantError
 from tottower.intlinalg import (
     IntMatrix,
@@ -25,6 +31,9 @@ from tottower.intlinalg import (
     solve_matrix,
     xgcd,
 )
+from tottower.posets import order_complex, subset_poset
+from tottower.schema import is_int
+from tottower.simplicial import chain_complex, complex_from_facets
 from tottower.spectral import spectral_sequence
 
 
@@ -511,15 +520,71 @@ def test_matmul_matches_dense_product(m, n, p, data):
 
 def test_matrix_validation():
     with pytest.raises(InputError):
-        IntMatrix(2, 2, ((0, 0, 0),))
-    with pytest.raises(InputError):
-        IntMatrix(2, 2, ((0, 3, 1),))
-    with pytest.raises(InputError):
-        IntMatrix(2, 2, ((1, 0, 1), (0, 0, 1)))
-    with pytest.raises(InputError):
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(InputError):
         IntMatrix.from_rows([[1]]) @ IntMatrix.from_rows([[1, 2], [3, 4]])
+
+
+# -- the entry check before the constructor trusted its entries --------------
+# kept verbatim from IntMatrix.__post_init__ as the oracle for every matrix
+# the package builds; data from outside reaches a matrix only through
+# IntMatrix.from_rows, whose cells schema.int_rows checks
+
+def _reference_entry_check(self):
+    prev = None
+    for item in self.entries:
+        if len(item) != 3:
+            raise InputError(f"bad matrix entry {item!r}")
+        i, j, v = item
+        if not (is_int(i) and is_int(j) and is_int(v)):
+            raise InputError(f"bad matrix entry {item!r}")
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise InputError(
+                f"entry {item!r} out of range for "
+                f"{self.nrows}x{self.ncols} matrix"
+            )
+        if v == 0:
+            raise InputError("explicit zero entries are not allowed")
+        if prev is not None and prev >= (i, j):
+            raise InputError("entries must be sorted row-major, no duplicates")
+        prev = (i, j)
+
+
+def test_reference_entry_check_rejects_bad_triples():
+    for entries in (((0, 0, 0),), ((0, 3, 1),), ((1, 0, 1), (0, 0, 1))):
+        with pytest.raises(InputError):
+            _reference_entry_check(IntMatrix(2, 2, entries))
+
+
+def test_built_matrices_pass_the_entry_check(monkeypatch):
+    """Every matrix built by the spectral sequence, the tower, a reduced
+    simplicial chain complex and a hocolim chain complex has sorted,
+    in-range, nonzero int entries."""
+    checked = 0
+    post_init = IntMatrix.__post_init__
+
+    def check(self):
+        nonlocal checked
+        post_init(self)
+        _reference_entry_check(self)
+        checked += 1
+    monkeypatch.setattr(IntMatrix, "__post_init__", check)
+    clear_memo()
+    objects = [cech_object(3, 3)] + [
+        cosimplicial_from_data(cosimplicial_to_data(obj.x))
+        for obj in corpus(seed=20250811, count=14)
+    ]
+    for x in objects:
+        spectral_sequence(x)
+        for stage in tower(x).stages:
+            stage.homology_all()
+    chain_complex(order_complex(subset_poset(range(4))),
+                  reduced=True).homology_all()
+    space = complex_from_facets([[0, 2], [0, 3], [1, 2], [1, 3]])
+    hocolim_chain(cover_from_subcomplexes(
+        space, [[[0, 2], [0, 3]], [[1, 2], [1, 3]]], basepoint=2
+    )).homology_all()
+    assert checked > 1000
 
 
 def test_block_assembly():

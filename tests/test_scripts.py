@@ -1,6 +1,8 @@
 """Smoke runs of the example scripts, from the repository root as their
-``sys.path`` setup expects."""
+``sys.path`` setup expects, and of the per-layer bench tracer."""
 
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +23,20 @@ def test_script_runs_and_agrees(script, expected):
     )
     assert done.returncode == 0, done.stderr
     assert expected in done.stdout
+
+
+def test_bench_tracer_hooks_still_count(tmp_path):
+    """bench/tracer.py counts matrices by rebinding
+    IntMatrix.__post_init__ and spans by rebinding public names."""
+    space = tmp_path / "K.json"
+    space.write_text(json.dumps({"facets": [[0, 1, 2], [2, 3]]}))
+    out = tmp_path / "trace.json"
+    done = subprocess.run(
+        [sys.executable, "bench/tracer.py", str(out), "homology", str(space)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(out.read_text())["metrics"]
+    assert metrics["intlinalg.matrices_built"] > 0
+    assert metrics["chains.homology_calls"] == 2

@@ -220,7 +220,13 @@ def test_face_cap_refuses_a_large_facet_before_listing(monkeypatch):
         with pytest.raises(InputError, match=f"facet of {size} vertices"):
             k.dimension
     monkeypatch.setattr(simplicial, "MAX_FACES", 7)
-    assert complex_from_facets([[0, 1, 2], [2, 3]]).dimension == 2
+    # 9 faces, though each facet has at most 7
+    with pytest.raises(InputError, match="complex has more than 7 faces"):
+        complex_from_facets([[0, 1, 2], [2, 3]]).dimension
+    # shared faces are counted once: 6 faces, though the facets sum to 9
+    assert complex_from_facets([[0, 1], [1, 2], [0, 2]]).dimension == 1
+    # 7 faces, the cap itself
+    assert complex_from_facets([[0, 1, 2]]).dimension == 2
     with pytest.raises(InputError, match="more than 7 faces"):
         euler_characteristic(complex_from_facets([[0, 1, 2, 3]]))
 
