@@ -15,6 +15,7 @@ precondition failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -23,6 +24,7 @@ from .abelian import format_group
 from .cosimplicial import (
     conormalize,
     cosimplicial_from_data,
+    degree_table_hook,
     tot_n,
     tower,
     tower_fiber,
@@ -72,16 +74,26 @@ STABLE_MODEL_DISCLAIMER = (
 
 # -- plumbing -----------------------------------------------------------------
 
-def _load_json(path: str):
+def _load_json(path: str, object_hook=None):
+    # Decoded JSON holds no reference cycles, so the cyclic collector is
+    # paused while it is built: otherwise it walks every parsed row again
+    # and again.  Its previous state comes back however the parse ends.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
         raise InputError(f"{path} is nested too deeply to read")
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _emit(report: dict, output: str | None):
@@ -235,7 +247,7 @@ def cmd_cover(args) -> dict:
 # -- tot ----------------------------------------------------------------------
 
 def _load_cosimplicial(path: str):
-    x = cosimplicial_from_data(_load_json(path))
+    x = cosimplicial_from_data(_load_json(path, degree_table_hook))
     ok, violations = validate_cosimplicial(x)
     if not ok:
         raise InvariantError(

@@ -34,7 +34,7 @@ from .chains import (
 )
 from .errors import InputError, InvariantError, PreconditionError
 from .intlinalg import IntMatrix, kernel_basis, lattice_basis, solve_matrix
-from .schema import checked, degree_key, field, list_of
+from .schema import checked, degree_key, field, is_int, list_of
 
 __all__ = [
     "CosimplicialChain",
@@ -57,7 +57,18 @@ __all__ = [
     "quasi_iso_invariance",
     "cosimplicial_to_data",
     "cosimplicial_from_data",
+    "MAX_RANK",
 ]
+
+# The largest rank a level may declare in one degree, and the largest sum
+# of level ranks at one totalization degree.  A level's ranks cost a few
+# bytes each to write, and an identity or a Smith form of that size is
+# built from them: a 96-byte file declaring rank 10^8 ran out of memory.
+# On a 2-vCPU Xeon VM with Python 3.11, a top level of rank 16384 under
+# two empty levels takes 2.4 s and 69 MiB through ss, and rank 65536 takes
+# 11.7 s and 227 MiB.  The largest rank in the Cech inputs, 3125 (5 points,
+# truncation 4), is a fifth of the cap.
+MAX_RANK = 16_384
 
 
 @dataclass(frozen=True)
@@ -617,6 +628,30 @@ def _map_to_data(f: ChainMap) -> dict:
     return {str(k): mat.to_rows() for k, mat in f.comps}
 
 
+def degree_table_hook(obj: dict) -> dict:
+    """A json ``object_hook`` that reads each value of a degree table as
+    an IntMatrix while the document is parsed, so a table's rows are freed
+    before the next table is read.
+
+    A degree table is an object whose every key passes degree_key.  Each
+    value goes through IntMatrix.from_rows, which checks every cell and
+    takes the column count from the first row; _map_from_data checks that
+    count against the source level.  A value from_rows refuses stays as
+    parsed, and so does every value of a table with a bad key, so
+    _map_from_data reports it exactly as it would without the hook."""
+    try:
+        for key in obj:
+            degree_key(key)
+    except InputError:
+        return obj
+    for key, rows in obj.items():
+        try:
+            obj[key] = IntMatrix.from_rows(rows)
+        except InputError:
+            pass
+    return obj
+
+
 def _map_from_data(src, dst, data) -> ChainMap:
     checked(data, dict, "chain map data must be a degree table")
     mats = {}
@@ -628,8 +663,14 @@ def _map_from_data(src, dst, data) -> ChainMap:
                 f"(degrees {src.lo}..{src.hi}) or the target level "
                 f"(degrees {dst.lo}..{dst.hi})"
             )
-        mats[k] = IntMatrix.from_rows(rows, ncols=src.rank(k))
-        shape = (dst.rank(k), src.rank(k))
+        ncols = src.rank(k)
+        if type(rows) is not IntMatrix:
+            mats[k] = IntMatrix.from_rows(rows, ncols=ncols)
+        elif rows.ncols == ncols:
+            mats[k] = rows  # read by degree_table_hook
+        else:  # what from_rows says of rows of the wrong length
+            raise InputError(f"matrix row 0 is not {ncols} integers")
+        shape = (dst.rank(k), ncols)
         if mats[k].shape != shape:  # chain_map drops zero maps unchecked
             raise InputError(f"component in degree {k} has shape "
                              f"{mats[k].shape}, expected {shape}")
@@ -649,17 +690,48 @@ def cosimplicial_to_data(x: CosimplicialChain) -> dict:
     }
 
 
+def _level_from_data(data) -> ChainComplexInt:
+    """A level, refused before any of its matrices is built when it
+    declares a rank above MAX_RANK."""
+    ranks = field(data, "ranks", "chain complex")
+    if type(ranks) is list:
+        big = max(filter(is_int, ranks), default=0)
+        if big > MAX_RANK:
+            raise InputError(
+                f"a level declares rank {big}; at most {MAX_RANK} is read"
+            )
+    return ChainComplexInt.from_data(data)
+
+
+def _check_tot_ranks(levels) -> None:
+    """Refuse levels whose ranks sum past MAX_RANK at a totalization
+    degree k, which takes degree k + s of level s."""
+    sums = {}
+    for s, level in enumerate(levels):
+        for t in level.degrees():
+            sums[t - s] = sums.get(t - s, 0) + level.rank(t)
+    k, total = max(sums.items(), key=lambda kv: kv[1], default=(0, 0))
+    if total > MAX_RANK:
+        raise InputError(
+            f"the levels sum to rank {total} at totalization degree {k}; "
+            f"at most {MAX_RANK} is read"
+        )
+
+
 def cosimplicial_from_data(data) -> CosimplicialChain:
+    """Read a cosimplicial object from JSON data.  A degree-table value may
+    already be an IntMatrix read by degree_table_hook."""
     raw_levels, truncation, raw_cofaces, raw_codegens = (
         field(data, key, "cosimplicial")
         for key in ("levels", "truncation", "cofaces", "codegeneracies")
     )
-    levels = tuple(ChainComplexInt.from_data(d) for d in checked(
+    levels = tuple(map(_level_from_data, checked(
         raw_levels, list, "'levels' must be a list of chain complexes"
-    ))
+    )))
     checked(truncation, int, "'truncation' must be an integer")
     if truncation != len(levels) - 1:
         raise InputError("truncation does not match level count")
+    _check_tot_ranks(levels)
     for name, table in (("cofaces", raw_cofaces),
                         ("codegeneracies", raw_codegens)):
         list_of(table, list, f"'{name}' must be a list of lists of maps")

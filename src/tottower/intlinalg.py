@@ -485,23 +485,32 @@ class _Smith:
                 changed = True
 
     def place(self, order: list) -> None:
-        # Move pivot t to position (t, t) by swaps.
-        pos = list(order)
-        for t in range(len(pos)):
-            i, j = pos[t]
+        # Move pivot t to position (t, t) by swaps.  at_row and at_col
+        # name the pivot that sits in a row or column not yet placed, so
+        # the pivot displaced by a swap is found without a scan.
+        rows = [i for i, _ in order]
+        cols = [j for _, j in order]
+        at_row = {i: t for t, i in enumerate(rows)}
+        at_col = {j: t for t, j in enumerate(cols)}
+        for t in range(len(order)):
+            i = rows[t]
             if i != t:
                 self._row_swap(i, t)
-                for u in range(t + 1, len(pos)):
-                    if pos[u][0] == t:
-                        pos[u] = (i, pos[u][1])
-                        break
+                u = at_row.pop(t, None)
+                if u is None:
+                    del at_row[i]
+                else:
+                    rows[u] = i
+                    at_row[i] = u
+            j = cols[t]
             if j != t:
                 self._col_swap(j, t)
-                for u in range(t + 1, len(pos)):
-                    if pos[u][1] == t:
-                        pos[u] = (pos[u][0], j)
-                        break
-            pos[t] = (t, t)
+                u = at_col.pop(t, None)
+                if u is None:
+                    del at_col[j]
+                else:
+                    cols[u] = j
+                    at_col[j] = u
 
     # -- exports -----------------------------------------------------------
 

@@ -48,7 +48,15 @@ __all__ = [
     "e2_from_level_homology",
     "differential_range",
     "fringe_filtration_check",
+    "MAX_PAGES",
 ]
+
+# The most pages an explicit r_max may ask for.  Every entry is stable from
+# page truncation + 1 on, so later pages only repeat it, and each one still
+# costs a pass over the support: ss on the Cech object of 4 points,
+# truncated at 4, takes 0.8 s for its default 6 pages, 1.8 s for 64 and
+# 5.8 s for 256 (2-vCPU Xeon VM, Python 3.11).
+MAX_PAGES = 64
 
 
 class _Filtration:
@@ -215,17 +223,18 @@ def spectral_sequence(x: CosimplicialChain, r_max: int | None = None,
     Page 1 is the homology of the stripes, the first differential is
     induced by the connecting maps, and entries stabilize at page
     truncation + 1.  ``r_max`` defaults to truncation + 2, one page past
-    stabilization.  Each page is checked to be the homology of its
-    predecessor and the stable page is checked against the graded
-    totalization homology; disagreement raises.
+    stabilization; an explicit one must lie in 1..MAX_PAGES.  Each page
+    is checked to be the homology of its predecessor and the stable page
+    is checked against the graded totalization homology; disagreement
+    raises.
     """
-    if conorm is None:
-        conorm = conormalize(x)
     top = x.truncation
     if r_max is None:
         r_max = top + 2
-    if r_max < 1:
-        raise InputError("need r_max >= 1")
+    elif not 1 <= r_max <= MAX_PAGES:
+        raise InputError(f"need 1 <= r_max <= {MAX_PAGES}")
+    if conorm is None:
+        conorm = conormalize(x)
     fil = _Filtration(conorm)
     # off the support every page entry is trivial: a filtration piece
     # with nothing in stripe s has Z_r contained in the denominator

@@ -1,16 +1,18 @@
 """End-to-end checks of the command-line reports and exit codes."""
 
+import gc
 import hashlib
 import json
 import time
 
 import pytest
 
-from tottower import cli, intlinalg, posets, simplicial
+from tottower import cli, cosimplicial, intlinalg, posets, simplicial, spectral
 from tottower.chains import ChainComplexInt
 from tottower.cli import main
 from tottower.constructions import cech_object, constant_object, corpus
 from tottower.cosimplicial import cosimplicial_to_data
+from tottower.errors import InputError
 from tottower.posets import PosetInclusion, full_subposet, poset_from_relation
 
 CYCLE = [[0, 1], [1, 2], [2, 3], [0, 3]]
@@ -97,6 +99,37 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
 
 def test_missing_file_is_input_error(capsys):
     assert run(["homology", "/nonexistent/x.json"], capsys)[0] == 2
+
+
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"facets": [["\xff"]]}')
+    for command in ("homology", "tot"):
+        err = assert_one_line_input_error([command, str(path)], capsys)
+        assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_json_restores_the_collector(tmp_path, enabled):
+    good = write_json(tmp_path, "good.json", {"0": [[1]]})
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    during = []
+
+    def hook(obj):
+        during.append(gc.isenabled())
+        return obj
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert cli._load_json(good, hook) == {"0": [[1]]}
+        assert gc.isenabled() is enabled
+        with pytest.raises(InputError, match="not valid JSON"):
+            cli._load_json(str(bad), hook)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
 
 
 # -- poset --------------------------------------------------------------------
@@ -603,6 +636,30 @@ def test_many_facets_under_the_face_cap_are_refused_quickly(tmp_path, capsys):
                          f"complex has more than {simplicial.MAX_FACES} faces")
 
 
+def test_declared_rank_past_the_cap_is_refused_quickly(tmp_path, capsys):
+    def level_file(name, levels):
+        return write_json(tmp_path, name, {
+            "truncation": len(levels) - 1,
+            "levels": [{"lo": lo, "ranks": [r], "boundaries": []}
+                       for lo, r in levels],
+            "cofaces": [[{}] * (k + 2) for k in range(len(levels) - 1)],
+            "codegeneracies": [[{}] * (k + 1) for k in range(len(levels) - 1)],
+        })
+    cap = cosimplicial.MAX_RANK
+    path = level_file("huge.json", [(0, 10 ** 8)])
+    for command in ("tot", "ss"):
+        assert_quick_refusal([command, path], capsys, "rank 100000000")
+    path = level_file("over.json", [(0, cap + 1)])
+    assert_quick_refusal(["tot", path], capsys, f"rank {cap + 1}")
+    path = level_file("at.json", [(0, cap)])
+    assert run_report(["tot", path], capsys)["stages"] == {"0": {"0": f"Z^{cap}"}}
+    # level s at degree k + s lands in totalization degree k
+    half = cap // 2 + 1
+    path = level_file("sum.json", [(0, half), (1, half)])
+    assert_quick_refusal(["tot", path], capsys,
+                         f"rank {2 * half} at totalization degree 0")
+
+
 def test_tot_fiber_window_validated(tmp_path, capsys):
     path = cech_file(tmp_path)
     assert run(["tot", "--fiber", "2", "1", path], capsys)[0] == 2
@@ -650,6 +707,16 @@ def test_ss_page_one_skips_comparison(tmp_path, capsys):
 def test_ss_bad_page_count(tmp_path, capsys):
     path = constant_file(tmp_path)
     assert run(["ss", "--pages", "0", path], capsys)[0] == 2
+
+
+def test_ss_page_count_past_the_cap_is_refused_quickly(tmp_path, capsys):
+    path = cech_file(tmp_path, truncation=1)
+    cap = spectral.MAX_PAGES
+    for pages in (10 ** 8, cap + 1):
+        assert_quick_refusal(["ss", "--pages", str(pages), path], capsys,
+                             f"<= {cap}")
+    report = run_report(["ss", "--pages", str(cap), path], capsys)
+    assert len(report["pages"]) == cap
 
 
 # -- output discipline --------------------------------------------------------

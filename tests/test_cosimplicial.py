@@ -20,6 +20,7 @@ from tottower.cosimplicial import (
     cosimplicial_from_data,
     cosimplicial_map,
     cosimplicial_to_data,
+    degree_table_hook,
     matching_kernel_agrees,
     matching_object,
     quasi_iso_invariance,
@@ -375,6 +376,53 @@ def test_serialization_roundtrip():
     obj = next(o for o in CORPUS if o.name.startswith("blocks"))
     data = json.loads(json.dumps(cosimplicial_to_data(obj.x)))
     assert cosimplicial_from_data(data) == obj.x
+
+
+def _degree_tables(data):
+    for name in ("cofaces", "codegeneracies"):
+        for row in data[name]:
+            yield from row
+
+
+def test_hook_reads_what_the_plain_parse_reads():
+    """Every corpus object and every cech_object up to (4, 4), parsed with
+    degree_table_hook, reads as the same text parsed without it, and the
+    parse leaves no degree-table value unbuilt."""
+    objects = [obj.x for obj in corpus(seed=20250811, count=20)] + [
+        cech_object(n, top) for n in range(1, 5) for top in range(5)
+    ]
+    for x in objects:
+        text = json.dumps(cosimplicial_to_data(x))
+        hooked = json.loads(text, object_hook=degree_table_hook)
+        for table in _degree_tables(hooked):
+            assert all(type(v) is IntMatrix for v in table.values())
+        plain = cosimplicial_from_data(json.loads(text))
+        assert cosimplicial_from_data(hooked) == plain == x
+
+
+def _read_error(text, object_hook):
+    with pytest.raises(InputError) as info:
+        cosimplicial_from_data(json.loads(text, object_hook=object_hook))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("table", [
+    {"0": [[1, 0, 0, 1]] * 9},                   # too many columns
+    {"0": [[1], [0], [0], [1]]},                 # too few columns
+    {"0": [[1, 0, 0], [0, 1, 0]]},               # too few rows
+    {"0": []},                                   # no rows at all
+    {"0": [[1, 0, 0], [0, True, 0]] * 2},        # a boolean cell
+    {"0": [[1, 0, 0], [0, 1]] * 2},              # a ragged row
+    {"+0": [[1, 0, 0]] * 9, "0": [[1, 0, 0]] * 9},  # a bad key
+    {"1": [[1, 0, 0]] * 4},                      # a key outside both levels
+])
+def test_hook_keeps_every_read_error(table):
+    """A malformed map is refused with the same message whether or not
+    the degree tables were read by the hook."""
+    data = cosimplicial_to_data(cech_object(3, 1))
+    data["cofaces"][0][0] = table
+    text = json.dumps(data)
+    assert _read_error(text, degree_table_hook) == _read_error(text, None)
 
 
 def test_serialization_rejects_bad_truncation():

@@ -8,6 +8,7 @@ brute-force determinant expansion, sharing no code with the package.
 import inspect
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -470,6 +471,79 @@ def test_one_elimination_per_distinct_input(monkeypatch):
     assert len(set(inputs)) <= intlinalg.MEMO_SIZE
     assert len(inputs) > 2 * len(set(inputs))
     assert len(eliminations) == len(set(inputs))
+
+
+# -- pivot placement ---------------------------------------------------------
+
+# _Smith.place as the package had it before the row and column indexes,
+# kept verbatim as the reference for the differential tests.
+
+def _reference_place(self, order: list) -> None:
+    # Move pivot t to position (t, t) by swaps.
+    pos = list(order)
+    for t in range(len(pos)):
+        i, j = pos[t]
+        if i != t:
+            self._row_swap(i, t)
+            for u in range(t + 1, len(pos)):
+                if pos[u][0] == t:
+                    pos[u] = (i, pos[u][1])
+                    break
+        if j != t:
+            self._col_swap(j, t)
+            for u in range(t + 1, len(pos)):
+                if pos[u][1] == t:
+                    pos[u] = (pos[u][0], j)
+                    break
+        pos[t] = (t, t)
+
+
+PLACE = intlinalg._Smith.place
+
+
+def cold_snf(mat, transforms, place):
+    """The Smith form of mat computed afresh, with place as _Smith.place."""
+    with mock.patch.object(intlinalg._Smith, "place", place):
+        return SMITH_MEMO.__wrapped__(mat, transforms)
+
+
+def assert_place_matches_reference(mat, transforms):
+    assert snf_fields(cold_snf(mat, transforms, PLACE)) == \
+        snf_fields(cold_snf(mat, transforms, _reference_place))
+
+
+@given(sparse_strategy(), st.booleans())
+def test_place_matches_reference(a, transforms):
+    assert_place_matches_reference(a, transforms)
+
+
+@given(st.permutations(range(24)), st.permutations(range(24)),
+       st.integers(0, 4))
+def test_place_matches_reference_on_scattered_pivots(rows, values, extra):
+    """A permuted diagonal with distinct values: the pivot rule picks the
+    sites in value order, so most swaps displace a later pivot."""
+    entries = sorted((i, j, v + 1) for i, j, v in zip(rows, range(24), values))
+    a = IntMatrix(24 + extra, 24, tuple(entries))
+    assert_place_matches_reference(a, True)
+    assert_place_matches_reference(a.transpose(), False)
+
+
+def test_place_matches_reference_on_spectral_and_tower_calls(monkeypatch):
+    """Every Smith form spectral_sequence and tower (with the stage
+    homologies) take on the seeded corpus and on cech_object(3, 3) gives
+    the reference placement's invariants, pivot sites and transforms."""
+    calls = record_memo_calls(monkeypatch)
+    clear_memo()
+    for x in [obj.x for obj in corpus(seed=20250811, count=20)] + [
+            cech_object(3, 3)]:
+        spectral_sequence(x)
+        for stage in tower(x).stages:
+            stage.homology_all()
+    inputs = {args for memo, args, _ in calls if memo is SMITH_MEMO}
+    assert len(inputs) > 100
+    assert any(not transforms for _, transforms in inputs)
+    for mat, transforms in inputs:
+        assert_place_matches_reference(mat, transforms)
 
 
 # -- IntMatrix plumbing -----------------------------------------------------
