@@ -10,6 +10,10 @@ inputs give byte-identical output.  Every report carries a "weakenings"
 list naming the homology-level proxies it relies on.  Exit codes: 0
 success, 2 input error, 3 internal invariant violation, 4 mathematical
 precondition failure.
+
+Each subcommand imports the layers it uses in its own body, so a run
+loads only those modules: `--version`, `--help` and usage errors load
+none, and `tot` and `ss` never load the simplicial and poset layers.
 """
 
 from __future__ import annotations
@@ -20,49 +24,8 @@ import json
 import sys
 
 from . import __version__
-from .abelian import format_group
-from .cosimplicial import (
-    conormalize,
-    cosimplicial_from_data,
-    degree_table_hook,
-    tot_n,
-    tower,
-    tower_fiber,
-    validate_cosimplicial,
-)
-from .cover import cover_from_subcomplexes, verify_cover_theorem
-from .deloop import (
-    HOMOLOGY_ONLY_DISCLAIMER,
-    analyze_inclusion,
-    delta_model,
-    subset_model,
-    subspace_model,
-    tot_truncation_bound,
-)
 from .errors import InputError, InvariantError, PreconditionError
-from .posets import (
-    order_complex,
-    poset_dimension,
-    poset_from_relation,
-    subset_poset,
-    subspace_poset,
-)
 from .schema import checked, field, list_of
-from .simplicial import (
-    chain_complex,
-    complex_from_data,
-    complex_from_facets,
-    euler_characteristic,
-    facets_from_data,
-    label_from_data,
-    reduced_homology,
-    wedge_signature_from_homology,
-)
-from .spectral import (
-    e2_from_level_homology,
-    fringe_filtration_check,
-    spectral_sequence,
-)
 
 __all__ = ["build_parser", "main"]
 
@@ -107,6 +70,8 @@ def _emit(report: dict, output: str | None):
 
 def _group_table(groups: dict) -> dict:
     """Degree -> group string, nontrivial entries only, string keys."""
+    from .abelian import format_group
+
     return {
         str(d): format_group(g)
         for d, g in sorted(groups.items())
@@ -117,6 +82,9 @@ def _group_table(groups: dict) -> dict:
 # -- homology -----------------------------------------------------------------
 
 def cmd_homology(args) -> dict:
+    from .simplicial import (chain_complex, complex_from_data,
+                             euler_characteristic, reduced_homology)
+
     space = complex_from_data(_load_json(args.file))
     return {
         "euler": euler_characteristic(space),
@@ -146,6 +114,9 @@ def _parse_assignments(tokens, keys) -> dict:
 
 
 def _poset_from_args(args):
+    from .posets import poset_from_relation, subset_poset, subspace_poset
+    from .simplicial import label_from_data
+
     given = [
         args.subset_size is not None,
         args.subspace is not None,
@@ -178,6 +149,11 @@ def _poset_from_args(args):
 
 
 def cmd_poset(args) -> dict:
+    from .deloop import HOMOLOGY_ONLY_DISCLAIMER
+    from .posets import order_complex, poset_dimension
+    from .simplicial import (euler_characteristic, reduced_homology,
+                             wedge_signature_from_homology)
+
     p = _poset_from_args(args)
     if args.action == "dim":
         return {"dim": poset_dimension(p), "weakenings": []}
@@ -207,6 +183,9 @@ def cmd_poset(args) -> dict:
 # -- deloop -------------------------------------------------------------------
 
 def cmd_deloop(args) -> dict:
+    from .deloop import (analyze_inclusion, delta_model, subset_model,
+                         subspace_model, tot_truncation_bound)
+
     if args.tot is not None:
         n, m = args.tot
         bound = tot_truncation_bound(n, m)
@@ -227,6 +206,10 @@ def cmd_deloop(args) -> dict:
 # -- cover --------------------------------------------------------------------
 
 def cmd_cover(args) -> dict:
+    from .cover import cover_from_subcomplexes, verify_cover_theorem
+    from .simplicial import (complex_from_facets, facets_from_data,
+                             label_from_data)
+
     data = _load_json(args.file)
     # piece entries index the facet list as written in the file
     facets, basepoint = facets_from_data(field(data, "complex", "cover"))
@@ -247,6 +230,9 @@ def cmd_cover(args) -> dict:
 # -- tot ----------------------------------------------------------------------
 
 def _load_cosimplicial(path: str):
+    from .cosimplicial import (cosimplicial_from_data, degree_table_hook,
+                               validate_cosimplicial)
+
     x = cosimplicial_from_data(_load_json(path, degree_table_hook))
     ok, violations = validate_cosimplicial(x)
     if not ok:
@@ -257,6 +243,8 @@ def _load_cosimplicial(path: str):
 
 
 def _fiber_report(x, conorm, n: int, m: int) -> dict:
+    from .cosimplicial import tower_fiber
+
     fib = tower_fiber(x, n, m, conorm)
     report = {
         "window": [n, m],
@@ -272,6 +260,8 @@ def _fiber_report(x, conorm, n: int, m: int) -> dict:
 
 
 def cmd_tot(args) -> dict:
+    from .cosimplicial import conormalize, tot_n, tower
+
     x = _load_cosimplicial(args.file)
     if args.fiber is not None:
         n, m = args.fiber
@@ -307,6 +297,10 @@ def cmd_tot(args) -> dict:
 # -- ss -----------------------------------------------------------------------
 
 def cmd_ss(args) -> dict:
+    from .abelian import format_group
+    from .spectral import (e2_from_level_homology, fringe_filtration_check,
+                           spectral_sequence)
+
     x = _load_cosimplicial(args.file)
     result = spectral_sequence(x, r_max=args.pages)
     data = result.to_data()

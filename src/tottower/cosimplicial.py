@@ -60,14 +60,16 @@ __all__ = [
     "MAX_RANK",
 ]
 
-# The largest rank a level may declare in one degree, and the largest sum
-# of level ranks at one totalization degree.  A level's ranks cost a few
+# The largest rank a level may declare in one degree, the largest sum of
+# level ranks at one totalization degree, and the largest sum of all the
+# ranks declared.  The last bounds the degrees above a zero-rank degree,
+# whose boundary rows cost 3 bytes of file each.  A level's ranks cost a few
 # bytes each to write, and an identity or a Smith form of that size is
 # built from them: a 96-byte file declaring rank 10^8 ran out of memory.
 # On a 2-vCPU Xeon VM with Python 3.11, a top level of rank 16384 under
 # two empty levels takes 2.4 s and 69 MiB through ss, and rank 65536 takes
 # 11.7 s and 227 MiB.  The largest rank in the Cech inputs, 3125 (5 points,
-# truncation 4), is a fifth of the cap.
+# truncation 4), is a fifth of the cap, and their ranks total 3905.
 MAX_RANK = 16_384
 
 
@@ -705,7 +707,7 @@ def _level_from_data(data) -> ChainComplexInt:
 
 def _check_tot_ranks(levels) -> None:
     """Refuse levels whose ranks sum past MAX_RANK at a totalization
-    degree k, which takes degree k + s of level s."""
+    degree k, which takes degree k + s of level s, or in all."""
     sums = {}
     for s, level in enumerate(levels):
         for t in level.degrees():
@@ -714,6 +716,12 @@ def _check_tot_ranks(levels) -> None:
     if total > MAX_RANK:
         raise InputError(
             f"the levels sum to rank {total} at totalization degree {k}; "
+            f"at most {MAX_RANK} is read"
+        )
+    total = sum(sums.values())
+    if total > MAX_RANK:
+        raise InputError(
+            f"the levels declare rank {total} in all; "
             f"at most {MAX_RANK} is read"
         )
 

@@ -4,10 +4,11 @@ Given a full, downward closed subposet inclusion, every ambient element d
 receives the unreduced suspension of its slice's order complex.  Since
 the reduced homology of a suspension is that of the nonempty complex
 shifted up one degree, the analysis reads the slice order complexes
-themselves and shifts their signatures; ``posets.t_functor`` builds the
-suspended diagram and serves as the reference.  Elements of the
-subposet get homology points.  When every complement element gets
-a homology wedge of spheres of one common dimension p, the number
+themselves and shifts their signatures; the tests build the suspended
+diagram itself (``t_functor`` in ``tests/suspension_reference.py``) as
+the reference.  Elements of the subposet get homology points.  When
+every complement element gets a homology wedge of spheres of one
+common dimension p, the number
 
     d_max = p - (length of the longest complement chain)
 
@@ -101,7 +102,7 @@ def analyze_inclusion(incl: PosetInclusion) -> InclusionReport:
     The value over an ambient element is the order complex of its slice
     shifted up one degree: a noncontractible signature gains one sphere
     dimension, which is the signature of the slice's unreduced
-    suspension as ``t_functor`` builds it.
+    suspension as the tests' reference ``t_functor`` builds it.
 
     Raises PreconditionError when the inclusion is not downward closed,
     a slice is empty, or the complement values fail to be homology wedges

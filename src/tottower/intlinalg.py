@@ -233,6 +233,8 @@ class IntMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} "
                 f"by {other.nrows}x{other.ncols}"
             )
+        if not self.entries or not other.entries:
+            return IntMatrix(self.nrows, other.ncols, ())
         orows = other._row_items
         n = other.ncols
         # cell (i, j) is keyed i * n + j: ints hash and sort faster than

@@ -1,4 +1,4 @@
-"""Finite posets, order complexes, and pointwise suspension diagrams.
+"""Finite posets, order complexes, slices and downward closed inclusions.
 
 The relation is kept as bitmasks: down[i] is the set of indices weakly
 below element i.  That makes transitivity checks, slices and cover
@@ -17,13 +17,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InputError, InvariantError, PreconditionError
+from .errors import InputError, InvariantError
 from .simplicial import (
     MAX_FACES,
     SimplicialComplex,
     complex_from_facets,
     label_key,
-    unreduced_suspension,
 )
 
 __all__ = [
@@ -36,15 +35,12 @@ __all__ = [
     "gaussian_binomial",
     "PosetInclusion",
     "down_slice",
-    "lan_point",
     "order_complex",
     "checked_chain_count",
     "MAX_CHAINS",
     "MAX_POSET_ELEMENTS",
     "MAX_FIELD_ORDER",
     "check_fence_condition",
-    "DiagramOfComplexes",
-    "t_functor",
 ]
 
 
@@ -452,10 +448,6 @@ def order_complex(p: FinPoset) -> SimplicialComplex:
     return complex_from_facets(p.maximal_chains())
 
 
-def lan_point(incl: PosetInclusion, d) -> SimplicialComplex:
-    return order_complex(down_slice(incl, d))
-
-
 def check_fence_condition(incl: PosetInclusion):
     """The subposet must be downward closed in the ambient.
 
@@ -472,88 +464,3 @@ def check_fence_condition(incl: PosetInclusion):
                 witnesses.append((x, c))
     return (not witnesses, witnesses)
 
-
-@dataclass(eq=False)
-class DiagramOfComplexes:
-    """Complexes indexed by a poset with simplicial maps along covers."""
-
-    poset: FinPoset
-    values: dict
-    vertex_maps: dict
-
-
-def _check_simplicial(src: SimplicialComplex, dst: SimplicialComplex,
-                      vmap: dict) -> None:
-    dst_simplices = set()
-    for simps in dst.simplices_by_dim.values():
-        dst_simplices.update(simps)
-    for f in src.facets:
-        img = tuple(sorted({vmap[v] for v in f}, key=label_key))
-        if img not in dst_simplices:
-            raise InvariantError(
-                f"facet {f!r} does not map to a simplex"
-            )
-
-
-def t_functor(incl: PosetInclusion) -> DiagramOfComplexes:
-    """Pointwise unreduced suspension of the slice order complexes.
-
-    Every ambient element d gets the suspension of the chain complex (as a
-    space) of the slice below d; along a cover the map is the identity on
-    slice elements and matches the poles up.  Slices must be nonempty for
-    the suspension to make sense here.
-    """
-    amb = incl.ambient
-    slices = {}
-    for d in amb.elements:
-        sl = down_slice(incl, d)
-        if not sl.elements:
-            raise PreconditionError(
-                f"slice under {d!r} is empty; cannot take its suspension"
-            )
-        slices[d] = sl
-    used = set()
-    for sl in slices.values():
-        used.update(sl.elements)
-    north, south = "north", "south"
-    while north in used or south in used:
-        north += "_"
-        south += "_"
-    values = {
-        d: unreduced_suspension(order_complex(sl), north, south)
-        for d, sl in slices.items()
-    }
-    vmaps = {}
-    for j, i in amb.covers:
-        a, b = amb.elements[j], amb.elements[i]
-        vmap = {v: v for v in slices[a].elements}
-        vmap[north] = north
-        vmap[south] = south
-        _check_simplicial(values[a], values[b], vmap)
-        vmaps[(a, b)] = vmap
-    _check_diamonds(amb, vmaps)
-    return DiagramOfComplexes(amb, values, vmaps)
-
-
-def _check_diamonds(p: FinPoset, vmaps: dict) -> None:
-    # composites along any two cover paths through a diamond must agree
-    up_covers: dict = {}
-    for j, i in p.covers:
-        up_covers.setdefault(j, []).append(i)
-    for a, mids in up_covers.items():
-        for b, c in itertools.combinations(mids, 2):
-            tops = set(up_covers.get(b, ())) & set(up_covers.get(c, ()))
-            for d in tops:
-                ea, eb, ec, ed = (p.elements[t] for t in (a, b, c, d))
-                left = {
-                    v: vmaps[(eb, ed)][w]
-                    for v, w in vmaps[(ea, eb)].items()
-                }
-                right = {
-                    v: vmaps[(ec, ed)][w]
-                    for v, w in vmaps[(ea, ec)].items()
-                }
-                if left != right:
-                    raise InvariantError(
-                        "suspension diagram fails to commute"
-                    )

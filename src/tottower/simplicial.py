@@ -34,7 +34,6 @@ __all__ = [
     "complex_from_facets",
     "skeleton",
     "barycentric_subdivision",
-    "unreduced_suspension",
     "chain_complex",
     "reduced_homology",
     "WedgeSignature",
@@ -253,29 +252,6 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
             facets.append(chain)
     base = (k.basepoint,) if k.basepoint is not None else None
     return complex_from_facets(facets, base)
-
-
-def unreduced_suspension(k: SimplicialComplex, north=None,
-                         south=None) -> SimplicialComplex:
-    """Join with two fresh cone points; the north pole becomes the
-    basepoint.  Pole labels are picked fresh unless given explicitly
-    (diagrams of suspensions want the same poles everywhere).  Suspending
-    the empty complex is refused rather than given a conventional value."""
-    if k.is_empty:
-        raise InputError("refusing to suspend an empty complex")
-    verts = set(k.vertices())
-    if north is None and south is None:
-        north, south = "north", "south"
-        while north in verts or south in verts:
-            north += "_"
-            south += "_"
-    if north == south or north in verts or south in verts:
-        raise InputError("pole labels must be fresh and distinct")
-    facets = []
-    for f in k.facets:
-        facets.append(f + (north,))
-        facets.append(f + (south,))
-    return complex_from_facets(facets, basepoint=north)
 
 
 def chain_complex(k: SimplicialComplex, reduced: bool = False) \

@@ -45,10 +45,11 @@ from tottower.simplicial import (
     complex_from_facets,
     euler_characteristic,
     reduced_homology,
-    unreduced_suspension,
     wedge_signature,
 )
 from tottower.spectral import e2_from_level_homology, spectral_sequence
+
+from suspension_reference import unreduced_suspension
 
 CORPUS_SEED = 20250811
 CORPUS_COUNT = 50

@@ -3,7 +3,11 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from tottower.cosimplicial import cosimplicial_to_data
 from tottower.errors import InputError
 from tottower.posets import PosetInclusion, full_subposet, poset_from_relation
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 CYCLE = [[0, 1], [1, 2], [2, 3], [0, 3]]
 SUSPENSION_FACETS = (
     [[a, b, 4] for a, b in CYCLE] + [[a, b, 5] for a, b in CYCLE]
@@ -72,6 +77,52 @@ def test_usage_error_is_input_error(capsys):
 
 def test_missing_subcommand(capsys):
     assert run([], capsys)[0] == 2
+
+
+LOADED = """
+import json, sys
+from tottower.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("tottower"))]))
+"""
+
+
+def loaded_modules(argv):
+    """The exit code and the package modules a fresh process has loaded
+    once main(argv) returns."""
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED, json.dumps(argv)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 0, done.stderr
+    code, names = json.loads(done.stdout.splitlines()[-1])
+    return code, {n.removeprefix("tottower.") for n in names}
+
+
+def test_each_subcommand_loads_only_its_layers(tmp_path):
+    bare = {"tottower", "cli", "errors", "schema"}
+    for argv in (["--version"], ["--help"], ["no-such-command"], ["tot"]):
+        assert loaded_modules(argv)[1] == bare
+    space = write_json(tmp_path, "complex.json", {"facets": CYCLE})
+    cech = cech_file(tmp_path)
+    cosimplicial_layers = {"cosimplicial", "spectral"}
+    simplicial_layers = {"simplicial", "posets", "deloop", "cover"}
+    runs = [
+        (["homology", space], "simplicial", cosimplicial_layers),
+        (["poset", "--subset-size", "3", "wedge-check"], "posets",
+         cosimplicial_layers),
+        (["deloop", "--subset", "3", "2"], "deloop", cosimplicial_layers),
+        (["cover", "--r", "1", suspension_cover(tmp_path)], "cover",
+         cosimplicial_layers),
+        (["tot", cech], "cosimplicial", simplicial_layers),
+        (["ss", cech], "spectral", simplicial_layers),
+    ]
+    for argv, used, absent in runs:
+        code, names = loaded_modules(argv)
+        assert code == 0 and used in names, argv
+        assert not names & (absent | {"constructions"}), argv
 
 
 # -- homology -----------------------------------------------------------------
@@ -360,12 +411,12 @@ def test_tot_stage_builds_only_that_stage(tmp_path, capsys, monkeypatch):
         raise AssertionError("tot --stage must not build this")
 
     path = cech_file(tmp_path)
-    monkeypatch.setattr(cli, "tower", refuse)
+    monkeypatch.setattr(cosimplicial, "tower", refuse)
     report = run_report(["tot", "--stage", "1", path], capsys)
     assert report["homology"] == {"-1": "Z", "0": "Z"}
     # the range is checked before any conormalization
-    monkeypatch.setattr(cli, "conormalize", refuse)
-    monkeypatch.setattr(cli, "tot_n", refuse)
+    monkeypatch.setattr(cosimplicial, "conormalize", refuse)
+    monkeypatch.setattr(cosimplicial, "tot_n", refuse)
     assert_one_line_input_error(["tot", "--stage", "3", path], capsys)
 
 
@@ -582,7 +633,7 @@ def test_deloop_slice_with_too_many_chains_is_refused_quickly(
     def refuse(*args, **kwargs):
         raise AssertionError("an order complex was built")
 
-    monkeypatch.setattr(cli, "subset_model", lambda size, r: incl)
+    monkeypatch.setattr("tottower.deloop.subset_model", lambda size, r: incl)
     monkeypatch.setattr("tottower.deloop.order_complex", refuse)
     assert_quick_refusal(["deloop", "--subset", "1", "1"], capsys,
                          "maximal chains")
@@ -658,6 +709,26 @@ def test_declared_rank_past_the_cap_is_refused_quickly(tmp_path, capsys):
     path = level_file("sum.json", [(0, half), (1, half)])
     assert_quick_refusal(["tot", path], capsys,
                          f"rank {2 * half} at totalization degree 0")
+
+
+def test_total_declared_rank_past_the_cap_is_refused_quickly(
+        tmp_path, capsys):
+    # every degree and every totalization degree is at the cap, but a
+    # zero-rank degree between two full ones costs 3 bytes of file per
+    # unit of rank, so the degrees add up cheaply
+    cap = cosimplicial.MAX_RANK
+    ranks = [cap, 0] * 5 + [cap]
+    path = write_json(tmp_path, "stacked.json", {
+        "truncation": 0,
+        "levels": [{"lo": 0, "ranks": ranks, "boundaries": [
+            [[]] * ranks[t] for t in range(len(ranks) - 1)
+        ]}],
+        "cofaces": [],
+        "codegeneracies": [],
+    })
+    for command in ("tot", "ss"):
+        assert_quick_refusal([command, path], capsys,
+                             f"rank {6 * cap} in all")
 
 
 def test_tot_fiber_window_validated(tmp_path, capsys):

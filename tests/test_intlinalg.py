@@ -592,6 +592,54 @@ def test_matmul_matches_dense_product(m, n, p, data):
         a @ IntMatrix.zeros(n + 1, p)
 
 
+# IntMatrix.__matmul__ as it was before a product with an operand of no
+# entries returned at once, kept verbatim as the differential reference
+
+def _reference_matmul(self, other):
+    if self.ncols != other.nrows:
+        raise InputError(
+            f"cannot multiply {self.nrows}x{self.ncols} "
+            f"by {other.nrows}x{other.ncols}"
+        )
+    orows = other._row_items
+    n = other.ncols
+    acc: dict = {}
+    get = acc.get
+    for i, k, v in self.entries:
+        base = i * n
+        for j, w in orows[k]:
+            key = base + j
+            acc[key] = get(key, 0) + v * w
+    cells = sorted(kx for kx in acc.items() if kx[1])
+    return IntMatrix(self.nrows, n,
+                     tuple((*divmod(key, n), x) for key, x in cells))
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_matmul_matches_reference(m, n, p, data):
+    # mostly zero cells, so whole operands are often zero or empty
+    cell = st.sampled_from((0,) * 6 + (1, -1, 2, -3))
+
+    def draw(nrows, ncols):
+        return IntMatrix.from_rows(data.draw(st.lists(
+            st.lists(cell, min_size=ncols, max_size=ncols),
+            min_size=nrows, max_size=nrows,
+        )), ncols)
+
+    a, b = draw(m, n), draw(n, p)
+    for left, right in ((a, b), (IntMatrix.zeros(m, n), b),
+                        (a, IntMatrix.zeros(n, p))):
+        got, want = left @ right, _reference_matmul(left, right)
+        assert (got.nrows, got.ncols, got.entries) == \
+            (want.nrows, want.ncols, want.entries)
+    wrong = IntMatrix.zeros(n + 1, p)
+    with pytest.raises(InputError) as got:
+        IntMatrix.zeros(m, n) @ wrong
+    with pytest.raises(InputError) as want:
+        _reference_matmul(IntMatrix.zeros(m, n), wrong)
+    assert str(got.value) == str(want.value)
+
+
 def test_matrix_validation():
     with pytest.raises(InputError):
         IntMatrix.from_rows([[1, 2], [3]])

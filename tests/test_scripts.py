@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from tottower.constructions import cech_object
+from tottower.cosimplicial import cosimplicial_to_data
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -40,3 +43,20 @@ def test_bench_tracer_hooks_still_count(tmp_path):
     metrics = json.loads(out.read_text())["metrics"]
     assert metrics["intlinalg.matrices_built"] > 0
     assert metrics["chains.homology_calls"] == 2
+
+
+def test_bench_tracer_wraps_names_imported_in_a_command(tmp_path):
+    """The command-line layer imports each layer inside the command that
+    uses it; the tracer's spans must still wrap those names."""
+    obj = tmp_path / "cech.json"
+    obj.write_text(json.dumps(cosimplicial_to_data(cech_object(2, 2))))
+    out = tmp_path / "trace.json"
+    done = subprocess.run(
+        [sys.executable, "bench/tracer.py", str(out), "tot", str(obj)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(out.read_text())["metrics"]
+    assert metrics["cosimplicial.conormalize_s"] > 0
+    assert metrics["cosimplicial.calls"] > 0

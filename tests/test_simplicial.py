@@ -31,9 +31,10 @@ from tottower.simplicial import (
     label_key,
     reduced_homology,
     skeleton,
-    unreduced_suspension,
     wedge_signature,
 )
+
+from suspension_reference import unreduced_suspension
 
 CIRCLE = complex_from_facets([[0, 1], [1, 2], [0, 2]])
 TRIANGLE = complex_from_facets([[0, 1, 2]])
