@@ -18,11 +18,7 @@ from tottower.constructions import (  # noqa: E402
     constant_object,
     corpus,
 )
-from tottower.cosimplicial import (  # noqa: E402
-    conormalize,
-    tower,
-    tower_fiber,
-)
+from tottower.cosimplicial import tower, tower_fiber  # noqa: E402
 from tottower.spectral import (  # noqa: E402
     e2_from_level_homology,
     spectral_sequence,
@@ -63,19 +59,18 @@ def main(argv=None) -> int:
     print(f"object: {args.object}, truncation {m}, "
           f"level ranks {[sum(lv.ranks) for lv in x.levels]}")
 
-    conorm = conormalize(x)
-    tw = tower(x, conorm)
+    tw = tower(x)
     print("\ntower stages:")
     for n in range(m + 1):
         print(f"  stage {n}: {table(tw.stage(n).homology_all())}")
 
     print("\nadjacent fibers against conormalized pieces:")
     for n in range(1, m + 1):
-        fib = tower_fiber(x, n - 1, n, conorm)
+        fib = tower_fiber(x, n - 1, n)
         fib_h = {d: g for d, g in fib.homology_all().items()
                  if not g.is_trivial}
-        piece_h = {d - n: g
-                   for d, g in conorm.pieces[n].homology_all().items()
+        piece = x.conormalization.pieces[n]
+        piece_h = {d - n: g for d, g in piece.homology_all().items()
                    if not g.is_trivial}
         verdict = "agrees" if fib_h == piece_h else "DISAGREES"
         print(f"  fiber {n - 1} <- {n}: {table(fib.homology_all())}"

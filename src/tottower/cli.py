@@ -242,10 +242,10 @@ def _load_cosimplicial(path: str):
     return x
 
 
-def _fiber_report(x, conorm, n: int, m: int) -> dict:
+def _fiber_report(x, n: int, m: int) -> dict:
     from .cosimplicial import tower_fiber
 
-    fib = tower_fiber(x, n, m, conorm)
+    fib = tower_fiber(x, n, m)
     report = {
         "window": [n, m],
         "homology": _group_table(fib.homology_all()),
@@ -253,19 +253,19 @@ def _fiber_report(x, conorm, n: int, m: int) -> dict:
     if m == n + 1:
         # single-stripe fiber: must be the level-m conormalized piece
         # pushed down by m degrees
-        piece = _group_table(conorm.pieces[m].homology_all())
+        piece = _group_table(x.conormalization.pieces[m].homology_all())
         shifted = {str(int(d) - m): g for d, g in piece.items()}
         report["matches_piece"] = report["homology"] == shifted
     return report
 
 
 def cmd_tot(args) -> dict:
-    from .cosimplicial import conormalize, tot_n, tower
+    from .cosimplicial import tot_n, tower
 
     x = _load_cosimplicial(args.file)
     if args.fiber is not None:
         n, m = args.fiber
-        report = _fiber_report(x, conormalize(x), n, m)
+        report = _fiber_report(x, n, m)
         report["weakenings"] = [STABLE_MODEL_DISCLAIMER]
         return report
     if args.stage is not None:
@@ -276,14 +276,13 @@ def cmd_tot(args) -> dict:
             "homology": _group_table(tot_n(x, args.stage).homology_all()),
             "weakenings": [],
         }
-    conorm = conormalize(x)
-    tw = tower(x, conorm)
+    tw = tower(x)
     stages = {
         str(n): _group_table(tw.stage(n).homology_all())
         for n in range(x.truncation + 1)
     }
     fibers = {
-        f"{m - 1}->{m}": _fiber_report(x, conorm, m - 1, m)
+        f"{m - 1}->{m}": _fiber_report(x, m - 1, m)
         for m in range(1, x.truncation + 1)
     }
     return {
@@ -298,10 +297,12 @@ def cmd_tot(args) -> dict:
 
 def cmd_ss(args) -> dict:
     from .abelian import format_group
-    from .spectral import (e2_from_level_homology, fringe_filtration_check,
-                           spectral_sequence)
+    from .spectral import (check_fringe_request, e2_from_level_homology,
+                           fringe_filtration_check, spectral_sequence)
 
     x = _load_cosimplicial(args.file)
+    if args.fringe is not None:
+        check_fringe_request(x.truncation, args.pages, args.fringe)
     result = spectral_sequence(x, r_max=args.pages)
     data = result.to_data()
     report = {

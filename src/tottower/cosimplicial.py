@@ -24,6 +24,7 @@ n+1..m, entry for entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .abelian import HomologyGroup
 from .chains import (
@@ -58,6 +59,8 @@ __all__ = [
     "cosimplicial_to_data",
     "cosimplicial_from_data",
     "MAX_RANK",
+    "MAX_TRUNCATION",
+    "MAX_TOT_SPAN",
 ]
 
 # The largest rank a level may declare in one degree, the largest sum of
@@ -71,6 +74,21 @@ __all__ = [
 # 11.7 s and 227 MiB.  The largest rank in the Cech inputs, 3125 (5 points,
 # truncation 4), is a fifth of the cap, and their ranks total 3905.
 MAX_RANK = 16_384
+
+# The largest truncation M, and the most totalization degrees the levels
+# may span (max - min + 1 of t - s over the degrees t of every level s).
+# A few bytes of file reach either.  The cosimplicial identities are
+# checked in time cubic in M, and every stripe window, page and oracle
+# walks each degree of the span: 81 empty levels (30 KB) took 11 s through
+# tot and ss, and an empty level 0 under a rank-1 level at degree 1000
+# (167 bytes) took 15 s through ss.  At both caps, on a 2-vCPU Xeon VM
+# with Python 3.11, 9 levels of 32 empty degrees take 0.46 s through tot
+# or ss, and a constant object on 24 degrees of rank 2 takes 0.53 s
+# through tot and 0.59 s through ss.  The corpus and the tests reach
+# truncation 5 and span 11, the Cech inputs of the benchmark truncation 4
+# and span 5.
+MAX_TRUNCATION = 8
+MAX_TOT_SPAN = 32
 
 
 @dataclass(frozen=True)
@@ -123,6 +141,11 @@ class CosimplicialChain:
     def codegeneracy(self, k: int, i: int) -> ChainMap:
         """s^i out of level k (so 1 <= k <= M, 0 <= i <= k-1)."""
         return self.codegeneracies[k - 1][i]
+
+    @cached_property
+    def conormalization(self) -> Conormalization:
+        """conormalize(self), computed once for every reader."""
+        return conormalize(self)
 
 
 def validate_cosimplicial(x: CosimplicialChain):
@@ -338,18 +361,15 @@ def matching_object(x: CosimplicialChain, m: int) -> MatchingObject:
                           basis=basis)
 
 
-def matching_kernel_agrees(x: CosimplicialChain, m: int,
-                           conorm: Conormalization | None = None) -> bool:
+def matching_kernel_agrees(x: CosimplicialChain, m: int) -> bool:
     """ker(X^{m+1} -> M^m) must be the conormalized piece N^{m+1}.
 
     Both sides are produced by independent routes (tuple constraints
     versus stacked codegeneracies) and both end Hermite-canonical, so
     agreement is literal matrix equality, degree by degree."""
-    if conorm is None:
-        conorm = conormalize(x)
     mo = matching_object(x, m)
     above = x.levels[m + 1]
-    emb = conorm.embeddings[m + 1]
+    emb = x.conormalization.embeddings[m + 1]
     for t in above.degrees():
         mine = lattice_basis(kernel_basis(mo.canonical.component(t)))
         expected = lattice_basis(emb.component(t))
@@ -450,16 +470,13 @@ class StripeWindow:
         )
 
 
-def tot_n(x: CosimplicialChain, n: int,
-          conorm: Conormalization | None = None) -> ChainComplexInt:
+def tot_n(x: CosimplicialChain, n: int) -> ChainComplexInt:
     """Stage-n totalization: stripes 0..n of the conormalization.
 
     Stage 0 is the level X^0 itself, on the nose."""
     if not 0 <= n <= x.truncation:
         raise InputError("need 0 <= n <= truncation")
-    if conorm is None:
-        conorm = conormalize(x)
-    return StripeWindow(conorm, -1, n).complex()
+    return StripeWindow(x.conormalization, -1, n).complex()
 
 
 @dataclass(frozen=True)
@@ -480,23 +497,21 @@ class TotTower:
         return self.projections[n - 1]
 
 
-def tower(x: CosimplicialChain,
-          conorm: Conormalization | None = None) -> TotTower:
-    if conorm is None:
-        conorm = conormalize(x)
-    stages = tuple(
-        tot_n(x, n, conorm) for n in range(x.truncation + 1)
+def tower(x: CosimplicialChain) -> TotTower:
+    windows = [
+        StripeWindow(x.conormalization, -1, n)
+        for n in range(x.truncation + 1)
+    ]
+    stages = tuple(win.complex() for win in windows)
+    projections = tuple(
+        chain_map(stages[n], stages[n - 1],
+                  {k: windows[n].head(n, k) for k in windows[n].blocks})
+        for n in range(1, x.truncation + 1)
     )
-    projections = []
-    for n in range(1, x.truncation + 1):
-        win = StripeWindow(conorm, -1, n)
-        mats = {k: win.head(n, k) for k in win.blocks}
-        projections.append(chain_map(stages[n], stages[n - 1], mats))
-    return TotTower(stages=stages, projections=tuple(projections))
+    return TotTower(stages=stages, projections=projections)
 
 
-def tower_fiber(x: CosimplicialChain, n: int, m: int,
-                conorm: Conormalization | None = None) -> ChainComplexInt:
+def tower_fiber(x: CosimplicialChain, n: int, m: int) -> ChainComplexInt:
     """Kernel of the projection Tot_m -> Tot_n: stripes n < s <= m.
 
     Reads only conormalized pieces n+1..m, so the result is unchanged,
@@ -505,9 +520,7 @@ def tower_fiber(x: CosimplicialChain, n: int, m: int,
     complex."""
     if not 0 <= n <= m <= x.truncation:
         raise InputError("need 0 <= n <= m <= truncation")
-    if conorm is None:
-        conorm = conormalize(x)
-    return StripeWindow(conorm, n, m).complex()
+    return StripeWindow(x.conormalization, n, m).complex()
 
 
 # -- stable-shadow functoriality ---------------------------------------------
@@ -575,16 +588,14 @@ def cosimplicial_map(x, y, components) -> CosimplicialMap:
     return CosimplicialMap(src=x, dst=y, components=tuple(components))
 
 
-def _fiber_map(f: CosimplicialMap, n: int, m: int,
-               conorm_src: Conormalization,
-               conorm_dst: Conormalization) -> ChainMap:
+def _fiber_map(f: CosimplicialMap, n: int, m: int) -> ChainMap:
     """Restrict a cosimplicial map to the stripes of a fiber window.
 
     Each level map carries the kernel of the codegeneracies into the
     same kernel on the other side, so solving through the embeddings is
     guaranteed to succeed."""
-    src = StripeWindow(conorm_src, n, m)
-    dst = StripeWindow(conorm_dst, n, m)
+    src = StripeWindow(f.src.conormalization, n, m)
+    dst = StripeWindow(f.dst.conormalization, n, m)
     comps = {}
     for k, blocks in src.blocks.items():
         entries = {}
@@ -592,9 +603,9 @@ def _fiber_map(f: CosimplicialMap, n: int, m: int,
             if r and k in dst.blocks:
                 t = k + s
                 restricted = solve_matrix(
-                    conorm_dst.embeddings[s].component(t),
+                    dst.conorm.embeddings[s].component(t),
                     f.components[s].component(t)
-                    @ conorm_src.embeddings[s].component(t),
+                    @ src.conorm.embeddings[s].component(t),
                 )
                 row0, col0 = dst.start(s, k), src.start(s, k)
                 for (i, j, v) in restricted.entries:
@@ -613,12 +624,10 @@ def quasi_iso_invariance(f: CosimplicialMap) -> bool:
             raise PreconditionError(
                 f"level {k} map is not a quasi-isomorphism"
             )
-    conorm_src = conormalize(f.src)
-    conorm_dst = conormalize(f.dst)
     top = f.src.truncation
     for n in range(top + 1):
         for m in range(n, top + 1):
-            induced = _fiber_map(f, n, m, conorm_src, conorm_dst)
+            induced = _fiber_map(f, n, m)
             if not induced.induces_iso_everywhere():
                 return False
     return True
@@ -694,7 +703,7 @@ def cosimplicial_to_data(x: CosimplicialChain) -> dict:
 
 def _level_from_data(data) -> ChainComplexInt:
     """A level, refused before any of its matrices is built when it
-    declares a rank above MAX_RANK."""
+    declares a rank above MAX_RANK, or more degrees than MAX_TOT_SPAN."""
     ranks = field(data, "ranks", "chain complex")
     if type(ranks) is list:
         big = max(filter(is_int, ranks), default=0)
@@ -702,16 +711,32 @@ def _level_from_data(data) -> ChainComplexInt:
             raise InputError(
                 f"a level declares rank {big}; at most {MAX_RANK} is read"
             )
+        if len(ranks) > MAX_TOT_SPAN:
+            raise InputError(f"a level declares {len(ranks)} degrees; "
+                             f"at most {MAX_TOT_SPAN} is read")
     return ChainComplexInt.from_data(data)
 
 
 def _check_tot_ranks(levels) -> None:
-    """Refuse levels whose ranks sum past MAX_RANK at a totalization
-    degree k, which takes degree k + s of level s, or in all."""
+    """Refuse more than MAX_TRUNCATION + 1 levels, levels spread over
+    more than MAX_TOT_SPAN totalization degrees, and levels whose ranks sum
+    past MAX_RANK at a totalization degree k, which takes degree k + s of
+    level s, or in all."""
+    if len(levels) - 1 > MAX_TRUNCATION:
+        raise InputError(
+            f"the truncation is {len(levels) - 1}; "
+            f"at most {MAX_TRUNCATION} is read"
+        )
     sums = {}
     for s, level in enumerate(levels):
         for t in level.degrees():
             sums[t - s] = sums.get(t - s, 0) + level.rank(t)
+    span = max(sums, default=0) - min(sums, default=0) + 1
+    if span > MAX_TOT_SPAN:
+        raise InputError(
+            f"the levels span {span} totalization degrees; "
+            f"at most {MAX_TOT_SPAN} is read"
+        )
     k, total = max(sums.items(), key=lambda kv: kv[1], default=(0, 0))
     if total > MAX_RANK:
         raise InputError(

@@ -13,10 +13,11 @@ induced on those presentations by the total differential itself.  Here t
 is the internal stripe degree and k = t - s the total degree.
 
 Entries stabilize at page M+1 (a differential off page r moves r stripes,
-and there are only M+1 of them).  Construction verifies, entry by entry,
-that each page is the homology of the one before and that the stable page
-matches the filtration's associated graded of the totalization homology,
-computed by an independent route.
+and there are only M+1 of them), so pages past M+1 are copies of the
+stable page and are not built again.  Construction verifies, entry by
+entry, that each page through M+1 is the homology of the one before and
+that the stable page matches the filtration's associated graded of the
+totalization homology, computed by an independent route.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .cosimplicial import (
     CosimplicialChain,
     StripeWindow,
     coface_sum,
-    conormalize,
 )
 from .errors import InputError, InvariantError
 from .intlinalg import IntMatrix, kernel_basis, lattice_basis
@@ -47,15 +47,15 @@ __all__ = [
     "spectral_sequence",
     "e2_from_level_homology",
     "differential_range",
+    "check_fringe_request",
     "fringe_filtration_check",
     "MAX_PAGES",
 ]
 
 # The most pages an explicit r_max may ask for.  Every entry is stable from
-# page truncation + 1 on, so later pages only repeat it, and each one still
-# costs a pass over the support: ss on the Cech object of 4 points,
-# truncated at 4, takes 0.8 s for its default 6 pages, 1.8 s for 64 and
-# 5.8 s for 256 (2-vCPU Xeon VM, Python 3.11).
+# page truncation + 1 on and later pages are copies of that one, so the cap
+# bounds the size of the report, not the work: each later page repeats
+# every stable entry in the report.
 MAX_PAGES = 64
 
 
@@ -215,27 +215,25 @@ def _verify_limit(stable: dict, graded: dict) -> None:
             )
 
 
-def spectral_sequence(x: CosimplicialChain, r_max: int | None = None,
-                      conorm: Conormalization | None = None) \
+def spectral_sequence(x: CosimplicialChain, r_max: int | None = None) \
         -> SpectralSequence:
     """Pages 1..r_max of the stripe-filtration spectral sequence.
 
     Page 1 is the homology of the stripes, the first differential is
     induced by the connecting maps, and entries stabilize at page
     truncation + 1.  ``r_max`` defaults to truncation + 2, one page past
-    stabilization; an explicit one must lie in 1..MAX_PAGES.  Each page
-    is checked to be the homology of its predecessor and the stable page
-    is checked against the graded totalization homology; disagreement
-    raises.
+    stabilization; an explicit one must lie in 1..MAX_PAGES.  Pages 1
+    through truncation + 1 are built, each is checked to be the homology
+    of its predecessor, and the stable page is checked against the graded
+    totalization homology; disagreement raises.  A later page is a copy
+    of the stable one.
     """
     top = x.truncation
     if r_max is None:
         r_max = top + 2
     elif not 1 <= r_max <= MAX_PAGES:
         raise InputError(f"need 1 <= r_max <= {MAX_PAGES}")
-    if conorm is None:
-        conorm = conormalize(x)
-    fil = _Filtration(conorm)
+    fil = _Filtration(x.conormalization)
     # off the support every page entry is trivial: a filtration piece
     # with nothing in stripe s has Z_r contained in the denominator
     support = tuple(
@@ -245,7 +243,7 @@ def spectral_sequence(x: CosimplicialChain, r_max: int | None = None,
     stable_r = top + 1
     spots_by_r = {}
     homs_by_r = {}
-    for r in range(1, max(r_max, stable_r) + 1):
+    for r in range(1, stable_r + 1):
         spots = {
             (s, k): fil.page_spot(s, r, k) for (s, k) in support
         }
@@ -257,7 +255,7 @@ def spectral_sequence(x: CosimplicialChain, r_max: int | None = None,
                                            fil.win.boundary(k))
         spots_by_r[r] = spots
         homs_by_r[r] = homs
-    _verify_pages(spots_by_r, homs_by_r, support, max(r_max, stable_r))
+    _verify_pages(spots_by_r, homs_by_r, support, stable_r)
     stable = {
         (s, k + s): spot.group()
         for (s, k), spot in spots_by_r[stable_r].items()
@@ -267,16 +265,19 @@ def spectral_sequence(x: CosimplicialChain, r_max: int | None = None,
     _verify_limit(stable, graded)
     pages = []
     for r in range(1, r_max + 1):
+        # past stabilization the stripes s + r are empty: every spot has
+        # the lattices of the stable page, and no differential a target
+        built = min(r, stable_r)
         entries = tuple(
             ((s, k + s), group)
             for (s, k) in support
-            for group in [spots_by_r[r][(s, k)].group()]
+            for group in [spots_by_r[built][(s, k)].group()]
             if not group.is_trivial
         )
         table = dict(entries)
         diffs = tuple(
             ((s, k + s), hom)
-            for (s, k), hom in sorted(homs_by_r[r].items())
+            for (s, k), hom in sorted(homs_by_r[built].items())
             if (s, k + s) in table and (s + r, k + s + r - 1) in table
         )
         pages.append(SpectralSequencePage(
@@ -337,14 +338,14 @@ def e2_from_level_homology(x: CosimplicialChain) -> dict:
     top = x.truncation
     lo = min(level.lo for level in x.levels)
     hi = max(level.hi for level in x.levels)
+    sums = [coface_sum(x, s) for s in range(top)]
     table = {}
     for t in range(lo, hi + 1):
         spots = [
             _level_homology_spot(x, s, t) for s in range(top + 1)
         ]
         homs = [
-            induced_hom(spots[s], spots[s + 1],
-                        coface_sum(x, s).component(t))
+            induced_hom(spots[s], spots[s + 1], sums[s].component(t))
             for s in range(top)
         ]
         for s in range(top + 1):
@@ -362,6 +363,18 @@ def differential_range(s: int, r: int) -> bool:
     return r <= s - 1
 
 
+def check_fringe_request(truncation: int, r_max: int | None,
+                         bound: int) -> None:
+    """Refuse a fringe audit that fringe_filtration_check cannot make: a
+    negative bound, or pages 1..r_max that stop short of the stable page.
+    ``r_max`` None stands for the default of spectral_sequence, which
+    always reaches it."""
+    if bound < 0:
+        raise InputError("need bound >= 0")
+    if r_max is not None and r_max < truncation + 1:
+        raise InputError("need pages through truncation + 1")
+
+
 def fringe_filtration_check(result: SpectralSequence, bound: int) -> dict:
     """Bookkeeping over the computed pages for the diagonal entries.
 
@@ -372,11 +385,8 @@ def fringe_filtration_check(result: SpectralSequence, bound: int) -> dict:
     such r satisfies r <= s - 1.  No entries to scan gives a vacuously
     passing report.
     """
-    if bound < 0:
-        raise InputError("need bound >= 0")
+    check_fringe_request(result.truncation, result.r_max, bound)
     stable_r = result.truncation + 1
-    if result.r_max < stable_r:
-        raise InputError("need pages through truncation + 1")
     rows = []
     second = result.page(2).entries if result.r_max >= 2 else ()
     for (s, t), start in second:

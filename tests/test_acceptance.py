@@ -17,7 +17,6 @@ import test_cover
 import test_mutation
 from tottower.constructions import corpus, quasi_iso_pairs
 from tottower.cosimplicial import (
-    conormalize,
     quasi_iso_invariance,
     shift_check,
     tower,
@@ -170,10 +169,10 @@ def test_acceptance_fiber_identification(gate):
                 assert all(r <= 4 for r in level.ranks)
                 assert level.lo >= -3
                 assert level.lo + len(level.ranks) - 1 <= 3
-            conorm = conormalize(x)
+            conorm = x.conormalization
             for m in range(1, x.truncation + 1):
                 fib = _nonzero(
-                    tower_fiber(x, m - 1, m, conorm).homology_all())
+                    tower_fiber(x, m - 1, m).homology_all())
                 piece = _nonzero(conorm.pieces[m].homology_all())
                 assert fib == {d - m: g for d, g in piece.items()}
 

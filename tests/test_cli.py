@@ -529,6 +529,9 @@ REPORT_SHA256 = {
     ("ss", "corpus_8"):
         "2a111874663e8f0cf51aa6a7c76c18cbc4539c8944f550f875606a1482f6fc45",
 }
+# ss --pages 8 on cech_3_3: pages 5..8 are copies of the stable page 4
+PAGES_8_SHA256 = \
+    "18bc168316791415e7779db5e71f7a2d9fd6899e5b2388754b75e6ba372370aa"
 
 
 def test_report_bytes_are_pinned(tmp_path, capsys):
@@ -552,6 +555,9 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
                 (command, name, warm)
             assert (memo.cache_info().misses == misses) == warm
     assert "Z/" in run(["ss", files["corpus_8"]], capsys)[1]
+    code, out, err = run(["ss", "--pages", "8", files["cech_3_3"]], capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == PAGES_8_SHA256
 
 
 # sha256 of the simplicial reports, computed before vertices were coded
@@ -687,28 +693,69 @@ def test_many_facets_under_the_face_cap_are_refused_quickly(tmp_path, capsys):
                          f"complex has more than {simplicial.MAX_FACES} faces")
 
 
+def level_file(tmp_path, name, levels):
+    """Levels of one degree each, given as (lowest degree, rank), with
+    zero structure maps."""
+    return write_json(tmp_path, name, {
+        "truncation": len(levels) - 1,
+        "levels": [{"lo": lo, "ranks": [r], "boundaries": []}
+                   for lo, r in levels],
+        "cofaces": [[{}] * (k + 2) for k in range(len(levels) - 1)],
+        "codegeneracies": [[{}] * (k + 1) for k in range(len(levels) - 1)],
+    })
+
+
 def test_declared_rank_past_the_cap_is_refused_quickly(tmp_path, capsys):
-    def level_file(name, levels):
-        return write_json(tmp_path, name, {
-            "truncation": len(levels) - 1,
-            "levels": [{"lo": lo, "ranks": [r], "boundaries": []}
-                       for lo, r in levels],
-            "cofaces": [[{}] * (k + 2) for k in range(len(levels) - 1)],
-            "codegeneracies": [[{}] * (k + 1) for k in range(len(levels) - 1)],
-        })
     cap = cosimplicial.MAX_RANK
-    path = level_file("huge.json", [(0, 10 ** 8)])
+    path = level_file(tmp_path, "huge.json", [(0, 10 ** 8)])
     for command in ("tot", "ss"):
         assert_quick_refusal([command, path], capsys, "rank 100000000")
-    path = level_file("over.json", [(0, cap + 1)])
+    path = level_file(tmp_path, "over.json", [(0, cap + 1)])
     assert_quick_refusal(["tot", path], capsys, f"rank {cap + 1}")
-    path = level_file("at.json", [(0, cap)])
+    path = level_file(tmp_path, "at.json", [(0, cap)])
     assert run_report(["tot", path], capsys)["stages"] == {"0": {"0": f"Z^{cap}"}}
     # level s at degree k + s lands in totalization degree k
     half = cap // 2 + 1
-    path = level_file("sum.json", [(0, half), (1, half)])
+    path = level_file(tmp_path, "sum.json", [(0, half), (1, half)])
     assert_quick_refusal(["tot", path], capsys,
                          f"rank {2 * half} at totalization degree 0")
+
+
+def test_truncation_past_the_cap_is_refused_quickly(tmp_path, capsys):
+    # empty levels cost a few bytes each, and the identities are checked
+    # in time cubic in the truncation
+    cap = cosimplicial.MAX_TRUNCATION
+    for m in (80, cap + 1):
+        path = level_file(tmp_path, f"m{m}.json", [(0, 0)] * (m + 1))
+        for command in ("tot", "ss"):
+            assert_quick_refusal([command, path], capsys,
+                                 f"the truncation is {m}")
+    path = level_file(tmp_path, "at.json", [(0, 0)] * (cap + 1))
+    for command in ("tot", "ss"):
+        assert run_report([command, path], capsys)["truncation"] == cap
+
+
+def test_totalization_span_past_the_cap_is_refused_quickly(tmp_path, capsys):
+    # one level at degree lo spans lo totalization degrees with level 0
+    cap = cosimplicial.MAX_TOT_SPAN
+    for lo in (10 ** 5, cap + 1):
+        path = level_file(tmp_path, f"lo{lo}.json", [(0, 0), (lo, 1)])
+        for command in ("tot", "ss"):
+            assert_quick_refusal([command, path], capsys,
+                                 f"span {lo} totalization degrees")
+    path = level_file(tmp_path, "at.json", [(0, 0), (cap, 1)])
+    for command in ("tot", "ss"):
+        assert run_report([command, path], capsys)["truncation"] == 1
+    # a level's own degrees are refused before its boundaries are built
+    n = 10 ** 5
+    path = write_json(tmp_path, "degrees.json", {
+        "truncation": 0,
+        "levels": [{"lo": 0, "ranks": [0] * n, "boundaries": [[]] * (n - 1)}],
+        "cofaces": [],
+        "codegeneracies": [],
+    })
+    for command in ("tot", "ss"):
+        assert_quick_refusal([command, path], capsys, f"declares {n} degrees")
 
 
 def test_total_declared_rank_past_the_cap_is_refused_quickly(
@@ -731,9 +778,15 @@ def test_total_declared_rank_past_the_cap_is_refused_quickly(
                              f"rank {6 * cap} in all")
 
 
-def test_tot_fiber_window_validated(tmp_path, capsys):
+def test_tot_fiber_window_validated(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad fiber window must not build this")
+
     path = cech_file(tmp_path)
+    # the window is checked before any conormalization
+    monkeypatch.setattr(cosimplicial, "conormalize", refuse)
     assert run(["tot", "--fiber", "2", "1", path], capsys)[0] == 2
+    assert_one_line_input_error(["tot", "--fiber", "3", "1", path], capsys)
 
 
 def test_broken_identities_are_invariant_violations(tmp_path, capsys):
@@ -745,6 +798,20 @@ def test_broken_identities_are_invariant_violations(tmp_path, capsys):
 
 
 # -- ss -----------------------------------------------------------------------
+
+def test_ss_fringe_is_checked_before_any_page(tmp_path, capsys,
+                                              monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad fringe request must not build pages")
+
+    path = cech_file(tmp_path, truncation=4)
+    monkeypatch.setattr(spectral, "spectral_sequence", refuse)
+    err = assert_one_line_input_error(["ss", "--fringe", "-1", path], capsys)
+    assert "need bound >= 0" in err
+    err = assert_one_line_input_error(
+        ["ss", "--pages", "2", "--fringe", "0", path], capsys)
+    assert "need pages through truncation + 1" in err
+
 
 def test_ss_constant_collapses(tmp_path, capsys):
     path = constant_file(tmp_path)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tottower import cosimplicial
 from tottower.abelian import HomologyGroup
 from tottower.chains import ChainComplexInt, chain_map, identity_chain_map
 from tottower.constructions import (
@@ -33,6 +34,7 @@ from tottower.cosimplicial import (
 )
 from tottower.errors import InputError, PreconditionError
 from tottower.intlinalg import IntMatrix
+from tottower.spectral import spectral_sequence
 
 CORPUS = corpus(seed=20250811, count=14)
 ZERO_COMPLEX = ChainComplexInt(0, (0,), ())
@@ -195,11 +197,37 @@ def test_corpus_conormalization_recovers_input(obj):
     assert conorm.deltas == obj.deltas
 
 
+@pytest.mark.parametrize("x", [obj.x for obj in CORPUS] + [
+    cech_object(n, top) for n in (1, 2, 3) for top in (1, 2, 3)
+])
+def test_cached_conormalization_is_conormalize(x):
+    assert x.conormalization == conormalize(x)
+    assert x.conormalization is x.conormalization
+
+
+def test_one_conormalization_per_object(monkeypatch):
+    """The example session of the README, plus a stage and the matching
+    check, conormalizes its object once."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return conormalize(x)
+
+    monkeypatch.setattr(cosimplicial, "conormalize", counted)
+    x = cech_object(3, 2)
+    tower(x).stage(2).homology_all()
+    tower_fiber(x, 1, 2).homology_all()
+    spectral_sequence(x).to_data()
+    tot_n(x, 1)
+    assert matching_kernel_agrees(x, 1)
+    assert calls == [x]
+
+
 @pytest.mark.parametrize("obj", CORPUS, ids=lambda o: o.name)
 def test_corpus_matching_kernels(obj):
-    conorm = conormalize(obj.x)
     for m in range(obj.x.truncation):
-        assert matching_kernel_agrees(obj.x, m, conorm)
+        assert matching_kernel_agrees(obj.x, m)
 
 
 @pytest.mark.parametrize("obj", CORPUS, ids=lambda o: o.name)
@@ -211,9 +239,9 @@ def test_corpus_stage_zero_is_level_zero(obj):
 def test_corpus_adjacent_fiber_is_piece(obj):
     """The fiber over one tower step is the next conormalized piece,
     reindexed; homology groups must agree on the nose."""
-    conorm = conormalize(obj.x)
+    conorm = obj.x.conormalization
     for m in range(1, obj.x.truncation + 1):
-        fib = tower_fiber(obj.x, m - 1, m, conorm)
+        fib = tower_fiber(obj.x, m - 1, m)
         piece = conorm.pieces[m]
         assert groups_agree(fib.homology_all(), piece.homology_all(),
                             offset=-m)
@@ -228,12 +256,12 @@ def test_corpus_fiber_includes_into_stage(obj):
 
     The ChainMap constructor checks both the shapes, which ties the
     fiber's ranks to the tail, and the commuting with the boundaries."""
-    conorm = conormalize(obj.x)
-    tw = tower(obj.x, conorm)
+    conorm = obj.x.conormalization
+    tw = tower(obj.x)
     for m in range(1, obj.x.truncation + 1):
         win = StripeWindow(conorm, -1, m)
         for n in range(m):
-            fib = tower_fiber(obj.x, n, m, conorm)
+            fib = tower_fiber(obj.x, n, m)
             incl = chain_map(fib, tw.stage(m), {
                 k: win.tail(n + 1, k) for k in win.blocks
             })

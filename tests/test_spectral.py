@@ -134,6 +134,30 @@ def test_page_index_validation():
         spectral_sequence(cech_object(2, 1), r_max=0)
 
 
+@pytest.mark.parametrize("x", [obj.x for obj in CORPUS] + [
+    cech_object(3, 3), cech_object(2, 4),
+])
+def test_pages_past_stabilization_are_the_stable_page(x):
+    """Past page truncation + 1 every spot is presented by the lattices
+    of the stable page, so spectral_sequence copies that page instead of
+    building the later ones."""
+    top = x.truncation
+    fil = spectral._Filtration(x.conormalization)
+    for k, blocks in fil.win.blocks.items():
+        for s, rank in blocks:
+            if not rank:
+                continue
+            stable = fil.page_spot(s, top + 1, k)
+            for r in range(top + 2, top + 6):
+                spot = fil.page_spot(s, r, k)
+                assert (spot.orders, spot.gens) == \
+                    (stable.orders, stable.gens)
+    result = spectral_sequence(x, r_max=top + 5)
+    for r in range(top + 2, top + 6):
+        assert result.page(r).entries == result.page(top + 1).entries
+        assert result.page(r).differentials == ()
+
+
 @pytest.mark.parametrize("obj", CORPUS, ids=lambda o: o.name)
 def test_corpus_second_page_matches_level_homology(obj):
     """The page built from the filtration must agree with the cohomology
