@@ -223,6 +223,9 @@ def cmd_cover(args) -> dict:
         piece_facets.append([facets[i] for i in indices])
     if "basepoint" in data:
         basepoint = label_from_data(data["basepoint"])
+    if basepoint is None:
+        raise InputError("a cover needs a basepoint, in the cover or in "
+                         "its complex")
     cov = cover_from_subcomplexes(space, piece_facets, basepoint)
     return verify_cover_theorem(cov, args.r).to_data()
 
@@ -376,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True,
                    help="intersection depth to test for acyclicity")
     p.add_argument("file",
-                   help="cover JSON: {complex, pieces, basepoint?}")
+                   help="cover JSON: {complex, pieces, basepoint}; the "
+                        "basepoint may sit in the complex instead")
 
     p = add("tot", "totalization tower of a cosimplicial object", cmd_tot)
     p.add_argument("--fiber", nargs=2, type=int, metavar=("N", "M"),

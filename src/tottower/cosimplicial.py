@@ -82,11 +82,11 @@ MAX_RANK = 16_384
 # walks each degree of the span: 81 empty levels (30 KB) took 11 s through
 # tot and ss, and an empty level 0 under a rank-1 level at degree 1000
 # (167 bytes) took 15 s through ss.  At both caps, on a 2-vCPU Xeon VM
-# with Python 3.11, 9 levels of 32 empty degrees take 0.46 s through tot
-# or ss, and a constant object on 24 degrees of rank 2 takes 0.53 s
-# through tot and 0.59 s through ss.  The corpus and the tests reach
-# truncation 5 and span 11, the Cech inputs of the benchmark truncation 4
-# and span 5.
+# with Python 3.11, 9 levels of 32 empty degrees take 0.17 s through tot
+# and 0.23 s through ss, and a constant object on 24 degrees of rank 2
+# takes 0.32 s through tot and 0.42 s through ss.  The corpus and the
+# tests reach truncation 5 and span 11, the Cech inputs of the benchmark
+# truncation 4 and span 5.
 MAX_TRUNCATION = 8
 MAX_TOT_SPAN = 32
 
@@ -98,9 +98,9 @@ class CosimplicialChain:
     cofaces[k] lists d^0..d^{k+1}: X^k -> X^{k+1};
     codegeneracies[k] lists s^0..s^k: X^{k+1} -> X^k.
 
-    Entries are ChainMaps, so commuting with the boundaries is enforced
-    at construction; the cosimplicial identities are checked separately
-    by validate_cosimplicial.
+    Entries are ChainMaps; commuting with the boundaries is checked as
+    a map is read from JSON, the cosimplicial identities separately by
+    validate_cosimplicial.
     """
 
     levels: tuple
@@ -152,8 +152,8 @@ def validate_cosimplicial(x: CosimplicialChain):
     """Check every cosimplicial identity by matrix multiplication.
 
     Returns (ok, violations); each violation names the identity and the
-    level it fails at.  Chain-map commuting is already enforced by the
-    ChainMap constructor, so only the simplicial relations are at stake.
+    level it fails at.  Chain-map commuting is checked as a map is read
+    from JSON, so only the simplicial relations are at stake.
     """
     violations = []
     m = x.truncation
@@ -685,7 +685,9 @@ def _map_from_data(src, dst, data) -> ChainMap:
         if mats[k].shape != shape:  # chain_map drops zero maps unchecked
             raise InputError(f"component in degree {k} has shape "
                              f"{mats[k].shape}, expected {shape}")
-    return chain_map(src, dst, mats)
+    f = chain_map(src, dst, mats)
+    f.check_commutes()
+    return f
 
 
 def cosimplicial_to_data(x: CosimplicialChain) -> dict:
@@ -751,16 +753,28 @@ def _check_tot_ranks(levels) -> None:
         )
 
 
+def _located(where: str, read, *args):
+    """read(*args), with where the object sits put before the message of
+    any InvariantError it raises."""
+    try:
+        return read(*args)
+    except InvariantError as exc:
+        raise InvariantError(f"{where}: {exc}") from None
+
+
 def cosimplicial_from_data(data) -> CosimplicialChain:
     """Read a cosimplicial object from JSON data.  A degree-table value may
-    already be an IntMatrix read by degree_table_hook."""
+    already be an IntMatrix read by degree_table_hook.  A level that does
+    not square to zero, or a map that does not commute, is named."""
     raw_levels, truncation, raw_cofaces, raw_codegens = (
         field(data, key, "cosimplicial")
         for key in ("levels", "truncation", "cofaces", "codegeneracies")
     )
-    levels = tuple(map(_level_from_data, checked(
-        raw_levels, list, "'levels' must be a list of chain complexes"
-    )))
+    levels = tuple(
+        _located(f"level {s}", _level_from_data, level)
+        for s, level in enumerate(checked(
+            raw_levels, list, "'levels' must be a list of chain complexes"
+        )))
     checked(truncation, int, "'truncation' must be an integer")
     if truncation != len(levels) - 1:
         raise InputError("truncation does not match level count")
@@ -771,11 +785,13 @@ def cosimplicial_from_data(data) -> CosimplicialChain:
         if len(table) != truncation:
             raise InputError("map tables must cover levels 0..M-1")
     cofaces = tuple(
-        tuple(_map_from_data(src, dst, d) for d in row)
-        for src, dst, row in zip(levels, levels[1:], raw_cofaces)
-    )
+        tuple(_located(f"coface {i} out of level {k}",
+                       _map_from_data, levels[k], levels[k + 1], d)
+              for i, d in enumerate(row))
+        for k, row in enumerate(raw_cofaces))
     codegeneracies = tuple(
-        tuple(_map_from_data(src, dst, d) for d in row)
-        for src, dst, row in zip(levels[1:], levels, raw_codegens)
-    )
+        tuple(_located(f"codegeneracy {i} out of level {k + 1}",
+                       _map_from_data, levels[k + 1], levels[k], d)
+              for i, d in enumerate(row))
+        for k, row in enumerate(raw_codegens))
     return CosimplicialChain(levels, cofaces, codegeneracies)

@@ -74,10 +74,6 @@ def label_key(v):
     raise InputError(f"unsupported vertex label of type {type(v).__name__}")
 
 
-def _facet_key(f):
-    return tuple(label_key(v) for v in f)
-
-
 def _code_table(labels) -> dict:
     """Each distinct label -> its rank in label_key order.
 
@@ -92,49 +88,14 @@ class SimplicialComplex:
     """Facet list in canonical form, optionally pointed.
 
     Facets are key-sorted tuples, listed in key order, mutually
-    incomparable under containment.  Use ``complex_from_facets`` to build
-    one from raw data; the constructor itself insists on canonical input.
-    The empty complex (no facets) is allowed.
+    incomparable under containment, and the basepoint, if any, is one of
+    their vertices.  The constructor trusts its caller for all of this;
+    ``complex_from_facets`` is the checked entry point, which builds that
+    form from raw data.  The empty complex (no facets) is allowed.
     """
 
     facets: tuple
     basepoint: object = None
-
-    def __post_init__(self):
-        prev = None
-        sets = []
-        for f in self.facets:
-            if not isinstance(f, tuple) or not f:
-                raise InputError("facets must be nonempty tuples")
-            key = _facet_key(f)
-            if list(key) != sorted(key):
-                raise InputError(f"facet {f!r} is not in canonical order")
-            if len(set(f)) != len(f):
-                raise InputError(f"facet {f!r} repeats a vertex")
-            if prev is not None and prev >= key:
-                raise InputError("facet list is not sorted, or repeats")
-            prev = key
-            sets.append(frozenset(f))
-        # containment can only pair facets of different sizes
-        by_size = {}
-        for s in sets:
-            by_size.setdefault(len(s), []).append(s)
-        for small_size, smalls in by_size.items():
-            for big_size, bigs in by_size.items():
-                if big_size <= small_size:
-                    continue
-                for s in smalls:
-                    for b in bigs:
-                        if s <= b:
-                            raise InputError(
-                                "facet contained in another facet"
-                            )
-        if self.basepoint is not None:
-            verts = set()
-            for f in self.facets:
-                verts.update(f)
-            if self.basepoint not in verts:
-                raise InputError("basepoint is not a vertex")
 
     @cached_property
     def _coded(self) -> tuple:
@@ -193,7 +154,8 @@ class SimplicialComplex:
 def complex_from_facets(facets, basepoint=None) -> SimplicialComplex:
     """Canonicalize raw facets: sort, deduplicate, absorb contained ones.
 
-    A facet with a repeated vertex is an error, not something to clean up.
+    A facet with a repeated vertex is an error, not something to clean up,
+    and so is a basepoint that is not a vertex.
     """
     raw = []
     for f in facets:
@@ -206,6 +168,8 @@ def complex_from_facets(facets, basepoint=None) -> SimplicialComplex:
             raise InputError(f"facet {f!r} repeats a vertex")
         raw.append(f)
     code = _code_table(v for f in raw for v in f)
+    if basepoint is not None and basepoint not in code:
+        raise InputError("basepoint is not a vertex")
     labels = tuple(code)
     canon = sorted({tuple(sorted(map(code.__getitem__, f))) for f in raw})
     by_size: dict = {}

@@ -10,8 +10,13 @@ from tottower.chains import (
     chain_map,
     identity_chain_map,
 )
-from tottower.constructions import corpus
-from tottower.cosimplicial import tower, tower_fiber
+from tottower.constructions import constant_object, corpus
+from tottower.cosimplicial import (
+    cosimplicial_from_data,
+    cosimplicial_to_data,
+    tower,
+    tower_fiber,
+)
 from tottower.errors import InputError, InvariantError
 from tottower.intlinalg import (
     IntMatrix,
@@ -47,9 +52,16 @@ def test_circle_homology():
 
 
 def test_boundary_squared_checked():
+    # the constructor trusts its caller; the law is checked by
+    # check_square_zero, which from_data runs on data from outside
     d2 = IntMatrix.from_rows([[1], [0], [0]])
-    with pytest.raises(InvariantError):
-        ChainComplexInt(0, (3, 3, 1), (circle_complex().boundary(1), d2))
+    bad = ChainComplexInt(0, (3, 3, 1), (circle_complex().boundary(1), d2))
+    message = "boundary squared is nonzero at degree 2"
+    with pytest.raises(InvariantError, match=message):
+        bad.check_square_zero()
+    with pytest.raises(InvariantError, match=message):
+        ChainComplexInt.from_data(bad.to_data())
+    circle_complex().check_square_zero()
 
 
 def test_shape_validation():
@@ -129,10 +141,19 @@ def test_identity_map_induces_isos(draw_mats):
 
 
 def test_chain_map_must_commute():
+    # the constructor trusts its caller; the law is checked by
+    # check_commutes, which cosimplicial_from_data runs on every map
     c = circle_complex()
-    bad = {1: IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])}
-    with pytest.raises(InvariantError):
-        chain_map(c, c, bad)
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+    message = "boundaries do not commute with the map in degree 1"
+    with pytest.raises(InvariantError, match=message):
+        chain_map(c, c, {1: IntMatrix.from_rows(rows)}).check_commutes()
+    identity_chain_map(c).check_commutes()
+    data = cosimplicial_to_data(constant_object(c, 1))
+    data["cofaces"][0][0] = {"1": rows}
+    with pytest.raises(InvariantError,
+                       match=f"^coface 0 out of level 0: {message}$"):
+        cosimplicial_from_data(data)
 
 
 def test_chain_map_compose_and_sum():

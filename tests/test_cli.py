@@ -344,6 +344,17 @@ def test_cover_schema_errors(tmp_path, capsys):
     assert run(["cover", "--r", "1", path], capsys)[0] == 2
 
 
+def test_cover_without_a_basepoint_is_refused(tmp_path, capsys):
+    # every piece must hold the basepoint, so a cover with none can never
+    # be read
+    path = write_json(tmp_path, "unpointed.json", {
+        "complex": {"facets": [[0, 1], [1, 2]]},
+        "pieces": [[0], [1]],
+    })
+    err = assert_one_line_input_error(["cover", "--r", "1", path], capsys)
+    assert "a cover needs a basepoint, in the cover or in its complex" in err
+
+
 def assert_one_line_input_error(argv, capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
@@ -795,6 +806,34 @@ def test_broken_identities_are_invariant_violations(tmp_path, capsys):
     path = write_json(tmp_path, "broken.json", data)
     assert run(["tot", path], capsys)[0] == 3
     assert run(["ss", path], capsys)[0] == 3
+
+
+def test_law_failures_name_the_level_or_map(tmp_path, capsys):
+    # a level must square to zero and a map commute with the boundaries;
+    # each is checked as it is read, and the message says where it sits
+    def constant(ranks, rows, truncation):
+        level = ChainComplexInt.from_data(
+            {"lo": 0, "ranks": ranks, "boundaries": rows})
+        return cosimplicial_to_data(constant_object(level, truncation))
+
+    cases = []
+    data = constant([1, 1, 1], [[[0]], [[0]]], 2)
+    data["levels"][1]["boundaries"] = [[[1]], [[1]]]
+    cases.append((data, "level 1: boundary squared is nonzero at degree 2"))
+    data = constant([1, 1], [[[1]]], 1)
+    data["cofaces"][0][1] = {"0": [[1]]}
+    cases.append((data, "coface 1 out of level 0: boundaries do not "
+                        "commute with the map in degree 1"))
+    data = constant([1, 1], [[[1]]], 1)
+    data["codegeneracies"][0][0] = {"1": [[1]]}
+    cases.append((data, "codegeneracy 0 out of level 1: boundaries do not "
+                        "commute with the map in degree 1"))
+    for data, message in cases:
+        path = write_json(tmp_path, "law.json", data)
+        for command in ("tot", "ss"):
+            code, out, err = run([command, path], capsys)
+            assert (code, out) == (3, "")
+            assert err == f"invariant violation: {message}\n"
 
 
 # -- ss -----------------------------------------------------------------------

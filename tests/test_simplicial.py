@@ -66,11 +66,53 @@ def test_canonicalization_absorbs_faces():
         complex_from_facets([[1, 2]], basepoint=7)
 
 
+# -- the canonical-form check before the constructor trusted its facets ------
+# kept verbatim from SimplicialComplex.__post_init__ as the oracle for every
+# complex the package builds; data from outside reaches a complex only
+# through complex_from_facets, which builds the canonical form and checks
+# the basepoint
+
+def reference_canonical_check(self):
+    prev = None
+    sets = []
+    for f in self.facets:
+        if not isinstance(f, tuple) or not f:
+            raise InputError("facets must be nonempty tuples")
+        key = _facet_key(f)
+        if list(key) != sorted(key):
+            raise InputError(f"facet {f!r} is not in canonical order")
+        if len(set(f)) != len(f):
+            raise InputError(f"facet {f!r} repeats a vertex")
+        if prev is not None and prev >= key:
+            raise InputError("facet list is not sorted, or repeats")
+        prev = key
+        sets.append(frozenset(f))
+    # containment can only pair facets of different sizes
+    by_size = {}
+    for s in sets:
+        by_size.setdefault(len(s), []).append(s)
+    for small_size, smalls in by_size.items():
+        for big_size, bigs in by_size.items():
+            if big_size <= small_size:
+                continue
+            for s in smalls:
+                for b in bigs:
+                    if s <= b:
+                        raise InputError(
+                            "facet contained in another facet"
+                        )
+
+
 def test_direct_constructor_rejects_non_canonical():
-    with pytest.raises(InputError):
-        SimplicialComplex(((2, 1),))
-    with pytest.raises(InputError):
-        SimplicialComplex(((1, 2), (1, 2, 3)))
+    for facets, message in ((((2, 1),), "not in canonical order"),
+                            (((1, 2), (1, 2, 3)), "contained in another"),
+                            (((1, 2), (0, 1)), "not sorted, or repeats"),
+                            (((1, 1),), "repeats a vertex"),
+                            (((),), "nonempty tuples")):
+        with pytest.raises(InputError, match=message):
+            reference_canonical_check(SimplicialComplex(facets))
+    reference_canonical_check(RP2)
+    reference_canonical_check(complex_from_facets([]))
 
 
 def test_circle_homology():
@@ -266,6 +308,8 @@ def reference_complex_from_facets(facets, basepoint=None):
                 break
         if not absorbed:
             keep.append(f)
+    if basepoint is not None and basepoint not in {v for f in keep for v in f}:
+        raise InputError("basepoint is not a vertex")
     return SimplicialComplex(tuple(keep), basepoint)
 
 
