@@ -37,21 +37,24 @@ STABLE_MODEL_DISCLAIMER = (
 
 # -- plumbing -----------------------------------------------------------------
 
-def _load_json(path: str, object_hook=None):
+def _load_json(path: str, decoder=None):
     # Decoded JSON holds no reference cycles, so the cyclic collector is
     # paused while it is built: otherwise it walks every parsed row again
     # and again.  Its previous state comes back however the parse ends.
+    # decoder is a json.JSONDecoder class; None is the plain one.
     collecting = gc.isenabled()
     gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_hook=object_hook)
+            return json.load(fh, cls=decoder)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise InputError(f"{path} holds a number too long to read: {exc}")
     except RecursionError:
         raise InputError(f"{path} is nested too deeply to read")
     finally:
@@ -233,10 +236,10 @@ def cmd_cover(args) -> dict:
 # -- tot ----------------------------------------------------------------------
 
 def _load_cosimplicial(path: str):
-    from .cosimplicial import (cosimplicial_from_data, degree_table_hook,
+    from .cosimplicial import (CosimplicialDecoder, cosimplicial_from_data,
                                validate_cosimplicial)
 
-    x = cosimplicial_from_data(_load_json(path, degree_table_hook))
+    x = cosimplicial_from_data(_load_json(path, CosimplicialDecoder))
     ok, violations = validate_cosimplicial(x)
     if not ok:
         raise InvariantError(

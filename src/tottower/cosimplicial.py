@@ -23,8 +23,12 @@ n+1..m, entry for entry.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from json.decoder import WHITESPACE, JSONArray, JSONObject
+from json.scanner import make_scanner
 
 from .abelian import HomologyGroup
 from .chains import (
@@ -58,6 +62,7 @@ __all__ = [
     "quasi_iso_invariance",
     "cosimplicial_to_data",
     "cosimplicial_from_data",
+    "CosimplicialDecoder",
     "MAX_RANK",
     "MAX_TRUNCATION",
     "MAX_TOT_SPAN",
@@ -639,28 +644,163 @@ def _map_to_data(f: ChainMap) -> dict:
     return {str(k): mat.to_rows() for k, mat in f.comps}
 
 
-def degree_table_hook(obj: dict) -> dict:
-    """A json ``object_hook`` that reads each value of a degree table as
-    an IntMatrix while the document is parsed, so a table's rows are freed
-    before the next table is read.
+def _degree_table(pairs) -> dict:
+    """The object of the given pairs, with each value of a degree table
+    read as an IntMatrix.
 
-    A degree table is an object whose every key passes degree_key.  Each
-    value goes through IntMatrix.from_rows, which checks every cell and
-    takes the column count from the first row; _map_from_data checks that
-    count against the source level.  A value from_rows refuses stays as
-    parsed, and so does every value of a table with a bad key, so
-    _map_from_data reports it exactly as it would without the hook."""
+    A degree table is an object whose every key passes degree_key.  A
+    value _dense_rows did not read goes through IntMatrix.from_rows, which
+    checks every cell and takes the column count from the first row;
+    _map_from_data checks that count against the source level.  A value
+    from_rows refuses stays as parsed, and every value of an object with
+    another key is as parsed, so _map_from_data reports it exactly as it
+    would from the plain parse."""
+    table = dict(pairs)
     try:
-        for key in obj:
+        for key in table:
             degree_key(key)
     except InputError:
-        return obj
-    for key, rows in obj.items():
-        try:
-            obj[key] = IntMatrix.from_rows(rows)
-        except InputError:
-            pass
-    return obj
+        for key, value in table.items():
+            if type(value) is IntMatrix:
+                table[key] = value.to_rows()
+        return table
+    for key, rows in table.items():
+        if type(rows) is not IntMatrix:
+            try:
+                table[key] = IntMatrix.from_rows(rows)
+            except InputError:
+                pass
+    return table
+
+
+# Every digit but 0 becomes "-", so a nonzero cell starts at a "-" of the
+# marked text and a zero cell has none.
+_MARK_NONZERO = str.maketrans("123456789", "-" * 9)
+# A nonzero cell in the form json.dumps writes an int.  Eighteen digits at
+# most, so int() never refuses it; a longer one is left to the C scanner.
+_NONZERO_CELL = re.compile(r"-?[1-9][0-9]{0,17}").fullmatch
+
+
+# For each separator, zero cells followed by it, enough to fill a row of
+# MAX_RANK cells; a wider row is left to the C scanner.
+_ZERO_CELLS = {sep: ("0" + sep) * MAX_RANK for sep in (", ", ",")}
+
+
+def _dense_rows(s: str, idx: int):
+    """(IntMatrix, end) for the rows of integers at s[idx:], written as
+    json.dumps writes them with either separator, or None.
+
+    Row by row, string operations find the row's end and each nonzero
+    cell, and the zeros between nonzero cells are compared with a slice
+    of _ZERO_CELLS, so no object is made for a zero cell.  Rows in any
+    other spelling, ragged rows and empty rows give None, and the caller
+    parses the value as JSON.  Only slices are taken, so nothing here
+    raises, and no search runs past the end of the row it reads."""
+    comma = s.find(",", idx, s.find("]", idx) + 2)
+    sep = ", " if s.startswith(", ", comma) else ","
+    zeros = _ZERO_CELLS[sep]
+    width = len(sep)
+    stride = width + 1
+    entries = []
+    ncols = None
+    i = 0
+    p = idx + 1  # the opening bracket of row i
+    while s.startswith("[", p):
+        end = s.find("]", p)
+        if end < 0:
+            return None
+        row = s[p + 1:end]
+        marks = row.translate(_MARK_NONZERO)
+        stop = len(row)
+        pos = j = 0
+        while True:
+            a = marks.find("-", pos)
+            if a < 0:  # zero cells up to the end of the row
+                n = stop - pos
+                if not n or (n + width) % stride or not zeros.startswith(
+                        row[pos:]):
+                    return None
+                j += (n + width) // stride
+                break
+            n = a - pos
+            if n % stride or not zeros.startswith(row[pos:a]):
+                return None
+            j += n // stride
+            b = row.find(",", a)
+            if b < 0:
+                b = stop
+            cell = row[a:b]
+            if not _NONZERO_CELL(cell):
+                return None
+            entries.append((i, j, int(cell)))
+            j += 1
+            if b == stop:
+                break
+            if not row.startswith(sep, b):
+                return None
+            pos = b + width
+        if ncols is None:
+            ncols = j
+        elif j != ncols:
+            return None
+        i += 1
+        if s.startswith("]", end + 1):
+            return IntMatrix(i, ncols, tuple(entries)), end + 2
+        if not s.startswith(sep, end + 1):
+            return None
+        p = end + 1 + width
+    return None
+
+
+# How deep the decoder walks in Python.  A degree table is the fourth
+# container down: the document, a map table such as "cofaces", one row of
+# that table, the degree table.
+_WALK_DEPTH = 4
+
+
+class CosimplicialDecoder(json.JSONDecoder):
+    """The JSON decoder of cosimplicial objects: it reads each value of a
+    degree table as an IntMatrix while the document is parsed, so a
+    table's rows are never built as lists.
+
+    It gives what json.loads gives, except that each degree-table value
+    from_rows accepts is that IntMatrix.  Objects, and arrays whose first
+    item is an array or an object, are walked in Python down to
+    _WALK_DEPTH; every other value, and everything deeper, goes to the
+    stdlib's C scanner, which calls _degree_table on each object it
+    reads.  An object value that opens with two brackets is tried by
+    _dense_rows first, and parsed by the C scanner if that refuses it.
+    It raises what json.loads raises on the same text, and never
+    InputError: a value from_rows refuses is left as parsed."""
+
+    def __init__(self):
+        super().__init__(object_pairs_hook=_degree_table)
+        c_scan = make_scanner(self)
+        scan = c_scan
+        for _ in range(_WALK_DEPTH):
+            scan = self._walker(scan, c_scan)
+        self.scan_once = scan
+
+    def _walker(self, inner, c_scan):
+        """A scan_once that walks a container in Python and reads what it
+        holds with inner."""
+        strict, memo = self.strict, self.memo
+
+        def value(s, idx):
+            if s.startswith("[[", idx) and not s.startswith(
+                    ("[[[", "[[{"), idx):
+                return _dense_rows(s, idx) or c_scan(s, idx)
+            return inner(s, idx)
+
+        def scan(s, idx):
+            if s.startswith("{", idx):
+                return JSONObject((s, idx + 1), strict, value, None,
+                                  _degree_table, memo)
+            if s.startswith("[", idx) and s.startswith(
+                    ("[", "{"), WHITESPACE.match(s, idx + 1).end()):
+                return JSONArray((s, idx + 1), inner)
+            return c_scan(s, idx)
+        return scan
 
 
 def _map_from_data(src, dst, data) -> ChainMap:
@@ -678,7 +818,7 @@ def _map_from_data(src, dst, data) -> ChainMap:
         if type(rows) is not IntMatrix:
             mats[k] = IntMatrix.from_rows(rows, ncols=ncols)
         elif rows.ncols == ncols:
-            mats[k] = rows  # read by degree_table_hook
+            mats[k] = rows  # read by CosimplicialDecoder
         else:  # what from_rows says of rows of the wrong length
             raise InputError(f"matrix row 0 is not {ncols} integers")
         shape = (dst.rank(k), ncols)
@@ -764,7 +904,7 @@ def _located(where: str, read, *args):
 
 def cosimplicial_from_data(data) -> CosimplicialChain:
     """Read a cosimplicial object from JSON data.  A degree-table value may
-    already be an IntMatrix read by degree_table_hook.  A level that does
+    already be an IntMatrix read by CosimplicialDecoder.  A level that does
     not square to zero, or a map that does not commute, is named."""
     raw_levels, truncation, raw_cofaces, raw_codegens = (
         field(data, key, "cosimplicial")

@@ -71,8 +71,10 @@ class FinPoset:
     """Partial order on a canonical tuple of elements.
 
     down[i] is the bitmask of indices j with elements[j] <= elements[i].
-    The constructor verifies reflexivity, transitivity and antisymmetry,
-    so holding a FinPoset is holding a proof that the relation is one.
+    The constructor checks the elements, the mask count and reflexivity.
+    It trusts transitivity and antisymmetry: poset_from_relation, the one
+    reader of an outside relation, closes it and refuses a cycle, and
+    full_subposet restricts a relation that has both.
     """
 
     elements: tuple
@@ -93,13 +95,6 @@ class FinPoset:
                 raise InputError("relation mask out of range")
             if not (m >> i) & 1:
                 raise InputError("relation must be reflexive")
-        for i in range(n):
-            mi = self.down[i]
-            for j in _bits(mi):
-                if self.down[j] & ~mi:
-                    raise InputError("relation is not transitive")
-                if i != j and (self.down[j] >> i) & 1:
-                    raise InputError("relation has a cycle")
 
     def __len__(self):
         return len(self.elements)
@@ -194,7 +189,8 @@ def poset_from_relation(elements, leq=None, pairs=None) -> FinPoset:
     """Build a poset from a comparison callable or explicit pairs.
 
     The given relation is closed reflexively and transitively; a cycle
-    among distinct elements is rejected.
+    among distinct elements is rejected.  This is where a relation from
+    outside the package is proved to be a partial order.
     """
     elems = sorted(elements, key=label_key)
     if len(set(elems)) != len(elems):
@@ -222,10 +218,14 @@ def poset_from_relation(elements, leq=None, pairs=None) -> FinPoset:
             if acc != down[i]:
                 down[i] = acc
                 changed = True
+    for i, m in enumerate(down):
+        if any(j != i and (down[j] >> i) & 1 for j in _bits(m)):
+            raise InputError("relation has a cycle")
     return FinPoset(tuple(elems), tuple(down))
 
 
 def full_subposet(p: FinPoset, selection) -> FinPoset:
+    """The elements of selection, ordered as in p."""
     sel = sorted(set(selection), key=label_key)
     idx = [p.index(e) for e in sel]
     masks = []
@@ -390,20 +390,13 @@ def subspace_poset(q: int, n: int, max_dim: int) -> FinPoset:
 
 @dataclass(frozen=True)
 class PosetInclusion:
-    """A full subposet sitting inside an ambient poset."""
+    """A full subposet sitting inside an ambient poset.
+
+    Trusted, not checked: build sub with full_subposet(ambient, ...), as
+    the deloop models do, and it is full."""
 
     sub: FinPoset
     ambient: FinPoset
-
-    def __post_init__(self):
-        for x in self.sub.elements:
-            self.ambient.index(x)
-        for x in self.sub.elements:
-            for y in self.sub.elements:
-                if self.sub.leq(x, y) != self.ambient.leq(x, y):
-                    raise InputError(
-                        f"inclusion is not full at ({x!r}, {y!r})"
-                    )
 
     def complement(self) -> tuple:
         inside = set(self.sub.elements)

@@ -102,8 +102,12 @@ def loaded_modules(argv):
 
 
 def test_each_subcommand_loads_only_its_layers(tmp_path):
+    # the cosimplicial JSON decoder is imported with its layer, in the
+    # tot and ss commands, never at start-up
+    assert not hasattr(cli, "CosimplicialDecoder")
     bare = {"tottower", "cli", "errors", "schema"}
-    for argv in (["--version"], ["--help"], ["no-such-command"], ["tot"]):
+    for argv in (["--version"], ["--help"], ["no-such-command"], ["tot"],
+                 ["tot", "--help"], ["ss", "--help"]):
         assert loaded_modules(argv)[1] == bare
     space = write_json(tmp_path, "complex.json", {"facets": CYCLE})
     cech = cech_file(tmp_path)
@@ -167,20 +171,70 @@ def test_load_json_restores_the_collector(tmp_path, enabled):
     bad.write_text("{broken")
     during = []
 
-    def hook(obj):
-        during.append(gc.isenabled())
-        return obj
+    class Recording(json.JSONDecoder):
+        def decode(self, s):
+            during.append(gc.isenabled())
+            return super().decode(s)
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
-        assert cli._load_json(good, hook) == {"0": [[1]]}
+        assert cli._load_json(good, Recording) == {"0": [[1]]}
         assert gc.isenabled() is enabled
         with pytest.raises(InputError, match="not valid JSON"):
-            cli._load_json(str(bad), hook)
+            cli._load_json(str(bad), Recording)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert during == [False]
+    assert during == [False, False]
+
+
+def test_every_cut_of_a_cosimplicial_file_is_refused(tmp_path, capsys):
+    """Each proper prefix of a small object, in the default and the
+    compact spelling, is not JSON: tot refuses it with exit 2 and one
+    line, whichever path the decoder was on where the text stops."""
+    data = cosimplicial_to_data(cech_object(2, 1))
+    path = tmp_path / "cut.json"
+    for separators in ((", ", ": "), (",", ":")):
+        text = json.dumps(data, separators=separators)
+        for end in range(len(text)):
+            path.write_text(text[:end])
+            err = assert_one_line_input_error(["tot", str(path)], capsys)
+            assert "not valid JSON" in err, text[:end]
+        path.write_text(text)
+        assert run(["tot", str(path)], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("nested", [
+    '{"0": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    '{"0": [[' + "[" * 100_000 + "]" * 100_000 + "]]}",
+    '{"0": [[0, ' + "[" * 100_000 + "]" * 100_000 + "]]}",
+    '{"0": ' + '{"0": ' * 100_000 + "0" + "}" * 100_000 + "}",
+], ids=["lists", "rows", "cell", "objects"])
+def test_cosimplicial_file_nested_too_deeply_is_refused(
+        tmp_path, capsys, nested):
+    data = cosimplicial_to_data(cech_object(2, 1))
+    table = json.dumps(data["codegeneracies"][0][0])
+    text = json.dumps(data)
+    assert table in text
+    path = tmp_path / "deep.json"
+    path.write_text(text.replace(table, nested))
+    for command in ("tot", "ss"):
+        err = assert_one_line_input_error([command, str(path)], capsys)
+        assert "nested too deeply" in err
+
+
+def test_number_too_long_to_read_is_an_input_error(tmp_path, capsys):
+    text = json.dumps(cosimplicial_to_data(cech_object(2, 1)))
+    assert "[[1, 0, 0, 0]" in text
+    path = tmp_path / "long.json"
+    path.write_text(text.replace("[[1, 0, 0, 0]", "[[" + "1" * 5000 + ", 0, 0, 0]"))
+    for command in ("tot", "ss"):
+        err = assert_one_line_input_error([command, str(path)], capsys)
+        assert "number too long to read" in err
+    space = write_json(tmp_path, "complex.json", {"facets": [[0, 1]]})
+    Path(space).write_text('{"facets": [[0, ' + "1" * 5000 + "]]}")
+    err = assert_one_line_input_error(["homology", space], capsys)
+    assert "number too long to read" in err
 
 
 # -- poset --------------------------------------------------------------------
@@ -258,6 +312,22 @@ def test_non_free_wedge_check_builds_one_complex(tmp_path, capsys,
 def test_poset_file_schema_errors(tmp_path, capsys, data):
     path = write_json(tmp_path, "poset.json", data)
     assert_one_line_input_error(["poset", "dim", path], capsys)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"elements": ["a", "b", "c"], "leq": [["a", "b"], ["b", "c"],
+                                           ["c", "a"]]},
+     "input error: relation has a cycle\n"),
+    ({"elements": ["a", "a"]}, "input error: duplicate poset elements\n"),
+    ({"elements": ["a"], "leq": [["a", "b"]]},
+     "input error: relation pair ('a', 'b') off the set\n"),
+], ids=["cycle", "duplicate", "off-the-set"])
+def test_poset_file_relation_errors(tmp_path, capsys, data, message):
+    """A relation read from a file is proved a partial order where it is
+    read, with the messages the poset constructor used to give."""
+    path = write_json(tmp_path, "poset.json", data)
+    assert assert_one_line_input_error(["poset", "dim", path],
+                                       capsys) == message
 
 
 def test_poset_needs_exactly_one_source(capsys):

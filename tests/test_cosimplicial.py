@@ -1,13 +1,16 @@
 """Cosimplicial core: identities, conormalization, matching, towers."""
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tottower import cosimplicial
 from tottower.abelian import HomologyGroup
 from tottower.chains import ChainComplexInt, chain_map, identity_chain_map
 from tottower.constructions import (
+    CorpusObject,
     cech_object,
     constant_object,
     corpus,
@@ -16,12 +19,12 @@ from tottower.constructions import (
 )
 from tottower.cosimplicial import (
     CosimplicialChain,
+    CosimplicialDecoder,
     StripeWindow,
     conormalize,
     cosimplicial_from_data,
     cosimplicial_map,
     cosimplicial_to_data,
-    degree_table_hook,
     matching_kernel_agrees,
     matching_object,
     quasi_iso_invariance,
@@ -34,10 +37,61 @@ from tottower.cosimplicial import (
 )
 from tottower.errors import InputError, PreconditionError
 from tottower.intlinalg import IntMatrix
+from tottower.schema import degree_key
 from tottower.spectral import spectral_sequence
 
 CORPUS = corpus(seed=20250811, count=14)
 ZERO_COMPLEX = ChainComplexInt(0, (0,), ())
+
+
+def stripe_sign_objects() -> tuple:
+    """Block objects with a conormalized piece that has both a nonzero
+    boundary and a nonzero coface sum out of it, on even and odd stripes,
+    in two degree windows, one with torsion.  No object of CORPUS has
+    such a piece, and without one the sign (-1)^s of the stripe boundary
+    is never at work: its square-zero cross terms all vanish."""
+    def disk(lo, order=1):
+        boundary = IntMatrix(1, 1, ((0, 0, order),))
+        return ChainComplexInt(lo, (1, 1), (boundary,))
+    zero = ChainComplexInt(0, (0, 0), (IntMatrix.zeros(0, 0),))
+    d0, d1, twice = disk(0), disk(1), disk(0, 2)
+    systems = {
+        "signed-even": ((d0, d0), (identity_chain_map(d0),)),
+        "signed-odd": ((zero, d0, d0),
+                       (chain_map(zero, d0, {}), identity_chain_map(d0))),
+        "signed-shifted": ((d1, d1), (identity_chain_map(d1),)),
+        "signed-torsion": ((zero, twice, twice),
+                           (chain_map(zero, twice, {}),
+                            identity_chain_map(twice))),
+        "signed-alternating": ((d0, d0, d0, d0), (
+            identity_chain_map(d0), chain_map(d0, d0, {}),
+            identity_chain_map(d0))),
+    }
+    return tuple(
+        CorpusObject(name=name, x=gamma_co(pieces, deltas), pieces=pieces,
+                     deltas=deltas)
+        for name, (pieces, deltas) in systems.items())
+
+
+SIGNED = stripe_sign_objects()
+# the corpus, and objects on which the stripe signs are at work
+OBJECTS = CORPUS + SIGNED
+
+
+def signed_pieces(x) -> list:
+    """The stripes s of x whose piece has a nonzero boundary and a
+    nonzero coface sum out of it."""
+    conorm = x.conormalization
+    return [
+        s for s, delta in enumerate(conorm.deltas)
+        if not delta.is_zero
+        and any(not b.is_zero for b in conorm.pieces[s].boundaries)
+    ]
+
+
+def test_some_tested_object_puts_the_stripe_signs_to_work():
+    stripes = {s for obj in OBJECTS for s in signed_pieces(obj.x)}
+    assert {0, 1} <= stripes
 
 
 def square_complex():
@@ -184,13 +238,13 @@ def test_validator_names_broken_codegeneracy():
 # -- corpus-wide structure checks ------------------------------------------------
 
 
-@pytest.mark.parametrize("obj", CORPUS, ids=lambda o: o.name)
+@pytest.mark.parametrize("obj", OBJECTS, ids=lambda o: o.name)
 def test_corpus_identities_hold(obj):
     ok, violations = validate_cosimplicial(obj.x)
     assert ok, violations
 
 
-@pytest.mark.parametrize("obj", CORPUS, ids=lambda o: o.name)
+@pytest.mark.parametrize("obj", OBJECTS, ids=lambda o: o.name)
 def test_corpus_conormalization_recovers_input(obj):
     conorm = conormalize(obj.x)
     assert conorm.pieces == obj.pieces
@@ -199,7 +253,7 @@ def test_corpus_conormalization_recovers_input(obj):
 
 @pytest.mark.parametrize("x", [obj.x for obj in CORPUS] + [
     cech_object(n, top) for n in (1, 2, 3) for top in (1, 2, 3)
-])
+] + [obj.x for obj in SIGNED])
 def test_cached_conormalization_is_conormalize(x):
     assert x.conormalization == conormalize(x)
     assert x.conormalization is x.conormalization
@@ -224,18 +278,18 @@ def test_one_conormalization_per_object(monkeypatch):
     assert calls == [x]
 
 
-@pytest.mark.parametrize("obj", CORPUS, ids=lambda o: o.name)
+@pytest.mark.parametrize("obj", OBJECTS, ids=lambda o: o.name)
 def test_corpus_matching_kernels(obj):
     for m in range(obj.x.truncation):
         assert matching_kernel_agrees(obj.x, m)
 
 
-@pytest.mark.parametrize("obj", CORPUS, ids=lambda o: o.name)
+@pytest.mark.parametrize("obj", OBJECTS, ids=lambda o: o.name)
 def test_corpus_stage_zero_is_level_zero(obj):
     assert tot_n(obj.x, 0) == trim_ends(obj.x.levels[0])
 
 
-@pytest.mark.parametrize("obj", CORPUS, ids=lambda o: o.name)
+@pytest.mark.parametrize("obj", OBJECTS, ids=lambda o: o.name)
 def test_corpus_adjacent_fiber_is_piece(obj):
     """The fiber over one tower step is the next conormalized piece,
     reindexed; homology groups must agree on the nose."""
@@ -249,19 +303,23 @@ def test_corpus_adjacent_fiber_is_piece(obj):
             assert fib.rank(k) == piece.rank(k + m)
 
 
-@pytest.mark.parametrize("obj", CORPUS, ids=lambda o: o.name)
+@pytest.mark.parametrize("obj", OBJECTS, ids=lambda o: o.name)
 def test_corpus_fiber_includes_into_stage(obj):
     """The stripes > n of stage m are a subcomplex equal to the fiber of
     Tot_m -> Tot_n, and the stage projections down to n kill it.
 
     The ChainMap constructor checks both the shapes, which ties the
-    fiber's ranks to the tail, and the commuting with the boundaries."""
+    fiber's ranks to the tail, and the commuting with the boundaries.
+    The ChainComplexInt constructor trusts that stages and fibers square
+    to zero, which rests on the stripe signs: that is checked here."""
     conorm = obj.x.conormalization
     tw = tower(obj.x)
     for m in range(1, obj.x.truncation + 1):
+        tw.stage(m).check_square_zero()
         win = StripeWindow(conorm, -1, m)
         for n in range(m):
             fib = tower_fiber(obj.x, n, m)
+            fib.check_square_zero()
             incl = chain_map(fib, tw.stage(m), {
                 k: win.tail(n + 1, k) for k in win.blocks
             })
@@ -412,25 +470,84 @@ def _degree_tables(data):
             yield from row
 
 
-def test_hook_reads_what_the_plain_parse_reads():
-    """Every corpus object and every cech_object up to (4, 4), parsed with
-    degree_table_hook, reads as the same text parsed without it, and the
-    parse leaves no degree-table value unbuilt."""
+def reference_hook(obj):
+    """The json object hook CosimplicialDecoder replaced, kept verbatim as
+    its reference: each value of a degree table through from_rows."""
+    try:
+        for key in obj:
+            degree_key(key)
+    except InputError:
+        return obj
+    for key, rows in obj.items():
+        try:
+            obj[key] = IntMatrix.from_rows(rows)
+        except InputError:
+            pass
+    return obj
+
+
+def reference_parse(text):
+    return json.loads(text, object_hook=reference_hook)
+
+
+def decode(text):
+    return json.loads(text, cls=CosimplicialDecoder)
+
+
+def typed(value):
+    """value with the JSON type of every scalar spelled out, so that 1,
+    1.0 and true differ, and a matrix by its shape and entries."""
+    if type(value) is IntMatrix:
+        return ("matrix", value.shape,
+                [(i, j, type(v), v) for i, j, v in value.entries])
+    if type(value) is list:
+        return [typed(v) for v in value]
+    if type(value) is dict:
+        return [(k, typed(v)) for k, v in value.items()]
+    return (type(value), repr(value))
+
+
+SPELLINGS = {
+    "default": {},
+    "compact": {"separators": (",", ":")},
+    "indent": {"indent": 1},
+}
+
+
+def test_hook_reads_what_the_plain_parse_reads(monkeypatch):
+    """Every corpus object and every cech_object up to (4, 4), written in
+    each spelling, reads through CosimplicialDecoder as json.loads with
+    the reference hook reads it, and every degree-table value is built.
+    The default and compact rows are read by string operations alone:
+    from_rows is never called for them."""
     objects = [obj.x for obj in corpus(seed=20250811, count=20)] + [
         cech_object(n, top) for n in range(1, 5) for top in range(5)
     ]
+    from_rows = IntMatrix.from_rows.__func__
+    calls = []
+
+    def counted(cls, rows, ncols=None):
+        calls.append(rows)
+        return from_rows(cls, rows, ncols)
+
+    monkeypatch.setattr(IntMatrix, "from_rows", classmethod(counted))
     for x in objects:
-        text = json.dumps(cosimplicial_to_data(x))
-        hooked = json.loads(text, object_hook=degree_table_hook)
-        for table in _degree_tables(hooked):
-            assert all(type(v) is IntMatrix for v in table.values())
-        plain = cosimplicial_from_data(json.loads(text))
-        assert cosimplicial_from_data(hooked) == plain == x
+        data = cosimplicial_to_data(x)
+        for spelling, options in SPELLINGS.items():
+            text = json.dumps(data, **options)
+            calls.clear()
+            read = decode(text)
+            if spelling != "indent":
+                assert calls == [], spelling
+            for table in _degree_tables(read):
+                assert all(type(v) is IntMatrix for v in table.values())
+            assert typed(read) == typed(reference_parse(text))
+        assert cosimplicial_from_data(read) == x
 
 
-def _read_error(text, object_hook):
+def _read_error(text, parse):
     with pytest.raises(InputError) as info:
-        cosimplicial_from_data(json.loads(text, object_hook=object_hook))
+        cosimplicial_from_data(parse(text))
     return str(info.value)
 
 
@@ -443,14 +560,110 @@ def _read_error(text, object_hook):
     {"0": [[1, 0, 0], [0, 1]] * 2},              # a ragged row
     {"+0": [[1, 0, 0]] * 9, "0": [[1, 0, 0]] * 9},  # a bad key
     {"1": [[1, 0, 0]] * 4},                      # a key outside both levels
+    {"0": [[1, 0, 0]] * 4, "x": 1},              # a key read after rows
+    {"0": [[1.0, 0, 0]] * 4},                    # a float cell
+    {"0": [[]] * 4},                             # rows of no cells
 ])
 def test_hook_keeps_every_read_error(table):
-    """A malformed map is refused with the same message whether or not
-    the degree tables were read by the hook."""
+    """A malformed map is refused with the same message by the decoder,
+    by the reference hook and by the plain parse, in each spelling."""
     data = cosimplicial_to_data(cech_object(3, 1))
     data["cofaces"][0][0] = table
-    text = json.dumps(data)
-    assert _read_error(text, degree_table_hook) == _read_error(text, None)
+    for options in SPELLINGS.values():
+        text = json.dumps(data, **options)
+        expected = _read_error(text, json.loads)
+        assert _read_error(text, reference_parse) == expected
+        assert _read_error(text, decode) == expected
+
+
+# cell spellings the string path must refuse or read exactly as JSON does
+ODD_CELLS = ["-0", "01", "-01", "1.0", "1e0", "0e1", "0.0", "true", "false",
+             "null", '"1"', '"0"', "[1]", "[]", "[0, 1]", "{}", "NaN",
+             "Infinity", "-", "+1", " 1", "1 ", "0 ", "", "1,", "00",
+             "1" * 19, "-" + "9" * 18, "9" * 4400]
+cells = st.one_of(
+    st.just("0"), st.just("0"),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(ODD_CELLS),
+)
+separators = st.sampled_from([", ", ",", ", ", ",", " , ", ",\n", ",  "])
+
+
+@st.composite
+def table_values(draw):
+    """The text of a degree-table value: half of them rows of one width
+    of integers as json.dumps writes them, one cell in two of those
+    replaced by an odd one; the rest odd spacing, ragged rows and odd
+    cells mixed."""
+    if draw(st.booleans()):
+        sep = draw(st.sampled_from([", ", ","]))
+        width = draw(st.integers(1, 6))
+        rows = draw(st.lists(st.lists(
+            st.one_of(st.just(0), st.integers(-2 ** 70, 2 ** 70)),
+            min_size=width, max_size=width), min_size=1, max_size=5))
+        text = json.dumps(rows, separators=(sep, ": "))
+        if draw(st.booleans()):
+            cell = draw(st.sampled_from(ODD_CELLS))
+            spots = [m.start() for m in re.finditer(r"-?[0-9]+", text)]
+            at = draw(st.sampled_from(spots))
+            end = re.match(r"-?[0-9]+", text[at:]).end() + at
+            text = text[:at] + cell + text[end:]
+        return text
+    width = draw(st.integers(0, 6))
+    sep = draw(separators)
+    rows = draw(st.lists(
+        st.lists(cells, min_size=width, max_size=width)
+        | st.lists(cells, max_size=7),
+        max_size=5,
+    ))
+    row_sep = draw(st.sampled_from([sep, ", ", ",", " ,"]))
+    inner = row_sep.join(
+        "[" + draw(st.sampled_from([sep, ", ", ","])).join(row) + "]"
+        for row in rows)
+    return draw(st.sampled_from(["[{}]", "[ {} ]", "[[{}]]", "{}"])
+                ).format(inner)
+
+
+@st.composite
+def documents(draw):
+    keys = st.sampled_from(["0", "1", "-1", "2", "0", "1", "x", "01", "+1"])
+    pairs = draw(st.lists(st.tuples(keys, table_values()), max_size=3))
+    table = "{" + ", ".join(
+        json.dumps(k) + ": " + v for k, v in pairs) + "}"
+    depth = draw(st.integers(0, 6))
+    return ('{"cofaces": ' + "[" * depth + table + "]" * depth + "}"
+            if depth else table)
+
+
+@settings(max_examples=200)
+@given(documents(), st.data())
+def test_decoder_reads_what_json_loads_reads(text, data):
+    """The decoder against json.loads with the reference hook, on whole
+    documents and on a cut of each: the same values, JSON types and
+    matrices, or the same JSONDecodeError."""
+    cut = data.draw(st.integers(0, len(text)))
+    for doc in (text, text[:cut]):
+        try:
+            expected = reference_parse(doc)
+        except ValueError as exc:  # JSONDecodeError, or too many digits
+            with pytest.raises(type(exc)) as info:
+                decode(doc)
+            assert str(info.value) == str(exc)
+            continue
+        assert typed(decode(doc)) == typed(expected)
+
+
+def test_decoder_reads_matrices_from_dense_rows():
+    read = decode('{"0": [[0, -12, 0], [3, 0, 0]], "1": [[0,0],[0,7]], '
+                  '"2": [[1]], "3": [[0]], "4": [[12345678901234567890]]}')
+    assert read["0"] == IntMatrix(2, 3, ((0, 1, -12), (1, 0, 3)))
+    assert read["1"] == IntMatrix(2, 2, ((1, 1, 7),))
+    assert read["2"] == IntMatrix.identity(1)
+    assert read["3"] == IntMatrix.zeros(1, 1)
+    assert read["4"].entries == ((0, 0, 12345678901234567890),)
+    # a table with another key keeps its rows as parsed
+    assert decode('{"0": [[0, 1]], "x": 1}') == {"0": [[0, 1]], "x": 1}
 
 
 def test_serialization_rejects_bad_truncation():

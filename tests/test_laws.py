@@ -1,10 +1,11 @@
-"""Every complex, chain map and simplicial complex the package builds obeys
-the laws its constructor trusts.
+"""Every complex, chain map, simplicial complex, poset and poset inclusion
+the package builds obeys the laws its constructor trusts.
 
-The constructors of ChainComplexInt, ChainMap and SimplicialComplex check
-only cheap shapes; the laws are checked where JSON becomes the object.
-Here every constructor call made by the main computations is hooked, and
-each object is put through the check its constructor used to run.
+The constructors of ChainComplexInt, ChainMap, SimplicialComplex, FinPoset
+and PosetInclusion check only cheap shapes; the laws are checked where
+JSON (or a relation given by the caller) becomes the object.  Here every
+constructor call made by the main computations is hooked, and each object
+is put through the check its constructor used to run.
 """
 
 import pytest
@@ -26,10 +27,18 @@ from tottower.cosimplicial import (
     tower_fiber,
 )
 from tottower.cover import cover_from_subcomplexes, hocolim_chain
-from tottower.deloop import analyze_inclusion, subset_model
+from tottower.deloop import analyze_inclusion, subset_model, subspace_model
 from tottower.errors import InputError
 from tottower.intlinalg import IntMatrix
-from tottower.posets import order_complex, subset_poset
+from tottower.posets import (
+    FinPoset,
+    PosetInclusion,
+    _bits,
+    order_complex,
+    poset_from_relation,
+    subset_poset,
+    subspace_poset,
+)
 from tottower.simplicial import (
     SimplicialComplex,
     barycentric_subdivision,
@@ -68,17 +77,61 @@ def test_reference_component_check_rejects_bad_components():
             reference_component_check(ChainMap(c, c, comps))
 
 
+# -- the order and inclusion checks before FinPoset and PosetInclusion
+# trusted their callers, kept verbatim from their __post_init__
+
+def reference_order_check(self):
+    n = len(self.elements)
+    for i in range(n):
+        mi = self.down[i]
+        for j in _bits(mi):
+            if self.down[j] & ~mi:
+                raise InputError("relation is not transitive")
+            if i != j and (self.down[j] >> i) & 1:
+                raise InputError("relation has a cycle")
+
+
+def reference_inclusion_check(self):
+    for x in self.sub.elements:
+        self.ambient.index(x)
+    for x in self.sub.elements:
+        for y in self.sub.elements:
+            if self.sub.leq(x, y) != self.ambient.leq(x, y):
+                raise InputError(
+                    f"inclusion is not full at ({x!r}, {y!r})"
+                )
+
+
+def test_reference_order_checks_reject_bad_relations():
+    # 0 <= 1 <= 2 without 0 <= 2, and 0 <= 1 <= 0
+    for down, message in (((0b001, 0b011, 0b110), "not transitive"),
+                          ((0b011, 0b011), "cycle")):
+        p = FinPoset(tuple(range(len(down))), down)
+        with pytest.raises(InputError, match=message):
+            reference_order_check(p)
+    amb = subset_poset(range(2))
+    broken = poset_from_relation(list(amb.elements), leq=lambda a, b: a == b)
+    with pytest.raises(InputError, match="not full"):
+        reference_inclusion_check(PosetInclusion(broken, amb))
+    with pytest.raises(InputError, match="not a poset element"):
+        reference_inclusion_check(PosetInclusion(subset_poset("ab"), amb))
+
+
 def test_built_objects_obey_their_laws(monkeypatch):
     """The towers, spectral sequences, matching objects and quasi-iso
     checks of the corpus and a Cech object, the stages of a suspension
     analysis, and the chain complexes of simplicial constructions and of
     a homotopy colimit build only complexes that square to zero, maps
     with one nonzero component per degree that commute with the
-    boundaries, and canonical simplicial complexes."""
-    counts = {"complexes": 0, "maps": 0, "simplicial": 0}
+    boundaries, canonical simplicial complexes, partial orders and full
+    poset inclusions."""
+    counts = {"complexes": 0, "maps": 0, "simplicial": 0, "posets": 0,
+              "inclusions": 0}
     post_init = ChainComplexInt.__post_init__
     map_init = ChainMap.__init__
     simplicial_init = SimplicialComplex.__init__
+    poset_post_init = FinPoset.__post_init__
+    inclusion_init = PosetInclusion.__init__
 
     def check_complex(self):
         post_init(self)
@@ -98,7 +151,19 @@ def test_built_objects_obey_their_laws(monkeypatch):
         reference_canonical_check(self)
         counts["simplicial"] += 1
 
+    def check_poset(self):
+        poset_post_init(self)
+        reference_order_check(self)
+        counts["posets"] += 1
+
+    def check_inclusion(self, *args, **kwargs):
+        inclusion_init(self, *args, **kwargs)
+        reference_inclusion_check(self)
+        counts["inclusions"] += 1
+
     monkeypatch.setattr(ChainComplexInt, "__post_init__", check_complex)
+    monkeypatch.setattr(FinPoset, "__post_init__", check_poset)
+    monkeypatch.setattr(PosetInclusion, "__init__", check_inclusion)
     monkeypatch.setattr(ChainMap, "__init__", check_map)
     monkeypatch.setattr(SimplicialComplex, "__init__", check_simplicial)
 
@@ -132,6 +197,10 @@ def test_built_objects_obey_their_laws(monkeypatch):
         space, [[[0, 2], [0, 3]], [[1, 2], [1, 3]]], basepoint=2
     )).homology_all()
     analyze_inclusion(subset_model(5, 3))
+    analyze_inclusion(subspace_model(2, 3, 1))
+    order_complex(subspace_poset(2, 3, 2))
     assert counts["complexes"] > 500
     assert counts["maps"] > 800
     assert counts["simplicial"] > 35
+    assert counts["posets"] > 50
+    assert counts["inclusions"] == 2

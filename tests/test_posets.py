@@ -34,6 +34,7 @@ from tottower.simplicial import (
 )
 
 from suspension_reference import DiagramOfComplexes, lan_point, t_functor
+from test_laws import reference_inclusion_check
 
 
 def test_chain_poset_and_antichain():
@@ -120,12 +121,14 @@ def test_full_subposet_and_inclusion():
 
 
 def test_inclusion_must_be_full():
+    """PosetInclusion trusts its caller; the check it used to run, kept in
+    tests/test_laws.py, refuses a subposet that is not full."""
     amb = subset_poset(range(2))
     broken = poset_from_relation(
         list(amb.elements), leq=lambda a, b: a == b
     )
-    with pytest.raises(InputError):
-        PosetInclusion(broken, amb)
+    with pytest.raises(InputError, match="not full"):
+        reference_inclusion_check(PosetInclusion(broken, amb))
 
 
 def test_down_slice_and_lan():

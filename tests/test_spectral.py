@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from test_cosimplicial import SIGNED
 from tottower import intlinalg, spectral
 from tottower.abelian import GroupHom, HomologyGroup
 from tottower.chains import ChainComplexInt, chain_map
@@ -18,6 +19,8 @@ from tottower.spectral import (
 )
 
 CORPUS = corpus(seed=20250811, count=14)
+# the corpus, and objects on which the stripe signs are at work
+OBJECTS = CORPUS + SIGNED
 
 Z = HomologyGroup(1)
 ONE = IntMatrix.identity(1)
@@ -136,7 +139,7 @@ def test_page_index_validation():
 
 @pytest.mark.parametrize("x", [obj.x for obj in CORPUS] + [
     cech_object(3, 3), cech_object(2, 4),
-])
+] + [obj.x for obj in SIGNED])
 def test_pages_past_stabilization_are_the_stable_page(x):
     """Past page truncation + 1 every spot is presented by the lattices
     of the stable page, so spectral_sequence copies that page instead of
@@ -158,7 +161,7 @@ def test_pages_past_stabilization_are_the_stable_page(x):
         assert result.page(r).differentials == ()
 
 
-@pytest.mark.parametrize("obj", CORPUS, ids=lambda o: o.name)
+@pytest.mark.parametrize("obj", OBJECTS, ids=lambda o: o.name)
 def test_corpus_second_page_matches_level_homology(obj):
     """The page built from the filtration must agree with the cohomology
     of the conormalized levelwise homology, computed without stripes."""
@@ -166,7 +169,7 @@ def test_corpus_second_page_matches_level_homology(obj):
     assert ss.page(2).table() == e2_from_level_homology(obj.x)
 
 
-@pytest.mark.parametrize("obj", CORPUS, ids=lambda o: o.name)
+@pytest.mark.parametrize("obj", OBJECTS, ids=lambda o: o.name)
 def test_corpus_stable_page_is_the_graded_limit(obj):
     ss = spectral_sequence(obj.x)
     assert dict(ss.e_infinity) == dict(ss.graded_limit)
