@@ -72,9 +72,21 @@ class _Filtration:
         """Basis of {x in F^s at degree k : D x in F^{s+r}}."""
         key = (s, r, k)
         if key not in self._z:
-            inc = self.win.tail(s, k)
-            cond = self.win.head(s + r, k - 1) @ self.win.boundary(k) @ inc
-            self._z[key] = lattice_basis(inc @ kernel_basis(cond))
+            # the block of D from the stripes >= s at degree k to the
+            # stripes < s + r at degree k - 1, sliced out of D's entries;
+            # filtering and shifting keep them sorted row-major
+            bnd = self.win.boundary(k)
+            rows = self.win.start(s + r, k - 1)
+            col0 = self.win.start(s, k)
+            cond = IntMatrix(rows, bnd.ncols - col0, tuple(
+                (i, j - col0, v) for i, j, v in bnd.entries
+                if i < rows and j >= col0
+            ))
+            ker = kernel_basis(cond)
+            lifted = IntMatrix(bnd.ncols, ker.ncols, tuple(
+                (i + col0, j, v) for i, j, v in ker.entries
+            ))
+            self._z[key] = lattice_basis(lifted)
         return self._z[key]
 
     def page_spot(self, s: int, r: int, k: int):

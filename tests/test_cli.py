@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from tottower import cli, cosimplicial, intlinalg, posets, simplicial, spectral
+from tottower import (abelian, cli, cosimplicial, intlinalg, posets,
+                      simplicial, spectral)
 from tottower.chains import ChainComplexInt
 from tottower.cli import main
 from tottower.constructions import cech_object, constant_object, corpus
@@ -609,6 +610,9 @@ REPORT_SHA256 = {
     # corpus object 8 has torsion on its pages
     ("ss", "corpus_8"):
         "2a111874663e8f0cf51aa6a7c76c18cbc4539c8944f550f875606a1482f6fc45",
+    # the ss_cech benchmark object
+    ("ss", "cech_4_4"):
+        "e28310eadd3c09f6c31ce08e6dc6451ee21f74f642162e044eb4ea37a1516b08",
 }
 # ss --pages 8 on cech_3_3: pages 5..8 are copies of the stable page 4
 PAGES_8_SHA256 = \
@@ -623,9 +627,12 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
             tmp_path, "corpus_8.json",
             cosimplicial_to_data(corpus(seed=20250811, count=9)[8].x),
         ),
+        "cech_4_4": write_json(tmp_path, "cech_4_4.json",
+                               cosimplicial_to_data(cech_object(4, 4))),
     }
     memo = intlinalg._smith_memo
     memo.cache_clear()
+    abelian._subquotient_memo.cache_clear()
     for (command, name), expected in REPORT_SHA256.items():
         # the second run finds every factorization in the memo
         for warm in (False, True):
@@ -639,6 +646,24 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
     code, out, err = run(["ss", "--pages", "8", files["cech_3_3"]], capsys)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == PAGES_8_SHA256
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    path = write_json(tmp_path, "cech_3_3.json",
+                      cosimplicial_to_data(cech_object(3, 3)))
+    outs = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-m", "tottower", "ss", path],
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC),
+                 "PYTHONHASHSEED": seed},
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == \
+        REPORT_SHA256[("ss", "cech_3_3")]
 
 
 # sha256 of the simplicial reports, computed before vertices were coded

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tottower import abelian, cosimplicial, intlinalg, spectral
+from tottower.abelian import subquotient_presentation
 from tottower.constructions import cech_object, corpus
 from tottower.cosimplicial import (
     cosimplicial_from_data,
@@ -367,15 +368,21 @@ def test_lattice_basis_is_hermite_normal_form(a):
 
 SMITH_MEMO = intlinalg._smith_memo
 HERMITE_MEMO = intlinalg._hermite_memo
+SUBQUOTIENT_MEMO = abelian._subquotient_memo
 
 
 def clear_memo():
     SMITH_MEMO.cache_clear()
     HERMITE_MEMO.cache_clear()
+    SUBQUOTIENT_MEMO.cache_clear()
 
 
 def snf_fields(res):
     return (res.invariants, res.pivot_sites, res.u, res.v, res.u_inv)
+
+
+def subquotient_fields(sq):
+    return (sq.ambient, sq.orders, sq.gens, sq._u, snf_fields(sq._numer))
 
 
 @given(sparse_strategy())
@@ -432,6 +439,50 @@ def test_memo_hits_equal_cold_on_spectral_calls(monkeypatch):
             assert res == cold[key]
 
 
+@given(sparse_strategy(max_dim=6), st.integers(0, 5), st.data())
+def test_subquotient_memo_hit_equals_cold_computation(a, width, data):
+    numer = lattice_basis(a)
+    entry = st.sampled_from((0, 0, 1, -1, 2, 3, -4))
+    coeffs = data.draw(st.lists(entry, min_size=numer.ncols * width,
+                                max_size=numer.ncols * width))
+    denom = numer @ IntMatrix.from_dict(numer.ncols, width, {
+        divmod(p, width): v for p, v in enumerate(coeffs)
+    })
+    warm = subquotient_presentation(numer, denom)
+    twins = [IntMatrix(m.nrows, m.ncols, m.entries) for m in (numer, denom)]
+    hit = subquotient_presentation(*twins)
+    assert hit is warm
+    clear_memo()
+    cold = subquotient_presentation(numer, denom)
+    assert cold is not hit
+    assert subquotient_fields(hit) == subquotient_fields(cold)
+
+
+def test_subquotient_memo_hits_equal_cold_on_spectral_calls(monkeypatch):
+    """Every subquotient_presentation call spectral_sequence makes on the
+    seeded corpus and on cech_object(3, 3), hit or not, returns what the
+    unmemoized construction gives."""
+    clear_memo()
+    calls = []
+
+    def recording(*args):
+        res = SUBQUOTIENT_MEMO(*args)
+        calls.append((args, res))
+        return res
+    monkeypatch.setattr(abelian, "_subquotient_memo", recording)
+    for obj in corpus(seed=20250811, count=20):
+        spectral_sequence(obj.x)
+    spectral_sequence(cech_object(3, 3))
+    info = SUBQUOTIENT_MEMO.cache_info()
+    assert info.hits > 0 and info.misses > 0
+    assert len(calls) == info.hits + info.misses
+    cold = {}
+    for args, res in calls:
+        if args not in cold:
+            cold[args] = SUBQUOTIENT_MEMO.__wrapped__(*args)
+        assert subquotient_fields(res) == subquotient_fields(cold[args])
+
+
 def test_rank_only_result_never_serves_transforms():
     a = IntMatrix.from_rows([[2, 4], [6, 8]])
     clear_memo()
@@ -449,7 +500,9 @@ def test_memoized_functions_keep_the_traced_signatures():
     # the benchmark tracer wraps plain functions and binds transforms by
     # name, so neither may become a cache object or change its parameters
     for fn, params in ((smith_normal_form, ["mat", "transforms"]),
-                       (lattice_basis, ["mat"])):
+                       (lattice_basis, ["mat"]),
+                       (subquotient_presentation,
+                        ["numer_basis", "denom_gens"])):
         assert inspect.isfunction(fn)
         assert list(inspect.signature(fn).parameters) == params
     default = inspect.signature(smith_normal_form).parameters["transforms"]

@@ -5,12 +5,14 @@ import json
 import pytest
 
 from test_cosimplicial import SIGNED
-from tottower import intlinalg, spectral
+from tottower import abelian, intlinalg, spectral
 from tottower.abelian import GroupHom, HomologyGroup
 from tottower.chains import ChainComplexInt, chain_map
+from tottower.cli import main
 from tottower.constructions import cech_object, constant_object, corpus, gamma_co
+from tottower.cosimplicial import cosimplicial_to_data
 from tottower.errors import InputError, InvariantError
-from tottower.intlinalg import IntMatrix
+from tottower.intlinalg import IntMatrix, kernel_basis, lattice_basis
 from tottower.spectral import (
     differential_range,
     e2_from_level_homology,
@@ -24,6 +26,7 @@ OBJECTS = CORPUS + SIGNED
 
 Z = HomologyGroup(1)
 ONE = IntMatrix.identity(1)
+SUBQUOTIENT_MEMO = abelian._subquotient_memo
 
 
 def zigzag_two_step():
@@ -161,6 +164,34 @@ def test_pages_past_stabilization_are_the_stable_page(x):
         assert result.page(r).differentials == ()
 
 
+def reference_z_lattice(win, s, r, k):
+    """_Filtration.z_lattice as the package had it before it sliced the
+    condition out of the boundary: coordinate projections and
+    inclusions multiplied out.  Kept as the reference."""
+    inc = win.tail(s, k)
+    cond = win.head(s + r, k - 1) @ win.boundary(k) @ inc
+    return lattice_basis(inc @ kernel_basis(cond))
+
+
+@pytest.mark.parametrize("x", [obj.x for obj in OBJECTS] + [
+    cech_object(3, 3)])
+def test_sliced_z_lattice_matches_the_product_reference(x, monkeypatch):
+    """Every z-lattice spectral_sequence reads, on the pages, in the page
+    check and in the graded limit, equals the multiplied-out one."""
+    read = {}
+    z_lattice = spectral._Filtration.z_lattice
+
+    def recording(self, s, r, k):
+        res = z_lattice(self, s, r, k)
+        read[(self, s, r, k)] = res
+        return res
+    monkeypatch.setattr(spectral._Filtration, "z_lattice", recording)
+    spectral_sequence(x)
+    assert read
+    for (fil, s, r, k), res in read.items():
+        assert res == reference_z_lattice(fil.win, s, r, k), (s, r, k)
+
+
 @pytest.mark.parametrize("obj", OBJECTS, ids=lambda o: o.name)
 def test_corpus_second_page_matches_level_homology(obj):
     """The page built from the filtration must agree with the cohomology
@@ -207,10 +238,12 @@ def test_page_check_catches_a_wrong_differential(monkeypatch):
                         IntMatrix.zeros(len(dst.orders), len(src.orders)))
     monkeypatch.setattr(spectral, "induced_hom", zero_map)
     hits = intlinalg._smith_memo.cache_info().hits
+    presented = SUBQUOTIENT_MEMO.cache_info().hits
     with pytest.raises(InvariantError,
                        match=r"page 3 entry .* is not the homology of page 2"):
         spectral_sequence(zigzag_two_step())
     assert intlinalg._smith_memo.cache_info().hits > hits
+    assert SUBQUOTIENT_MEMO.cache_info().hits > presented
 
 
 def test_limit_check_catches_a_wrong_graded_limit(monkeypatch):
@@ -224,8 +257,31 @@ def test_limit_check_catches_a_wrong_graded_limit(monkeypatch):
         return out
     monkeypatch.setattr(spectral, "_graded_limit", perturbed)
     hits = intlinalg._smith_memo.cache_info().hits
+    presented = SUBQUOTIENT_MEMO.cache_info().hits
     with pytest.raises(InvariantError,
                        match=r"stable page entry \(s=0, t=0\) is Z but the "
                              r"filtration of the totalization gives Z\^2"):
         spectral_sequence(x)
     assert intlinalg._smith_memo.cache_info().hits > hits
+    assert SUBQUOTIENT_MEMO.cache_info().hits > presented
+
+
+def test_e2_oracle_catches_a_wrong_coface_sum(monkeypatch, tmp_path,
+                                              capsys):
+    path = tmp_path / "cech_2_2.json"
+    path.write_text(json.dumps(cosimplicial_to_data(cech_object(2, 2))))
+    assert main(["ss", str(path)]) == 0  # warms the memo
+    report = json.loads(capsys.readouterr().out)
+    assert report["e2_matches_level_homology"] is True
+    coface_sum = spectral.coface_sum
+
+    def doubled(x, s):
+        total = coface_sum(x, s)
+        return total + total
+    monkeypatch.setattr(spectral, "coface_sum", doubled)
+    presented = SUBQUOTIENT_MEMO.cache_info().hits
+    assert main(["ss", str(path)]) == 0
+    faulty = json.loads(capsys.readouterr().out)
+    assert faulty["pages"] == report["pages"]
+    assert faulty["e2_matches_level_homology"] is False
+    assert SUBQUOTIENT_MEMO.cache_info().hits > presented
