@@ -169,11 +169,8 @@ class GroupHom:
 
     @property
     def is_zero_hom(self) -> bool:
-        for i, _, v in self.mat.entries:
-            o = self.dst_orders[i]
-            if o == 0 or v % o:
-                return False
-        return True
+        return _zero_modulo(self.dst_orders,
+                            ((i, v) for i, _, v in self.mat.entries))
 
     def is_iso(self) -> bool:
         if group_from_orders(self.src_orders) != \
@@ -186,11 +183,19 @@ class GroupHom:
         return len(inv) == m and all(d == 1 for d in inv)
 
 
+def _zero_modulo(orders: tuple, cells) -> bool:
+    """Whether every (row, value) of cells vanishes in the cyclic group of
+    that row's order."""
+    return all((o := orders[i]) and not v % o for i, v in cells)
+
+
 def presented_homology(f: GroupHom, g: GroupHom) -> HomologyGroup:
     """Homology ker(g)/im(f) at the middle of A --f--> B --g--> C."""
     if f.dst_orders != g.src_orders:
         raise InputError("maps do not share a middle group")
-    if not g.compose(f).is_zero_hom:
+    n = f.mat.ncols
+    cells = g.mat.product_cells(f.mat).items()
+    if not _zero_modulo(g.dst_orders, ((key // n, v) for key, v in cells)):
         raise InvariantError("composite is not zero, no homology to take")
     m = len(f.dst_orders)
     rb = _relation_matrix(f.dst_orders)

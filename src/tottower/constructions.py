@@ -236,7 +236,7 @@ def gamma_co(pieces, deltas) -> CosimplicialChain:
         if d.src != pieces[s] or d.dst != pieces[s + 1]:
             raise InputError(f"connecting map {s} has wrong endpoints")
     for s in range(len(deltas) - 1):
-        if not deltas[s + 1].compose(deltas[s]).is_zero:
+        if not deltas[s + 1].compose_is_zero(deltas[s]):
             raise InputError("consecutive connecting maps must compose to zero")
     truncation = len(pieces) - 1
     blocks = [surjection_tuples(k) for k in range(truncation + 1)]
@@ -276,9 +276,8 @@ def gamma_co_map(src_system, dst_system, piece_maps) -> CosimplicialMap:
     dst_pieces, dst_deltas = dst_system
     piece_maps = tuple(piece_maps)
     for s in range(len(piece_maps) - 1):
-        lhs = dst_deltas[s].compose(piece_maps[s])
-        rhs = piece_maps[s + 1].compose(src_deltas[s])
-        if lhs != rhs:
+        if not dst_deltas[s].compose_equals(piece_maps[s], piece_maps[s + 1],
+                                            src_deltas[s]):
             raise InputError(
                 f"piece maps fail to commute with connecting map {s}"
             )

@@ -82,16 +82,16 @@ MAX_RANK = 16_384
 
 # The largest truncation M, and the most totalization degrees the levels
 # may span (max - min + 1 of t - s over the degrees t of every level s).
-# A few bytes of file reach either.  The cosimplicial identities are
-# checked in time cubic in M, and every stripe window, page and oracle
-# walks each degree of the span: 81 empty levels (30 KB) took 11 s through
-# tot and ss, and an empty level 0 under a rank-1 level at degree 1000
-# (167 bytes) took 15 s through ss.  At both caps, on a 2-vCPU Xeon VM
-# with Python 3.11, 9 levels of 32 empty degrees take 0.17 s through tot
-# and 0.23 s through ss, and a constant object on 24 degrees of rank 2
-# takes 0.32 s through tot and 0.42 s through ss.  The corpus and the
-# tests reach truncation 5 and span 11, the Cech inputs of the benchmark
-# truncation 4 and span 5.
+# A few bytes of file reach either.  The number of cosimplicial identities
+# is cubic in M, each checked only in the degrees where its maps are
+# nonzero, and every stripe window, page and oracle walks each degree of
+# the span: 81 empty levels (30 KB) took 11 s through tot and ss, and an
+# empty level 0 under a rank-1 level at degree 1000 (167 bytes) took 15 s
+# through ss.  At both caps, on a 2-vCPU Xeon VM with Python 3.11, 9
+# levels of 32 empty degrees take 0.18 s through tot and 0.23 s through
+# ss, and a constant object on 24 degrees of rank 2 takes 0.30 s through
+# tot and 0.38 s through ss.  The corpus and the tests reach truncation 5
+# and span 11, the Cech inputs of the benchmark truncation 4 and span 5.
 MAX_TRUNCATION = 8
 MAX_TOT_SPAN = 32
 
@@ -154,49 +154,50 @@ class CosimplicialChain:
 
 
 def validate_cosimplicial(x: CosimplicialChain):
-    """Check every cosimplicial identity by matrix multiplication.
+    """Check every cosimplicial identity.
 
-    Returns (ok, violations); each violation names the identity and the
-    level it fails at.  Chain-map commuting is checked as a map is read
-    from JSON, so only the simplicial relations are at stake.
+    Both composites of an identity are compared cell by cell in each
+    degree where either can be nonzero, and neither is built.  Returns
+    (ok, violations); each violation names the identity and the level it
+    fails at.  Chain-map commuting is checked as a map is read from JSON,
+    so only the simplicial relations are at stake.
     """
     violations = []
     m = x.truncation
     for k in range(m - 1):
         for i in range(k + 2):
             for j in range(i + 1, k + 3):
-                lhs = x.coface(k + 1, j).compose(x.coface(k, i))
-                rhs = x.coface(k + 1, i).compose(x.coface(k, j - 1))
-                if lhs != rhs:
+                if not x.coface(k + 1, j).compose_equals(
+                        x.coface(k, i), x.coface(k + 1, i),
+                        x.coface(k, j - 1)):
                     violations.append(
                         f"d^{j} d^{i} != d^{i} d^{j - 1} out of level {k}"
                     )
     for k in range(2, m + 1):
         for i in range(k - 1):
             for j in range(i, k - 1):
-                lhs = x.codegeneracy(k - 1, j).compose(x.codegeneracy(k, i))
-                rhs = x.codegeneracy(k - 1, i).compose(
-                    x.codegeneracy(k, j + 1)
-                )
-                if lhs != rhs:
+                if not x.codegeneracy(k - 1, j).compose_equals(
+                        x.codegeneracy(k, i), x.codegeneracy(k - 1, i),
+                        x.codegeneracy(k, j + 1)):
                     violations.append(
                         f"s^{j} s^{i} != s^{i} s^{j + 1} out of level {k}"
                     )
     for k in range(m):
-        ident = identity_chain_map(x.levels[k])
         for i in range(k + 2):
             for j in range(k + 1):
-                lhs = x.codegeneracy(k + 1, j).compose(x.coface(k, i))
+                s_j, d_i = x.codegeneracy(k + 1, j), x.coface(k, i)
                 if i == j or i == j + 1:
-                    rhs = ident
+                    ok = s_j.compose_is_identity(d_i)
                     label = f"s^{j} d^{i} != id at level {k}"
                 elif i < j:
-                    rhs = x.coface(k - 1, i).compose(x.codegeneracy(k, j - 1))
+                    ok = s_j.compose_equals(d_i, x.coface(k - 1, i),
+                                            x.codegeneracy(k, j - 1))
                     label = f"s^{j} d^{i} != d^{i} s^{j - 1} at level {k}"
                 else:
-                    rhs = x.coface(k - 1, i - 1).compose(x.codegeneracy(k, j))
+                    ok = s_j.compose_equals(d_i, x.coface(k - 1, i - 1),
+                                            x.codegeneracy(k, j))
                     label = f"s^{j} d^{i} != d^{i - 1} s^{j} at level {k}"
-                if lhs != rhs:
+                if not ok:
                     violations.append(label)
     return (not violations), tuple(violations)
 
@@ -204,12 +205,25 @@ def validate_cosimplicial(x: CosimplicialChain):
 # -- conormalization ---------------------------------------------------------
 
 def coface_sum(x: CosimplicialChain, s: int) -> ChainMap:
-    """Alternating coface sum X^s -> X^{s+1}."""
-    total = x.coface(s, 0)
-    for i in range(1, s + 2):
-        term = x.coface(s, i)
-        total = total + (term if i % 2 == 0 else -term)
-    return total
+    """Alternating coface sum X^s -> X^{s+1}.
+
+    The s + 2 cofaces are summed cell by cell into one dict per degree,
+    and each degree's sum is sorted once."""
+    cells = {}
+    for i, d in enumerate(x.cofaces[s]):
+        sign = -1 if i % 2 else 1
+        for t, mat in d.comps:
+            acc = cells.setdefault(t, {})
+            get = acc.get
+            n = mat.ncols
+            for a, b, v in mat.entries:
+                key = a * n + b
+                acc[key] = get(key, 0) + sign * v
+    src, dst = x.levels[s], x.levels[s + 1]
+    return chain_map(src, dst, {
+        t: IntMatrix.from_cells(dst.rank(t), src.rank(t), acc)
+        for t, acc in cells.items()
+    })
 
 
 def _kernel_of_stack(mats, width: int) -> IntMatrix:
@@ -284,7 +298,7 @@ def conormalize(x: CosimplicialChain) -> Conormalization:
             comps[t] = solve_matrix(bases[s + 1][t], restricted)
         deltas.append(chain_map(pieces[s], pieces[s + 1], comps))
     for s in range(len(deltas) - 1):
-        if not deltas[s + 1].compose(deltas[s]).is_zero:
+        if not deltas[s + 1].compose_is_zero(deltas[s]):
             raise InvariantError(
                 f"conormalized coface sum fails to square to zero "
                 f"at piece {s}"
@@ -568,22 +582,18 @@ class CosimplicialMap:
         for k, f in enumerate(self.components):
             if f.src != self.src.levels[k] or f.dst != self.dst.levels[k]:
                 raise InputError(f"component {k} connects wrong levels")
+        f = self.components
         for k in range(self.src.truncation):
             for i in range(k + 2):
-                lhs = self.components[k + 1].compose(self.src.coface(k, i))
-                rhs = self.dst.coface(k, i).compose(self.components[k])
-                if lhs != rhs:
+                if not f[k + 1].compose_equals(
+                        self.src.coface(k, i), self.dst.coface(k, i), f[k]):
                     raise InvariantError(
                         f"map fails naturality against d^{i} at level {k}"
                     )
             for i in range(k + 1):
-                lhs = self.components[k].compose(
-                    self.src.codegeneracy(k + 1, i)
-                )
-                rhs = self.dst.codegeneracy(k + 1, i).compose(
-                    self.components[k + 1]
-                )
-                if lhs != rhs:
+                if not f[k].compose_equals(self.src.codegeneracy(k + 1, i),
+                                           self.dst.codegeneracy(k + 1, i),
+                                           f[k + 1]):
                     raise InvariantError(
                         f"map fails naturality against s^{i} at level {k + 1}"
                     )

@@ -98,10 +98,22 @@ class IntMatrix:
 
     @classmethod
     def from_dict(cls, nrows: int, ncols: int, data) -> "IntMatrix":
-        ent = tuple(
-            (i, j, v) for (i, j), v in sorted(data.items()) if v != 0
-        )
-        return cls(nrows, ncols, ent)
+        """The matrix whose cells are data[(i, j)]; zero values are dropped."""
+        return cls.from_cells(nrows, ncols, {
+            i * ncols + j: v for (i, j), v in data.items()
+        })
+
+    @classmethod
+    def from_cells(cls, nrows: int, ncols: int, cells: dict) -> "IntMatrix":
+        """The matrix whose cell (i, j) is cells[i * ncols + j]; zero values
+        are dropped.  Ints sort faster than pairs, so from_dict and every
+        product assemble their matrix here."""
+        if not ncols:
+            return cls(nrows, 0, ())
+        return cls(nrows, ncols, tuple([
+            (key // ncols, key % ncols, v)
+            for key in sorted(cells) if (v := cells[key])
+        ]))
 
     @classmethod
     def from_rows(cls, rows, ncols: int | None = None) -> "IntMatrix":
@@ -232,27 +244,33 @@ class IntMatrix:
         return IntMatrix.from_dict(self.nrows, self.ncols, data)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        return IntMatrix.from_cells(self.nrows, other.ncols,
+                                    self.product_cells(other))
+
+    def product_cells(self, other: "IntMatrix") -> dict:
+        """The nonzero cells of self @ other, cell (i, j) keyed
+        i * other.ncols + j.  Two products of one shape are equal exactly
+        when their cell dicts are, so a product that is only compared
+        need not be built."""
         if self.ncols != other.nrows:
             raise InputError(
                 f"cannot multiply {self.nrows}x{self.ncols} "
                 f"by {other.nrows}x{other.ncols}"
             )
+        acc: dict = {}
         if not self.entries or not other.entries:
-            return IntMatrix(self.nrows, other.ncols, ())
+            return acc
         orows = other._row_items
         n = other.ncols
-        # cell (i, j) is keyed i * n + j: ints hash and sort faster than
-        # pairs, and only the nonzero cells are sorted
-        acc: dict = {}
         get = acc.get
         for i, k, v in self.entries:
             base = i * n
             for j, w in orows[k]:
                 key = base + j
                 acc[key] = get(key, 0) + v * w
-        cells = sorted(kx for kx in acc.items() if kx[1])
-        return IntMatrix(self.nrows, n,
-                         tuple((*divmod(key, n), x) for key, x in cells))
+        for key in [key for key, x in acc.items() if not x]:
+            del acc[key]
+        return acc
 
     def take_rows(self, indices) -> "IntMatrix":
         idx = list(indices)

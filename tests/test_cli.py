@@ -828,8 +828,9 @@ def test_declared_rank_past_the_cap_is_refused_quickly(tmp_path, capsys):
 
 
 def test_truncation_past_the_cap_is_refused_quickly(tmp_path, capsys):
-    # empty levels cost a few bytes each, and the identities are checked
-    # in time cubic in the truncation
+    # empty levels cost a few bytes each, and the number of identities to
+    # check is cubic in the truncation, though each is skipped in the
+    # degrees where its maps are zero
     cap = cosimplicial.MAX_TRUNCATION
     for m in (80, cap + 1):
         path = level_file(tmp_path, f"m{m}.json", [(0, 0)] * (m + 1))

@@ -1,5 +1,6 @@
 """Cosimplicial core: identities, conormalization, matching, towers."""
 
+import dataclasses
 import json
 import re
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tottower import cosimplicial
 from tottower.abelian import HomologyGroup
 from tottower.chains import ChainComplexInt, chain_map, identity_chain_map
+from tottower.cli import main
 from tottower.constructions import (
     CorpusObject,
     cech_object,
@@ -233,6 +235,134 @@ def test_validator_names_broken_codegeneracy():
     ok, violations = validate_cosimplicial(bad)
     assert not ok
     assert any("s^" in v for v in violations)
+
+
+# -- the identities and the coface sum as they were computed before products
+# were compared cell by cell, kept verbatim as the differential references
+
+def reference_validate(x: CosimplicialChain):
+    """Check every cosimplicial identity by matrix multiplication.
+
+    Returns (ok, violations); each violation names the identity and the
+    level it fails at.  Chain-map commuting is checked as a map is read
+    from JSON, so only the simplicial relations are at stake.
+    """
+    violations = []
+    m = x.truncation
+    for k in range(m - 1):
+        for i in range(k + 2):
+            for j in range(i + 1, k + 3):
+                lhs = x.coface(k + 1, j).compose(x.coface(k, i))
+                rhs = x.coface(k + 1, i).compose(x.coface(k, j - 1))
+                if lhs != rhs:
+                    violations.append(
+                        f"d^{j} d^{i} != d^{i} d^{j - 1} out of level {k}"
+                    )
+    for k in range(2, m + 1):
+        for i in range(k - 1):
+            for j in range(i, k - 1):
+                lhs = x.codegeneracy(k - 1, j).compose(x.codegeneracy(k, i))
+                rhs = x.codegeneracy(k - 1, i).compose(
+                    x.codegeneracy(k, j + 1)
+                )
+                if lhs != rhs:
+                    violations.append(
+                        f"s^{j} s^{i} != s^{i} s^{j + 1} out of level {k}"
+                    )
+    for k in range(m):
+        ident = identity_chain_map(x.levels[k])
+        for i in range(k + 2):
+            for j in range(k + 1):
+                lhs = x.codegeneracy(k + 1, j).compose(x.coface(k, i))
+                if i == j or i == j + 1:
+                    rhs = ident
+                    label = f"s^{j} d^{i} != id at level {k}"
+                elif i < j:
+                    rhs = x.coface(k - 1, i).compose(x.codegeneracy(k, j - 1))
+                    label = f"s^{j} d^{i} != d^{i} s^{j - 1} at level {k}"
+                else:
+                    rhs = x.coface(k - 1, i - 1).compose(x.codegeneracy(k, j))
+                    label = f"s^{j} d^{i} != d^{i - 1} s^{j} at level {k}"
+                if lhs != rhs:
+                    violations.append(label)
+    return (not violations), tuple(violations)
+
+
+def reference_coface_sum(x: CosimplicialChain, s: int):
+    """Alternating coface sum X^s -> X^{s+1}."""
+    total = x.coface(s, 0)
+    for i in range(1, s + 2):
+        term = x.coface(s, i)
+        total = total + (term if i % 2 == 0 else -term)
+    return total
+
+
+@pytest.mark.parametrize("x", [
+    pytest.param(obj.x, id=obj.name) for obj in OBJECTS
+] + [
+    pytest.param(cech_object(n, m), id=f"cech-{n}-{m}")
+    for n in range(1, 5) for m in range(1, 5)
+])
+def test_identities_and_coface_sums_match_the_references(x):
+    assert validate_cosimplicial(x) == reference_validate(x)
+    for s in range(x.truncation):
+        assert cosimplicial.coface_sum(x, s) == reference_coface_sum(x, s)
+
+
+def single_cell_perturbations(x):
+    """x with one cell of one coface or codegeneracy raised by 1, for each
+    cell of each degree the map's two levels share."""
+    for table in ("cofaces", "codegeneracies"):
+        maps = getattr(x, table)
+        for k, row in enumerate(maps):
+            for i, f in enumerate(row):
+                for t in f.src.degrees():
+                    ncols = f.src.rank(t)
+                    for a in range(f.dst.rank(t)):
+                        for b in range(ncols):
+                            rows = f.component(t).to_rows()
+                            rows[a][b] += 1
+                            comps = dict(f.comps)
+                            comps[t] = IntMatrix.from_rows(rows, ncols)
+                            g = chain_map(f.src, f.dst, comps)
+                            changed = row[:i] + (g,) + row[i + 1:]
+                            yield dataclasses.replace(x, **{
+                                table: maps[:k] + (changed,) + maps[k + 1:]
+                            })
+
+
+@pytest.mark.parametrize("x", [
+    pytest.param(cech_object(2, 2), id="cech-2-2"),
+] + [
+    pytest.param(obj.x, id=obj.name) for obj in CORPUS
+    if obj.name in ("blocks-0", "blocks-11")
+])
+def test_validator_matches_the_reference_on_every_single_cell_change(x):
+    broken = 0
+    for y in single_cell_perturbations(x):
+        got = validate_cosimplicial(y)
+        assert got == reference_validate(y)
+        broken += not got[0]
+    assert broken > 50
+
+
+def test_a_coface_zero_in_one_degree_breaks_the_identities_there(
+        tmp_path, capsys):
+    # with zero boundaries the map stays a chain map, but every identity
+    # through d^0 out of level 1 now has one side zero in degree 0 and the
+    # other side not
+    data = cosimplicial_to_data(cech_object(2, 2))
+    del data["cofaces"][1][0]["0"]
+    x = cosimplicial_from_data(data)
+    want = reference_validate(x)
+    assert not want[0]
+    assert validate_cosimplicial(x) == want
+    path = tmp_path / "dropped.json"
+    path.write_text(json.dumps(data))
+    assert main(["tot", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("invariant violation: cosimplicial identities fail: "
+                   + "; ".join(want[1][:3]) + "\n")
 
 
 # -- corpus-wide structure checks ------------------------------------------------

@@ -645,6 +645,41 @@ def test_matmul_matches_dense_product(m, n, p, data):
         a @ IntMatrix.zeros(n + 1, p)
 
 
+def dense_cells(rows, ncols) -> dict:
+    """The nonzero cells of a list of rows, cell (i, j) keyed i * ncols + j."""
+    return {i * ncols + j: v for i, row in enumerate(rows)
+            for j, v in enumerate(row) if v}
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_product_cells_and_assembly_match_dense_rows(m, n, p, data):
+    def rows(nrows, ncols):
+        return data.draw(st.lists(
+            st.lists(st.integers(-3, 3) | st.just(0), min_size=ncols,
+                     max_size=ncols),
+            min_size=nrows, max_size=nrows,
+        ))
+
+    a_rows, b_rows = rows(m, n), rows(n, p)
+    a = IntMatrix.from_rows(a_rows, n)
+    b = IntMatrix.from_rows(b_rows, p)
+    want = dense_product(a_rows, b_rows, p)
+    assert a.product_cells(b) == dense_cells(want, p)
+    assert (a @ b).entries == IntMatrix.from_rows(want, p).entries
+    # [a a] times [b; -b] has terms in every cell where a @ b has, and
+    # they cancel
+    assert IntMatrix.hstack([a, a]).product_cells(
+        IntMatrix.vstack([b, -b])) == {}
+    # zero values given to the assemblers are dropped
+    cells = {(i, j): v for i, row in enumerate(a_rows)
+             for j, v in enumerate(row)}
+    assert IntMatrix.from_dict(m, n, cells) == a
+    keyed = {i * n + j: v for (i, j), v in cells.items()}
+    assert IntMatrix.from_cells(m, n, keyed) == a
+    with pytest.raises(InputError):
+        a.product_cells(IntMatrix.zeros(n + 1, p))
+
+
 # IntMatrix.__matmul__ as it was before a product with an operand of no
 # entries returned at once, kept verbatim as the differential reference
 
