@@ -151,12 +151,6 @@ class GroupHom:
                     f"entry ({i}, {j}) ignores the order-{o} relation"
                 )
 
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        if other.dst_orders != self.src_orders:
-            raise InputError("composition through mismatched groups")
-        return GroupHom(other.src_orders, self.dst_orders,
-                        self.mat @ other.mat)
-
     def __add__(self, other: "GroupHom") -> "GroupHom":
         if (other.src_orders, other.dst_orders) != \
                 (self.src_orders, self.dst_orders):

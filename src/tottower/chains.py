@@ -313,15 +313,8 @@ class ChainMap:
     def is_zero(self) -> bool:
         return not self.comps
 
-    def compose(self, other: "ChainMap") -> "ChainMap":
-        if other.dst != self.src:
-            raise InputError("composition through different complexes")
-        degs = {k for k, _ in self.comps} & {k for k, _ in other.comps}
-        mats = {k: self.component(k) @ other.component(k) for k in degs}
-        return chain_map(other.src, self.dst, mats)
-
-    # A composite that is only compared is compared cell by cell, in the
-    # degrees where it can be nonzero, and never built.
+    # A composite is compared cell by cell, in the degrees where it can
+    # be nonzero, and never built.
 
     def _composite_cells(self, other: "ChainMap") -> dict:
         """{k: nonzero cells of self_k @ other_k} over the degrees k where
@@ -356,17 +349,6 @@ class ChainMap:
             if cells.get(k, {}) != {i * (n + 1): 1 for i in range(n)}:
                 return False
         return True
-
-    def __add__(self, other: "ChainMap") -> "ChainMap":
-        if (other.src, other.dst) != (self.src, self.dst):
-            raise InputError("sum of maps between different complexes")
-        degs = {k for k, _ in self.comps} | {k for k, _ in other.comps}
-        mats = {k: self.component(k) + other.component(k) for k in degs}
-        return chain_map(self.src, self.dst, mats)
-
-    def __neg__(self) -> "ChainMap":
-        return ChainMap(self.src, self.dst,
-                        tuple((k, -m) for k, m in self.comps))
 
     def shift(self, j: int) -> "ChainMap":
         return ChainMap(self.src.shift(j), self.dst.shift(j),

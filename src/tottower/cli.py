@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
+import stat
 import sys
 
 from . import __version__
@@ -38,15 +40,28 @@ STABLE_MODEL_DISCLAIMER = (
 # -- plumbing -----------------------------------------------------------------
 
 def _load_json(path: str, decoder=None):
+    # A regular file is mapped and decoded in one step, so its bytes are
+    # never copied into a bytes object; a pipe or an empty file, which
+    # cannot be mapped, is read whole.  Line ends are not translated: JSON
+    # reads "\r" as white space, so only error offsets can differ.
     # Decoded JSON holds no reference cycles, so the cyclic collector is
     # paused while it is built: otherwise it walks every parsed row again
     # and again.  Its previous state comes back however the parse ends.
     # decoder is a json.JSONDecoder class; None is the plain one.
+    import mmap
+
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, cls=decoder)
+        with open(path, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size:
+                with mmap.mmap(fh.fileno(), 0,
+                               access=mmap.ACCESS_READ) as mapped:
+                    text = str(mapped, "utf-8")
+            else:
+                text = str(fh.read(), "utf-8")
+        return json.loads(text, cls=decoder)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:

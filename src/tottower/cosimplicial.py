@@ -702,10 +702,15 @@ def _dense_rows(s: str, idx: int):
 
     Row by row, string operations find the row's end and each nonzero
     cell, and the zeros between nonzero cells are compared with a slice
-    of _ZERO_CELLS, so no object is made for a zero cell.  Rows in any
-    other spelling, ragged rows and empty rows give None, and the caller
-    parses the value as JSON.  Only slices are taken, so nothing here
-    raises, and no search runs past the end of the row it reads."""
+    of _ZERO_CELLS, so no object is made for a zero cell.  The next
+    nonzero cell is guessed as the nearer "1" or "-", and both positions
+    are kept until the reading passes them.  A guess is sure once the
+    zeros in front of it check: they hold no other digit.  Where they do
+    not check, the rest of the row is marked by _MARK_NONZERO and read
+    cell by cell from the marks.  Rows in any other spelling, ragged
+    rows and empty rows give None, and the caller parses the value as
+    JSON.  Only slices are taken, so nothing here raises, and no search
+    runs past the end of the row it reads."""
     comma = s.find(",", idx, s.find("]", idx) + 2)
     sep = ", " if s.startswith(", ", comma) else ","
     zeros = _ZERO_CELLS[sep]
@@ -714,41 +719,58 @@ def _dense_rows(s: str, idx: int):
     entries = []
     ncols = None
     i = 0
+    one = minus = -1  # the next "1" and "-" of the row, or its end
     p = idx + 1  # the opening bracket of row i
     while s.startswith("[", p):
         end = s.find("]", p)
         if end < 0:
             return None
-        row = s[p + 1:end]
-        marks = row.translate(_MARK_NONZERO)
-        stop = len(row)
-        pos = j = 0
+        marks = None
+        pos = p + 1
+        j = 0
         while True:
-            a = marks.find("-", pos)
-            if a < 0:  # zero cells up to the end of the row
-                n = stop - pos
-                if not n or (n + width) % stride or not zeros.startswith(
-                        row[pos:]):
-                    return None
-                j += (n + width) // stride
-                break
+            if marks is not None:
+                a = marks.find("-", pos - base)
+                a = end if a < 0 else a + base
+            else:
+                if one < pos:
+                    one = s.find("1", pos, end)
+                    if one < 0:
+                        one = end
+                if minus < pos:
+                    minus = s.find("-", pos, end)
+                    if minus < 0:
+                        minus = end
+                a = one if one < minus else minus
             n = a - pos
-            if n % stride or not zeros.startswith(row[pos:a]):
+            if a == end:  # zero cells up to the end of the row
+                if n and not (n + width) % stride and zeros.startswith(
+                        s[pos:end]):
+                    j += (n + width) // stride
+                    break
+            elif not n % stride and zeros.startswith(s[pos:a]):
+                j += n // stride
+                b = s.find(",", a, end)
+                if b < 0:
+                    b = end
+                cell = s[a:b]
+                if not _NONZERO_CELL(cell):
+                    return None
+                entries.append((i, j, int(cell)))
+                j += 1
+                if b == end:
+                    break
+                if not s.startswith(sep, b):
+                    return None
+                pos = b + width
+                continue
+            # The zeros before a guess do not check, perhaps for a digit
+            # 2..9: the rest of the row is read from marks, and a zero
+            # run that does not check there refuses the rows.
+            if marks is not None:
                 return None
-            j += n // stride
-            b = row.find(",", a)
-            if b < 0:
-                b = stop
-            cell = row[a:b]
-            if not _NONZERO_CELL(cell):
-                return None
-            entries.append((i, j, int(cell)))
-            j += 1
-            if b == stop:
-                break
-            if not row.startswith(sep, b):
-                return None
-            pos = b + width
+            base = pos
+            marks = s[pos:end].translate(_MARK_NONZERO)
         if ncols is None:
             ncols = j
         elif j != ncols:

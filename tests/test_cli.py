@@ -85,13 +85,13 @@ import json, sys
 from tottower.cli import main
 code = main(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("tottower"))]))
+                               if m.startswith("tottower") or m == "mmap")]))
 """
 
 
 def loaded_modules(argv):
     """The exit code and the package modules a fresh process has loaded
-    once main(argv) returns."""
+    once main(argv) returns, with "mmap" if it is loaded."""
     done = subprocess.run(
         [sys.executable, "-c", LOADED, json.dumps(argv)],
         capture_output=True, text=True, timeout=120,
@@ -104,7 +104,8 @@ def loaded_modules(argv):
 
 def test_each_subcommand_loads_only_its_layers(tmp_path):
     # the cosimplicial JSON decoder is imported with its layer, in the
-    # tot and ss commands, never at start-up
+    # tot and ss commands, and mmap with the first file read, never at
+    # start-up
     assert not hasattr(cli, "CosimplicialDecoder")
     bare = {"tottower", "cli", "errors", "schema"}
     for argv in (["--version"], ["--help"], ["no-such-command"], ["tot"],
@@ -163,6 +164,52 @@ def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     for command in ("homology", "tot"):
         err = assert_one_line_input_error([command, str(path)], capsys)
         assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"", "not valid JSON"),
+    (b" \r\n", "not valid JSON"),
+    (b'{"facets": [["\xff"]]}', "not UTF-8"),
+], ids=["empty", "blank", "latin1"])
+def test_unreadable_input_is_named_from_a_file_and_a_pipe(
+        tmp_path, capsys, content, message):
+    """A file is mapped and a pipe is read, unless the file is empty:
+    both give the message of the text they hold."""
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    for command in ("homology", "tot"):
+        read, write = os.pipe()
+        os.write(write, content)
+        os.close(write)
+        try:
+            for where in (str(path), f"/dev/fd/{read}"):
+                err = assert_one_line_input_error([command, where], capsys)
+                assert message in err, (command, where)
+        finally:
+            os.close(read)
+
+
+def test_tot_report_is_the_same_through_a_pipe_and_with_crlf(tmp_path,
+                                                              capsys):
+    """tot on /dev/stdin fed through a pipe, and on the object written
+    with indent=1 and CRLF line ends, gives the report bytes of the
+    default file."""
+    data = cosimplicial_to_data(cech_object(3, 3))
+    path = write_json(tmp_path, "cech.json", data)
+    code, expected, err = run(["tot", path], capsys)
+    assert code == 0, err
+    crlf = tmp_path / "crlf.json"
+    crlf.write_bytes(
+        json.dumps(data, indent=1).replace("\n", "\r\n").encode())
+    assert b"\r\n" in crlf.read_bytes()
+    assert run(["tot", str(crlf)], capsys) == (0, expected, "")
+    done = subprocess.run(
+        [sys.executable, "-m", "tottower", "tot", "/dev/stdin"],
+        input=Path(path).read_bytes(), capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected.encode()
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -613,6 +660,9 @@ REPORT_SHA256 = {
     # the ss_cech benchmark object
     ("ss", "cech_4_4"):
         "e28310eadd3c09f6c31ce08e6dc6451ee21f74f642162e044eb4ea37a1516b08",
+    # the tot_load benchmark object, 54 MB of dense rows
+    ("tot", "cech_5_4"):
+        "4094226c26dea95e13cec7ee715f0c273925aeabc8b67c1286d5181b894c2f75",
 }
 # ss --pages 8 on cech_3_3: pages 5..8 are copies of the stable page 4
 PAGES_8_SHA256 = \
@@ -629,6 +679,8 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
         ),
         "cech_4_4": write_json(tmp_path, "cech_4_4.json",
                                cosimplicial_to_data(cech_object(4, 4))),
+        "cech_5_4": write_json(tmp_path, "cech_5_4.json",
+                               cosimplicial_to_data(cech_object(5, 4))),
     }
     memo = intlinalg._smith_memo
     memo.cache_clear()

@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from map_reference import add, compose, negate
 from tottower import cosimplicial
 from tottower.abelian import HomologyGroup
 from tottower.chains import ChainComplexInt, chain_map, identity_chain_map
@@ -20,6 +21,9 @@ from tottower.constructions import (
     quasi_iso_pairs,
 )
 from tottower.cosimplicial import (
+    _MARK_NONZERO,
+    _NONZERO_CELL,
+    _ZERO_CELLS,
     CosimplicialChain,
     CosimplicialDecoder,
     StripeWindow,
@@ -252,8 +256,8 @@ def reference_validate(x: CosimplicialChain):
     for k in range(m - 1):
         for i in range(k + 2):
             for j in range(i + 1, k + 3):
-                lhs = x.coface(k + 1, j).compose(x.coface(k, i))
-                rhs = x.coface(k + 1, i).compose(x.coface(k, j - 1))
+                lhs = compose(x.coface(k + 1, j), x.coface(k, i))
+                rhs = compose(x.coface(k + 1, i), x.coface(k, j - 1))
                 if lhs != rhs:
                     violations.append(
                         f"d^{j} d^{i} != d^{i} d^{j - 1} out of level {k}"
@@ -261,10 +265,9 @@ def reference_validate(x: CosimplicialChain):
     for k in range(2, m + 1):
         for i in range(k - 1):
             for j in range(i, k - 1):
-                lhs = x.codegeneracy(k - 1, j).compose(x.codegeneracy(k, i))
-                rhs = x.codegeneracy(k - 1, i).compose(
-                    x.codegeneracy(k, j + 1)
-                )
+                lhs = compose(x.codegeneracy(k - 1, j), x.codegeneracy(k, i))
+                rhs = compose(x.codegeneracy(k - 1, i),
+                              x.codegeneracy(k, j + 1))
                 if lhs != rhs:
                     violations.append(
                         f"s^{j} s^{i} != s^{i} s^{j + 1} out of level {k}"
@@ -273,15 +276,17 @@ def reference_validate(x: CosimplicialChain):
         ident = identity_chain_map(x.levels[k])
         for i in range(k + 2):
             for j in range(k + 1):
-                lhs = x.codegeneracy(k + 1, j).compose(x.coface(k, i))
+                lhs = compose(x.codegeneracy(k + 1, j), x.coface(k, i))
                 if i == j or i == j + 1:
                     rhs = ident
                     label = f"s^{j} d^{i} != id at level {k}"
                 elif i < j:
-                    rhs = x.coface(k - 1, i).compose(x.codegeneracy(k, j - 1))
+                    rhs = compose(x.coface(k - 1, i),
+                                  x.codegeneracy(k, j - 1))
                     label = f"s^{j} d^{i} != d^{i} s^{j - 1} at level {k}"
                 else:
-                    rhs = x.coface(k - 1, i - 1).compose(x.codegeneracy(k, j))
+                    rhs = compose(x.coface(k - 1, i - 1),
+                                  x.codegeneracy(k, j))
                     label = f"s^{j} d^{i} != d^{i - 1} s^{j} at level {k}"
                 if lhs != rhs:
                     violations.append(label)
@@ -293,7 +298,7 @@ def reference_coface_sum(x: CosimplicialChain, s: int):
     total = x.coface(s, 0)
     for i in range(1, s + 2):
         term = x.coface(s, i)
-        total = total + (term if i % 2 == 0 else -term)
+        total = add(total, term if i % 2 == 0 else negate(term))
     return total
 
 
@@ -455,7 +460,7 @@ def test_corpus_fiber_includes_into_stage(obj):
             })
             down = incl
             for j in range(m, n, -1):
-                down = tw.projection(j).compose(down)
+                down = compose(tw.projection(j), down)
             assert down.is_zero
 
 
@@ -794,6 +799,151 @@ def test_decoder_reads_matrices_from_dense_rows():
     assert read["4"].entries == ((0, 0, 12345678901234567890),)
     # a table with another key keeps its rows as parsed
     assert decode('{"0": [[0, 1]], "x": 1}') == {"0": [[0, 1]], "x": 1}
+
+
+# -- the dense-row reader as it was before it searched for "1" and "-",
+# kept verbatim as the differential reference: it marks every row whole
+
+def reference_dense_rows(s: str, idx: int):
+    """(IntMatrix, end) for the rows of integers at s[idx:], written as
+    json.dumps writes them with either separator, or None.
+
+    Row by row, string operations find the row's end and each nonzero
+    cell, and the zeros between nonzero cells are compared with a slice
+    of _ZERO_CELLS, so no object is made for a zero cell.  Rows in any
+    other spelling, ragged rows and empty rows give None, and the caller
+    parses the value as JSON.  Only slices are taken, so nothing here
+    raises, and no search runs past the end of the row it reads."""
+    comma = s.find(",", idx, s.find("]", idx) + 2)
+    sep = ", " if s.startswith(", ", comma) else ","
+    zeros = _ZERO_CELLS[sep]
+    width = len(sep)
+    stride = width + 1
+    entries = []
+    ncols = None
+    i = 0
+    p = idx + 1  # the opening bracket of row i
+    while s.startswith("[", p):
+        end = s.find("]", p)
+        if end < 0:
+            return None
+        row = s[p + 1:end]
+        marks = row.translate(_MARK_NONZERO)
+        stop = len(row)
+        pos = j = 0
+        while True:
+            a = marks.find("-", pos)
+            if a < 0:  # zero cells up to the end of the row
+                n = stop - pos
+                if not n or (n + width) % stride or not zeros.startswith(
+                        row[pos:]):
+                    return None
+                j += (n + width) // stride
+                break
+            n = a - pos
+            if n % stride or not zeros.startswith(row[pos:a]):
+                return None
+            j += n // stride
+            b = row.find(",", a)
+            if b < 0:
+                b = stop
+            cell = row[a:b]
+            if not _NONZERO_CELL(cell):
+                return None
+            entries.append((i, j, int(cell)))
+            j += 1
+            if b == stop:
+                break
+            if not row.startswith(sep, b):
+                return None
+            pos = b + width
+        if ncols is None:
+            ncols = j
+        elif j != ncols:
+            return None
+        i += 1
+        if s.startswith("]", end + 1):
+            return IntMatrix(i, ncols, tuple(entries)), end + 2
+        if not s.startswith(sep, end + 1):
+            return None
+        p = end + 1 + width
+    return None
+
+
+
+def dense_read(text):
+    """What _dense_rows and the reference read at the start of text."""
+    return cosimplicial._dense_rows(text, 0), reference_dense_rows(text, 0)
+
+
+# cells the guess for the next nonzero cell can meet: a "1" or a "-" that
+# starts a cell, one inside a cell, a digit 2..9 that hides a later "1"
+MIXED_CELLS = ["0", "1", "-1", *map(str, range(2, 10)), "-7", "10", "-0",
+               "01", "1.0", "1" * 19]
+
+
+@st.composite
+def mixed_rows(draw):
+    """Rows of one width, mostly zeros, of MIXED_CELLS, in one of the two
+    separators json.dumps writes, with text after them."""
+    sep = draw(st.sampled_from([", ", ","]))
+    width = draw(st.integers(1, 8))
+    cell = st.one_of(st.just("0"), st.just("0"), st.sampled_from(MIXED_CELLS))
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                         min_size=1, max_size=5))
+    tail = draw(st.sampled_from(["", "}", ", [[1]]}", "]"]))
+    return "[" + sep.join("[" + sep.join(row) + "]" for row in rows) + "]" \
+        + tail
+
+
+@settings(max_examples=300)
+@given(st.one_of(table_values(), mixed_rows()), st.data())
+def test_dense_rows_reads_what_the_reference_reads(text, data):
+    """The same (IntMatrix, end), or None, on a text and on a cut of it."""
+    cut = data.draw(st.integers(0, len(text)))
+    for doc in (text, text[:cut]):
+        new, old = dense_read(doc)
+        assert new == old, doc
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("[[0, 2, 0, 1], [0, 0, 0, 1]]", [[0, 2, 0, 1], [0, 0, 0, 1]]),
+    ("[[3,1],[0,1]]", [[3, 1], [0, 1]]),
+    ("[[0, 0, 5, 0, -1, 1]]", [[0, 0, 5, 0, -1, 1]]),
+    ("[[1, 9, 1], [0, 0, 0]]", [[1, 9, 1], [0, 0, 0]]),
+    ("[[21, 1], [-21, 0]]", [[21, 1], [-21, 0]]),
+    ("[[0, 2, 0, 1.0]]", None),
+    ("[[0, 2, 0, 01]]", None),
+    ("[[7, 0, 0], [1, 0]]", None),
+])
+def test_dense_rows_reads_a_digit_before_the_guess(text, rows):
+    """A cell of first digit 2..9 in front of a "1" in its row is read,
+    and what follows it is refused as before."""
+    new, old = dense_read(text)
+    assert new == old
+    if rows is None:
+        assert new is None
+    else:
+        assert new == (IntMatrix.from_rows(rows), len(text))
+
+
+def test_dense_rows_reads_every_table_as_the_reference_does():
+    """Every degree table of the corpus and of cech_object up to (4, 4),
+    in the default and the compact spelling."""
+    objects = [obj.x for obj in corpus(seed=20250811, count=20)] + [
+        cech_object(n, top) for n in range(1, 5) for top in range(5)
+    ]
+    read = 0
+    for x in objects:
+        for table in _degree_tables(cosimplicial_to_data(x)):
+            for rows in table.values():
+                for spelling in ("default", "compact"):
+                    text = json.dumps(rows, **SPELLINGS[spelling])
+                    new, old = dense_read(text)
+                    assert new == old
+                    assert new == (IntMatrix.from_rows(rows), len(text))
+                    read += 1
+    assert read
 
 
 def test_serialization_rejects_bad_truncation():
