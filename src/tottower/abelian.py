@@ -151,16 +151,6 @@ class GroupHom:
                     f"entry ({i}, {j}) ignores the order-{o} relation"
                 )
 
-    def __add__(self, other: "GroupHom") -> "GroupHom":
-        if (other.src_orders, other.dst_orders) != \
-                (self.src_orders, self.dst_orders):
-            raise InputError("sum of homs between different groups")
-        return GroupHom(self.src_orders, self.dst_orders,
-                        self.mat + other.mat)
-
-    def __neg__(self) -> "GroupHom":
-        return GroupHom(self.src_orders, self.dst_orders, -self.mat)
-
     @property
     def is_zero_hom(self) -> bool:
         return _zero_modulo(self.dst_orders,

@@ -216,12 +216,24 @@ def _unit_reduce(boundaries: tuple) -> tuple:
     """
     # cols[t][j] maps row -> value of column j; rows[t][i] holds the
     # columns where row i is nonzero
-    cols = [{} for _ in boundaries]
-    rows = [{} for _ in boundaries]
-    for t, bnd in enumerate(boundaries):
+    cols = []
+    rows = []
+    for bnd in boundaries:
+        ct = {}
+        rt = {}
         for i, j, v in bnd.entries:
-            cols[t].setdefault(j, {})[i] = v
-            rows[t].setdefault(i, set()).add(j)
+            col = ct.get(j)
+            if col is None:
+                ct[j] = {i: v}
+            else:
+                col[i] = v
+            row = rt.get(i)
+            if row is None:
+                rt[i] = {j}
+            else:
+                row.add(j)
+        cols.append(ct)
+        rows.append(rt)
     gone = [set() for _ in range(len(boundaries) + 1)]
     pairs = [0] * len(boundaries)
     for t in range(len(boundaries)):
@@ -232,10 +244,20 @@ def _unit_reduce(boundaries: tuple) -> tuple:
             b = queue.popleft()
             queued.discard(b)
             col_b = ct[b]
-            units = [i for i, v in col_b.items() if v in (1, -1)]
-            if not units:
-                continue
-            a = min(units, key=lambda i: (len(rt[i]), i))
+            if len(col_b) == 1:
+                # a lone entry is the only candidate
+                a = next(iter(col_b))
+                if col_b[a] not in (1, -1):
+                    continue
+            else:
+                a = -1
+                for i, v in col_b.items():
+                    if v == 1 or v == -1:
+                        n = len(rt[i])
+                        if a < 0 or n < best or (n == best and i < a):
+                            a, best = i, n
+                if a < 0:
+                    continue
             del ct[b]
             v = col_b.pop(a)
             for i in col_b:
@@ -268,10 +290,11 @@ def _unit_reduce(boundaries: tuple) -> tuple:
         keep_r = [i for i in range(bnd.nrows) if i not in gone[t]]
         keep_c = [j for j in range(bnd.ncols) if j not in gone[t + 1]]
         new_r = {i: p for p, i in enumerate(keep_r)}
+        ct = cols[t]
         data = {
             (new_r[i], q): v
-            for q, j in enumerate(keep_c)
-            for i, v in cols[t].get(j, {}).items()
+            for q, j in enumerate(keep_c) if j in ct
+            for i, v in ct[j].items()
         }
         residuals.append(IntMatrix.from_dict(len(keep_r), len(keep_c), data))
     return pairs, residuals

@@ -38,7 +38,7 @@ from .chains import (
     identity_chain_map,
 )
 from .errors import InputError, InvariantError, PreconditionError
-from .intlinalg import IntMatrix, kernel_basis, lattice_basis, solve_matrix
+from .intlinalg import IntMatrix, hermite_solve, kernel_lattice, lattice_basis
 from .schema import checked, degree_key, field, is_int, list_of
 
 __all__ = [
@@ -231,7 +231,7 @@ def _kernel_of_stack(mats, width: int) -> IntMatrix:
     mats = list(mats)
     if not mats:
         return IntMatrix.identity(width)
-    return lattice_basis(kernel_basis(IntMatrix.vstack(mats)))
+    return kernel_lattice(IntMatrix.vstack(mats))
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,9 @@ def conormalize(x: CosimplicialChain) -> Conormalization:
     restricted boundary and the restricted alternating coface sum.
 
     Bases are Hermite-canonical per degree, so equal kernel lattices get
-    equal coordinates and equal restricted matrices."""
+    equal coordinates and equal restricted matrices.  Both the kernels
+    and the coordinates come from echelon arithmetic (kernel_lattice,
+    hermite_solve); no Smith form is taken."""
     pieces = []
     embeddings = []
     bases = []
@@ -275,7 +277,7 @@ def conormalize(x: CosimplicialChain) -> Conormalization:
         }
         ranks = tuple(basis[t].ncols for t in level.degrees())
         boundaries = tuple(
-            solve_matrix(basis[t - 1], level.boundary(t) @ basis[t])
+            hermite_solve(basis[t - 1], level.boundary(t) @ basis[t])
             for t in level.degrees() if t > level.lo
         )
         piece = ChainComplexInt(level.lo, ranks, boundaries)
@@ -295,7 +297,7 @@ def conormalize(x: CosimplicialChain) -> Conormalization:
                         "coface sum leaves the target degree window"
                     )
                 continue
-            comps[t] = solve_matrix(bases[s + 1][t], restricted)
+            comps[t] = hermite_solve(bases[s + 1][t], restricted)
         deltas.append(chain_map(pieces[s], pieces[s + 1], comps))
     for s in range(len(deltas) - 1):
         if not deltas[s + 1].compose_is_zero(deltas[s]):
@@ -363,7 +365,7 @@ def matching_object(x: CosimplicialChain, m: int) -> MatchingObject:
             {(c, c): level.boundary(t) for c in range(copies)},
         )
         boundaries.append(
-            solve_matrix(basis[t - 1], product_boundary @ basis[t])
+            hermite_solve(basis[t - 1], product_boundary @ basis[t])
         )
     match = ChainComplexInt(level.lo, ranks, tuple(boundaries))
     above = x.levels[m + 1]
@@ -374,7 +376,7 @@ def matching_object(x: CosimplicialChain, m: int) -> MatchingObject:
         stacked = IntMatrix.vstack([
             x.codegeneracy(m + 1, i).component(t) for i in range(m + 1)
         ])
-        comps[t] = solve_matrix(basis[t], stacked)
+        comps[t] = hermite_solve(basis[t], stacked)
     canonical = chain_map(above, match, comps)
     return MatchingObject(m=m, complex=match, canonical=canonical,
                           basis=basis)
@@ -390,7 +392,7 @@ def matching_kernel_agrees(x: CosimplicialChain, m: int) -> bool:
     above = x.levels[m + 1]
     emb = x.conormalization.embeddings[m + 1]
     for t in above.degrees():
-        mine = lattice_basis(kernel_basis(mo.canonical.component(t)))
+        mine = kernel_lattice(mo.canonical.component(t))
         expected = lattice_basis(emb.component(t))
         if mine != expected:
             return False
@@ -617,7 +619,7 @@ def _fiber_map(f: CosimplicialMap, n: int, m: int) -> ChainMap:
         for s, r in blocks:
             if r and k in dst.blocks:
                 t = k + s
-                restricted = solve_matrix(
+                restricted = hermite_solve(
                     dst.conorm.embeddings[s].component(t),
                     f.components[s].component(t)
                     @ src.conorm.embeddings[s].component(t),

@@ -20,6 +20,13 @@ hit is exactly what recomputing would give.  A third memo, with the same
 size, sits one layer up: ``abelian.subquotient_presentation`` remembers
 whole subquotient presentations, so a repeated one takes neither its two
 Smith forms nor the solves and products after them.
+
+A Smith form with transforms is not needed for a canonical kernel or for
+coordinates in a canonical basis.  ``kernel_lattice`` gives the Hermite
+basis of a kernel from the same row clearing that ``lattice_basis``
+runs, over [A; I], and ``hermite_solve`` finds coordinates against a
+column echelon basis by forward substitution; conormalization uses only
+these two.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ __all__ = [
     "snf_invariants",
     "matrix_rank",
     "kernel_basis",
+    "kernel_lattice",
     "solve_matrix",
+    "hermite_solve",
     "lattice_basis",
     "MEMO_SIZE",
 ]
@@ -49,8 +58,9 @@ __all__ = [
 # lattice_basis each remember.  A Tot spectral sequence rebuilds the same
 # lattices on every page past stabilization, in the graded limit, in page
 # verification and in the E2 oracle: ss on the Cech object of 4 points
-# with truncation 4 takes 178 Smith forms of 49 distinct inputs, with the
-# repeated subquotients already served by the memo in abelian.
+# with truncation 4 takes 166 Smith forms of 45 distinct inputs and 154
+# lattice bases of 28, with the repeated subquotients already served by
+# the memo in abelian.
 MEMO_SIZE = 1024
 
 
@@ -705,26 +715,10 @@ def lattice_basis(mat: IntMatrix) -> IntMatrix:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _hermite_memo(mat: IntMatrix) -> IntMatrix:
-    cols = [{} for _ in range(mat.ncols)]
-    at_row = {}
-    for i, j, v in mat.entries:
-        cols[j][i] = v
-        at_row.setdefault(i, set()).add(j)
     basis = []
     basis_at = {}
-    for r in range(mat.nrows):
-        hit = at_row.get(r)
-        if not hit:
-            continue
-        while len(hit) > 1:
-            p = min(hit, key=lambda t: (abs(cols[t][r]), len(cols[t]), t))
-            main, d = cols[p], cols[p][r]
-            for t in [t for t in hit if t != p]:
-                _subtract(cols[t], cols[t][r] // d, main, t, at_row)
-        p = next(iter(hit))
-        main = cols[p]
-        for k in main:
-            at_row[k].discard(p)
+    for r, main in _clear_rows(mat):
+        p = len(basis)
         if main[r] < 0:
             main = {k: -v for k, v in main.items()}
         d = main[r]
@@ -733,10 +727,126 @@ def _hermite_memo(mat: IntMatrix) -> IntMatrix:
             if q:
                 _subtract(basis[b], q, main, b, basis_at)
         for k in main:
-            basis_at.setdefault(k, set()).add(len(basis))
+            basis_at.setdefault(k, set()).add(p)
         basis.append(main)
     data = {}
     for idx, col in enumerate(basis):
         for k, v in col.items():
             data[(k, idx)] = v
     return IntMatrix.from_dict(mat.nrows, len(basis), data)
+
+
+def _clear_rows(mat: IntMatrix, tails: list | None = None):
+    """Clear the rows of mat top down by column operations.
+
+    At each row the columns nonzero there are reduced against the one
+    with the smallest |entry| (ties: fewest nonzeros, then lowest id)
+    until one is left; that column leaves the working set and is yielded
+    as (row, column dict), so later rows never touch it.  The working
+    columns are row -> value dicts with a row -> column-id index.  With
+    ``tails`` (one row -> value dict per column, kept outside the index)
+    every column operation is applied to the tails as well, and a
+    yielded column's tail is set to None, so the tails left at the end
+    are those of the columns whose mat-part ended zero.
+    """
+    cols = [{} for _ in range(mat.ncols)]
+    at_row = {}
+    for i, j, v in mat.entries:
+        cols[j][i] = v
+        at_row.setdefault(i, set()).add(j)
+    for r in range(mat.nrows):
+        hit = at_row.get(r)
+        if not hit:
+            continue
+        while len(hit) > 1:
+            p = min(hit, key=lambda t: (abs(cols[t][r]), len(cols[t]), t))
+            main, d = cols[p], cols[p][r]
+            for t in [t for t in hit if t != p]:
+                q = cols[t][r] // d
+                _subtract(cols[t], q, main, t, at_row)
+                if tails is not None:
+                    _dict_add(tails[t], tails[p], -q)
+        p = next(iter(hit))
+        main = cols[p]
+        for k in main:
+            at_row[k].discard(p)
+        if tails is not None:
+            tails[p] = None
+        yield r, main
+
+
+def kernel_lattice(mat: IntMatrix) -> IntMatrix:
+    """Canonical basis of the integer kernel, as columns.
+
+    Equals lattice_basis(kernel_basis(mat)), since the column Hermite
+    form of a lattice is unique, but takes no Smith form: the rows of mat
+    are cleared over the columns of [mat; I], and the I-parts of the
+    columns whose mat-part ends zero span the kernel.  They are columns
+    of a unimodular matrix, so the lattice they span is saturated; the
+    columns left nonzero have independent images.  The identity rows are
+    carried as tails and never indexed.
+    """
+    tails = [{j: 1} for j in range(mat.ncols)]
+    for _ in _clear_rows(mat, tails):
+        pass
+    kernel = [col for col in tails if col is not None]
+    k = len(kernel)
+    return lattice_basis(IntMatrix.from_cells(mat.ncols, k, {
+        i * k + c: v for c, col in enumerate(kernel) for i, v in col.items()
+    }))
+
+
+def hermite_solve(basis: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The integral x with basis @ x == b, for a basis in column echelon
+    form (pivot rows strictly increasing, as lattice_basis gives).
+
+    The solution is unique, so it equals solve_matrix(basis, b), but it
+    is found by forward substitution: at each column's pivot row the
+    residual of b is divided by the pivot and that multiple of the
+    column is subtracted.  Raises InvariantError when a pivot does not
+    divide, when a residual is left over, or when the pivot rows of the
+    basis do not strictly increase.
+    """
+    if basis.nrows != b.nrows:
+        raise InputError("solve requires matching row counts")
+    cols = [[] for _ in range(basis.ncols)]
+    for i, j, v in basis.entries:
+        cols[j].append((i, v))
+    rest = {}
+    for i, j, v in b.entries:
+        row = rest.get(i)
+        if row is None:
+            rest[i] = {j: v}
+        else:
+            row[j] = v
+    n = b.ncols
+    cells = {}
+    last = -1
+    for c, col in enumerate(cols):
+        if not col or col[0][0] <= last:
+            raise InvariantError("basis pivot rows do not strictly increase")
+        last, d = col[0]
+        row = rest.pop(last, None)
+        if not row:
+            continue
+        x = {}
+        for j, w in row.items():
+            q, r = divmod(w, d)
+            if r:
+                raise InvariantError("system has no integral solution")
+            x[j] = q
+            cells[c * n + j] = q
+        for i, v in col[1:]:
+            target = rest.get(i)
+            if target is None:
+                rest[i] = {j: -q * v for j, q in x.items()}
+                continue
+            for j, q in x.items():
+                nv = target.get(j, 0) - q * v
+                if nv:
+                    target[j] = nv
+                else:
+                    del target[j]
+    if any(rest.values()):
+        raise InvariantError("system has no integral solution")
+    return IntMatrix.from_cells(basis.ncols, n, cells)

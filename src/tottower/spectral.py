@@ -39,7 +39,7 @@ from .cosimplicial import (
     coface_sum,
 )
 from .errors import InputError, InvariantError
-from .intlinalg import IntMatrix, kernel_basis, lattice_basis
+from .intlinalg import IntMatrix, kernel_basis, kernel_lattice, lattice_basis
 
 __all__ = [
     "SpectralSequencePage",
@@ -333,7 +333,7 @@ def _level_homology_spot(x: CosimplicialChain, s: int, t: int):
         system = IntMatrix.from_blocks(
             [below.rank(t)] * s, [width] + [wit] * s, blocks
         )
-        coeffs = kernel_basis(system).take_rows(range(width))
+        coeffs = kernel_lattice(system).take_rows(range(width))
         numer = lattice_basis(cycles @ coeffs)
     return subquotient_presentation(numer, bnd)
 

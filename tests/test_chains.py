@@ -1,9 +1,14 @@
 """Chain complexes: the two homology paths must agree on random complexes."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from map_reference import add, compose, negate
+from test_cosimplicial import SIGNED
+from unit_reduce_reference import unit_reduce as reference_unit_reduce
 from tottower import chains
 from tottower.abelian import HomologyGroup
 from tottower.chains import (
@@ -18,6 +23,7 @@ from tottower.cosimplicial import (
     tower,
     tower_fiber,
 )
+from tottower.deloop import subset_model
 from tottower.errors import InputError, InvariantError
 from tottower.intlinalg import (
     IntMatrix,
@@ -25,7 +31,13 @@ from tottower.intlinalg import (
     matrix_rank,
     snf_invariants,
 )
-from tottower.posets import order_complex, subset_poset, subspace_poset
+from tottower.posets import (
+    down_slice,
+    order_complex,
+    poset_from_relation,
+    subset_poset,
+    subspace_poset,
+)
 from tottower.simplicial import (
     chain_complex,
     complex_from_facets,
@@ -228,14 +240,17 @@ def test_unit_reduction_matches_smith_with_torsion(draw_mats):
     assert_invariants_match_direct_smith(random_complex(draw_mats))
 
 
+def tower_complexes(x):
+    """The levels, the stages and every fiber of a cosimplicial object."""
+    return list(x.levels) + list(tower(x).stages) + [
+        tower_fiber(x, n, m)
+        for m in range(x.truncation + 1) for n in range(m)
+    ]
+
+
 def test_unit_reduction_matches_smith_on_corpus():
     for obj in corpus(seed=20250811, count=20):
-        x = obj.x
-        complexes = list(x.levels) + list(tower(x).stages) + [
-            tower_fiber(x, n, m)
-            for m in range(x.truncation + 1) for n in range(m)
-        ]
-        for c in complexes:
+        for c in tower_complexes(obj.x):
             assert_invariants_match_direct_smith(c)
 
 
@@ -254,6 +269,61 @@ def test_unit_reduction_matches_smith_on_acceptance_posets():
     for p in acceptance_posets():
         c = chain_complex(order_complex(p), reduced=True)
         assert_invariants_match_direct_smith(c)
+
+
+# -- the unit reduction against the version it replaced ------------------------
+
+def assert_unit_reduce_matches_reference(c):
+    assert chains._unit_reduce(c.boundaries) == \
+        reference_unit_reduce(c.boundaries)
+
+
+def wedge_complexes():
+    """The reduced order complex of the nonempty subsets of {0..6} of size
+    at most 5, under four relabelings that each give another vertex
+    order, and so another elimination."""
+    subsets = [
+        c for k in range(1, 6) for c in itertools.combinations(range(7), k)
+    ]
+    for ordering in range(4):
+        labels = random.Random(ordering).sample(
+            range(len(subsets)), len(subsets))
+        label = dict(zip(subsets, labels))
+        covers = [
+            (label[b[:i] + b[i + 1:]], label[b])
+            for b in subsets if len(b) > 1 for i in range(len(b))
+        ]
+        p = poset_from_relation(labels, pairs=covers)
+        yield chain_complex(order_complex(p), reduced=True)
+
+
+def deloop_complexes():
+    """The reduced order complexes of the 63 down slices of the card <= 4
+    subsets of {0..5}."""
+    incl = subset_model(6, 4)
+    for d in incl.ambient.elements:
+        yield chain_complex(order_complex(down_slice(incl, d)), reduced=True)
+
+
+@given(mats_strategy())
+def test_unit_reduce_matches_reference_on_random_complexes(draw_mats):
+    assert_unit_reduce_matches_reference(random_complex(draw_mats))
+
+
+@given(mats_strategy(bound=5))
+def test_unit_reduce_matches_reference_with_torsion(draw_mats):
+    assert_unit_reduce_matches_reference(random_complex(draw_mats))
+
+
+def test_unit_reduce_matches_reference_on_tower_complexes():
+    for obj in list(corpus(seed=20250811, count=20)) + list(SIGNED):
+        for c in tower_complexes(obj.x):
+            assert_unit_reduce_matches_reference(c)
+
+
+def test_unit_reduce_matches_reference_on_wedge_and_deloop_complexes():
+    for c in [*wedge_complexes(), *deloop_complexes()]:
+        assert_unit_reduce_matches_reference(c)
 
 
 RP2_FACETS = [

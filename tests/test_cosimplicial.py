@@ -419,6 +419,14 @@ def test_corpus_matching_kernels(obj):
         assert matching_kernel_agrees(obj.x, m)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cech_matching_kernels(n):
+    for top in range(1, 5):
+        x = cech_object(n, top)
+        for m in range(top):
+            assert matching_kernel_agrees(x, m)
+
+
 @pytest.mark.parametrize("obj", OBJECTS, ids=lambda o: o.name)
 def test_corpus_stage_zero_is_level_zero(obj):
     assert tot_n(obj.x, 0) == trim_ends(obj.x.levels[0])

@@ -13,19 +13,24 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
+from test_cosimplicial import stripe_sign_objects
 from tottower import abelian, cosimplicial, intlinalg, spectral
 from tottower.abelian import subquotient_presentation
-from tottower.constructions import cech_object, corpus
+from tottower.constructions import cech_object, corpus, quasi_iso_pairs
 from tottower.cosimplicial import (
     cosimplicial_from_data,
     cosimplicial_to_data,
+    matching_kernel_agrees,
+    quasi_iso_invariance,
     tower,
 )
 from tottower.cover import cover_from_subcomplexes, hocolim_chain
 from tottower.errors import InputError, InvariantError
 from tottower.intlinalg import (
     IntMatrix,
+    hermite_solve,
     kernel_basis,
+    kernel_lattice,
     lattice_basis,
     matrix_rank,
     smith_normal_form,
@@ -36,7 +41,7 @@ from tottower.intlinalg import (
 from tottower.posets import order_complex, subset_poset
 from tottower.schema import is_int
 from tottower.simplicial import chain_complex, complex_from_facets
-from tottower.spectral import spectral_sequence
+from tottower.spectral import e2_from_level_homology, spectral_sequence
 
 
 # -- oracle helpers -------------------------------------------------------
@@ -526,6 +531,141 @@ def test_one_elimination_per_distinct_input(monkeypatch):
     assert len(eliminations) == len(set(inputs))
 
 
+# -- echelon kernels and substitution solves ------------------------------------
+
+def smith_kernel_lattice(mat):
+    """The canonical kernel basis by way of a Smith form with transforms."""
+    return lattice_basis(kernel_basis(mat))
+
+
+def solve_outcome(solve, a, b):
+    """solve(a, b), or the message of the InvariantError it raises."""
+    try:
+        return solve(a, b)
+    except InvariantError as exc:
+        return str(exc)
+
+
+def assert_hermite_solve_matches_smith(basis, b):
+    assert solve_outcome(hermite_solve, basis, b) == \
+        solve_outcome(solve_matrix, basis, b)
+
+
+def draw_matrix(data, nrows, ncols):
+    entry = st.sampled_from((0,) * 6 + (1, -1, 2, -3, 4))
+    cells = data.draw(st.lists(entry, min_size=nrows * ncols,
+                               max_size=nrows * ncols))
+    return IntMatrix.from_dict(nrows, ncols, {
+        divmod(p, ncols): v for p, v in enumerate(cells)
+    })
+
+
+@given(sparse_strategy())
+def test_kernel_lattice_matches_smith_route(a):
+    assert kernel_lattice(a) == smith_kernel_lattice(a)
+
+
+def test_kernel_lattice_edge_shapes():
+    assert kernel_lattice(IntMatrix.zeros(0, 3)) == IntMatrix.identity(3)
+    assert kernel_lattice(IntMatrix.zeros(3, 0)) == IntMatrix.zeros(0, 0)
+    assert kernel_lattice(IntMatrix.identity(2)) == IntMatrix.zeros(2, 0)
+    # a single relation 2x = 3y: the kernel is spanned by (3, 2)
+    a = IntMatrix.from_rows([[2, -3]])
+    assert kernel_lattice(a) == IntMatrix.from_rows([[3], [2]])
+
+
+@given(sparse_strategy(), st.integers(0, 4), st.data())
+def test_hermite_solve_matches_solve_matrix(a, width, data):
+    basis = lattice_basis(a)
+    x = draw_matrix(data, basis.ncols, width)
+    assert hermite_solve(basis, basis @ x) == x
+    # a right-hand side drawn at random mostly has no solution; both
+    # routes must then raise the same error
+    assert_hermite_solve_matches_smith(
+        basis, draw_matrix(data, a.nrows, width))
+
+
+def test_hermite_solve_failures():
+    basis = IntMatrix.from_rows([[2, 0], [1, 3], [0, 1]])
+    assert hermite_solve(basis, IntMatrix.from_rows([[2], [4], [1]])) == \
+        IntMatrix.from_rows([[1], [1]])
+    no_solution = "system has no integral solution"
+    for b in ([[1], [0], [0]],      # the first pivot does not divide
+              [[0], [1], [0]],      # the second pivot does not divide
+              [[0], [0], [1]],      # something is left over
+              [[2], [1], [1]]):     # left over after the first column
+        with pytest.raises(InvariantError, match=no_solution):
+            hermite_solve(basis, IntMatrix.from_rows(b))
+        assert_hermite_solve_matches_smith(basis, IntMatrix.from_rows(b))
+    b = IntMatrix.from_rows([[1], [1]])
+    for bad in ([[0, 1], [1, 0]],   # pivot rows decrease
+                [[1, 1], [0, 0]],   # pivot rows repeat
+                [[1, 0], [0, 0]]):  # a zero column has no pivot
+        with pytest.raises(InvariantError, match="pivot rows"):
+            hermite_solve(IntMatrix.from_rows(bad), b)
+    with pytest.raises(InputError):
+        hermite_solve(IntMatrix.identity(2), IntMatrix.zeros(3, 1))
+
+
+def echelon_calls(monkeypatch):
+    """Log the input of every kernel_lattice and hermite_solve call the
+    cosimplicial layer and the E2 oracle make."""
+    kernels, solves = [], []
+
+    def kernel(mat):
+        kernels.append(mat)
+        return kernel_lattice(mat)
+
+    def solve(basis, b):
+        solves.append((basis, b))
+        return hermite_solve(basis, b)
+    for module in (cosimplicial, spectral):
+        monkeypatch.setattr(module, "kernel_lattice", kernel)
+    monkeypatch.setattr(cosimplicial, "hermite_solve", solve)
+    return kernels, solves
+
+
+def echelon_objects():
+    """Fresh objects, so that none has its conormalization cached."""
+    return (
+        [obj.x for obj in corpus(seed=20250811, count=20)]
+        + [obj.x for obj in stripe_sign_objects()]
+        + [cech_object(n, top) for n in (2, 3, 4) for top in range(1, 5)]
+    )
+
+
+def test_echelon_routes_match_smith_on_tower_calls(monkeypatch):
+    """Every kernel_lattice and hermite_solve call that conormalization,
+    the matching objects, the fiber maps and the E2 oracle make on the
+    seeded corpus, the stripe-sign objects and cech_object up to (4, 4)
+    gives what the Smith route gives."""
+    kernels, solves = echelon_calls(monkeypatch)
+    for x in echelon_objects():
+        x.conormalization
+        e2_from_level_homology(x)
+        for m in range(x.truncation):
+            assert matching_kernel_agrees(x, m)
+    for f in quasi_iso_pairs(seed=20250812, count=4):
+        assert quasi_iso_invariance(f)
+    assert len(kernels) > 100 and len(solves) > 100
+    assert any(not k.is_zero for k in kernels)
+    for mat in set(kernels):
+        assert kernel_lattice(mat) == smith_kernel_lattice(mat)
+    for basis, b in set(solves):
+        assert hermite_solve(basis, b) == solve_matrix(basis, b)
+
+
+def test_conormalization_takes_no_smith_form_with_transforms(monkeypatch):
+    objects = echelon_objects()
+    calls = record_memo_calls(monkeypatch)
+    clear_memo()
+    for x in objects:
+        x.conormalization
+    assert calls
+    assert not [args for memo, args, _ in calls
+                if memo is SMITH_MEMO and args[1]]
+
+
 # -- pivot placement ---------------------------------------------------------
 
 # _Smith.place as the package had it before the row and column indexes,
@@ -587,7 +727,7 @@ def test_place_matches_reference_on_spectral_and_tower_calls(monkeypatch):
     the reference placement's invariants, pivot sites and transforms."""
     calls = record_memo_calls(monkeypatch)
     clear_memo()
-    for x in [obj.x for obj in corpus(seed=20250811, count=20)] + [
+    for x in [obj.x for obj in corpus(seed=20250811, count=30)] + [
             cech_object(3, 3)]:
         spectral_sequence(x)
         for stage in tower(x).stages:
