@@ -3,14 +3,16 @@
 Groups are carried around in two forms.  ``HomologyGroup`` is the abstract
 answer: a free rank plus invariant factors in divisibility order, suitable
 for equality tests and reports.  ``Subquotient`` keeps enough of a
-presentation (the numerator's Smith form and the transform into generator
-coordinates) to push elements through and to induce homomorphisms, which
-is what the spectral sequence machinery needs.  Each subquotient takes
-exactly two Smith forms, and pushing elements through takes none.
+presentation (the numerator's echelon basis and the transform into
+generator coordinates) to push elements through and to induce
+homomorphisms, which is what the spectral sequence machinery needs.
+Coordinates in the numerator come from forward substitution against its
+echelon basis (``hermite_solve``), so each subquotient takes exactly one
+Smith form, that of the quotient, and pushing elements through takes none.
 
 Equal presentations are built once.  ``subquotient_presentation``
 remembers its latest MEMO_SIZE distinct (numerator, denominator) pairs,
-the same way the Smith and Hermite memos of ``intlinalg`` do: a
+the same way the Hermite memo of ``intlinalg`` does: a
 ``Subquotient`` is an immutable, exact function of its two immutable
 inputs, so a hit is exactly what rebuilding would give.  The pages, the
 page check and the graded limit of a Tot spectral sequence ask for the
@@ -33,8 +35,8 @@ from .errors import InputError, InvariantError
 from .intlinalg import (
     MEMO_SIZE,
     IntMatrix,
-    SNFResult,
-    kernel_basis,
+    hermite_solve,
+    kernel_lattice,
     lattice_basis,
     smith_normal_form,
     snf_invariants,
@@ -185,7 +187,7 @@ def presented_homology(f: GroupHom, g: GroupHom) -> HomologyGroup:
     rb = _relation_matrix(f.dst_orders)
     rc = _relation_matrix(g.dst_orders)
     # lifts of ker g: x with g.mat @ x in the relation lattice of C
-    paired = kernel_basis(IntMatrix.hstack([g.mat, -rc]))
+    paired = kernel_lattice(IntMatrix.hstack([g.mat, -rc]))
     numer = lattice_basis(paired.take_rows(range(m)))
     denom = IntMatrix.hstack([f.mat, rb])
     return subquotient_presentation(numer, denom).group()
@@ -198,14 +200,14 @@ class Subquotient:
     ``gens`` columns are ambient representatives of the generators, whose
     orders are listed in ``orders``: the invariant factors >= 2 in
     divisibility order, then a 0 per infinite summand (trivial generators
-    are dropped).  ``_numer`` is the Smith form of the basis of L and
-    ``_u`` sends L-coordinates to generator coordinates.
+    are dropped).  ``_numer`` is the column echelon basis of L and ``_u``
+    sends L-coordinates to generator coordinates.
     """
 
     ambient: int
     orders: tuple
     gens: IntMatrix
-    _numer: SNFResult
+    _numer: IntMatrix
     _u: IntMatrix
 
     def group(self) -> HomologyGroup:
@@ -220,7 +222,7 @@ class Subquotient:
         """
         if vecs.nrows != self.ambient:
             raise InputError("expected ambient column vectors")
-        y = self._u @ self._numer.solve(vecs)
+        y = self._u @ hermite_solve(self._numer, vecs)
         data = {}
         for i, j, v in y.entries:
             o = self.orders[i]
@@ -232,8 +234,10 @@ def subquotient_presentation(numer_basis: IntMatrix,
                              denom_gens: IntMatrix) -> Subquotient:
     """Present (span of numer_basis)/(span of denom_gens).
 
-    The numerator columns must be independent and the denominator columns
-    must lie in their span; violations raise, they are never patched up.
+    The numerator columns must be in column echelon form, with pivot rows
+    strictly increasing (as lattice_basis and kernel_lattice give them, so
+    they are independent), and the denominator columns must lie in their
+    span; violations raise, they are never patched up.
     An input pair equal to a recent one gets that one's result object back.
     """
     return _subquotient_memo(numer_basis, denom_gens)
@@ -244,16 +248,19 @@ def _subquotient_memo(numer_basis: IntMatrix,
                       denom_gens: IntMatrix) -> Subquotient:
     if numer_basis.nrows != denom_gens.nrows:
         raise InputError("numerator and denominator in different ambients")
-    res = smith_normal_form(numer_basis)
-    if res.rank != numer_basis.ncols:
-        raise InputError("numerator columns are not independent")
-    wres = smith_normal_form(res.solve(denom_gens))
+    # the top row of each column, -1 for a zero column
+    tops = [-1] * numer_basis.ncols
+    for i, j, _ in reversed(numer_basis.entries):
+        tops[j] = i
+    if any(q <= p for p, q in zip([-1] + tops, tops)):
+        raise InputError("numerator pivot rows do not strictly increase")
+    wres = smith_normal_form(hermite_solve(numer_basis, denom_gens))
     all_orders = wres.invariants + (0,) * (numer_basis.ncols - wres.rank)
     keep = [i for i, d in enumerate(all_orders) if d != 1]
     return Subquotient(numer_basis.nrows,
                        tuple(all_orders[i] for i in keep),
                        (numer_basis @ wres.u_inv).take_columns(keep),
-                       res, wres.u.take_rows(keep))
+                       numer_basis, wres.u.take_rows(keep))
 
 
 def induced_hom(src: Subquotient, dst: Subquotient,

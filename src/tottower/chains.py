@@ -31,7 +31,7 @@ from .abelian import (
     subquotient_presentation,
 )
 from .errors import InputError, InvariantError
-from .intlinalg import IntMatrix, kernel_basis, snf_invariants
+from .intlinalg import IntMatrix, kernel_lattice, snf_invariants
 from .schema import checked, field, list_of
 
 __all__ = [
@@ -136,7 +136,7 @@ class ChainComplexInt:
         return {k: self.homology(k) for k in self.degrees()}
 
     def homology_presentation(self, k: int) -> Subquotient:
-        cycles = kernel_basis(self.boundary(k))
+        cycles = kernel_lattice(self.boundary(k))
         return subquotient_presentation(cycles, self.boundary(k + 1))
 
     # -- constructions ----------------------------------------------------

@@ -11,22 +11,25 @@ Clearing a pivot's row and column can leave remainders; when that happens
 the rule is simply applied again, and termination follows because the
 minimal absolute value strictly drops on every such retry.
 
-Equal matrices share one factorization.  ``smith_normal_form`` and
-``lattice_basis`` remember the results of their latest MEMO_SIZE distinct
-inputs, keyed on the matrix itself (``IntMatrix`` equality is structural),
-and return the remembered object for an equal input.  Both results are
-exact functions of an immutable input and are themselves immutable, so a
-hit is exactly what recomputing would give.  A third memo, with the same
-size, sits one layer up: ``abelian.subquotient_presentation`` remembers
-whole subquotient presentations, so a repeated one takes neither its two
-Smith forms nor the solves and products after them.
+Equal matrices share one Hermite basis.  ``lattice_basis`` remembers the
+results of its latest MEMO_SIZE distinct inputs, keyed on the matrix
+itself (``IntMatrix`` equality is structural), and returns the remembered
+object for an equal input.  The result is an exact function of an
+immutable input and is itself immutable, so a hit is exactly what
+recomputing would give.  A second memo, with the same size, sits one
+layer up: ``abelian.subquotient_presentation`` remembers whole subquotient
+presentations, so a repeated one takes neither its Smith form nor the
+solves and products around it.  Smith forms are not remembered: once the
+kernels and coordinates went to the echelon routes below, few Smith
+inputs repeated, and most of those were rank-only matrices with no
+entries, which ``snf_invariants`` answers without a Smith form.
 
 A Smith form with transforms is not needed for a canonical kernel or for
 coordinates in a canonical basis.  ``kernel_lattice`` gives the Hermite
 basis of a kernel from the same row clearing that ``lattice_basis``
 runs, over [A; I], and ``hermite_solve`` finds coordinates against a
-column echelon basis by forward substitution; conormalization uses only
-these two.
+column echelon basis by forward substitution.  Conormalization, the
+subquotients and the spectral filtration use only these two.
 """
 
 from __future__ import annotations
@@ -48,19 +51,17 @@ __all__ = [
     "matrix_rank",
     "kernel_basis",
     "kernel_lattice",
-    "solve_matrix",
     "hermite_solve",
     "lattice_basis",
     "MEMO_SIZE",
 ]
 
-# How many distinct inputs smith_normal_form (per value of transforms) and
-# lattice_basis each remember.  A Tot spectral sequence rebuilds the same
-# lattices on every page past stabilization, in the graded limit, in page
-# verification and in the E2 oracle: ss on the Cech object of 4 points
-# with truncation 4 takes 166 Smith forms of 45 distinct inputs and 154
-# lattice bases of 28, with the repeated subquotients already served by
-# the memo in abelian.
+# How many distinct inputs lattice_basis and
+# abelian.subquotient_presentation each remember.  A Tot spectral sequence
+# rebuilds the same lattices on every page past stabilization, in the
+# graded limit, in page verification and in the E2 oracle: ss on the Cech
+# object of 4 points with truncation 4 takes 184 lattice bases of 31
+# distinct inputs and presents 80 subquotients of 22 distinct pairs.
 MEMO_SIZE = 1024
 
 
@@ -599,24 +600,6 @@ class SNFResult:
             {(t, t): d for t, d in enumerate(self.invariants)},
         )
 
-    def solve(self, b: IntMatrix) -> IntMatrix:
-        """One integral solution x of a @ x == b for the factored a.
-
-        Needs the transforms; raises InvariantError when some column of b
-        has no integral solution.
-        """
-        c = self.u @ b
-        data = {}
-        for i, j, w in c.entries:
-            if i >= self.rank:
-                raise InvariantError("system has no integral solution")
-            q, r = divmod(w, self.invariants[i])
-            if r:
-                raise InvariantError("system has no integral solution")
-            data[(i, j)] = q
-        y = IntMatrix.from_dict(self.ncols, b.ncols, data)
-        return self.v @ y
-
 
 def smith_normal_form(mat: IntMatrix, transforms: bool = True) -> SNFResult:
     """Smith normal form with the (|value|, row, column) pivot rule.
@@ -624,13 +607,7 @@ def smith_normal_form(mat: IntMatrix, transforms: bool = True) -> SNFResult:
     With ``transforms`` the result carries unimodular u, v, u_inv such that
     u @ mat @ v is the invariant diagonal and u @ u_inv is the identity.
     Skipping transforms roughly halves the work for rank-only callers.
-    An input equal to a recent one gets that one's result object back.
     """
-    return _smith_memo(mat, bool(transforms))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _smith_memo(mat: IntMatrix, transforms: bool) -> SNFResult:
     worker = _Smith(mat, transforms)
     order = worker.eliminate()
     worker.fix_divisibility(order)
@@ -646,6 +623,10 @@ def _smith_memo(mat: IntMatrix, transforms: bool) -> SNFResult:
 
 
 def snf_invariants(mat: IntMatrix) -> tuple:
+    # most rank-only inputs (unit-reduced residuals, empty relation
+    # matrices) have no entries, and so no invariants
+    if not mat.entries:
+        return ()
     return smith_normal_form(mat, transforms=False).invariants
 
 
@@ -658,22 +639,13 @@ def kernel_basis(mat: IntMatrix) -> IntMatrix:
 
     The basis spans a saturated sublattice (it extends to a basis of the
     ambient lattice), because it consists of columns of a unimodular
-    matrix.  Columns are ordered by their position in v.
+    matrix.  Columns are ordered by their position in v.  Its one caller
+    in the package is ``constructions``: the seeded corpus draws random
+    combinations of this basis, so ``kernel_lattice``, which spans the
+    same lattice in another basis, would give different objects.
     """
     res = smith_normal_form(mat, transforms=True)
     return res.v.take_columns(range(res.rank, mat.ncols))
-
-
-def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """One integral solution x of a @ x == b, column by column.
-
-    Raises InvariantError when no integral solution exists; callers use
-    this for maps that are forced to exist by theory, so a failure means a
-    broken invariant rather than bad user input.
-    """
-    if a.nrows != b.nrows:
-        raise InputError("solve requires matching row counts")
-    return smith_normal_form(a).solve(b)
 
 
 def _subtract(dst: dict, q: int, src: dict, cid: int, index: dict) -> None:
@@ -800,12 +772,11 @@ def hermite_solve(basis: IntMatrix, b: IntMatrix) -> IntMatrix:
     """The integral x with basis @ x == b, for a basis in column echelon
     form (pivot rows strictly increasing, as lattice_basis gives).
 
-    The solution is unique, so it equals solve_matrix(basis, b), but it
-    is found by forward substitution: at each column's pivot row the
-    residual of b is divided by the pivot and that multiple of the
-    column is subtracted.  Raises InvariantError when a pivot does not
-    divide, when a residual is left over, or when the pivot rows of the
-    basis do not strictly increase.
+    The solution is unique.  It is found by forward substitution: at each
+    column's pivot row the residual of b is divided by the pivot and that
+    multiple of the column is subtracted.  Raises InvariantError when a
+    pivot does not divide, when a residual is left over, or when the pivot
+    rows of the basis do not strictly increase.
     """
     if basis.nrows != b.nrows:
         raise InputError("solve requires matching row counts")

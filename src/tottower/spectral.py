@@ -39,7 +39,7 @@ from .cosimplicial import (
     coface_sum,
 )
 from .errors import InputError, InvariantError
-from .intlinalg import IntMatrix, kernel_basis, kernel_lattice, lattice_basis
+from .intlinalg import IntMatrix, kernel_lattice, lattice_basis
 
 __all__ = [
     "SpectralSequencePage",
@@ -74,7 +74,8 @@ class _Filtration:
         if key not in self._z:
             # the block of D from the stripes >= s at degree k to the
             # stripes < s + r at degree k - 1, sliced out of D's entries;
-            # filtering and shifting keep them sorted row-major
+            # filtering and shifting keep them sorted row-major, and
+            # shifting the rows of a column Hermite form keeps it one
             bnd = self.win.boundary(k)
             rows = self.win.start(s + r, k - 1)
             col0 = self.win.start(s, k)
@@ -82,11 +83,10 @@ class _Filtration:
                 (i, j - col0, v) for i, j, v in bnd.entries
                 if i < rows and j >= col0
             ))
-            ker = kernel_basis(cond)
-            lifted = IntMatrix(bnd.ncols, ker.ncols, tuple(
+            ker = kernel_lattice(cond)
+            self._z[key] = IntMatrix(bnd.ncols, ker.ncols, tuple(
                 (i + col0, j, v) for i, j, v in ker.entries
             ))
-            self._z[key] = lattice_basis(lifted)
         return self._z[key]
 
     def page_spot(self, s: int, r: int, k: int):
@@ -316,7 +316,7 @@ def _level_homology_spot(x: CosimplicialChain, s: int, t: int):
     homology of the level.
     """
     level = x.levels[s]
-    cycles = kernel_basis(level.boundary(t))
+    cycles = kernel_lattice(level.boundary(t))
     bnd = level.boundary(t + 1)
     if s == 0:
         numer = cycles

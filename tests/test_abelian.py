@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from map_reference import compose_homs
+from smith_reference import smith_subquotient, solve_matrix
+from test_cosimplicial import SIGNED
+from test_intlinalg import sparse_strategy
 from tottower import abelian, intlinalg
 from tottower.abelian import (
     GroupHom,
@@ -15,16 +18,16 @@ from tottower.abelian import (
     presented_homology,
     subquotient_presentation,
 )
-from tottower.constructions import corpus
+from tottower.constructions import cech_object, corpus
 from tottower.errors import InputError, InvariantError
 from tottower.intlinalg import (
     IntMatrix,
-    kernel_basis,
+    kernel_lattice,
     lattice_basis,
     smith_normal_form,
     snf_invariants,
-    solve_matrix,
 )
+from tottower.spectral import e2_from_level_homology, spectral_sequence
 
 
 def test_format_group():
@@ -150,6 +153,16 @@ def test_subquotient_presentation_rejects_bad_input():
         subquotient_presentation(i2, IntMatrix.zeros(3, 1))
 
 
+def test_subquotient_presentation_needs_an_echelon_numerator():
+    # the first two have independent columns, but none is in echelon form
+    for rows in ([[0, 1], [1, 0]],      # pivot rows decrease
+                 [[1, 1], [0, 1]],      # pivot rows repeat
+                 [[0, 1], [0, 0]]):     # a zero column has no pivot
+        with pytest.raises(InputError, match="pivot rows"):
+            subquotient_presentation(IntMatrix.from_rows(rows),
+                                     IntMatrix.zeros(2, 0))
+
+
 def test_subquotient_rejects_outside_vectors():
     numer = IntMatrix.from_rows([[2], [0]])
     sq = subquotient_presentation(numer, IntMatrix.zeros(2, 0))
@@ -266,7 +279,7 @@ def test_corpus_induced_homs_match_per_column_reference():
         for level in x.levels:
             pres.append({})
             for k in level.degrees():
-                numer = kernel_basis(level.boundary(k))
+                numer = kernel_lattice(level.boundary(k))
                 sq, ref = assert_matches_reference(
                     numer, level.boundary(k + 1), numer,
                 )
@@ -280,6 +293,79 @@ def test_corpus_induced_homs_match_per_column_reference():
                     assert hom.mat == ref2.coords(d.component(k) @ ref.gens)
                     checked += 1
     assert checked > 100
+
+
+# -- the two-Smith-form subquotient that echelon numerators replaced ---------
+
+SUBQUOTIENT_MEMO = abelian._subquotient_memo
+
+
+def coords_outcome(sq, vecs):
+    """sq.coords(vecs), or the message of the InvariantError it raises."""
+    try:
+        return sq.coords(vecs)
+    except InvariantError as exc:
+        return str(exc)
+
+
+def assert_matches_smith_subquotient(numer, denom, vecs):
+    """The echelon presentation of numer/denom equals the Smith one in
+    orders, generators and transform, and each column of vecs gets the
+    same coordinates from both, or the same refusal.  Returns how many
+    columns both refused."""
+    sq = SUBQUOTIENT_MEMO.__wrapped__(numer, denom)
+    ref = smith_subquotient(numer, denom)
+    assert (sq.ambient, sq.orders, sq.gens, sq._u) == \
+        (ref.ambient, ref.orders, ref.gens, ref._u)
+    refused = 0
+    for j in range(vecs.ncols):
+        col = vecs.take_columns([j])
+        got = coords_outcome(sq, col)
+        assert got == coords_outcome(ref, col)
+        refused += isinstance(got, str)
+    return refused
+
+
+@given(sparse_strategy(max_dim=6), st.data())
+def test_subquotients_match_smith_reference(a, data):
+    numer = lattice_basis(a)
+    k = numer.ncols
+    denom = numer @ draw_matrix(data, k, data.draw(st.integers(0, 4)), 4)
+    inside = numer @ draw_matrix(data, k, 2)
+    # vectors that need not lie in the numerator
+    anywhere = draw_matrix(data, numer.nrows, 2)
+    assert_matches_smith_subquotient(
+        numer, denom, IntMatrix.hstack([inside, anywhere]))
+
+
+def test_subquotients_match_smith_reference_on_spectral_calls(monkeypatch):
+    """Every subquotient the pages, the page check, the graded limit and
+    the E2 oracle present on the seeded corpus, the stripe-sign objects
+    and cech_object up to (4, 4) equals the Smith presentation, and so do
+    the coordinates of its generators, its numerator and a few ambient
+    unit vectors, some of which lie outside the numerator."""
+    pairs = set()
+
+    def recording(numer, denom):
+        pairs.add((numer, denom))
+        return SUBQUOTIENT_MEMO(numer, denom)
+    monkeypatch.setattr(abelian, "_subquotient_memo", recording)
+    objects = [obj.x for obj in corpus(seed=20250811, count=20)] + [
+        obj.x for obj in SIGNED] + [
+        cech_object(n, top) for n in (2, 3, 4) for top in range(1, 5)]
+    for x in objects:
+        spectral_sequence(x)
+        e2_from_level_homology(x)
+    refused = 0
+    for numer, denom in pairs:
+        n = numer.nrows
+        units = IntMatrix.identity(n).take_columns(
+            range(0, n, max(1, n // 6)))
+        sq = SUBQUOTIENT_MEMO(numer, denom)
+        refused += assert_matches_smith_subquotient(
+            numer, denom, IntMatrix.hstack([sq.gens, numer, units]))
+    assert len(pairs) > 150
+    assert refused > 200
 
 
 # -- Smith form budget -------------------------------------------------------
@@ -306,7 +392,8 @@ def test_subquotients_reuse_the_numerator_smith_form(monkeypatch):
     # an equal pair would hit the subquotient memo and take no Smith form
     abelian._subquotient_memo.cache_clear()
     dst = subquotient_presentation(numer, denom)
-    assert len(calls) == 2  # the numerator, then the quotient
+    # the quotient; the numerator is solved against by substitution
+    assert len(calls) == 1
     calls.clear()
     hom = induced_hom(src, dst, IntMatrix.identity(3).scale(5))
     assert hom.mat == IntMatrix.from_rows([[1, 0, 0], [0, 5, 0], [0, 0, 5]])

@@ -10,6 +10,7 @@ module importing another's underscore name ties the two together.
 import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -51,3 +52,67 @@ def test_no_private_imports_between_modules(name):
         if _is_private(alias.name)
     ]
     assert not private, f"{name} imports private names {private}"
+
+
+# -- exported names that nothing in src calls --------------------------------
+
+# Every __all__ name that no module of the package references, apart from
+# its own definition, with the phrase of the README library section that
+# names it as library API.  A name that loses its last caller in src (as
+# intlinalg.solve_matrix once did) fails the test below until it is either
+# deleted or added here with the README naming it.
+LIBRARY_ONLY = {
+    "constructions.cech_object": "cech_object",
+    "constructions.corpus": "seeded random corpus",
+    "constructions.gamma_blocks":
+        "block objects assembled from surjection data",
+    "constructions.quasi_iso_pairs": "quasi-isomorphism invariance of fibers",
+    "cosimplicial.cosimplicial_to_data": "`cosimplicial_to_data`",
+    "cosimplicial.matching_kernel_agrees": "`matching_kernel_agrees`",
+    "cosimplicial.quasi_iso_invariance":
+        "quasi-isomorphism invariance of fibers",
+    "cosimplicial.shift_check": "degree shifts",
+    "cover.nerve_of_cover": "nerve and intersection bookkeeping",
+    "deloop.cover_suspension_bound": "closed-form bounds",
+    "deloop.subset_deloop_bound": "closed-form bounds",
+    "intlinalg.matrix_rank": "`matrix_rank`",
+    "simplicial.barycentric_subdivision": "barycentric subdivision",
+    "simplicial.complex_to_data": "`complex_to_data`",
+    "simplicial.skeleton": "skeleta",
+}
+
+
+def _referenced_names() -> set:
+    """Every identifier that some module of the package loads, by name or
+    as an attribute.  Definitions, assignments and the strings of
+    __all__ are not references."""
+    used = set()
+    for name in MODULES:
+        with open(importlib.import_module(name).__file__,
+                  encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_uncalled_export_is_named_library_api():
+    used = _referenced_names()
+    uncalled = {
+        f"{name.removeprefix('tottower.')}.{export}"
+        for name in MODULES
+        for export in getattr(importlib.import_module(name), "__all__", ())
+        if export not in used
+    }
+    lost = sorted(uncalled - LIBRARY_ONLY.keys())
+    assert not lost, f"exported but called nowhere in src: {lost}"
+    stale = sorted(LIBRARY_ONLY.keys() - uncalled)
+    assert not stale, f"called in src, drop from LIBRARY_ONLY: {stale}"
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    unnamed = sorted(n for n, phrase in LIBRARY_ONLY.items()
+                     if phrase not in text)
+    assert not unnamed, f"the README library section does not name {unnamed}"

@@ -13,6 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
+from smith_reference import solve_matrix
 from test_cosimplicial import stripe_sign_objects
 from tottower import abelian, cosimplicial, intlinalg, spectral
 from tottower.abelian import subquotient_presentation
@@ -35,7 +36,6 @@ from tottower.intlinalg import (
     matrix_rank,
     smith_normal_form,
     snf_invariants,
-    solve_matrix,
     xgcd,
 )
 from tottower.posets import order_complex, subset_poset
@@ -371,13 +371,11 @@ def test_lattice_basis_is_hermite_normal_form(a):
 
 # -- the memo of equal inputs ------------------------------------------------
 
-SMITH_MEMO = intlinalg._smith_memo
 HERMITE_MEMO = intlinalg._hermite_memo
 SUBQUOTIENT_MEMO = abelian._subquotient_memo
 
 
 def clear_memo():
-    SMITH_MEMO.cache_clear()
     HERMITE_MEMO.cache_clear()
     SUBQUOTIENT_MEMO.cache_clear()
 
@@ -387,61 +385,55 @@ def snf_fields(res):
 
 
 def subquotient_fields(sq):
-    return (sq.ambient, sq.orders, sq.gens, sq._u, snf_fields(sq._numer))
+    return (sq.ambient, sq.orders, sq.gens, sq._u, sq._numer)
 
 
 @given(sparse_strategy())
 def test_memo_hit_equals_cold_computation(a):
     twin = IntMatrix(a.nrows, a.ncols, a.entries)
-    warm = [smith_normal_form(a), smith_normal_form(a, transforms=False),
-            lattice_basis(a)]
-    hits = [smith_normal_form(twin), smith_normal_form(twin, False),
-            lattice_basis(twin)]
-    assert all(h is w for h, w in zip(hits, warm))
+    warm = lattice_basis(a)
+    hit = lattice_basis(twin)
+    assert hit is warm
     clear_memo()
-    cold = [smith_normal_form(a), smith_normal_form(a, transforms=False),
-            lattice_basis(a)]
-    assert all(c is not h for c, h in zip(cold, hits))
-    assert snf_fields(hits[0]) == snf_fields(cold[0])
-    assert snf_fields(hits[1]) == snf_fields(cold[1])
-    assert hits[2] == cold[2]
+    cold = lattice_basis(a)
+    assert cold is not hit
+    assert hit == cold
 
 
-def record_memo_calls(monkeypatch):
-    """Log (function, input, result) of every smith_normal_form and
-    lattice_basis call, whether or not it hits the memo."""
+def record_smith_forms(monkeypatch):
+    """Log (input, transforms) of every Smith form taken."""
     calls = []
-    for name, memo in (("_smith_memo", SMITH_MEMO),
-                       ("_hermite_memo", HERMITE_MEMO)):
-        def recording(*args, memo=memo):
-            res = memo(*args)
-            calls.append((memo, args, res))
-            return res
-        monkeypatch.setattr(intlinalg, name, recording)
+    init = intlinalg._Smith.__init__
+
+    def recording(self, mat, transforms):
+        calls.append((mat, transforms))
+        init(self, mat, transforms)
+    monkeypatch.setattr(intlinalg._Smith, "__init__", recording)
     return calls
 
 
 def test_memo_hits_equal_cold_on_spectral_calls(monkeypatch):
-    """Every smith_normal_form and lattice_basis call spectral_sequence
-    makes on the seeded corpus and on cech_object(3, 3), hit or not,
-    returns what the unmemoized computation gives."""
+    """Every lattice_basis call spectral_sequence makes on the seeded
+    corpus and on cech_object(3, 3), hit or not, returns what the
+    unmemoized computation gives."""
     clear_memo()
-    calls = record_memo_calls(monkeypatch)
+    calls = []
+
+    def recording(mat):
+        res = HERMITE_MEMO(mat)
+        calls.append((mat, res))
+        return res
+    monkeypatch.setattr(intlinalg, "_hermite_memo", recording)
     for obj in corpus(seed=20250811, count=20):
         spectral_sequence(obj.x)
     spectral_sequence(cech_object(3, 3))
-    assert SMITH_MEMO.cache_info().hits > 0
     assert HERMITE_MEMO.cache_info().hits > 0
-    assert {memo for memo, _, _ in calls} == {SMITH_MEMO, HERMITE_MEMO}
+    assert len(calls) == sum(HERMITE_MEMO.cache_info()[:2])
     cold = {}
-    for memo, args, res in calls:
-        key = (memo, args)
-        if key not in cold:
-            cold[key] = memo.__wrapped__(*args)
-        if memo is SMITH_MEMO:
-            assert snf_fields(res) == snf_fields(cold[key])
-        else:
-            assert res == cold[key]
+    for mat, res in calls:
+        if mat not in cold:
+            cold[mat] = HERMITE_MEMO.__wrapped__(mat)
+        assert res == cold[mat]
 
 
 @given(sparse_strategy(max_dim=6), st.integers(0, 5), st.data())
@@ -488,19 +480,6 @@ def test_subquotient_memo_hits_equal_cold_on_spectral_calls(monkeypatch):
         assert subquotient_fields(res) == subquotient_fields(cold[args])
 
 
-def test_rank_only_result_never_serves_transforms():
-    a = IntMatrix.from_rows([[2, 4], [6, 8]])
-    clear_memo()
-    rank_only = smith_normal_form(a, transforms=False)
-    full = smith_normal_form(a)
-    assert rank_only.u is None and full.u is not None
-    assert full.u @ a @ full.v == full.diagonal()
-    clear_memo()
-    full = smith_normal_form(a, True)
-    assert smith_normal_form(a, False).u is None
-    assert smith_normal_form(a, transforms=True) is full
-
-
 def test_memoized_functions_keep_the_traced_signatures():
     # the benchmark tracer wraps plain functions and binds transforms by
     # name, so neither may become a cache object or change its parameters
@@ -512,23 +491,6 @@ def test_memoized_functions_keep_the_traced_signatures():
         assert list(inspect.signature(fn).parameters) == params
     default = inspect.signature(smith_normal_form).parameters["transforms"]
     assert default.default is True
-
-
-def test_one_elimination_per_distinct_input(monkeypatch):
-    calls = record_memo_calls(monkeypatch)
-    eliminations = []
-    eliminate = intlinalg._Smith.eliminate
-
-    def counting(self):
-        eliminations.append(self)
-        return eliminate(self)
-    monkeypatch.setattr(intlinalg._Smith, "eliminate", counting)
-    clear_memo()
-    spectral_sequence(cech_object(3, 3))
-    inputs = [args for memo, args, _ in calls if memo is SMITH_MEMO]
-    assert len(set(inputs)) <= intlinalg.MEMO_SIZE
-    assert len(inputs) > 2 * len(set(inputs))
-    assert len(eliminations) == len(set(inputs))
 
 
 # -- echelon kernels and substitution solves ------------------------------------
@@ -657,13 +619,14 @@ def test_echelon_routes_match_smith_on_tower_calls(monkeypatch):
 
 def test_conormalization_takes_no_smith_form_with_transforms(monkeypatch):
     objects = echelon_objects()
-    calls = record_memo_calls(monkeypatch)
-    clear_memo()
+    calls = record_smith_forms(monkeypatch)
     for x in objects:
         x.conormalization
+    assert calls == []
+    # the recorder does see the Smith forms that the pages take
+    clear_memo()
+    spectral_sequence(objects[-1])
     assert calls
-    assert not [args for memo, args, _ in calls
-                if memo is SMITH_MEMO and args[1]]
 
 
 # -- pivot placement ---------------------------------------------------------
@@ -697,7 +660,7 @@ PLACE = intlinalg._Smith.place
 def cold_snf(mat, transforms, place):
     """The Smith form of mat computed afresh, with place as _Smith.place."""
     with mock.patch.object(intlinalg._Smith, "place", place):
-        return SMITH_MEMO.__wrapped__(mat, transforms)
+        return smith_normal_form(mat, transforms)
 
 
 def assert_place_matches_reference(mat, transforms):
@@ -722,17 +685,21 @@ def test_place_matches_reference_on_scattered_pivots(rows, values, extra):
 
 
 def test_place_matches_reference_on_spectral_and_tower_calls(monkeypatch):
-    """Every Smith form spectral_sequence and tower (with the stage
-    homologies) take on the seeded corpus and on cech_object(3, 3) gives
-    the reference placement's invariants, pivot sites and transforms."""
-    calls = record_memo_calls(monkeypatch)
+    """Every Smith form spectral_sequence, the E2 oracle and tower (with
+    the stage homologies) take on the seeded corpus, the stripe-sign
+    objects and cech_object up to (3, 4) gives the reference placement's
+    invariants, pivot sites and transforms."""
+    calls = record_smith_forms(monkeypatch)
+    # a warm subquotient memo would take no Smith form
     clear_memo()
-    for x in [obj.x for obj in corpus(seed=20250811, count=30)] + [
-            cech_object(3, 3)]:
+    for x in [obj.x for obj in corpus(seed=20250811, count=40)] + [
+            obj.x for obj in stripe_sign_objects()] + [
+            cech_object(n, top) for n in (2, 3) for top in range(1, 5)]:
         spectral_sequence(x)
+        e2_from_level_homology(x)
         for stage in tower(x).stages:
             stage.homology_all()
-    inputs = {args for memo, args, _ in calls if memo is SMITH_MEMO}
+    inputs = set(calls)
     assert len(inputs) > 100
     assert any(not transforms for _, transforms in inputs)
     for mat, transforms in inputs:
@@ -952,8 +919,12 @@ def test_empty_shapes():
     assert res.invariants == ()
     assert kernel_basis(z) == IntMatrix.identity(3)
     assert kernel_basis(IntMatrix.zeros(3, 0)).ncols == 0
-    assert solve_matrix(IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 1)) \
+    assert hermite_solve(IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 1)) \
         == IntMatrix.zeros(0, 1)
+    for shape in ((0, 0), (0, 5), (16, 1), (3, 2)):
+        z = IntMatrix.zeros(*shape)
+        assert snf_invariants(z) == smith_normal_form(z, False).invariants \
+            == ()
     assert (IntMatrix.zeros(0, 2) @ IntMatrix.zeros(2, 4)).shape == (0, 4)
 
 

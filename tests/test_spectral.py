@@ -6,6 +6,7 @@ import pytest
 
 from map_reference import add
 from test_cosimplicial import SIGNED
+from test_intlinalg import record_smith_forms
 from tottower import abelian, intlinalg, spectral
 from tottower.abelian import GroupHom, HomologyGroup
 from tottower.chains import ChainComplexInt, chain_map
@@ -229,7 +230,7 @@ def test_report_serializes():
     assert data["e_infinity"] == data["pages"]["3"]
 
 
-# -- the second routes catch a fault even with every factorization memoized --
+# -- the second routes catch a fault with lattices and subquotients memoized
 
 def test_page_check_catches_a_wrong_differential(monkeypatch):
     spectral_sequence(zigzag_two_step())  # warms the memo
@@ -238,12 +239,12 @@ def test_page_check_catches_a_wrong_differential(monkeypatch):
         return GroupHom(src.orders, dst.orders,
                         IntMatrix.zeros(len(dst.orders), len(src.orders)))
     monkeypatch.setattr(spectral, "induced_hom", zero_map)
-    hits = intlinalg._smith_memo.cache_info().hits
+    hits = intlinalg._hermite_memo.cache_info().hits
     presented = SUBQUOTIENT_MEMO.cache_info().hits
     with pytest.raises(InvariantError,
                        match=r"page 3 entry .* is not the homology of page 2"):
         spectral_sequence(zigzag_two_step())
-    assert intlinalg._smith_memo.cache_info().hits > hits
+    assert intlinalg._hermite_memo.cache_info().hits > hits
     assert SUBQUOTIENT_MEMO.cache_info().hits > presented
 
 
@@ -257,13 +258,13 @@ def test_limit_check_catches_a_wrong_graded_limit(monkeypatch):
         out[(0, 0)] = HomologyGroup(2)
         return out
     monkeypatch.setattr(spectral, "_graded_limit", perturbed)
-    hits = intlinalg._smith_memo.cache_info().hits
+    hits = intlinalg._hermite_memo.cache_info().hits
     presented = SUBQUOTIENT_MEMO.cache_info().hits
     with pytest.raises(InvariantError,
                        match=r"stable page entry \(s=0, t=0\) is Z but the "
                              r"filtration of the totalization gives Z\^2"):
         spectral_sequence(x)
-    assert intlinalg._smith_memo.cache_info().hits > hits
+    assert intlinalg._hermite_memo.cache_info().hits > hits
     assert SUBQUOTIENT_MEMO.cache_info().hits > presented
 
 
@@ -286,3 +287,18 @@ def test_e2_oracle_catches_a_wrong_coface_sum(monkeypatch, tmp_path,
     assert faulty["pages"] == report["pages"]
     assert faulty["e2_matches_level_homology"] is False
     assert SUBQUOTIENT_MEMO.cache_info().hits > presented
+
+
+def test_one_smith_form_per_subquotient_miss(monkeypatch, tmp_path, capsys):
+    """A subquotient takes the Smith form of its quotient and no other:
+    numerators are echelon bases, solved against by substitution, and no
+    kernel on the ss path goes through a Smith form."""
+    path = tmp_path / "cech_3_3.json"
+    path.write_text(json.dumps(cosimplicial_to_data(cech_object(3, 3))))
+    forms = record_smith_forms(monkeypatch)
+    SUBQUOTIENT_MEMO.cache_clear()
+    assert main(["ss", str(path)]) == 0
+    capsys.readouterr()
+    misses = SUBQUOTIENT_MEMO.cache_info().misses
+    assert misses > 10
+    assert [transforms for _, transforms in forms].count(True) == misses
