@@ -12,12 +12,14 @@ Smith form, that of the quotient, and pushing elements through takes none.
 
 Equal presentations are built once.  ``subquotient_presentation``
 remembers its latest MEMO_SIZE distinct (numerator, denominator) pairs,
-the same way the Hermite memo of ``intlinalg`` does: a
-``Subquotient`` is an immutable, exact function of its two immutable
-inputs, so a hit is exactly what rebuilding would give.  The pages, the
-page check and the graded limit of a Tot spectral sequence ask for the
-same subquotients again and again: ss on the Cech object of 4 points
-with truncation 4 presents 80 subquotients of 22 distinct pairs.
+keyed on the matrices themselves (``IntMatrix`` equality is
+structural).  A ``Subquotient`` is an immutable, exact function of its
+two immutable inputs, so a hit is exactly what rebuilding would give.
+It is the package's one memo across calls; the eliminations of
+``intlinalg`` remember nothing.  The pages, the page check and the
+graded limit of a Tot spectral sequence ask for the same subquotients
+again and again: ss on the Cech object of 4 points with truncation 4
+presents 80 subquotients of 22 distinct pairs.
 
 Isomorphy of an explicit homomorphism is decided without any search: two
 finitely generated abelian groups with equal invariants are abstractly
@@ -33,7 +35,6 @@ from functools import lru_cache
 
 from .errors import InputError, InvariantError
 from .intlinalg import (
-    MEMO_SIZE,
     IntMatrix,
     hermite_solve,
     kernel_lattice,
@@ -51,7 +52,13 @@ __all__ = [
     "Subquotient",
     "subquotient_presentation",
     "induced_hom",
+    "MEMO_SIZE",
 ]
+
+# How many distinct (numerator, denominator) pairs subquotient_presentation
+# remembers; a Tot spectral sequence repeats them on every page past
+# stabilization, in page verification and in the graded limit.
+MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)

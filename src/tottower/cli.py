@@ -81,9 +81,12 @@ def _emit(report: dict, output: str | None):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {output}: {exc}")
 
 
 def _group_table(groups: dict) -> dict:

@@ -11,18 +11,13 @@ Clearing a pivot's row and column can leave remainders; when that happens
 the rule is simply applied again, and termination follows because the
 minimal absolute value strictly drops on every such retry.
 
-Equal matrices share one Hermite basis.  ``lattice_basis`` remembers the
-results of its latest MEMO_SIZE distinct inputs, keyed on the matrix
-itself (``IntMatrix`` equality is structural), and returns the remembered
-object for an equal input.  The result is an exact function of an
-immutable input and is itself immutable, so a hit is exactly what
-recomputing would give.  A second memo, with the same size, sits one
-layer up: ``abelian.subquotient_presentation`` remembers whole subquotient
-presentations, so a repeated one takes neither its Smith form nor the
-solves and products around it.  Smith forms are not remembered: once the
-kernels and coordinates went to the echelon routes below, few Smith
-inputs repeated, and most of those were rank-only matrices with no
-entries, which ``snf_invariants`` answers without a Smith form.
+No elimination is remembered here.  The package's one memo across
+calls sits a layer up: ``abelian.subquotient_presentation`` remembers
+whole subquotient presentations, so a repeated one takes neither its
+Smith form nor the solves and products around it.  Repeated kernels are
+not asked for in the first place: the spectral filtration keys each of
+its kernels on the block of the total differential that the kernel
+cuts.
 
 A Smith form with transforms is not needed for a canonical kernel or for
 coordinates in a canonical basis.  ``kernel_lattice`` gives the Hermite
@@ -36,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, compress
 
 from .errors import InputError, InvariantError
@@ -53,16 +48,7 @@ __all__ = [
     "kernel_lattice",
     "hermite_solve",
     "lattice_basis",
-    "MEMO_SIZE",
 ]
-
-# How many distinct inputs lattice_basis and
-# abelian.subquotient_presentation each remember.  A Tot spectral sequence
-# rebuilds the same lattices on every page past stabilization, in the
-# graded limit, in page verification and in the E2 oracle: ss on the Cech
-# object of 4 points with truncation 4 takes 184 lattice bases of 31
-# distinct inputs and presents 80 subquotients of 22 distinct pairs.
-MEMO_SIZE = 1024
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -679,14 +665,8 @@ def lattice_basis(mat: IntMatrix) -> IntMatrix:
     column and reduces the earlier ones at its row.  Two row -> column-id
     indexes, one over the working columns and one over the basis, let
     each step touch only the columns nonzero at that row.  The Hermite
-    form is unique, so the pivot rule changes speed, never output, and
-    an input equal to a recent one gets that one's result object back.
+    form is unique, so the pivot rule changes speed, never output.
     """
-    return _hermite_memo(mat)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _hermite_memo(mat: IntMatrix) -> IntMatrix:
     basis = []
     basis_at = {}
     for r, main in _clear_rows(mat):

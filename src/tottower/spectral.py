@@ -70,15 +70,17 @@ class _Filtration:
 
     def z_lattice(self, s: int, r: int, k: int) -> IntMatrix:
         """Basis of {x in F^s at degree k : D x in F^{s+r}}."""
-        key = (s, r, k)
+        # the kernel of the block of D from the stripes >= s at degree k
+        # to the stripes < s + r at degree k - 1, keyed on the block, so
+        # (s, r) pairs that cut equal blocks share one elimination
+        rows = self.win.start(s + r, k - 1)
+        col0 = self.win.start(s, k)
+        key = (k, rows, col0)
         if key not in self._z:
-            # the block of D from the stripes >= s at degree k to the
-            # stripes < s + r at degree k - 1, sliced out of D's entries;
-            # filtering and shifting keep them sorted row-major, and
-            # shifting the rows of a column Hermite form keeps it one
+            # sliced out of D's entries; filtering and shifting keep them
+            # sorted row-major, and shifting the rows of a column Hermite
+            # form keeps it one
             bnd = self.win.boundary(k)
-            rows = self.win.start(s + r, k - 1)
-            col0 = self.win.start(s, k)
             cond = IntMatrix(rows, bnd.ncols - col0, tuple(
                 (i, j - col0, v) for i, j, v in bnd.entries
                 if i < rows and j >= col0

@@ -15,6 +15,7 @@ import pytest
 import test_cosimplicial
 import test_cover
 import test_mutation
+import test_shadow
 from tottower.constructions import corpus, quasi_iso_pairs
 from tottower.cosimplicial import (
     quasi_iso_invariance,
@@ -346,3 +347,13 @@ def test_acceptance_structural_suite(gate):
                 assert test_mutation.library_rejects(mutant) != valid
                 broken += 0 if valid else 1
         assert broken >= 100
+
+
+# -- 10: the paper's theorem on the chain shadow --------------------------------
+
+def test_acceptance_paper_theorem(gate):
+    # 0.3-0.5 s on a shared 2-vCPU VM; the budget leaves room for a loaded
+    # machine, not for a slower algorithm
+    with gate("paper-theorem", 10):
+        assert test_shadow.check_paper_theorem(
+            test_shadow.shadow_objects()) >= 204

@@ -369,14 +369,12 @@ def test_lattice_basis_is_hermite_normal_form(a):
         assert a.is_zero
 
 
-# -- the memo of equal inputs ------------------------------------------------
+# -- the subquotient memo ---------------------------------------------------
 
-HERMITE_MEMO = intlinalg._hermite_memo
 SUBQUOTIENT_MEMO = abelian._subquotient_memo
 
 
 def clear_memo():
-    HERMITE_MEMO.cache_clear()
     SUBQUOTIENT_MEMO.cache_clear()
 
 
@@ -386,18 +384,6 @@ def snf_fields(res):
 
 def subquotient_fields(sq):
     return (sq.ambient, sq.orders, sq.gens, sq._u, sq._numer)
-
-
-@given(sparse_strategy())
-def test_memo_hit_equals_cold_computation(a):
-    twin = IntMatrix(a.nrows, a.ncols, a.entries)
-    warm = lattice_basis(a)
-    hit = lattice_basis(twin)
-    assert hit is warm
-    clear_memo()
-    cold = lattice_basis(a)
-    assert cold is not hit
-    assert hit == cold
 
 
 def record_smith_forms(monkeypatch):
@@ -410,30 +396,6 @@ def record_smith_forms(monkeypatch):
         init(self, mat, transforms)
     monkeypatch.setattr(intlinalg._Smith, "__init__", recording)
     return calls
-
-
-def test_memo_hits_equal_cold_on_spectral_calls(monkeypatch):
-    """Every lattice_basis call spectral_sequence makes on the seeded
-    corpus and on cech_object(3, 3), hit or not, returns what the
-    unmemoized computation gives."""
-    clear_memo()
-    calls = []
-
-    def recording(mat):
-        res = HERMITE_MEMO(mat)
-        calls.append((mat, res))
-        return res
-    monkeypatch.setattr(intlinalg, "_hermite_memo", recording)
-    for obj in corpus(seed=20250811, count=20):
-        spectral_sequence(obj.x)
-    spectral_sequence(cech_object(3, 3))
-    assert HERMITE_MEMO.cache_info().hits > 0
-    assert len(calls) == sum(HERMITE_MEMO.cache_info()[:2])
-    cold = {}
-    for mat, res in calls:
-        if mat not in cold:
-            cold[mat] = HERMITE_MEMO.__wrapped__(mat)
-        assert res == cold[mat]
 
 
 @given(sparse_strategy(max_dim=6), st.integers(0, 5), st.data())

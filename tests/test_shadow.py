@@ -47,31 +47,50 @@ def test_connective_covers_are_cosimplicial():
                 level.check_square_zero()
 
 
-def test_fibers_depend_only_on_the_connective_cover():
-    paper = chain = nonzero = 0
-    fails_one_above = []
-    for x in shadow_objects():
-        covers = {}
+def shadow_of(x):
+    """(k, n, m) -> connective_homology(tau_{>=k} x, n, m), taking each
+    cover once."""
+    covers = {}
 
-        def shadow(k, n, m):
-            if k not in covers:
-                covers[k] = connective_cover(x, k)
-            return connective_homology(covers[k], n, m)
+    def shadow(k, n, m):
+        if k not in covers:
+            covers[k] = connective_cover(x, k)
+        return connective_homology(covers[k], n, m)
+    return shadow
+
+
+def check_paper_theorem(objects) -> int:
+    """Assert the paper's claim, at k = 2n - m + 2, on every window
+    n < m <= 2n + 1 of each object; return how many windows it checked."""
+    checked = 0
+    for x in objects:
+        shadow = shadow_of(x)
+        for n in range(x.truncation):
+            for m in range(n + 1, min(x.truncation, 2 * n + 1) + 1):
+                assert shadow(2 * n - m + 2, n, m) == \
+                    connective_homology(x, n, m), (n, m)
+                checked += 1
+    return checked
+
+
+def test_fibers_depend_only_on_the_connective_cover():
+    objects = shadow_objects()
+    chain = nonzero = 0
+    fails_one_above = []
+    for x in objects:
+        shadow = shadow_of(x)
         top = x.truncation
         for n in range(top):
             for m in range(n + 1, top + 1):
                 fiber = connective_homology(x, n, m)
                 nonzero += bool(fiber)
-                if m <= 2 * n + 1:
-                    assert shadow(2 * n - m + 2, n, m) == fiber, (n, m)
-                    paper += 1
                 assert shadow(n + 1, n, m) == fiber, (n, m)
                 chain += 1
                 if shadow(n + 2, n, m) != fiber:
                     fails_one_above.append((n, m))
     # the counts these objects give: a window lost from the loop, or a
     # cover that changes nothing, shows as a drop
-    assert paper >= 204
+    assert check_paper_theorem(objects) >= 204
     assert chain >= 312
     assert nonzero >= 113
     assert len(fails_one_above) >= 30
