@@ -80,7 +80,16 @@ def _load_json(path: str, decoder=None):
 def _emit(report: dict, output: str | None):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if output is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # The report left in the buffer would fail again when the
+            # interpreter flushes stdout at exit; send it to the null device.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise InputError(f"cannot write the report: {exc}")
         return
     try:
         with open(output, "w", encoding="utf-8") as fh:
@@ -404,10 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "basepoint may sit in the complex instead")
 
     p = add("tot", "totalization tower of a cosimplicial object", cmd_tot)
-    p.add_argument("--fiber", nargs=2, type=int, metavar=("N", "M"),
-                   help="homology of the fiber of stage M over stage N")
-    p.add_argument("--stage", type=int, metavar="N",
-                   help="homology of a single stage")
+    grp = p.add_mutually_exclusive_group()
+    grp.add_argument("--fiber", nargs=2, type=int, metavar=("N", "M"),
+                     help="homology of the fiber of stage M over stage N")
+    grp.add_argument("--stage", type=int, metavar="N",
+                     help="homology of a single stage")
     p.add_argument("file", help="cosimplicial JSON")
 
     p = add("ss", "filtration spectral sequence", cmd_ss)

@@ -31,12 +31,7 @@ from json.decoder import WHITESPACE, JSONArray, JSONObject
 from json.scanner import make_scanner
 
 from .abelian import HomologyGroup
-from .chains import (
-    ChainComplexInt,
-    ChainMap,
-    chain_map,
-    identity_chain_map,
-)
+from .chains import ChainComplexInt, ChainMap, chain_map
 from .errors import InputError, InvariantError, PreconditionError
 from .intlinalg import IntMatrix, hermite_solve, kernel_lattice, lattice_basis
 from .schema import checked, degree_key, field, is_int, list_of
@@ -260,14 +255,7 @@ def conormalize(x: CosimplicialChain) -> Conormalization:
     embeddings = []
     bases = []
     for s, level in enumerate(x.levels):
-        if s == 0:
-            pieces.append(level)
-            embeddings.append(identity_chain_map(level))
-            bases.append({
-                t: IntMatrix.identity(level.rank(t))
-                for t in level.degrees()
-            })
-            continue
+        # level 0 has no codegeneracies: its basis is the identity
         basis = {
             t: _kernel_of_stack(
                 (x.codegeneracy(s, i).component(t) for i in range(s)),

@@ -9,7 +9,10 @@ reproducible down to the unimodular transforms: among all eligible entries
 of the working matrix, pick the one minimizing (|value|, row, column).
 Clearing a pivot's row and column can leave remainders; when that happens
 the rule is simply applied again, and termination follows because the
-minimal absolute value strictly drops on every such retry.
+minimal absolute value strictly drops on every such retry.  No row or
+column is ever swapped: each pivot stays at the site where elimination
+finds it and its value is read there.  A form with transforms permutes
+the rows of u and the columns of v and u_inv once, as it exports them.
 
 No elimination is remembered here.  The package's one memo across
 calls sits a layer up: ``abelian.subquotient_presentation`` remembers
@@ -355,9 +358,7 @@ class _Smith:
             self.cols[j].discard(i)
 
     def _row_add(self, i: int, k: int, c: int) -> None:
-        # r_i += c * r_k
-        if not c:
-            return
+        # r_i += c * r_k, for c != 0
         row_i = self.rows[i]
         for j, w in list(self.rows[k].items()):
             self._set(i, j, row_i.get(j, 0) + c * w)
@@ -366,9 +367,7 @@ class _Smith:
             _dict_add(self.uinv_cols[k], self.uinv_cols[i], -c)
 
     def _col_add(self, j: int, l: int, c: int) -> None:
-        # c_j += c * c_l
-        if not c:
-            return
+        # c_j += c * c_l, for c != 0
         for i in list(self.cols[l]):
             self._set(i, j, self.rows[i].get(j, 0) + c * self.rows[i][l])
         if self.track:
@@ -385,41 +384,6 @@ class _Smith:
             col = self.uinv_cols[i]
             for k in col:
                 col[k] = -col[k]
-
-    def _row_swap(self, i: int, k: int) -> None:
-        # Only used after elimination; heap staleness does not matter then.
-        if i == k:
-            return
-        ri, rk = self.rows[i], self.rows[k]
-        for j in ri.keys() | rk.keys():
-            in_i, in_k = j in ri, j in rk
-            if in_i and not in_k:
-                self.cols[j].discard(i)
-                self.cols[j].add(k)
-            elif in_k and not in_i:
-                self.cols[j].discard(k)
-                self.cols[j].add(i)
-        self.rows[i], self.rows[k] = rk, ri
-        if self.track:
-            self.u_rows[i], self.u_rows[k] = self.u_rows[k], self.u_rows[i]
-            self.uinv_cols[i], self.uinv_cols[k] = (
-                self.uinv_cols[k], self.uinv_cols[i],
-            )
-
-    def _col_swap(self, j: int, l: int) -> None:
-        if j == l:
-            return
-        for i in self.cols[j] | self.cols[l]:
-            row = self.rows[i]
-            a = row.pop(j, None)
-            b = row.pop(l, None)
-            if b is not None:
-                row[j] = b
-            if a is not None:
-                row[l] = a
-        self.cols[j], self.cols[l] = self.cols[l], self.cols[j]
-        if self.track:
-            self.v_cols[j], self.v_cols[l] = self.v_cols[l], self.v_cols[j]
 
     def _col_pair(self, j1: int, j2: int, x: int, y: int, z: int, w: int) -> None:
         # (c_j1, c_j2) <- (x c_j1 + y c_j2, z c_j1 + w c_j2), det x*w - y*z = ±1
@@ -505,56 +469,34 @@ class _Smith:
                 self._row_add(i2, i1, -(y * (b // g)))
                 changed = True
 
-    def place(self, order: list) -> None:
-        # Move pivot t to position (t, t) by swaps.  at_row and at_col
-        # name the pivot that sits in a row or column not yet placed, so
-        # the pivot displaced by a swap is found without a scan.
-        rows = [i for i, _ in order]
-        cols = [j for _, j in order]
-        at_row = {i: t for t, i in enumerate(rows)}
-        at_col = {j: t for t, j in enumerate(cols)}
-        for t in range(len(order)):
-            i = rows[t]
-            if i != t:
-                self._row_swap(i, t)
-                u = at_row.pop(t, None)
-                if u is None:
-                    del at_row[i]
-                else:
-                    rows[u] = i
-                    at_row[i] = u
-            j = cols[t]
-            if j != t:
-                self._col_swap(j, t)
-                u = at_col.pop(t, None)
-                if u is None:
-                    del at_col[j]
-                else:
-                    cols[u] = j
-                    at_col[j] = u
+    def export(self, order: list) -> tuple:
+        """u, v and u_inv with pivot t moved to (t, t).  Row (column) p of
+        the placed form is the working row (column) that _placed puts
+        there; u and u_inv move with the rows, v with the columns."""
+        m, n = self.m, self.n
+        row_at = _placed([i for i, _ in order], m)
+        col_at = _placed([j for _, j in order], n)
+        u = {p * m + j: w for p, i in enumerate(row_at)
+             for j, w in self.u_rows[i].items()}
+        u_inv = {i * m + p: w for p, k in enumerate(row_at)
+                 for i, w in self.uinv_cols[k].items()}
+        v = {i * n + p: w for p, j in enumerate(col_at)
+             for i, w in self.v_cols[j].items()}
+        return (IntMatrix.from_cells(m, m, u), IntMatrix.from_cells(n, n, v),
+                IntMatrix.from_cells(m, m, u_inv))
 
-    # -- exports -----------------------------------------------------------
 
-    def u_matrix(self) -> IntMatrix:
-        data = {}
-        for i, row in self.u_rows.items():
-            for j, v in row.items():
-                data[(i, j)] = v
-        return IntMatrix.from_dict(self.m, self.m, data)
-
-    def uinv_matrix(self) -> IntMatrix:
-        data = {}
-        for j, col in self.uinv_cols.items():
-            for i, v in col.items():
-                data[(i, j)] = v
-        return IntMatrix.from_dict(self.m, self.m, data)
-
-    def v_matrix(self) -> IntMatrix:
-        data = {}
-        for j, col in self.v_cols.items():
-            for i, v in col.items():
-                data[(i, j)] = v
-        return IntMatrix.from_dict(self.n, self.n, data)
+def _placed(pivots: list, size: int) -> list:
+    """at[p] is the index left at position p when, for t = 0, 1, ..., the
+    position holding pivots[t] is swapped with position t.  The swaps
+    are followed on two index lists, so this is O(size)."""
+    at = list(range(size))
+    pos = list(range(size))
+    for t, i in enumerate(pivots):
+        p, x = pos[i], at[t]
+        at[t], at[p] = i, x
+        pos[i], pos[x] = t, p
+    return at
 
 
 @dataclass(frozen=True)
@@ -565,7 +507,8 @@ class SNFResult:
     With transforms, u @ a @ v == diagonal() and u_inv is the exact inverse
     of u.  ``pivot_sites`` records where each pivot was selected in the
     original coordinates, in selection order; the value finally living at
-    site t (after divisibility fixes) is invariants[t].
+    site t (after divisibility fixes) is invariants[t], and it is read
+    there.  The exported transforms move pivot t from its site to (t, t).
     """
 
     nrows: int
@@ -592,19 +535,17 @@ def smith_normal_form(mat: IntMatrix, transforms: bool = True) -> SNFResult:
 
     With ``transforms`` the result carries unimodular u, v, u_inv such that
     u @ mat @ v is the invariant diagonal and u @ u_inv is the identity.
-    Skipping transforms roughly halves the work for rank-only callers.
+    Skipping transforms roughly halves the work for rank-only callers, and
+    such a form moves nothing: it reads each invariant at its pivot site.
     """
     worker = _Smith(mat, transforms)
     order = worker.eliminate()
     worker.fix_divisibility(order)
-    worker.place(order)
-    invariants = tuple(worker.rows[t][t] for t in range(len(order)))
+    invariants = tuple(worker.rows[i][j] for i, j in order)
     if transforms:
-        return SNFResult(
-            mat.nrows, mat.ncols, invariants, tuple(order),
-            u=worker.u_matrix(), v=worker.v_matrix(),
-            u_inv=worker.uinv_matrix(),
-        )
+        u, v, u_inv = worker.export(order)
+        return SNFResult(mat.nrows, mat.ncols, invariants, tuple(order),
+                         u=u, v=v, u_inv=u_inv)
     return SNFResult(mat.nrows, mat.ncols, invariants, tuple(order))
 
 

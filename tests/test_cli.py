@@ -548,6 +548,13 @@ def test_tot_stage_builds_only_that_stage(tmp_path, capsys, monkeypatch):
     assert_one_line_input_error(["tot", "--stage", "3", path], capsys)
 
 
+def test_tot_fiber_and_stage_are_exclusive(tmp_path, capsys):
+    path = cech_file(tmp_path)
+    code, out, _ = run(
+        ["tot", "--fiber", "0", "1", "--stage", "2", path], capsys)
+    assert code == 2 and out == ""
+
+
 def test_cosimplicial_schema_errors(tmp_path, capsys):
     # read as 1, a boolean truncation would match the two levels
     data = cosimplicial_to_data(cech_object(2, 1))
@@ -567,6 +574,18 @@ def test_cosimplicial_schema_errors(tmp_path, capsys):
     data["codegeneracies"] = 5
     path = write_json(tmp_path, "table.json", data)
     assert_one_line_input_error(["tot", path], capsys)
+    # a map table one row short, and one row too long
+    for name in ("cofaces", "codegeneracies"):
+        for grow in (False, True):
+            data = cosimplicial_to_data(cech_object(2, 2))
+            table = data[name]
+            if grow:
+                table.append(table[-1])
+            else:
+                table.pop()
+            path = write_json(tmp_path, "length.json", data)
+            err = assert_one_line_input_error(["tot", path], capsys)
+            assert "map tables must cover levels 0..M-1" in err
     # a degree key outside both levels is named, not read as ragged rows
     data = cosimplicial_to_data(cech_object(2, 1))
     data["cofaces"][0][0]["7"] = [[1]]
@@ -1071,6 +1090,22 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
         err = assert_one_line_input_error(
             ["deloop", "--tot", "2", "3", "--output", str(target)], capsys)
         assert f"cannot write {target}: " in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no device that refuses every write")
+def test_unwritable_stdout_is_an_input_error():
+    # the report left buffered must not fail again when the interpreter
+    # flushes stdout at exit ("Exception ignored ...", exit 120)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "tottower", "deloop", "--tot", "2", "3"],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+    assert done.returncode == 2
+    assert done.stderr.startswith("input error: cannot write the report: ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_reports_end_with_newline(capsys):

@@ -935,6 +935,15 @@ def test_dense_rows_reads_a_digit_before_the_guess(text, rows):
         assert new == (IntMatrix.from_rows(rows), len(text))
 
 
+def test_rows_whose_separator_changes_after_a_nonzero_cell():
+    """", " up to a nonzero cell and "," after it: the dense reader
+    refuses the rows, and the decoder reads them as json.loads does."""
+    text = '{"0": [[0, 2,0], [0, 0, 0]]}'
+    assert dense_read(text[6:-1]) == (None, None)
+    assert typed(decode(text)) == typed(reference_parse(text))
+    assert decode(text)["0"] == IntMatrix.from_rows(json.loads(text)["0"])
+
+
 def test_dense_rows_reads_every_table_as_the_reference_does():
     """Every degree table of the corpus and of cech_object up to (4, 4),
     in the default and the compact spelling."""

@@ -8,7 +8,6 @@ brute-force determinant expansion, sharing no code with the package.
 import inspect
 import itertools
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -378,10 +377,6 @@ def clear_memo():
     SUBQUOTIENT_MEMO.cache_clear()
 
 
-def snf_fields(res):
-    return (res.invariants, res.pivot_sites, res.u, res.v, res.u_inv)
-
-
 def subquotient_fields(sq):
     return (sq.ambient, sq.orders, sq.gens, sq._u, sq._numer)
 
@@ -616,18 +611,35 @@ def _reference_place(self, order: list) -> None:
         pos[t] = (t, t)
 
 
-PLACE = intlinalg._Smith.place
+class _IndexSwaps:
+    """What _reference_place moves, reduced to two index lists: after it
+    runs, rows[p] (cols[p]) is the working row (column) that its swaps
+    leave at position p."""
 
+    def __init__(self, nrows, ncols):
+        self.rows = list(range(nrows))
+        self.cols = list(range(ncols))
 
-def cold_snf(mat, transforms, place):
-    """The Smith form of mat computed afresh, with place as _Smith.place."""
-    with mock.patch.object(intlinalg._Smith, "place", place):
-        return smith_normal_form(mat, transforms)
+    def _row_swap(self, i, k):
+        self.rows[i], self.rows[k] = self.rows[k], self.rows[i]
+
+    def _col_swap(self, j, l):
+        self.cols[j], self.cols[l] = self.cols[l], self.cols[j]
 
 
 def assert_place_matches_reference(mat, transforms):
-    assert snf_fields(cold_snf(mat, transforms, PLACE)) == \
-        snf_fields(cold_snf(mat, transforms, _reference_place))
+    """The positions _placed gives the exported transforms are those the
+    reference's swaps reach, for the pivot sites of mat's Smith form; the
+    sites do not depend on transforms."""
+    res = smith_normal_form(mat, transforms)
+    sites = list(res.pivot_sites)
+    assert sites == list(smith_normal_form(mat, not transforms).pivot_sites)
+    swaps = _IndexSwaps(mat.nrows, mat.ncols)
+    _reference_place(swaps, sites)
+    assert intlinalg._placed([i for i, _ in sites], mat.nrows) == swaps.rows
+    assert intlinalg._placed([j for _, j in sites], mat.ncols) == swaps.cols
+    if transforms:
+        assert res.u @ mat @ res.v == res.diagonal()
 
 
 @given(sparse_strategy(), st.booleans())
@@ -649,8 +661,8 @@ def test_place_matches_reference_on_scattered_pivots(rows, values, extra):
 def test_place_matches_reference_on_spectral_and_tower_calls(monkeypatch):
     """Every Smith form spectral_sequence, the E2 oracle and tower (with
     the stage homologies) take on the seeded corpus, the stripe-sign
-    objects and cech_object up to (3, 4) gives the reference placement's
-    invariants, pivot sites and transforms."""
+    objects and cech_object up to (3, 4) gets the reference placement's
+    positions."""
     calls = record_smith_forms(monkeypatch)
     # a warm subquotient memo would take no Smith form
     clear_memo()

@@ -113,6 +113,18 @@ def test_zigzag_fringe_death_within_range():
     assert report["all_accounted"]
 
 
+def test_fringe_row_of_a_surviving_class():
+    # (1, 1) = Z is on every page of this corpus object, so each page
+    # finds the entry it is asked for
+    x = corpus(seed=20250811, count=3)[2].x
+    report = fringe_filtration_check(spectral_sequence(x), 0)
+    assert report["rows"] == [{
+        "s": 1, "t": 1, "e2": "Z", "stable": "Z", "changes": [],
+        "within_range": True, "survives": True,
+    }]
+    assert report["all_accounted"] and not report["vacuous"]
+
+
 def test_fringe_vacuous_on_constant():
     x = constant_object(ChainComplexInt(0, (1,), ()), 2)
     report = fringe_filtration_check(spectral_sequence(x), 0)

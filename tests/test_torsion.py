@@ -14,9 +14,12 @@ from torsion_reference import (
     valuation,
 )
 from tottower import intlinalg
-from tottower.constructions import cech_object, corpus
+from tottower.abelian import format_group
+from tottower.chains import ChainComplexInt
+from tottower.constructions import cech_object, constant_object, corpus
 from tottower.cosimplicial import tower
 from tottower.intlinalg import IntMatrix
+from tottower.spectral import spectral_sequence
 
 
 def test_local_smith_hand_values():
@@ -82,3 +85,30 @@ def test_the_oracle_catches_a_fault_in_the_shared_elimination(monkeypatch):
     path through intlinalg alike.  The local Smith form still sees it."""
     monkeypatch.setattr(intlinalg._Smith, "_row_negate", lambda self, i: None)
     assert sum(bool(disagreements(c)) for c in oracle_complexes()) >= 20
+
+
+# The first boundary of a seeded search (random.Random(20250811), shapes
+# 2..3 by 2..3, cells 0 or 2..12 in absolute value) whose Smith form needs
+# a second sweep of fix_divisibility: one sweep leaves its invariants out
+# of divisibility order.
+TWO_SWEEP_BOUNDARY = [[10, 0, 2], [6, -12, 0], [-4, 9, -2]]
+
+
+def test_a_smith_form_that_needs_a_second_divisibility_sweep():
+    """Every stage of the tower and every page of the spectral sequence
+    of the constant object on that boundary is Z/6 + Z/42, on the
+    rank-only route (stage homology) and the route with transforms
+    (subquotients) alike."""
+    c = ChainComplexInt(0, (3, 3),
+                        (IntMatrix.from_rows(TWO_SWEEP_BOUNDARY),))
+    x = constant_object(c, 2)
+    expected = "Z/6 + Z/42"
+    for stage in tower(x).stages:
+        assert disagreements(stage) == []
+        assert format_group(stage.homology(0)) == expected
+    result = spectral_sequence(x)
+    for page in result.pages:
+        assert {k: format_group(g) for k, g in page.entries} == \
+            {(0, 0): expected}
+    assert [(k, format_group(g)) for k, g in result.e_infinity] == \
+        [((0, 0), expected)]
