@@ -30,9 +30,9 @@ cokernel computation, so the whole test is two Smith forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import record
 from .errors import InputError, InvariantError
 from .intlinalg import (
     IntMatrix,
@@ -61,22 +61,26 @@ __all__ = [
 MEMO_SIZE = 1024
 
 
-@dataclass(frozen=True)
+@record
 class HomologyGroup:
-    """Z^rank plus cyclic torsion in divisibility order."""
+    """Z^rank plus cyclic torsion in divisibility order.
+
+    Every group is built from an internal elimination, never read from
+    input, so a malformed one is an InvariantError.
+    """
 
     rank: int
     torsion: tuple = ()
 
     def __post_init__(self):
         if not isinstance(self.rank, int) or self.rank < 0:
-            raise InputError("rank must be a nonnegative integer")
+            raise InvariantError("rank must be a nonnegative integer")
         for d, e in zip(self.torsion, self.torsion[1:]):
             if e % d:
-                raise InputError("torsion must be in divisibility order")
+                raise InvariantError("torsion must be in divisibility order")
         for d in self.torsion:
             if not isinstance(d, int) or d < 2:
-                raise InputError("torsion coefficients must be >= 2")
+                raise InvariantError("torsion coefficients must be >= 2")
 
     @property
     def is_trivial(self) -> bool:
@@ -126,7 +130,7 @@ def _relation_matrix(orders) -> IntMatrix:
     )
 
 
-@dataclass(frozen=True)
+@record
 class GroupHom:
     """Homomorphism between groups presented as direct sums of cyclics.
 
@@ -200,7 +204,7 @@ def presented_homology(f: GroupHom, g: GroupHom) -> HomologyGroup:
     return subquotient_presentation(numer, denom).group()
 
 
-@dataclass(frozen=True)
+@record
 class Subquotient:
     """Presentation of L/L' for lattices L' <= L inside some Z^N.
 

@@ -21,9 +21,9 @@ against each other in the test suite rather than trusted separately.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .abelian import (
     HomologyGroup,
     Subquotient,
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ChainComplexInt:
     """Chain complex concentrated in degrees lo .. lo+len(ranks)-1.
 
@@ -300,7 +300,7 @@ def _unit_reduce(boundaries: tuple) -> tuple:
     return pairs, residuals
 
 
-@dataclass(frozen=True)
+@record
 class ChainMap:
     """Degreewise map of complexes commuting with the boundaries.
 

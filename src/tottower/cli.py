@@ -179,10 +179,9 @@ def _poset_from_args(args):
 
 
 def cmd_poset(args) -> dict:
-    from .deloop import HOMOLOGY_ONLY_DISCLAIMER
     from .posets import order_complex, poset_dimension
-    from .simplicial import (euler_characteristic, reduced_homology,
-                             wedge_signature_from_homology)
+    from .simplicial import (HOMOLOGY_ONLY_DISCLAIMER, euler_characteristic,
+                             reduced_homology, wedge_signature_from_homology)
 
     p = _poset_from_args(args)
     if args.action == "dim":

@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
+from ._record import record
 from .chains import ChainComplexInt, ChainMap, chain_map, identity_chain_map
 from .cosimplicial import (
     CosimplicialChain,
@@ -470,7 +470,7 @@ def _random_piece_system(rng: random.Random, truncation: int,
     return tuple(pieces), tuple(deltas)
 
 
-@dataclass(frozen=True)
+@record
 class CorpusObject:
     """A generated object together with the data that produced it.
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from json.decoder import WHITESPACE, JSONArray, JSONObject
 from json.scanner import make_scanner
 
+from ._record import record
 from .abelian import HomologyGroup
 from .chains import ChainComplexInt, ChainMap, chain_map
 from .errors import InputError, InvariantError, PreconditionError
@@ -91,7 +91,7 @@ MAX_TRUNCATION = 8
 MAX_TOT_SPAN = 32
 
 
-@dataclass(frozen=True)
+@record
 class CosimplicialChain:
     """Levels X^0..X^M with cofaces and codegeneracies.
 
@@ -229,7 +229,7 @@ def _kernel_of_stack(mats, width: int) -> IntMatrix:
     return kernel_lattice(IntMatrix.vstack(mats))
 
 
-@dataclass(frozen=True)
+@record
 class Conormalization:
     """Pieces N^s with embeddings into X^s and the coface-sum
     differential between consecutive pieces."""
@@ -302,7 +302,7 @@ def conormalize(x: CosimplicialChain) -> Conormalization:
 
 # -- matching objects --------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class MatchingObject:
     """The compatible-tuple limit M^m with its canonical comparison.
 
@@ -488,7 +488,7 @@ def tot_n(x: CosimplicialChain, n: int) -> ChainComplexInt:
     return StripeWindow(x.conormalization, -1, n).complex()
 
 
-@dataclass(frozen=True)
+@record
 class TotTower:
     """All stages with their coordinate projections (stage n maps onto
     stage n-1 by forgetting the s = n stripe)."""
@@ -556,7 +556,7 @@ def shift_check(x: CosimplicialChain, n: int, m: int, j: int) -> bool:
                for k in set(shifted) | {d + j for d in plain})
 
 
-@dataclass(frozen=True)
+@record
 class CosimplicialMap:
     """Levelwise chain maps commuting with all structure maps."""
 

@@ -20,9 +20,9 @@ never raise on a failed hypothesis; they carry the failure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .abelian import HomologyGroup
 from .chains import ChainComplexInt
 from .errors import InputError, PreconditionError
@@ -56,7 +56,7 @@ def _simplex_set(k: SimplicialComplex) -> frozenset:
     )
 
 
-@dataclass(frozen=True)
+@record
 class CoverDiagram:
     """A basepointed cover of ``space`` by subcomplexes."""
 
@@ -236,7 +236,7 @@ def nerve_of_cover(cov: CoverDiagram) -> SimplicialComplex:
     return complex_from_facets(facets)
 
 
-@dataclass(frozen=True)
+@record
 class CoverReport:
     """Everything verify_cover_theorem measured, failures included."""
 

@@ -25,8 +25,7 @@ pairing a totalization stage n with an ambient width m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import InputError, InvariantError, PreconditionError
 from .posets import (
     PosetInclusion,
@@ -39,7 +38,11 @@ from .posets import (
     subset_poset,
     subspace_poset,
 )
-from .simplicial import WedgeSignature, wedge_signature
+from .simplicial import (
+    HOMOLOGY_ONLY_DISCLAIMER,
+    WedgeSignature,
+    wedge_signature,
+)
 
 __all__ = [
     "InclusionReport",
@@ -52,13 +55,8 @@ __all__ = [
     "subspace_model",
 ]
 
-HOMOLOGY_ONLY_DISCLAIMER = (
-    "sphere wedge values are certified by integral homology alone; "
-    "no homotopy equivalence is constructed"
-)
 
-
-@dataclass(frozen=True)
+@record
 class InclusionReport:
     """Outcome of analyzing one subposet inclusion.
 

@@ -33,10 +33,10 @@ subquotients and the spectral filtration use only these two.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
 
+from ._record import record
 from .errors import InputError, InvariantError
 from .schema import int_rows, is_int
 
@@ -69,7 +69,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True, repr=False)
+@record
 class IntMatrix:
     """Immutable sparse integer matrix.
 
@@ -499,7 +499,7 @@ def _placed(pivots: list, size: int) -> list:
     return at
 
 
-@dataclass(frozen=True)
+@record
 class SNFResult:
     """Smith normal form of an integer matrix.
 
@@ -677,8 +677,11 @@ def kernel_lattice(mat: IntMatrix) -> IntMatrix:
     columns whose mat-part ends zero span the kernel.  They are columns
     of a unimodular matrix, so the lattice they span is saturated; the
     columns left nonzero have independent images.  The identity rows are
-    carried as tails and never indexed.
+    carried as tails and never indexed.  A matrix with no entries has
+    all of Z^ncols as its kernel, whose Hermite basis is the identity.
     """
+    if not mat.entries:
+        return IntMatrix.identity(mat.ncols)
     tails = [{j: 1} for j in range(mat.ncols)]
     for _ in _clear_rows(mat, tails):
         pass

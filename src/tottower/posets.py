@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .errors import InputError, InvariantError
 from .simplicial import (
     MAX_FACES,
     SimplicialComplex,
-    complex_from_facets,
     label_key,
 )
 
@@ -66,7 +65,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
+@record
 class FinPoset:
     """Partial order on a canonical tuple of elements.
 
@@ -388,7 +387,7 @@ def subspace_poset(q: int, n: int, max_dim: int) -> FinPoset:
     )
 
 
-@dataclass(frozen=True)
+@record
 class PosetInclusion:
     """A full subposet sitting inside an ambient poset.
 
@@ -436,9 +435,18 @@ def order_complex(p: FinPoset) -> SimplicialComplex:
     A poset with more than MAX_CHAINS maximal chains, or more than
     MAX_FACES chains in all, is refused with InputError before any chain
     is listed.
+
+    The facets are built in canonical form here: the elements passed
+    ``label_key`` when the poset was built and are stored in its order,
+    every element lies on a maximal chain, and no maximal chain holds
+    another, so sorting by element index is all there is to do.
     """
     checked_chain_count(p)
-    return complex_from_facets(p.maximal_chains())
+    index, elements = p._index, p.elements
+    chains = sorted(tuple(sorted(map(index.__getitem__, c)))
+                    for c in p.maximal_chains())
+    return SimplicialComplex(
+        tuple(tuple(map(elements.__getitem__, c)) for c in chains))
 
 
 def check_fence_condition(incl: PosetInclusion):

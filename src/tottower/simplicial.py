@@ -19,9 +19,9 @@ only in ``facets``, ``vertices`` and ``simplices_by_dim``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .abelian import HomologyGroup
 from .chains import ChainComplexInt
 from .errors import InputError
@@ -36,6 +36,7 @@ __all__ = [
     "barycentric_subdivision",
     "chain_complex",
     "reduced_homology",
+    "HOMOLOGY_ONLY_DISCLAIMER",
     "WedgeSignature",
     "wedge_signature",
     "wedge_signature_from_homology",
@@ -83,7 +84,7 @@ def _code_table(labels) -> dict:
     return {v: i for i, v in enumerate(sorted(set(labels), key=label_key))}
 
 
-@dataclass(frozen=True)
+@record
 class SimplicialComplex:
     """Facet list in canonical form, optionally pointed.
 
@@ -255,7 +256,14 @@ def euler_characteristic(k: SimplicialComplex) -> int:
     return sum((-1) ** d * len(simps) for d, simps in k._coded[1].items())
 
 
-@dataclass(frozen=True)
+# Every sphere-wedge report (deloop, poset wedge-check) carries this.
+HOMOLOGY_ONLY_DISCLAIMER = (
+    "sphere wedge values are certified by integral homology alone; "
+    "no homotopy equivalence is constructed"
+)
+
+
+@record
 class WedgeSignature:
     """Reduced homology shape of a wedge of same-dimensional spheres.
 

@@ -22,8 +22,7 @@ totalization homology, computed by an independent route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .abelian import (
     GroupHom,
     HomologyGroup,
@@ -109,7 +108,7 @@ def _zero_outof(orders: tuple) -> GroupHom:
     return GroupHom(orders, (), IntMatrix.zeros(0, len(orders)))
 
 
-@dataclass(frozen=True)
+@record
 class SpectralSequencePage:
     """One page: entries keyed by (s, t), differentials by source spot.
 
@@ -131,7 +130,7 @@ class SpectralSequencePage:
         return HomologyGroup(0)
 
 
-@dataclass(frozen=True)
+@record
 class SpectralSequence:
     """Pages 1..r_max plus the stable page and its independent limit.
 

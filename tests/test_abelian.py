@@ -39,11 +39,11 @@ def test_format_group():
 
 
 def test_homology_group_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InvariantError):
         HomologyGroup(-1)
-    with pytest.raises(InputError):
+    with pytest.raises(InvariantError):
         HomologyGroup(0, (3, 2))
-    with pytest.raises(InputError):
+    with pytest.raises(InvariantError):
         HomologyGroup(0, (1,))
 
 

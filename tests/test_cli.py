@@ -11,12 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from tottower import abelian, cli, cosimplicial, posets, simplicial, spectral
+from test_torsion import TWO_SWEEP_BOUNDARY
+from tottower import (abelian, cli, cosimplicial, intlinalg, posets,
+                      simplicial, spectral)
 from tottower.chains import ChainComplexInt
 from tottower.cli import main
 from tottower.constructions import cech_object, constant_object, corpus
 from tottower.cosimplicial import cosimplicial_to_data
 from tottower.errors import InputError
+from tottower.intlinalg import IntMatrix
 from tottower.posets import PosetInclusion, full_subposet, poset_from_relation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -84,13 +87,15 @@ import json, sys
 from tottower.cli import main
 code = main(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("tottower") or m == "mmap")]))
+                               if m.startswith("tottower")
+                               or m in ("mmap", "dataclasses", "inspect"))]))
 """
 
 
 def loaded_modules(argv):
     """The exit code and the package modules a fresh process has loaded
-    once main(argv) returns, with "mmap" if it is loaded."""
+    once main(argv) returns, with "mmap", "dataclasses" and "inspect"
+    among them if they are loaded."""
     done = subprocess.run(
         [sys.executable, "-c", LOADED, json.dumps(argv)],
         capture_output=True, text=True, timeout=120,
@@ -104,7 +109,8 @@ def loaded_modules(argv):
 def test_each_subcommand_loads_only_its_layers(tmp_path):
     # the cosimplicial JSON decoder is imported with its layer, in the
     # tot and ss commands, and mmap with the first file read, never at
-    # start-up
+    # start-up; records are built without dataclasses, so no command
+    # loads it or inspect
     assert not hasattr(cli, "CosimplicialDecoder")
     bare = {"tottower", "cli", "errors", "schema"}
     for argv in (["--version"], ["--help"], ["no-such-command"], ["tot"],
@@ -117,7 +123,7 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     runs = [
         (["homology", space], "simplicial", cosimplicial_layers),
         (["poset", "--subset-size", "3", "wedge-check"], "posets",
-         cosimplicial_layers),
+         cosimplicial_layers | {"deloop"}),
         (["deloop", "--subset", "3", "2"], "deloop", cosimplicial_layers),
         (["cover", "--r", "1", suspension_cover(tmp_path)], "cover",
          cosimplicial_layers),
@@ -127,7 +133,8 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     for argv, used, absent in runs:
         code, names = loaded_modules(argv)
         assert code == 0 and used in names, argv
-        assert not names & (absent | {"constructions"}), argv
+        assert not names & (absent | {"constructions", "dataclasses",
+                                      "inspect"}), argv
 
 
 # -- homology -----------------------------------------------------------------
@@ -974,6 +981,33 @@ def test_broken_identities_are_invariant_violations(tmp_path, capsys):
     path = write_json(tmp_path, "broken.json", data)
     assert run(["tot", path], capsys)[0] == 3
     assert run(["ss", path], capsys)[0] == 3
+
+
+def test_a_faulty_elimination_is_an_invariant_violation(
+        tmp_path, capsys, monkeypatch):
+    # cut to one divisibility sweep, Smith leaves the torsion of this
+    # boundary out of divisibility order: the program is at fault, not
+    # the input, so tot and ss exit 3
+    c = ChainComplexInt(0, (3, 3),
+                        (IntMatrix.from_rows(TWO_SWEEP_BOUNDARY),))
+    path = write_json(tmp_path, "two_sweeps.json",
+                      cosimplicial_to_data(constant_object(c, 2)))
+    fix = intlinalg._Smith.fix_divisibility
+
+    def one_sweep(self, order):
+        for t in range(len(order) - 1):
+            fix(self, order[t:t + 2])
+
+    abelian._subquotient_memo.cache_clear()
+    assert run(["ss", path], capsys)[0] == 0
+    abelian._subquotient_memo.cache_clear()
+    monkeypatch.setattr(intlinalg._Smith, "fix_divisibility", one_sweep)
+    try:
+        for command in ("tot", "ss"):
+            code, _, err = run([command, path], capsys)
+            assert code == 3 and "divisibility order" in err, (command, err)
+    finally:
+        abelian._subquotient_memo.cache_clear()
 
 
 def test_law_failures_name_the_level_or_map(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Cosimplicial core: identities, conormalization, matching, towers."""
 
-import dataclasses
 import json
 import re
 
@@ -331,8 +330,11 @@ def single_cell_perturbations(x):
                             comps[t] = IntMatrix.from_rows(rows, ncols)
                             g = chain_map(f.src, f.dst, comps)
                             changed = row[:i] + (g,) + row[i + 1:]
-                            yield dataclasses.replace(x, **{
-                                table: maps[:k] + (changed,) + maps[k + 1:]
+                            yield CosimplicialChain(**{
+                                "levels": x.levels,
+                                "cofaces": x.cofaces,
+                                "codegeneracies": x.codegeneracies,
+                                table: maps[:k] + (changed,) + maps[k + 1:],
                             })
 
 

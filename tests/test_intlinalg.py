@@ -479,13 +479,24 @@ def draw_matrix(data, nrows, ncols):
     })
 
 
-@given(sparse_strategy())
+# matrices with no entries: no rows, or rows that are all zero
+EMPTY_MATRICES = st.tuples(st.integers(0, 12), st.integers(0, 12)).map(
+    lambda dims: IntMatrix.zeros(*dims))
+
+
+@given(st.one_of(sparse_strategy(), EMPTY_MATRICES))
 def test_kernel_lattice_matches_smith_route(a):
     assert kernel_lattice(a) == smith_kernel_lattice(a)
 
 
 def test_kernel_lattice_edge_shapes():
     assert kernel_lattice(IntMatrix.zeros(0, 3)) == IntMatrix.identity(3)
+    # the boundary out of the bottom degree of a wide level, whose kernel
+    # the E2 oracle takes; the Smith route agrees
+    wide = IntMatrix.zeros(0, 1024)
+    assert kernel_lattice(wide) == smith_kernel_lattice(wide) == \
+        IntMatrix.identity(1024)
+    assert kernel_lattice(IntMatrix.zeros(5, 4)) == IntMatrix.identity(4)
     assert kernel_lattice(IntMatrix.zeros(3, 0)) == IntMatrix.zeros(0, 0)
     assert kernel_lattice(IntMatrix.identity(2)) == IntMatrix.zeros(2, 0)
     # a single relation 2x = 3y: the kernel is spanned by (3, 2)

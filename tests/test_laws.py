@@ -139,7 +139,7 @@ def test_built_objects_obey_their_laws(monkeypatch):
         counts["complexes"] += 1
 
     # ChainMap and SimplicialComplex define no __post_init__, so their
-    # generated __init__ calls none: wrap __init__ instead
+    # __init__ calls none: wrap __init__ instead
     def check_map(self, *args, **kwargs):
         map_init(self, *args, **kwargs)
         reference_component_check(self)

@@ -29,6 +29,7 @@ from tottower.posets import (
 )
 from tottower.simplicial import (
     WedgeSignature,
+    complex_from_facets,
     skeleton,
     wedge_signature,
 )
@@ -214,6 +215,36 @@ def test_chain_count_matches_enumeration(n, data):
     k = order_complex(p)
     faces = sum(k.simplex_count(d) for d in range(k.dimension + 1))
     assert p.chain_count() == chains == faces
+
+
+# mixed labels whose label_key order is not the order of any relation
+LABELS = st.one_of(
+    st.integers(-3, 9),
+    st.text("ab", max_size=2),
+    st.tuples(st.integers(0, 2), st.text("ab", max_size=1)),
+)
+
+
+@given(st.lists(LABELS, max_size=7, unique=True), st.data())
+def test_order_complex_matches_the_checked_route(labels, data):
+    """order_complex builds the canonical facets itself; the checked
+    complex_from_facets on the maximal chains gives the same complex."""
+    pairs = data.draw(st.lists(
+        st.tuples(st.sampled_from(labels), st.sampled_from(labels)),
+        max_size=12,
+    )) if labels else []
+    try:
+        p = poset_from_relation(labels, pairs=pairs)
+    except InputError:
+        return  # the random relation had a cycle
+    k = order_complex(p)
+    assert k == complex_from_facets(p.maximal_chains())
+    assert k.basepoint is None and set(k.vertices()) == set(labels)
+
+
+def test_order_complex_of_the_empty_poset():
+    k = order_complex(poset_from_relation([]))
+    assert k == complex_from_facets([]) and k.is_empty
 
 
 def test_chain_count_on_model_posets():
