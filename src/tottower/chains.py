@@ -202,8 +202,8 @@ def _unit_reduce(boundaries: tuple) -> tuple:
     operations clear row a, then row a and column b are deleted.  In the
     new basis row b of boundaries[t+1] and column a of boundaries[t-1]
     are zero, because the boundary squares to zero, so they are dropped
-    unchanged: row b at once, since boundaries[t+1] is still to be
-    reduced, and column a when the residuals are read off.  Columns that
+    unchanged: row b when boundaries[t+1] is indexed, as its reduction
+    starts, and column a when the residuals are read off.  Columns that
     the clearing touched are visited again, and boundaries[t] only loses
     rows and columns afterwards, so no unit entry is left when the pass
     ends.  Bottom up is about three times faster than top down on order
@@ -214,14 +214,18 @@ def _unit_reduce(boundaries: tuple) -> tuple:
     unique, snf_invariants(boundaries[t]) equals
     (1,) * pairs[t] + snf_invariants(residuals[t]).
     """
-    # cols[t][j] maps row -> value of column j; rows[t][i] holds the
-    # columns where row i is nonzero
+    # cols[t][j] maps row -> value of column j; rt[i] holds the columns
+    # where row i is nonzero
     cols = []
-    rows = []
-    for bnd in boundaries:
+    gone = [set() for _ in range(len(boundaries) + 1)]
+    pairs = [0] * len(boundaries)
+    for t, bnd in enumerate(boundaries):
         ct = {}
         rt = {}
+        skip = gone[t]
         for i, j, v in bnd.entries:
+            if i in skip:
+                continue
             col = ct.get(j)
             if col is None:
                 ct[j] = {i: v}
@@ -233,11 +237,6 @@ def _unit_reduce(boundaries: tuple) -> tuple:
             else:
                 row.add(j)
         cols.append(ct)
-        rows.append(rt)
-    gone = [set() for _ in range(len(boundaries) + 1)]
-    pairs = [0] * len(boundaries)
-    for t in range(len(boundaries)):
-        ct, rt = cols[t], rows[t]
         queue = deque(sorted(ct))
         queued = set(queue)
         while queue:
@@ -279,9 +278,6 @@ def _unit_reduce(boundaries: tuple) -> tuple:
                 if j not in queued:
                     queue.append(j)
                     queued.add(j)
-            if t + 1 < len(boundaries):
-                for j in rows[t + 1].pop(b, ()):
-                    del cols[t + 1][j][b]
             gone[t].add(a)
             gone[t + 1].add(b)
             pairs[t] += 1

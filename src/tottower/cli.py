@@ -44,14 +44,9 @@ def _load_json(path: str, decoder=None):
     # never copied into a bytes object; a pipe or an empty file, which
     # cannot be mapped, is read whole.  Line ends are not translated: JSON
     # reads "\r" as white space, so only error offsets can differ.
-    # Decoded JSON holds no reference cycles, so the cyclic collector is
-    # paused while it is built: otherwise it walks every parsed row again
-    # and again.  Its previous state comes back however the parse ends.
     # decoder is a json.JSONDecoder class; None is the plain one.
     import mmap
 
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         with open(path, "rb") as fh:
             info = os.fstat(fh.fileno())
@@ -72,9 +67,6 @@ def _load_json(path: str, decoder=None):
         raise InputError(f"{path} holds a number too long to read: {exc}")
     except RecursionError:
         raise InputError(f"{path} is nested too deeply to read")
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def _emit(report: dict, output: str | None):
@@ -436,6 +428,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage and 0 for --version/--help
         return 2 if exc.code else 0
+    # No report builds reference cycles: decoded JSON, matrices, groups
+    # and records are freed by their reference counts alone.  The cyclic
+    # collector would only walk every live object again and again as the
+    # report grows, so it is paused for the whole report and comes back
+    # in its previous state however the report ends.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         report = args.run(args)
         _emit(report, args.output)
@@ -448,4 +447,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if collecting:
+            gc.enable()
     return 0

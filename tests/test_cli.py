@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from tottower.chains import ChainComplexInt
 from tottower.cli import main
 from tottower.constructions import cech_object, constant_object, corpus
 from tottower.cosimplicial import cosimplicial_to_data
-from tottower.errors import InputError
+from tottower.errors import InvariantError, PreconditionError
 from tottower.intlinalg import IntMatrix
 from tottower.posets import PosetInclusion, full_subposet, poset_from_relation
 
@@ -219,27 +220,114 @@ def test_tot_report_is_the_same_through_a_pipe_and_with_crlf(tmp_path,
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_load_json_restores_the_collector(tmp_path, enabled):
-    good = write_json(tmp_path, "good.json", {"0": [[1]]})
+def test_main_pauses_the_collector_and_restores_it(tmp_path, capsys,
+                                                   monkeypatch, enabled):
+    """The cyclic collector is off while a subcommand runs, and main
+    gives it back as it found it on every exit code and on an exception
+    that is no error of the program's own kinds."""
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     during = []
+    deloop = cli.cmd_deloop
 
-    class Recording(json.JSONDecoder):
-        def decode(self, s):
+    def recording(args):
+        during.append(gc.isenabled())
+        return deloop(args)
+
+    def raising(exc):
+        def command(args):
             during.append(gc.isenabled())
-            return super().decode(s)
+            raise exc
+        return command
+
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
-        assert cli._load_json(good, Recording) == {"0": [[1]]}
+        monkeypatch.setattr(cli, "cmd_deloop", recording)
+        assert run(["deloop", "--tot", "2", "3"], capsys)[0] == 0
         assert gc.isenabled() is enabled
-        with pytest.raises(InputError, match="not valid JSON"):
-            cli._load_json(str(bad), Recording)
+        assert run(["homology", str(bad)], capsys)[0] == 2
+        assert gc.isenabled() is enabled
+        for exc, code in ((InvariantError("x"), 3),
+                          (PreconditionError("x"), 4)):
+            monkeypatch.setattr(cli, "cmd_deloop", raising(exc))
+            assert run(["deloop", "--tot", "2", "3"], capsys)[0] == code
+            assert gc.isenabled() is enabled
+        monkeypatch.setattr(cli, "cmd_deloop", raising(RuntimeError("x")))
+        with pytest.raises(RuntimeError):
+            main(["deloop", "--tot", "2", "3"])
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert during == [False, False]
+    assert during == [False] * 4
+
+
+def cyclic_garbage_after(argv, capsys) -> int:
+    """The objects the cyclic collector frees after one in-process run,
+    with the collector off before and during it."""
+    gc.collect()
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    return gc.collect()
+
+
+def suspension_of_a_cycle(tmp_path, n):
+    """A cover file: the suspension of an n-gon, covered by its two
+    cones."""
+    cycle = [sorted((i, (i + 1) % n)) for i in range(n)]
+    facets = [[a, b, n] for a, b in cycle] + [[a, b, n + 1] for a, b in cycle]
+    return write_json(tmp_path, f"cover_{n}.json", {
+        "complex": {"facets": facets, "basepoint": 0},
+        "pieces": [list(range(n)), list(range(n, 2 * n))],
+    })
+
+
+def test_reports_leave_no_cyclic_garbage(tmp_path, capsys):
+    """No report builds reference cycles, which is why main pauses the
+    cyclic collector for the whole report.  After each subcommand, on a
+    small input and on a larger one, the collector finds what --version
+    leaves (the argument parser) plus a constant: the encoder json.dumps
+    builds for an indented report from closures that refer to one
+    another.  A cycle built per matrix, group or record would grow with
+    the input."""
+    triangle = {"facets": [[0, 1, 2]]}
+    sphere = {"facets": list(itertools.combinations(range(7), 6))}
+    sizes = {
+        "homology": (
+            ["homology", write_json(tmp_path, "triangle.json", triangle)],
+            ["homology", write_json(tmp_path, "sphere.json", sphere)]),
+        "wedge-check": (
+            ["poset", "wedge-check", "--subset-size", "3"],
+            ["poset", "wedge-check", "--subset-size", "5"]),
+        "deloop --subset": (
+            ["deloop", "--subset", "4", "2"],
+            ["deloop", "--subset", "5", "3"]),
+        "deloop --tot": (
+            ["deloop", "--tot", "1", "2"],
+            ["deloop", "--tot", "4", "6"]),
+        "cover": (
+            ["cover", "--r", "1", suspension_of_a_cycle(tmp_path, 4)],
+            ["cover", "--r", "1", suspension_of_a_cycle(tmp_path, 12)]),
+        "tot": (
+            ["tot", cech_file(tmp_path, 2, 2)],
+            ["tot", write_json(tmp_path, "cech_3_3.json",
+                               cosimplicial_to_data(cech_object(3, 3)))]),
+    }
+    sizes["ss"] = tuple(["ss", argv[1]] for argv in sizes["tot"])
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        # a first run of each command imports its layers and fills memos
+        for small, _ in sizes.values():
+            run(small, capsys)
+        parser = cyclic_garbage_after(["--version"], capsys)
+        for name, (small, large) in sizes.items():
+            counts = [cyclic_garbage_after(small, capsys),
+                      cyclic_garbage_after(large, capsys)]
+            assert counts[0] == counts[1] <= parser + 40, (name, counts)
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_every_cut_of_a_cosimplicial_file_is_refused(tmp_path, capsys):

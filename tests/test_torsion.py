@@ -5,7 +5,12 @@ the package's shared elimination, which every second route would see
 alike, shows here as a disagreement.
 """
 
+import random
+
+from hypothesis import given, strategies as st
+
 from test_cosimplicial import stripe_sign_objects
+from test_simplicial import RP2
 from torsion_reference import (
     EXPONENT,
     LARGE_PRIME,
@@ -14,12 +19,20 @@ from torsion_reference import (
     valuation,
 )
 from tottower import intlinalg
-from tottower.abelian import format_group
+from tottower.abelian import HomologyGroup, format_group
 from tottower.chains import ChainComplexInt
-from tottower.constructions import cech_object, constant_object, corpus
+from tottower.constructions import (cech_object, constant_object, corpus,
+                                    random_complex)
 from tottower.cosimplicial import tower
 from tottower.intlinalg import IntMatrix
+from tottower.simplicial import barycentric_subdivision, chain_complex
 from tottower.spectral import spectral_sequence
+
+# p^8 stays below 2^63 for every prime below this bound, so the local
+# Smith form at such a prime still does no big-integer work
+PRIME_BOUND = 100
+SMALL_PRIMES = [p for p in range(2, PRIME_BOUND)
+                if all(p % q for q in range(2, p))]
 
 
 def test_local_smith_hand_values():
@@ -36,11 +49,24 @@ def test_local_smith_hand_values():
         IntMatrix.from_rows([[1, 2], [2, 4]]), LARGE_PRIME, 1) == [0]
 
 
+def checked_primes(groups) -> list:
+    """PRIMES and every prime below PRIME_BOUND that divides a torsion
+    order of the groups, in increasing order."""
+    orders = [o for g in groups for o in g.torsion]
+    return sorted(set(PRIMES).union(
+        p for p in SMALL_PRIMES for o in orders if o % p == 0))
+
+
 def disagreements(c) -> list:
     """The degrees at which c.homology_all() disagrees with the local
     Smith forms: free ranks by the large prime, the p-parts of the
-    torsion by each small prime."""
+    torsion by each prime of checked_primes.
+
+    So a prime factor of PRIME_BOUND or more of a reported order is not
+    checked, and neither is a torsion summand the report leaves out
+    whose order has no prime in PRIMES or in another reported order."""
     groups = c.homology_all()
+    primes = checked_primes(groups.values())
     ranks = {k: len(local_smith_valuations(c.boundary(k), LARGE_PRIME, 1))
              for k in range(c.lo, c.hi + 2)}
     bad = []
@@ -49,7 +75,7 @@ def disagreements(c) -> list:
         if group.rank != c.rank(k) - ranks[k] - ranks[k + 1]:
             bad.append(k)
             continue
-        for p in PRIMES:
+        for p in primes:
             local = [v for v in local_smith_valuations(
                 c.boundary(k + 1), p, EXPONENT) if v]
             reported = sorted(valuation(o, p) for o in group.torsion
@@ -77,6 +103,32 @@ def test_reported_homology_matches_the_local_smith_forms():
         torsion += sum(bool(g.torsion) for g in c.homology_all().values())
     # torsion of orders 2 and 5 is present, so the check is not vacuous
     assert len(complexes) >= 250 and torsion >= 30
+
+
+def test_checked_primes_add_the_small_factors_of_the_reported_orders():
+    groups = [HomologyGroup(1, (2, 22)), HomologyGroup(0, (143,)),
+              HomologyGroup(0, (4 * 101,))]
+    assert checked_primes(groups) == [2, 3, 5, 7, 11, 13]
+    assert checked_primes([HomologyGroup(2)]) == list(PRIMES)
+
+
+def test_simplicial_torsion_matches_the_local_smith_forms():
+    """RP^2 and its barycentric subdivision, with reduced and unreduced
+    chains, through the unit reduction and the rank-only Smith form that
+    simplicial homology takes."""
+    for space in (RP2, barycentric_subdivision(RP2)):
+        for reduced in (False, True):
+            c = chain_complex(space, reduced=reduced)
+            assert disagreements(c) == [], (space, reduced)
+            assert format_group(c.homology(1)) == "Z/2"
+
+
+@given(st.integers(0, 2 ** 32), st.integers(-2, 2), st.integers(1, 5),
+       st.integers(0, 6))
+def test_random_complexes_match_the_local_smith_forms(seed, lo, length,
+                                                      max_rank):
+    c = random_complex(random.Random(seed), lo, length, max_rank)
+    assert disagreements(c) == []
 
 
 def test_the_oracle_catches_a_fault_in_the_shared_elimination(monkeypatch):
