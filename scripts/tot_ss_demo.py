@@ -13,11 +13,7 @@ sys.path.insert(0, "src")
 
 from tottower.abelian import format_group  # noqa: E402
 from tottower.chains import ChainComplexInt  # noqa: E402
-from tottower.constructions import (  # noqa: E402
-    cech_object,
-    constant_object,
-    corpus,
-)
+from tottower.constructions import cech_object, constant_object  # noqa: E402
 from tottower.cosimplicial import tower, tower_fiber  # noqa: E402
 from tottower.spectral import (  # noqa: E402
     e2_from_level_homology,
@@ -35,23 +31,16 @@ def table(groups) -> str:
 def build(args):
     if args.object == "cech":
         return cech_object(args.points, args.truncation)
-    if args.object == "constant":
-        return constant_object(ChainComplexInt(0, (1,), ()),
-                               args.truncation)
-    return corpus(seed=args.seed, count=args.index + 1)[args.index].x
+    return constant_object(ChainComplexInt(0, (1,), ()), args.truncation)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--object", choices=("cech", "constant", "corpus"),
+    parser.add_argument("--object", choices=("cech", "constant"),
                         default="cech")
     parser.add_argument("--points", type=int, default=2,
                         help="point count for the cech object")
     parser.add_argument("--truncation", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=20250811,
-                        help="corpus seed when --object corpus")
-    parser.add_argument("--index", type=int, default=0,
-                        help="corpus position when --object corpus")
     args = parser.parse_args(argv)
 
     x = build(args)

@@ -248,7 +248,9 @@ def subquotient_presentation(numer_basis: IntMatrix,
     The numerator columns must be in column echelon form, with pivot rows
     strictly increasing (as lattice_basis and kernel_lattice give them, so
     they are independent), and the denominator columns must lie in their
-    span; violations raise, they are never patched up.
+    span; violations raise InvariantError, they are never patched up.
+    Every caller passes lattices the package built, so a violation is a
+    fault in the package, not bad input.
     An input pair equal to a recent one gets that one's result object back.
     """
     return _subquotient_memo(numer_basis, denom_gens)
@@ -258,13 +260,13 @@ def subquotient_presentation(numer_basis: IntMatrix,
 def _subquotient_memo(numer_basis: IntMatrix,
                       denom_gens: IntMatrix) -> Subquotient:
     if numer_basis.nrows != denom_gens.nrows:
-        raise InputError("numerator and denominator in different ambients")
+        raise InvariantError("numerator and denominator in different ambients")
     # the top row of each column, -1 for a zero column
     tops = [-1] * numer_basis.ncols
     for i, j, _ in reversed(numer_basis.entries):
         tops[j] = i
     if any(q <= p for p, q in zip([-1] + tops, tops)):
-        raise InputError("numerator pivot rows do not strictly increase")
+        raise InvariantError("numerator pivot rows do not strictly increase")
     wres = smith_normal_form(hermite_solve(numer_basis, denom_gens))
     all_orders = wres.invariants + (0,) * (numer_basis.ncols - wres.rank)
     keep = [i for i, d in enumerate(all_orders) if d != 1]

@@ -30,9 +30,8 @@ from json.decoder import WHITESPACE, JSONArray, JSONObject
 from json.scanner import make_scanner
 
 from ._record import record
-from .abelian import HomologyGroup
 from .chains import ChainComplexInt, ChainMap, chain_map
-from .errors import InputError, InvariantError, PreconditionError
+from .errors import InputError, InvariantError
 from .intlinalg import IntMatrix, hermite_solve, kernel_lattice, lattice_basis
 from .schema import checked, degree_key, field, is_int, list_of
 
@@ -50,11 +49,6 @@ __all__ = [
     "TotTower",
     "tower",
     "tower_fiber",
-    "shift_object",
-    "shift_check",
-    "CosimplicialMap",
-    "cosimplicial_map",
-    "quasi_iso_invariance",
     "cosimplicial_to_data",
     "cosimplicial_from_data",
     "CosimplicialDecoder",
@@ -530,112 +524,6 @@ def tower_fiber(x: CosimplicialChain, n: int, m: int) -> ChainComplexInt:
     if not 0 <= n <= m <= x.truncation:
         raise InputError("need 0 <= n <= m <= truncation")
     return StripeWindow(x.conormalization, n, m).complex()
-
-
-# -- stable-shadow functoriality ---------------------------------------------
-
-def shift_object(x: CosimplicialChain, j: int) -> CosimplicialChain:
-    """Shift every level and every structure map by j degrees."""
-    return CosimplicialChain(
-        levels=tuple(level.shift(j) for level in x.levels),
-        cofaces=tuple(
-            tuple(d.shift(j) for d in row) for row in x.cofaces
-        ),
-        codegeneracies=tuple(
-            tuple(s.shift(j) for s in row) for row in x.codegeneracies
-        ),
-    )
-
-
-def shift_check(x: CosimplicialChain, n: int, m: int, j: int) -> bool:
-    """Does shifting the object shift the fiber's homology by j?"""
-    shifted = tower_fiber(shift_object(x, j), n, m).homology_all()
-    plain = tower_fiber(x, n, m).homology_all()
-    zero = HomologyGroup(0)
-    return all(shifted.get(k, zero) == plain.get(k - j, zero)
-               for k in set(shifted) | {d + j for d in plain})
-
-
-@record
-class CosimplicialMap:
-    """Levelwise chain maps commuting with all structure maps."""
-
-    src: CosimplicialChain
-    dst: CosimplicialChain
-    components: tuple
-
-    def __post_init__(self):
-        if self.src.truncation != self.dst.truncation:
-            raise InputError("truncation mismatch")
-        if len(self.components) != self.src.truncation + 1:
-            raise InputError("need one component per level")
-        for k, f in enumerate(self.components):
-            if f.src != self.src.levels[k] or f.dst != self.dst.levels[k]:
-                raise InputError(f"component {k} connects wrong levels")
-        f = self.components
-        for k in range(self.src.truncation):
-            for i in range(k + 2):
-                if not f[k + 1].compose_equals(
-                        self.src.coface(k, i), self.dst.coface(k, i), f[k]):
-                    raise InvariantError(
-                        f"map fails naturality against d^{i} at level {k}"
-                    )
-            for i in range(k + 1):
-                if not f[k].compose_equals(self.src.codegeneracy(k + 1, i),
-                                           self.dst.codegeneracy(k + 1, i),
-                                           f[k + 1]):
-                    raise InvariantError(
-                        f"map fails naturality against s^{i} at level {k + 1}"
-                    )
-
-
-def cosimplicial_map(x, y, components) -> CosimplicialMap:
-    return CosimplicialMap(src=x, dst=y, components=tuple(components))
-
-
-def _fiber_map(f: CosimplicialMap, n: int, m: int) -> ChainMap:
-    """Restrict a cosimplicial map to the stripes of a fiber window.
-
-    Each level map carries the kernel of the codegeneracies into the
-    same kernel on the other side, so solving through the embeddings is
-    guaranteed to succeed."""
-    src = StripeWindow(f.src.conormalization, n, m)
-    dst = StripeWindow(f.dst.conormalization, n, m)
-    comps = {}
-    for k, blocks in src.blocks.items():
-        entries = {}
-        for s, r in blocks:
-            if r and k in dst.blocks:
-                t = k + s
-                restricted = hermite_solve(
-                    dst.conorm.embeddings[s].component(t),
-                    f.components[s].component(t)
-                    @ src.conorm.embeddings[s].component(t),
-                )
-                row0, col0 = dst.start(s, k), src.start(s, k)
-                for (i, j, v) in restricted.entries:
-                    entries[(row0 + i, col0 + j)] = v
-        comps[k] = IntMatrix.from_dict(dst.rank(k), src.rank(k), entries)
-    return chain_map(src.complex(), dst.complex(), comps)
-
-
-def quasi_iso_invariance(f: CosimplicialMap) -> bool:
-    """A levelwise quasi-isomorphism must induce isomorphisms on the
-    homology of every tower fiber.  Raises PreconditionError when some
-    level map is not a quasi-isomorphism; returns whether all induced
-    fiber maps are isomorphisms on homology."""
-    for k, comp in enumerate(f.components):
-        if not comp.induces_iso_everywhere():
-            raise PreconditionError(
-                f"level {k} map is not a quasi-isomorphism"
-            )
-    top = f.src.truncation
-    for n in range(top + 1):
-        for m in range(n, top + 1):
-            induced = _fiber_map(f, n, m)
-            if not induced.induces_iso_everywhere():
-                return False
-    return True
 
 
 # -- serialization -----------------------------------------------------------

@@ -39,7 +39,6 @@ __all__ = [
     "cover_from_subcomplexes",
     "check_r_acyclic",
     "hocolim_chain",
-    "nerve_of_cover",
     "verify_cover_theorem",
     "CoverReport",
 ]
@@ -223,17 +222,6 @@ def hocolim_chain(cov: CoverDiagram) -> ChainComplexInt:
         ranks=tuple(len(basis[k]) for k in range(top + 1)),
         boundaries=tuple(boundaries[k] for k in range(1, top + 1)),
     )
-
-
-def nerve_of_cover(cov: CoverDiagram) -> SimplicialComplex:
-    """Index sets with nonempty intersection.  With a basepoint in every
-    piece this is the full simplex on {1..n}."""
-    facets = [
-        tuple(sorted(key))
-        for key, inter in cov.intersections.items()
-        if not inter.is_empty
-    ]
-    return complex_from_facets(facets)
 
 
 @record

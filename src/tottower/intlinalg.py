@@ -11,8 +11,9 @@ Clearing a pivot's row and column can leave remainders; when that happens
 the rule is simply applied again, and termination follows because the
 minimal absolute value strictly drops on every such retry.  No row or
 column is ever swapped: each pivot stays at the site where elimination
-finds it and its value is read there.  A form with transforms permutes
-the rows of u and the columns of v and u_inv once, as it exports them.
+finds it and its value is read there.  A form with transforms tracks
+only the row transform u and its inverse u_inv, and permutes the rows of
+u and the columns of u_inv once, as it exports them.
 
 No elimination is remembered here.  The package's one memo across
 calls sits a layer up: ``abelian.subquotient_presentation`` remembers
@@ -46,8 +47,6 @@ __all__ = [
     "xgcd",
     "smith_normal_form",
     "snf_invariants",
-    "matrix_rank",
-    "kernel_basis",
     "kernel_lattice",
     "hermite_solve",
     "lattice_basis",
@@ -342,8 +341,7 @@ class _Smith:
         self.done_cols = set()
         if transforms:
             self.u_rows = {i: {i: 1} for i in range(self.m)}
-            self.uinv_cols = {i: {i: 1} for i in range(self.m)}
-            self.v_cols = {j: {j: 1} for j in range(self.n)}
+            self.uinv_columns = {i: {i: 1} for i in range(self.m)}
 
     # -- elementary operations, applied to the matrix and transforms ----
 
@@ -364,14 +362,12 @@ class _Smith:
             self._set(i, j, row_i.get(j, 0) + c * w)
         if self.track:
             _dict_add(self.u_rows[i], self.u_rows[k], c)
-            _dict_add(self.uinv_cols[k], self.uinv_cols[i], -c)
+            _dict_add(self.uinv_columns[k], self.uinv_columns[i], -c)
 
     def _col_add(self, j: int, l: int, c: int) -> None:
         # c_j += c * c_l, for c != 0
         for i in list(self.cols[l]):
             self._set(i, j, self.rows[i].get(j, 0) + c * self.rows[i][l])
-        if self.track:
-            _dict_add(self.v_cols[j], self.v_cols[l], c)
 
     def _row_negate(self, i: int) -> None:
         row = self.rows[i]
@@ -381,7 +377,7 @@ class _Smith:
             u = self.u_rows[i]
             for j in u:
                 u[j] = -u[j]
-            col = self.uinv_cols[i]
+            col = self.uinv_columns[i]
             for k in col:
                 col[k] = -col[k]
 
@@ -393,18 +389,6 @@ class _Smith:
             b = row.get(j2, 0)
             self._set(i, j1, x * a + y * b)
             self._set(i, j2, z * a + w * b)
-        if self.track:
-            vj1, vj2 = self.v_cols[j1], self.v_cols[j2]
-            new1: dict = {}
-            new2: dict = {}
-            for k in vj1.keys() | vj2.keys():
-                p, q = vj1.get(k, 0), vj2.get(k, 0)
-                n1, n2 = x * p + y * q, z * p + w * q
-                if n1:
-                    new1[k] = n1
-                if n2:
-                    new2[k] = n2
-            self.v_cols[j1], self.v_cols[j2] = new1, new2
 
     # -- phases -----------------------------------------------------------
 
@@ -470,20 +454,16 @@ class _Smith:
                 changed = True
 
     def export(self, order: list) -> tuple:
-        """u, v and u_inv with pivot t moved to (t, t).  Row (column) p of
-        the placed form is the working row (column) that _placed puts
-        there; u and u_inv move with the rows, v with the columns."""
-        m, n = self.m, self.n
+        """u and u_inv with pivot t moved to row t.  Row p of the placed
+        form is the working row that _placed puts there; the rows of u and
+        the columns of u_inv move with it."""
+        m = self.m
         row_at = _placed([i for i, _ in order], m)
-        col_at = _placed([j for _, j in order], n)
         u = {p * m + j: w for p, i in enumerate(row_at)
              for j, w in self.u_rows[i].items()}
         u_inv = {i * m + p: w for p, k in enumerate(row_at)
-                 for i, w in self.uinv_cols[k].items()}
-        v = {i * n + p: w for p, j in enumerate(col_at)
-             for i, w in self.v_cols[j].items()}
-        return (IntMatrix.from_cells(m, m, u), IntMatrix.from_cells(n, n, v),
-                IntMatrix.from_cells(m, m, u_inv))
+                 for i, w in self.uinv_columns[k].items()}
+        return IntMatrix.from_cells(m, m, u), IntMatrix.from_cells(m, m, u_inv)
 
 
 def _placed(pivots: list, size: int) -> list:
@@ -504,11 +484,14 @@ class SNFResult:
     """Smith normal form of an integer matrix.
 
     ``invariants`` lists the diagonal d_1 | d_2 | ... | d_r, all positive.
-    With transforms, u @ a @ v == diagonal() and u_inv is the exact inverse
-    of u.  ``pivot_sites`` records where each pivot was selected in the
-    original coordinates, in selection order; the value finally living at
-    site t (after divisibility fixes) is invariants[t], and it is read
-    there.  The exported transforms move pivot t from its site to (t, t).
+    With transforms, u is unimodular and u_inv is its exact inverse, and
+    u @ a == diagonal() @ w for a unimodular w that is not kept: row t of
+    u @ a is invariants[t] times a primitive row, and the rows past the
+    rank are zero.  ``pivot_sites`` records where each pivot was selected
+    in the original coordinates, in selection order; the value finally
+    living at site t (after divisibility fixes) is invariants[t], and it
+    is read there.  The exported u moves pivot t from its site's row to
+    row t.
     """
 
     nrows: int
@@ -516,7 +499,6 @@ class SNFResult:
     invariants: tuple
     pivot_sites: tuple
     u: IntMatrix | None = None
-    v: IntMatrix | None = None
     u_inv: IntMatrix | None = None
 
     @property
@@ -533,8 +515,9 @@ class SNFResult:
 def smith_normal_form(mat: IntMatrix, transforms: bool = True) -> SNFResult:
     """Smith normal form with the (|value|, row, column) pivot rule.
 
-    With ``transforms`` the result carries unimodular u, v, u_inv such that
-    u @ mat @ v is the invariant diagonal and u @ u_inv is the identity.
+    With ``transforms`` the result carries unimodular u and u_inv such
+    that u @ mat is the invariant diagonal times a unimodular matrix and
+    u @ u_inv is the identity.
     Skipping transforms roughly halves the work for rank-only callers, and
     such a form moves nothing: it reads each invariant at its pivot site.
     """
@@ -543,9 +526,9 @@ def smith_normal_form(mat: IntMatrix, transforms: bool = True) -> SNFResult:
     worker.fix_divisibility(order)
     invariants = tuple(worker.rows[i][j] for i, j in order)
     if transforms:
-        u, v, u_inv = worker.export(order)
+        u, u_inv = worker.export(order)
         return SNFResult(mat.nrows, mat.ncols, invariants, tuple(order),
-                         u=u, v=v, u_inv=u_inv)
+                         u=u, u_inv=u_inv)
     return SNFResult(mat.nrows, mat.ncols, invariants, tuple(order))
 
 
@@ -555,24 +538,6 @@ def snf_invariants(mat: IntMatrix) -> tuple:
     if not mat.entries:
         return ()
     return smith_normal_form(mat, transforms=False).invariants
-
-
-def matrix_rank(mat: IntMatrix) -> int:
-    return len(snf_invariants(mat))
-
-
-def kernel_basis(mat: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel, as columns.
-
-    The basis spans a saturated sublattice (it extends to a basis of the
-    ambient lattice), because it consists of columns of a unimodular
-    matrix.  Columns are ordered by their position in v.  Its one caller
-    in the package is ``constructions``: the seeded corpus draws random
-    combinations of this basis, so ``kernel_lattice``, which spans the
-    same lattice in another basis, would give different objects.
-    """
-    res = smith_normal_form(mat, transforms=True)
-    return res.v.take_columns(range(res.rank, mat.ncols))
 
 
 def _subtract(dst: dict, q: int, src: dict, cid: int, index: dict) -> None:
@@ -671,10 +636,10 @@ def _clear_rows(mat: IntMatrix, tails: list | None = None):
 def kernel_lattice(mat: IntMatrix) -> IntMatrix:
     """Canonical basis of the integer kernel, as columns.
 
-    Equals lattice_basis(kernel_basis(mat)), since the column Hermite
-    form of a lattice is unique, but takes no Smith form: the rows of mat
-    are cleared over the columns of [mat; I], and the I-parts of the
-    columns whose mat-part ends zero span the kernel.  They are columns
+    Equals lattice_basis of any basis of the kernel, since the column
+    Hermite form of a lattice is unique, but takes no Smith form: the
+    rows of mat are cleared over the columns of [mat; I], and the I-parts
+    of the columns whose mat-part ends zero span the kernel.  They are columns
     of a unimodular matrix, so the lattice they span is saturated; the
     columns left nonzero have independent images.  The identity rows are
     carried as tails and never indexed.  A matrix with no entries has

@@ -1,5 +1,14 @@
-"""Solves against a Smith form with transforms, kept verbatim as the
-references for the echelon routes that replaced them in the package.
+"""The package's Smith form with its column transform v, and the solves
+and kernels that read v, kept as references for the echelon routes that
+replaced them in the package.
+
+``VSmith`` is the package's ``_Smith`` reduction, also tracking v: it
+overrides only ``__init__`` and the two column operations, so every
+elimination it runs is the package's own, and ``smith_with_v`` returns
+the package's ``SNFResult`` together with v, so that
+u @ a @ v == diagonal().  ``kernel_basis`` reads the kernel off v; the
+seeded corpus (``corpus_reference``) draws random combinations of that
+basis, so it must stay byte for byte what it was.
 
 ``snf_solve`` is the body of the former ``SNFResult.solve`` method and
 ``solve_matrix`` the former ``intlinalg.solve_matrix``.  ``SmithSubquotient``
@@ -7,7 +16,8 @@ and ``smith_subquotient`` are ``abelian.Subquotient`` and the body of
 ``abelian._subquotient_memo`` from when a subquotient kept its numerator's
 Smith form and took two Smith forms: one of the numerator, solved against
 for the denominator and for ``coords``, and one of the quotient.  The only
-edit is that ``res.solve(b)`` reads ``snf_solve(res, b)``.
+edits are that ``res.solve(b)`` reads ``snf_solve(res, v, b)``, with the
+numerator's v kept next to its Smith form.
 """
 
 from __future__ import annotations
@@ -15,11 +25,85 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from tottower.errors import InputError, InvariantError
-from tottower.intlinalg import IntMatrix, SNFResult, smith_normal_form
+from tottower.intlinalg import (
+    IntMatrix,
+    SNFResult,
+    _dict_add,
+    _placed,
+    _Smith,
+    smith_normal_form,
+    snf_invariants,
+)
 
 
-def snf_solve(self: SNFResult, b: IntMatrix) -> IntMatrix:
-    """One integral solution x of a @ x == b for the factored a.
+class VSmith(_Smith):
+    """``_Smith`` with transforms, also tracking the column transform v
+    as one column dict per working column."""
+
+    def __init__(self, mat: IntMatrix):
+        super().__init__(mat, True)
+        self.v_cols = {j: {j: 1} for j in range(self.n)}
+
+    def _col_add(self, j: int, l: int, c: int) -> None:
+        super()._col_add(j, l, c)
+        _dict_add(self.v_cols[j], self.v_cols[l], c)
+
+    def _col_pair(self, j1: int, j2: int, x: int, y: int, z: int, w: int) -> None:
+        super()._col_pair(j1, j2, x, y, z, w)
+        vj1, vj2 = self.v_cols[j1], self.v_cols[j2]
+        new1: dict = {}
+        new2: dict = {}
+        for k in vj1.keys() | vj2.keys():
+            p, q = vj1.get(k, 0), vj2.get(k, 0)
+            n1, n2 = x * p + y * q, z * p + w * q
+            if n1:
+                new1[k] = n1
+            if n2:
+                new2[k] = n2
+        self.v_cols[j1], self.v_cols[j2] = new1, new2
+
+
+def smith_with_v(mat: IntMatrix) -> tuple:
+    """(smith_normal_form(mat), v) with u @ mat @ v == diagonal().
+
+    The steps are those of ``smith_normal_form`` with transforms; v's
+    columns move as u's rows do, pivot t to column t."""
+    worker = VSmith(mat)
+    order = worker.eliminate()
+    worker.fix_divisibility(order)
+    invariants = tuple(worker.rows[i][j] for i, j in order)
+    u, u_inv = worker.export(order)
+    n = mat.ncols
+    col_at = _placed([j for _, j in order], n)
+    v = IntMatrix.from_cells(n, n, {
+        i * n + p: w for p, j in enumerate(col_at)
+        for i, w in worker.v_cols[j].items()
+    })
+    return SNFResult(mat.nrows, mat.ncols, invariants, tuple(order),
+                     u=u, u_inv=u_inv), v
+
+
+def kernel_basis(mat: IntMatrix) -> IntMatrix:
+    """Basis of the integer kernel, as columns.
+
+    The basis spans a saturated sublattice (it extends to a basis of the
+    ambient lattice), because it consists of columns of a unimodular
+    matrix.  Columns are ordered by their position in v.  The seeded
+    corpus draws random combinations of this basis, so
+    ``kernel_lattice``, which spans the same lattice in another basis,
+    would give different objects.
+    """
+    res, v = smith_with_v(mat)
+    return v.take_columns(range(res.rank, mat.ncols))
+
+
+def matrix_rank(mat: IntMatrix) -> int:
+    return len(snf_invariants(mat))
+
+
+def snf_solve(self: SNFResult, v: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """One integral solution x of a @ x == b for the factored a, whose
+    column transform is v.
 
     Needs the transforms; raises InvariantError when some column of b
     has no integral solution.
@@ -34,7 +118,7 @@ def snf_solve(self: SNFResult, b: IntMatrix) -> IntMatrix:
             raise InvariantError("system has no integral solution")
         data[(i, j)] = q
     y = IntMatrix.from_dict(self.ncols, b.ncols, data)
-    return self.v @ y
+    return v @ y
 
 
 def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -46,7 +130,7 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """
     if a.nrows != b.nrows:
         raise InputError("solve requires matching row counts")
-    return snf_solve(smith_normal_form(a), b)
+    return snf_solve(*smith_with_v(a), b)
 
 
 @dataclass(frozen=True)
@@ -56,14 +140,16 @@ class SmithSubquotient:
     ``gens`` columns are ambient representatives of the generators, whose
     orders are listed in ``orders``: the invariant factors >= 2 in
     divisibility order, then a 0 per infinite summand (trivial generators
-    are dropped).  ``_numer`` is the Smith form of the basis of L and
-    ``_u`` sends L-coordinates to generator coordinates.
+    are dropped).  ``_numer`` is the Smith form of the basis of L,
+    ``_v`` its column transform, and ``_u`` sends L-coordinates to
+    generator coordinates.
     """
 
     ambient: int
     orders: tuple
     gens: IntMatrix
     _numer: SNFResult
+    _v: IntMatrix
     _u: IntMatrix
 
     def coords(self, vecs: IntMatrix) -> IntMatrix:
@@ -74,7 +160,7 @@ class SmithSubquotient:
         """
         if vecs.nrows != self.ambient:
             raise InputError("expected ambient column vectors")
-        y = self._u @ snf_solve(self._numer, vecs)
+        y = self._u @ snf_solve(self._numer, self._v, vecs)
         data = {}
         for i, j, v in y.entries:
             o = self.orders[i]
@@ -86,13 +172,13 @@ def smith_subquotient(numer_basis: IntMatrix,
                       denom_gens: IntMatrix) -> SmithSubquotient:
     if numer_basis.nrows != denom_gens.nrows:
         raise InputError("numerator and denominator in different ambients")
-    res = smith_normal_form(numer_basis)
+    res, v = smith_with_v(numer_basis)
     if res.rank != numer_basis.ncols:
         raise InputError("numerator columns are not independent")
-    wres = smith_normal_form(snf_solve(res, denom_gens))
+    wres = smith_normal_form(snf_solve(res, v, denom_gens))
     all_orders = wres.invariants + (0,) * (numer_basis.ncols - wres.rank)
     keep = [i for i, d in enumerate(all_orders) if d != 1]
     return SmithSubquotient(numer_basis.nrows,
                             tuple(all_orders[i] for i in keep),
                             (numer_basis @ wres.u_inv).take_columns(keep),
-                            res, wres.u.take_rows(keep))
+                            res, v, wres.u.take_rows(keep))

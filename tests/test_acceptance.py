@@ -16,13 +16,7 @@ import test_cosimplicial
 import test_cover
 import test_mutation
 import test_shadow
-from tottower.constructions import corpus, quasi_iso_pairs
-from tottower.cosimplicial import (
-    quasi_iso_invariance,
-    shift_check,
-    tower,
-    tower_fiber,
-)
+from tottower.cosimplicial import tower, tower_fiber
 from tottower.cover import verify_cover_theorem, cover_from_subcomplexes
 from tottower.deloop import (
     analyze_inclusion,
@@ -49,6 +43,8 @@ from tottower.simplicial import (
 )
 from tottower.spectral import e2_from_level_homology, spectral_sequence
 
+from corpus_reference import corpus, quasi_iso_pairs
+from shadow_reference import quasi_iso_invariance, shift_check
 from suspension_reference import unreduced_suspension
 
 CORPUS_SEED = 20250811

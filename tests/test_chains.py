@@ -6,7 +6,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from corpus_reference import corpus
 from map_reference import add, compose, negate
+from smith_reference import kernel_basis, matrix_rank
 from test_cosimplicial import SIGNED
 from unit_reduce_reference import unit_reduce as reference_unit_reduce
 from tottower import chains
@@ -16,7 +18,7 @@ from tottower.chains import (
     chain_map,
     identity_chain_map,
 )
-from tottower.constructions import constant_object, corpus
+from tottower.constructions import constant_object
 from tottower.cosimplicial import (
     cosimplicial_from_data,
     cosimplicial_to_data,
@@ -25,12 +27,7 @@ from tottower.cosimplicial import (
 )
 from tottower.deloop import subset_model
 from tottower.errors import InputError, InvariantError
-from tottower.intlinalg import (
-    IntMatrix,
-    kernel_basis,
-    matrix_rank,
-    snf_invariants,
-)
+from tottower.intlinalg import IntMatrix, snf_invariants
 from tottower.posets import (
     down_slice,
     order_complex,

@@ -12,12 +12,13 @@ from pathlib import Path
 
 import pytest
 
+from corpus_reference import corpus
 from test_torsion import TWO_SWEEP_BOUNDARY
 from tottower import (abelian, cli, cosimplicial, intlinalg, posets,
                       simplicial, spectral)
 from tottower.chains import ChainComplexInt
 from tottower.cli import main
-from tottower.constructions import cech_object, constant_object, corpus
+from tottower.constructions import cech_object, constant_object
 from tottower.cosimplicial import cosimplicial_to_data
 from tottower.errors import InvariantError, PreconditionError
 from tottower.intlinalg import IntMatrix
@@ -1096,6 +1097,30 @@ def test_a_faulty_elimination_is_an_invariant_violation(
             assert code == 3 and "divisibility order" in err, (command, err)
     finally:
         abelian._subquotient_memo.cache_clear()
+
+
+def test_a_non_echelon_kernel_basis_is_an_invariant_violation(
+        tmp_path, capsys, monkeypatch):
+    # the spectral filtration hands its kernels to the subquotients as
+    # numerators; with their columns reversed the pivot rows decrease,
+    # which is a fault of the program on a valid object, so ss exits 3
+    path = write_json(tmp_path, "cech_3_3.json",
+                      cosimplicial_to_data(cech_object(3, 3)))
+    kernel = spectral.kernel_lattice
+
+    def reversed_kernel(mat):
+        ker = kernel(mat)
+        return ker.take_columns(range(ker.ncols - 1, -1, -1))
+
+    abelian._subquotient_memo.cache_clear()
+    monkeypatch.setattr(spectral, "kernel_lattice", reversed_kernel)
+    try:
+        code, out, err = run(["ss", path], capsys)
+    finally:
+        abelian._subquotient_memo.cache_clear()
+    assert (code, out) == (3, "")
+    assert err == ("invariant violation: numerator pivot rows do not "
+                   "strictly increase\n")
 
 
 def test_law_failures_name_the_level_or_map(tmp_path, capsys):

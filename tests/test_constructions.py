@@ -5,11 +5,7 @@ import json
 
 import pytest
 
-from map_reference import compose
-from tottower.chains import ChainComplexInt, chain_map
-from tottower.constructions import (
-    cech_object,
-    constant_object,
+from corpus_reference import (
     corpus,
     gamma_blocks,
     gamma_co,
@@ -18,6 +14,9 @@ from tottower.constructions import (
     random_complex,
     surjection_tuples,
 )
+from map_reference import compose
+from tottower.chains import ChainComplexInt, chain_map
+from tottower.constructions import cech_object, constant_object
 from tottower.cosimplicial import cosimplicial_to_data, validate_cosimplicial
 from tottower.errors import InputError
 from tottower.intlinalg import IntMatrix

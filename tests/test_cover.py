@@ -13,7 +13,6 @@ from tottower.cover import (
     check_r_acyclic,
     cover_from_subcomplexes,
     hocolim_chain,
-    nerve_of_cover,
     verify_cover_theorem,
 )
 from tottower.simplicial import (
@@ -21,6 +20,17 @@ from tottower.simplicial import (
     complex_from_facets,
     chain_complex,
 )
+
+
+def nerve_of_cover(cov):
+    """Index sets with nonempty intersection.  With a basepoint in every
+    piece this is the full simplex on {1..n}."""
+    facets = [
+        tuple(sorted(key))
+        for key, inter in cov.intersections.items()
+        if not inter.is_empty
+    ]
+    return complex_from_facets(facets)
 
 
 def circle_cover():

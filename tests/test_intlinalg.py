@@ -12,16 +12,23 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from smith_reference import solve_matrix
+import shadow_reference
+from corpus_reference import corpus, quasi_iso_pairs
+from shadow_reference import quasi_iso_invariance
+from smith_reference import (
+    kernel_basis,
+    matrix_rank,
+    smith_with_v,
+    solve_matrix,
+)
 from test_cosimplicial import stripe_sign_objects
 from tottower import abelian, cosimplicial, intlinalg, spectral
 from tottower.abelian import subquotient_presentation
-from tottower.constructions import cech_object, corpus, quasi_iso_pairs
+from tottower.constructions import cech_object
 from tottower.cosimplicial import (
     cosimplicial_from_data,
     cosimplicial_to_data,
     matching_kernel_agrees,
-    quasi_iso_invariance,
     tower,
 )
 from tottower.cover import cover_from_subcomplexes, hocolim_chain
@@ -29,10 +36,8 @@ from tottower.errors import InputError, InvariantError
 from tottower.intlinalg import (
     IntMatrix,
     hermite_solve,
-    kernel_basis,
     kernel_lattice,
     lattice_basis,
-    matrix_rank,
     smith_normal_form,
     snf_invariants,
     xgcd,
@@ -202,7 +207,8 @@ def test_transforms_on_hand_value():
     a = IntMatrix.from_rows([[2, 4], [6, 8]])
     res = smith_normal_form(a)
     assert res.invariants == (2, 4)
-    assert res.u @ a @ res.v == res.diagonal()
+    _, v = smith_with_v(a)
+    assert res.u @ a @ v == res.diagonal()
     assert res.u @ res.u_inv == IntMatrix.identity(2)
     assert res.u_inv @ res.u == IntMatrix.identity(2)
 
@@ -217,12 +223,41 @@ def test_snf_matches_minor_gcd_oracle(a):
 @given(dense_strategy())
 def test_snf_transform_equation(a):
     res = smith_normal_form(a)
-    assert res.u @ a @ res.v == res.diagonal()
+    _, v = smith_with_v(a)
+    assert res.u @ a @ v == res.diagonal()
     assert res.u @ res.u_inv == IntMatrix.identity(a.nrows)
     assert res.u_inv @ res.u == IntMatrix.identity(a.nrows)
     for d, e in zip(res.invariants, res.invariants[1:]):
         assert e % d == 0
     assert all(d > 0 for d in res.invariants)
+
+
+def smith_shapes():
+    """Full-rank, rank-deficient, zero-row and entry-less matrices."""
+    dims = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    return st.one_of(
+        dense_strategy(),
+        dense_strategy().map(lambda a: IntMatrix.vstack(
+            [a, IntMatrix.identity(a.ncols)])),
+        dense_strategy().map(lambda a: IntMatrix.hstack(
+            [a, IntMatrix.identity(a.nrows)])),
+        dense_strategy().map(lambda a: IntMatrix.vstack([a, a.scale(2)])),
+        sparse_strategy(),
+        st.integers(0, 5).map(lambda n: IntMatrix.zeros(0, n)),
+        dims.map(lambda shape: IntMatrix.zeros(*shape)),
+    )
+
+
+@given(smith_shapes())
+def test_v_tracking_reference_runs_the_package_elimination(a):
+    """smith_reference's VSmith only adds v to the package's _Smith: its
+    form (invariants, pivot sites, u and u_inv) is the package's, and its
+    v is unimodular with u @ a @ v == diagonal()."""
+    res, v = smith_with_v(a)
+    assert res == smith_normal_form(a)
+    assert v.shape == (a.ncols, a.ncols)
+    assert res.u @ a @ v == res.diagonal()
+    assert snf_invariants(v) == (1,) * a.ncols
 
 
 @given(dense_strategy())
@@ -539,7 +574,8 @@ def test_hermite_solve_failures():
 
 def echelon_calls(monkeypatch):
     """Log the input of every kernel_lattice and hermite_solve call the
-    cosimplicial layer and the E2 oracle make."""
+    cosimplicial layer, the E2 oracle and the fiber maps of
+    shadow_reference make."""
     kernels, solves = [], []
 
     def kernel(mat):
@@ -551,7 +587,8 @@ def echelon_calls(monkeypatch):
         return hermite_solve(basis, b)
     for module in (cosimplicial, spectral):
         monkeypatch.setattr(module, "kernel_lattice", kernel)
-    monkeypatch.setattr(cosimplicial, "hermite_solve", solve)
+    for module in (cosimplicial, shadow_reference):
+        monkeypatch.setattr(module, "hermite_solve", solve)
     return kernels, solves
 
 
@@ -650,7 +687,8 @@ def assert_place_matches_reference(mat, transforms):
     assert intlinalg._placed([i for i, _ in sites], mat.nrows) == swaps.rows
     assert intlinalg._placed([j for _, j in sites], mat.ncols) == swaps.cols
     if transforms:
-        assert res.u @ mat @ res.v == res.diagonal()
+        _, v = smith_with_v(mat)
+        assert res.u @ mat @ v == res.diagonal()
 
 
 @given(sparse_strategy(), st.booleans())

@@ -10,19 +10,16 @@ is put through the check its constructor used to run.
 
 import pytest
 
+from corpus_reference import corpus, quasi_iso_pairs
+from shadow_reference import quasi_iso_invariance
 from test_cosimplicial import stripe_sign_objects
 from test_simplicial import reference_canonical_check
 from tottower.chains import ChainComplexInt, ChainMap
-from tottower.constructions import (
-    cech_object,
-    corpus,
-    quasi_iso_pairs,
-)
+from tottower.constructions import cech_object
 from tottower.cosimplicial import (
     cosimplicial_from_data,
     cosimplicial_to_data,
     matching_kernel_agrees,
-    quasi_iso_invariance,
     tower,
     tower_fiber,
 )

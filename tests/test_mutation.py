@@ -12,8 +12,9 @@ every axiom-preserving one is accepted.
 
 import copy
 
+from corpus_reference import corpus
 from tottower.chains import ChainComplexInt, chain_map
-from tottower.constructions import cech_object, constant_object, corpus
+from tottower.constructions import cech_object, constant_object
 from tottower.cosimplicial import (
     cosimplicial_from_data,
     cosimplicial_to_data,

@@ -1,5 +1,6 @@
 """The repository's pytest configuration, run on a probe suite."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +36,16 @@ def test_a_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout, done.stdout
     assert "INTERNALERROR" not in done.stdout + done.stderr
+
+
+def test_a_bare_checkout_finds_the_package():
+    """pytest run from the repository root, with no PYTHONPATH, imports
+    the package from src."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-q",
+         "tests/test_record.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert " passed" in done.stdout, done.stdout

@@ -5,17 +5,19 @@ import sys
 
 import pytest
 
+from corpus_reference import corpus, gamma_co
 from map_reference import add
+from smith_reference import kernel_basis
 from test_cosimplicial import SIGNED
 from test_intlinalg import record_smith_forms
 from tottower import abelian, chains, cosimplicial, intlinalg, spectral
 from tottower.abelian import GroupHom, HomologyGroup
 from tottower.chains import ChainComplexInt, chain_map
 from tottower.cli import main
-from tottower.constructions import cech_object, constant_object, corpus, gamma_co
+from tottower.constructions import cech_object, constant_object
 from tottower.cosimplicial import cosimplicial_to_data
 from tottower.errors import InputError, InvariantError
-from tottower.intlinalg import IntMatrix, kernel_basis, lattice_basis
+from tottower.intlinalg import IntMatrix, lattice_basis
 from tottower.spectral import (
     differential_range,
     e2_from_level_homology,

@@ -9,6 +9,7 @@ import random
 
 from hypothesis import given, strategies as st
 
+from corpus_reference import corpus, random_complex
 from test_cosimplicial import stripe_sign_objects
 from test_simplicial import RP2
 from torsion_reference import (
@@ -21,8 +22,7 @@ from torsion_reference import (
 from tottower import intlinalg
 from tottower.abelian import HomologyGroup, format_group
 from tottower.chains import ChainComplexInt
-from tottower.constructions import (cech_object, constant_object, corpus,
-                                    random_complex)
+from tottower.constructions import cech_object, constant_object
 from tottower.cosimplicial import tower
 from tottower.intlinalg import IntMatrix
 from tottower.simplicial import barycentric_subdivision, chain_complex
