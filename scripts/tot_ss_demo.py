@@ -14,7 +14,7 @@ sys.path.insert(0, "src")
 from tottower.abelian import format_group  # noqa: E402
 from tottower.chains import ChainComplexInt  # noqa: E402
 from tottower.constructions import cech_object, constant_object  # noqa: E402
-from tottower.cosimplicial import tower, tower_fiber  # noqa: E402
+from tottower.cosimplicial import tot_n, tower_fiber  # noqa: E402
 from tottower.spectral import (  # noqa: E402
     e2_from_level_homology,
     spectral_sequence,
@@ -48,10 +48,9 @@ def main(argv=None) -> int:
     print(f"object: {args.object}, truncation {m}, "
           f"level ranks {[sum(lv.ranks) for lv in x.levels]}")
 
-    tw = tower(x)
     print("\ntower stages:")
     for n in range(m + 1):
-        print(f"  stage {n}: {table(tw.stage(n).homology_all())}")
+        print(f"  stage {n}: {table(tot_n(x, n).homology_all())}")
 
     print("\nadjacent fibers against conormalized pieces:")
     for n in range(1, m + 1):

@@ -19,13 +19,7 @@ It is the package's one memo across calls; the eliminations of
 ``intlinalg`` remember nothing.  The pages, the page check and the
 graded limit of a Tot spectral sequence ask for the same subquotients
 again and again: ss on the Cech object of 4 points with truncation 4
-presents 80 subquotients of 22 distinct pairs.
-
-Isomorphy of an explicit homomorphism is decided without any search: two
-finitely generated abelian groups with equal invariants are abstractly
-isomorphic, and a surjection between such groups is automatically an
-isomorphism because these groups are Hopfian.  Surjectivity itself is a
-cokernel computation, so the whole test is two Smith forms.
+presents 60 subquotients of 17 distinct pairs.
 """
 
 from __future__ import annotations
@@ -40,13 +34,11 @@ from .intlinalg import (
     kernel_lattice,
     lattice_basis,
     smith_normal_form,
-    snf_invariants,
 )
 
 __all__ = [
     "HomologyGroup",
     "format_group",
-    "group_from_orders",
     "GroupHom",
     "presented_homology",
     "Subquotient",
@@ -89,9 +81,6 @@ class HomologyGroup:
     def __str__(self):
         return format_group(self)
 
-    def to_data(self):
-        return {"rank": self.rank, "torsion": list(self.torsion)}
-
 
 def format_group(g: HomologyGroup) -> str:
     parts = []
@@ -101,24 +90,6 @@ def format_group(g: HomologyGroup) -> str:
         parts.append(f"Z^{g.rank}")
     parts.extend(f"Z/{d}" for d in g.torsion)
     return " + ".join(parts) if parts else "0"
-
-
-def group_from_orders(orders) -> HomologyGroup:
-    """Canonical form of a direct sum of cyclic groups.
-
-    ``orders`` entries: 0 for an infinite cyclic summand, d >= 1 for Z/d.
-    """
-    orders = tuple(orders)
-    for o in orders:
-        if not isinstance(o, int) or o < 0:
-            raise InputError("orders must be nonnegative integers")
-    rank = sum(1 for o in orders if o == 0)
-    finite = [o for o in orders if o > 0]
-    diag = IntMatrix.from_dict(
-        len(finite), len(finite), {(i, i): o for i, o in enumerate(finite)}
-    )
-    torsion = tuple(d for d in snf_invariants(diag) if d > 1)
-    return HomologyGroup(rank, torsion)
 
 
 def _relation_matrix(orders) -> IntMatrix:
@@ -134,11 +105,13 @@ def _relation_matrix(orders) -> IntMatrix:
 class GroupHom:
     """Homomorphism between groups presented as direct sums of cyclics.
 
-    ``src_orders`` and ``dst_orders`` follow the convention of
-    ``group_from_orders``.  ``mat`` sends source generators (columns) to
-    integer combinations of destination generators, and must respect the
-    orders: o * mat[:, j] has to vanish in the destination whenever the
-    j-th source generator has finite order o.
+    ``src_orders`` and ``dst_orders`` list one order per cyclic
+    generator: 0 for an infinite cyclic summand, d >= 1 for Z/d.  ``mat``
+    sends source generators (columns) to integer combinations of
+    destination generators, and must respect the orders: o * mat[:, j]
+    has to vanish in the destination whenever the j-th source generator
+    has finite order o.  Every one is induced by an internal map, so a
+    malformed one is an InvariantError.
     """
 
     src_orders: tuple
@@ -147,7 +120,7 @@ class GroupHom:
 
     def __post_init__(self):
         if self.mat.shape != (len(self.dst_orders), len(self.src_orders)):
-            raise InputError("matrix shape does not fit the presentations")
+            raise InvariantError("matrix shape does not fit the presentations")
         for i, j, v in self.mat.entries:
             o = self.src_orders[j]
             if o == 0:
@@ -156,28 +129,13 @@ class GroupHom:
             scaled = o * v
             if target == 0:
                 if scaled != 0:
-                    raise InputError(
+                    raise InvariantError(
                         f"entry ({i}, {j}) ignores the order-{o} relation"
                     )
             elif scaled % target:
-                raise InputError(
+                raise InvariantError(
                     f"entry ({i}, {j}) ignores the order-{o} relation"
                 )
-
-    @property
-    def is_zero_hom(self) -> bool:
-        return _zero_modulo(self.dst_orders,
-                            ((i, v) for i, _, v in self.mat.entries))
-
-    def is_iso(self) -> bool:
-        if group_from_orders(self.src_orders) != \
-                group_from_orders(self.dst_orders):
-            return False
-        # surjective onto a group with the same invariants, hence iso
-        m = len(self.dst_orders)
-        coker = IntMatrix.hstack([self.mat, _relation_matrix(self.dst_orders)])
-        inv = snf_invariants(coker)
-        return len(inv) == m and all(d == 1 for d in inv)
 
 
 def _zero_modulo(orders: tuple, cells) -> bool:
@@ -285,6 +243,6 @@ def induced_hom(src: Subquotient, dst: Subquotient,
     checked directly (via coords), the second is the caller's theory.
     """
     if ambient_map.shape != (dst.ambient, src.ambient):
-        raise InputError("ambient map shape mismatch")
+        raise InvariantError("ambient map shape mismatch")
     return GroupHom(src.orders, dst.orders,
                     dst.coords(ambient_map @ src.gens))

@@ -12,10 +12,7 @@ incoming boundary), which is the cheap path.  Before any Smith form it
 cancels every +-1 pivot across all boundaries together (the elementary
 reductions of Kaczynski, Mrozek and Slusarek, "Homology computation by
 reduction of chain complexes", 1998) and takes Smith forms only of the
-small residual matrices.  ``homology_presentation`` builds an explicit
-kernel-modulo-image presentation whose generators can be pushed through
-chain maps, so it works on the unreduced matrices; the two are compared
-against each other in the test suite rather than trusted separately.
+small residual matrices.
 """
 
 from __future__ import annotations
@@ -24,14 +21,9 @@ from collections import deque
 from functools import cached_property
 
 from ._record import record
-from .abelian import (
-    HomologyGroup,
-    Subquotient,
-    induced_hom,
-    subquotient_presentation,
-)
+from .abelian import HomologyGroup
 from .errors import InputError, InvariantError
-from .intlinalg import IntMatrix, kernel_lattice, snf_invariants
+from .intlinalg import IntMatrix, snf_invariants
 from .schema import checked, field, list_of
 
 __all__ = [
@@ -97,14 +89,6 @@ class ChainComplexInt:
             return self.boundaries[t]
         return IntMatrix.zeros(self.rank(k - 1), self.rank(k))
 
-    def total_rank(self) -> int:
-        return sum(self.ranks)
-
-    def euler_characteristic(self) -> int:
-        return sum(
-            (-1) ** k * self.rank(k) for k in self.degrees()
-        )
-
     # -- homology --------------------------------------------------------
 
     @cached_property
@@ -134,37 +118,6 @@ class ChainComplexInt:
 
     def homology_all(self) -> dict:
         return {k: self.homology(k) for k in self.degrees()}
-
-    def homology_presentation(self, k: int) -> Subquotient:
-        cycles = kernel_lattice(self.boundary(k))
-        return subquotient_presentation(cycles, self.boundary(k + 1))
-
-    # -- constructions ----------------------------------------------------
-
-    def shift(self, j: int) -> "ChainComplexInt":
-        """Reindex degrees by +j.  Boundaries are reused without signs."""
-        return ChainComplexInt(self.lo + j, self.ranks, self.boundaries)
-
-    def direct_sum(self, other: "ChainComplexInt") -> "ChainComplexInt":
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        ranks = tuple(
-            self.rank(k) + other.rank(k) for k in range(lo, hi + 1)
-        )
-        bnds = []
-        for k in range(lo + 1, hi + 1):
-            blocks = {}
-            a, b = self.boundary(k), other.boundary(k)
-            if not a.is_zero:
-                blocks[(0, 0)] = a
-            if not b.is_zero:
-                blocks[(1, 1)] = b
-            bnds.append(IntMatrix.from_blocks(
-                [self.rank(k - 1), other.rank(k - 1)],
-                [self.rank(k), other.rank(k)],
-                blocks,
-            ))
-        return ChainComplexInt(lo, ranks, tuple(bnds))
 
     # -- serialization -----------------------------------------------------
 
@@ -328,10 +281,6 @@ class ChainMap:
             return self._by_degree[k]
         return IntMatrix.zeros(self.dst.rank(k), self.src.rank(k))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.comps
-
     # A composite is compared cell by cell, in the degrees where it can
     # be nonzero, and never built.
 
@@ -368,20 +317,6 @@ class ChainMap:
             if cells.get(k, {}) != {i * (n + 1): 1 for i in range(n)}:
                 return False
         return True
-
-    def shift(self, j: int) -> "ChainMap":
-        return ChainMap(self.src.shift(j), self.dst.shift(j),
-                        tuple((k + j, m) for k, m in self.comps))
-
-    def induced_on_homology(self, k: int):
-        """GroupHom on degree-k homology presentations."""
-        src_pres = self.src.homology_presentation(k)
-        dst_pres = self.dst.homology_presentation(k)
-        return induced_hom(src_pres, dst_pres, self.component(k))
-
-    def induces_iso_everywhere(self) -> bool:
-        degs = set(self.src.degrees()) | set(self.dst.degrees())
-        return all(self.induced_on_homology(k).is_iso() for k in sorted(degs))
 
 
 def _product_cells(a: IntMatrix | None, b: IntMatrix | None) -> dict:

@@ -284,7 +284,7 @@ def _fiber_report(x, n: int, m: int) -> dict:
 
 
 def cmd_tot(args) -> dict:
-    from .cosimplicial import tot_n, tower
+    from .cosimplicial import tot_n
 
     x = _load_cosimplicial(args.file)
     if args.fiber is not None:
@@ -300,9 +300,8 @@ def cmd_tot(args) -> dict:
             "homology": _group_table(tot_n(x, args.stage).homology_all()),
             "weakenings": [],
         }
-    tw = tower(x)
     stages = {
-        str(n): _group_table(tw.stage(n).homology_all())
+        str(n): _group_table(tot_n(x, n).homology_all())
         for n in range(x.truncation + 1)
     }
     fibers = {

@@ -14,7 +14,7 @@ we extract:
   internal boundary is weighted by (-1)^s, the conormalized coface sum
   crosses stripes unsigned.  Stage n is the window -1 < s <= n, the
   fiber of Tot_m -> Tot_n the window n < s <= m; the same window gives
-  the stage projections, the fiber maps and the spectral filtration.
+  the spectral filtration.
 
 Stripe windows read nothing outside their own levels, which is what
 makes the fiber of Tot_m -> Tot_n depend only on cosimplicial degrees
@@ -46,8 +46,6 @@ __all__ = [
     "matching_kernel_agrees",
     "StripeWindow",
     "tot_n",
-    "TotTower",
-    "tower",
     "tower_fiber",
     "cosimplicial_to_data",
     "cosimplicial_from_data",
@@ -414,21 +412,6 @@ class StripeWindow:
         """First coordinate of the stripes >= s at tot degree k."""
         return sum(r for st, r in self.blocks.get(k, ()) if st < s)
 
-    def head(self, s: int, k: int) -> IntMatrix:
-        """Coordinate projection onto the stripes < s at tot degree k."""
-        start = self.start(s, k)
-        return IntMatrix.from_dict(
-            start, self.rank(k), {(i, i): 1 for i in range(start)}
-        )
-
-    def tail(self, s: int, k: int) -> IntMatrix:
-        """Coordinate inclusion of the stripes >= s at tot degree k."""
-        n = self.rank(k)
-        start = self.start(s, k)
-        return IntMatrix.from_dict(
-            n, n - start, {(start + i, i): 1 for i in range(n - start)}
-        )
-
     def boundary(self, k: int) -> IntMatrix:
         """Differential from tot degree k to k-1 (zero off the window).
 
@@ -480,38 +463,6 @@ def tot_n(x: CosimplicialChain, n: int) -> ChainComplexInt:
     if not 0 <= n <= x.truncation:
         raise InputError("need 0 <= n <= truncation")
     return StripeWindow(x.conormalization, -1, n).complex()
-
-
-@record
-class TotTower:
-    """All stages with their coordinate projections (stage n maps onto
-    stage n-1 by forgetting the s = n stripe)."""
-
-    stages: tuple
-    projections: tuple
-
-    def stage(self, n: int) -> ChainComplexInt:
-        return self.stages[n]
-
-    def projection(self, n: int) -> ChainMap:
-        """The map out of stage n, defined for n >= 1."""
-        if not 1 <= n < len(self.stages):
-            raise InputError("projections start at stage 1")
-        return self.projections[n - 1]
-
-
-def tower(x: CosimplicialChain) -> TotTower:
-    windows = [
-        StripeWindow(x.conormalization, -1, n)
-        for n in range(x.truncation + 1)
-    ]
-    stages = tuple(win.complex() for win in windows)
-    projections = tuple(
-        chain_map(stages[n], stages[n - 1],
-                  {k: windows[n].head(n, k) for k in windows[n].blocks})
-        for n in range(1, x.truncation + 1)
-    )
-    return TotTower(stages=stages, projections=projections)
 
 
 def tower_fiber(x: CosimplicialChain, n: int, m: int) -> ChainComplexInt:

@@ -105,12 +105,6 @@ class CoverDiagram:
                 )
         return table
 
-    def intersection(self, indices) -> SimplicialComplex:
-        key = frozenset(indices)
-        if key not in self.intersections:
-            raise InputError(f"no intersection for index set {sorted(key)}")
-        return self.intersections[key]
-
 
 def cover_from_subcomplexes(space, piece_facets, basepoint) -> CoverDiagram:
     """Build a cover from facet lists, one list per piece."""
@@ -239,14 +233,6 @@ class CoverReport:
     connectivity_failures: tuple
     diagnostics: tuple
     weakenings: tuple = (HOMOLOGY_COMPARISON_DISCLAIMER,)
-
-    @property
-    def all_ok(self) -> bool:
-        return bool(
-            self.acyclic_ok
-            and self.hocolim_matches
-            and self.connectivity_ok
-        )
 
     def to_data(self):
         return {

@@ -74,12 +74,6 @@ class InclusionReport:
     diagnostics: tuple
     weakenings: tuple = (HOMOLOGY_ONLY_DISCLAIMER,)
 
-    def certifies(self, k: int) -> bool:
-        """Does the report certify k delooping steps?"""
-        if k <= 0 or self.trivial_fiber:
-            return True
-        return self.d_max is not None and self.d_max >= k
-
     def to_data(self):
         return {
             "pointwise": {

@@ -177,10 +177,6 @@ class IntMatrix:
     # -- cached views --------------------------------------------------
 
     @cached_property
-    def _cells(self) -> dict:
-        return {(i, j): v for i, j, v in self.entries}
-
-    @cached_property
     def _row_items(self) -> tuple:
         acc = [[] for _ in range(self.nrows)]
         for i, j, v in self.entries:
@@ -197,11 +193,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise InputError(f"index ({i}, {j}) out of range")
-        return self._cells.get((i, j), 0)
-
     def to_rows(self) -> list:
         out = [[0] * self.ncols for _ in range(self.nrows)]
         for i, j, v in self.entries:
@@ -213,34 +204,11 @@ class IntMatrix:
 
     # -- algebra ---------------------------------------------------------
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_dict(
-            self.ncols, self.nrows, {(j, i): v for i, j, v in self.entries}
-        )
-
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(
             self.nrows, self.ncols,
             tuple((i, j, -v) for i, j, v in self.entries),
         )
-
-    def scale(self, c: int) -> "IntMatrix":
-        if not is_int(c):
-            raise InputError("scalar must be an integer")
-        if c == 0:
-            return IntMatrix.zeros(self.nrows, self.ncols)
-        return IntMatrix(
-            self.nrows, self.ncols,
-            tuple((i, j, c * v) for i, j, v in self.entries),
-        )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise InputError("shape mismatch in matrix sum")
-        data = dict(self._cells)
-        for i, j, v in other.entries:
-            data[(i, j)] = data.get((i, j), 0) + v
-        return IntMatrix.from_dict(self.nrows, self.ncols, data)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix.from_cells(self.nrows, other.ncols,
@@ -485,7 +453,8 @@ class SNFResult:
 
     ``invariants`` lists the diagonal d_1 | d_2 | ... | d_r, all positive.
     With transforms, u is unimodular and u_inv is its exact inverse, and
-    u @ a == diagonal() @ w for a unimodular w that is not kept: row t of
+    u @ a == d @ w, for the nrows x ncols matrix d with the invariants
+    down its diagonal and a unimodular w that is not kept: row t of
     u @ a is invariants[t] times a primitive row, and the rows past the
     rank are zero.  ``pivot_sites`` records where each pivot was selected
     in the original coordinates, in selection order; the value finally
@@ -504,12 +473,6 @@ class SNFResult:
     @property
     def rank(self) -> int:
         return len(self.invariants)
-
-    def diagonal(self) -> IntMatrix:
-        return IntMatrix.from_dict(
-            self.nrows, self.ncols,
-            {(t, t): d for t, d in enumerate(self.invariants)},
-        )
 
 
 def smith_normal_form(mat: IntMatrix, transforms: bool = True) -> SNFResult:

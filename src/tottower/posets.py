@@ -95,9 +95,6 @@ class FinPoset:
             if not (m >> i) & 1:
                 raise InputError("relation must be reflexive")
 
-    def __len__(self):
-        return len(self.elements)
-
     @cached_property
     def _index(self) -> dict:
         return {e: i for i, e in enumerate(self.elements)}

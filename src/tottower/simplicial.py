@@ -141,16 +141,6 @@ class SimplicialComplex:
         """Top simplex dimension; -1 for the empty complex."""
         return max(self._coded[1], default=-1)
 
-    def vertices(self) -> tuple:
-        return self._coded[0]
-
-    def simplex_count(self, d: int) -> int:
-        return len(self._coded[1].get(d, ()))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.facets
-
 
 def complex_from_facets(facets, basepoint=None) -> SimplicialComplex:
     """Canonicalize raw facets: sort, deduplicate, absorb contained ones.

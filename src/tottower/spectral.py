@@ -120,9 +120,6 @@ class SpectralSequencePage:
     entries: tuple
     differentials: tuple
 
-    def table(self) -> dict:
-        return dict(self.entries)
-
     def entry(self, s: int, t: int) -> HomologyGroup:
         for key, group in self.entries:
             if key == (s, t):
@@ -176,7 +173,8 @@ def _graded_limit(fil: _Filtration) -> dict:
 
     gr^s H_k = (cycles in F^s + boundaries) / (cycles in F^{s+1} +
     boundaries), with every lattice computed directly from the total
-    differential.
+    differential.  Where F^s and F^{s+1} cut the same block of it, the
+    filtration hands back one lattice for both, and the piece is zero.
     """
     out = {}
     # F^{top + 1} = 0, so at r = top + 1 the z-lattice condition is D x = 0
@@ -186,9 +184,11 @@ def _graded_limit(fil: _Filtration) -> dict:
             continue
         image = fil.win.boundary(k + 1)
         for s in range(fil.top + 1):
-            cycles = fil.z_lattice(s, cycles_r, k)
-            numer = lattice_basis(IntMatrix.hstack([cycles, image]))
             below = fil.z_lattice(s + 1, cycles_r, k)
+            cycles = fil.z_lattice(s, cycles_r, k)
+            if below is cycles:
+                continue
+            numer = lattice_basis(IntMatrix.hstack([cycles, image]))
             denom = IntMatrix.hstack([below, image])
             group = subquotient_presentation(numer, denom).group()
             if not group.is_trivial:
@@ -330,7 +330,7 @@ def _level_homology_spot(x: CosimplicialChain, s: int, t: int):
         for i in range(s):
             si = x.codegeneracy(s, i).component(t)
             blocks[(i, 0)] = si @ cycles
-            blocks[(i, i + 1)] = prev_bnd.scale(-1)
+            blocks[(i, i + 1)] = -prev_bnd
         system = IntMatrix.from_blocks(
             [below.rank(t)] * s, [width] + [wit] * s, blocks
         )

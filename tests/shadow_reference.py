@@ -24,11 +24,14 @@ fiber).
 from __future__ import annotations
 
 from tottower._record import record
-from tottower.abelian import HomologyGroup
+from tottower.abelian import (GroupHom, HomologyGroup, Subquotient,
+                              _relation_matrix, induced_hom,
+                              subquotient_presentation)
 from tottower.chains import ChainComplexInt, ChainMap, chain_map
 from tottower.cosimplicial import CosimplicialChain, StripeWindow, tower_fiber
 from tottower.errors import InputError, InvariantError, PreconditionError
-from tottower.intlinalg import IntMatrix, hermite_solve, kernel_lattice
+from tottower.intlinalg import (IntMatrix, hermite_solve, kernel_lattice,
+                                snf_invariants)
 
 
 def _cover(c: ChainComplexInt, k: int):
@@ -71,15 +74,25 @@ def connective_cover(x: CosimplicialChain, k: int) -> CosimplicialChain:
 
 # -- stable-shadow functoriality ---------------------------------------------
 
+def shift(c: ChainComplexInt, j: int) -> ChainComplexInt:
+    """Reindex degrees by +j.  Boundaries are reused without signs."""
+    return ChainComplexInt(c.lo + j, c.ranks, c.boundaries)
+
+
+def shift_map(f: ChainMap, j: int) -> ChainMap:
+    return ChainMap(shift(f.src, j), shift(f.dst, j),
+                    tuple((k + j, m) for k, m in f.comps))
+
+
 def shift_object(x: CosimplicialChain, j: int) -> CosimplicialChain:
     """Shift every level and every structure map by j degrees."""
     return CosimplicialChain(
-        levels=tuple(level.shift(j) for level in x.levels),
+        levels=tuple(shift(level, j) for level in x.levels),
         cofaces=tuple(
-            tuple(d.shift(j) for d in row) for row in x.cofaces
+            tuple(shift_map(d, j) for d in row) for row in x.cofaces
         ),
         codegeneracies=tuple(
-            tuple(s.shift(j) for s in row) for row in x.codegeneracies
+            tuple(shift_map(s, j) for s in row) for row in x.codegeneracies
         ),
     )
 
@@ -158,7 +171,7 @@ def quasi_iso_invariance(f: CosimplicialMap) -> bool:
     level map is not a quasi-isomorphism; returns whether all induced
     fiber maps are isomorphisms on homology."""
     for k, comp in enumerate(f.components):
-        if not comp.induces_iso_everywhere():
+        if not induces_iso_everywhere(comp):
             raise PreconditionError(
                 f"level {k} map is not a quasi-isomorphism"
             )
@@ -166,6 +179,41 @@ def quasi_iso_invariance(f: CosimplicialMap) -> bool:
     for n in range(top + 1):
         for m in range(n, top + 1):
             induced = _fiber_map(f, n, m)
-            if not induced.induces_iso_everywhere():
+            if not induces_iso_everywhere(induced):
                 return False
     return True
+
+
+# -- quasi-isomorphisms -------------------------------------------------------
+
+def group_from_orders(orders: tuple) -> HomologyGroup:
+    """Canonical form of the sum of the Z/o, where Z/0 stands for Z."""
+    return HomologyGroup(orders.count(0), tuple(
+        d for d in snf_invariants(_relation_matrix(orders)) if d > 1))
+
+
+def is_iso(f: GroupHom) -> bool:
+    """Decided without any search: groups with equal invariants are
+    isomorphic, and a surjection between such groups is an isomorphism,
+    since finitely generated abelian groups are Hopfian."""
+    if group_from_orders(f.src_orders) != group_from_orders(f.dst_orders):
+        return False
+    coker = IntMatrix.hstack([f.mat, _relation_matrix(f.dst_orders)])
+    return snf_invariants(coker) == (1,) * len(f.dst_orders)
+
+
+def homology_presentation(c: ChainComplexInt, k: int) -> Subquotient:
+    """H_k on the unreduced boundaries, so maps can push its generators."""
+    cycles = kernel_lattice(c.boundary(k))
+    return subquotient_presentation(cycles, c.boundary(k + 1))
+
+
+def induced_on_homology(f: ChainMap, k: int) -> GroupHom:
+    """GroupHom on degree-k homology presentations."""
+    return induced_hom(homology_presentation(f.src, k),
+                       homology_presentation(f.dst, k), f.component(k))
+
+
+def induces_iso_everywhere(f: ChainMap) -> bool:
+    degs = set(f.src.degrees()) | set(f.dst.degrees())
+    return all(is_iso(induced_on_homology(f, k)) for k in sorted(degs))

@@ -6,10 +6,11 @@ replaced them in the package.
 overrides only ``__init__`` and the two column operations, so every
 elimination it runs is the package's own, and ``smith_with_v`` returns
 the package's ``SNFResult`` together with v, so that
-u @ a @ v == diagonal().  ``kernel_basis`` reads the kernel off v; the
+u @ a @ v == diagonal(res).  ``kernel_basis`` reads the kernel off v; the
 seeded corpus (``corpus_reference``) draws random combinations of that
 basis, so it must stay byte for byte what it was.
 
+``diagonal`` and ``transpose`` are the former methods of those names.
 ``snf_solve`` is the body of the former ``SNFResult.solve`` method and
 ``solve_matrix`` the former ``intlinalg.solve_matrix``.  ``SmithSubquotient``
 and ``smith_subquotient`` are ``abelian.Subquotient`` and the body of
@@ -63,8 +64,22 @@ class VSmith(_Smith):
         self.v_cols[j1], self.v_cols[j2] = new1, new2
 
 
+def diagonal(res: SNFResult) -> IntMatrix:
+    """The nrows x ncols matrix with the invariants of res on its diagonal."""
+    return IntMatrix.from_dict(
+        res.nrows, res.ncols,
+        {(t, t): d for t, d in enumerate(res.invariants)},
+    )
+
+
+def transpose(a: IntMatrix) -> IntMatrix:
+    return IntMatrix.from_dict(
+        a.ncols, a.nrows, {(j, i): v for i, j, v in a.entries}
+    )
+
+
 def smith_with_v(mat: IntMatrix) -> tuple:
-    """(smith_normal_form(mat), v) with u @ mat @ v == diagonal().
+    """(smith_normal_form(mat), v) with u @ mat @ v == diagonal(res).
 
     The steps are those of ``smith_normal_form`` with transforms; v's
     columns move as u's rows do, pivot t to column t."""

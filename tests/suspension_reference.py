@@ -27,9 +27,9 @@ def unreduced_suspension(k: SimplicialComplex, north=None,
     basepoint.  Pole labels are picked fresh unless given explicitly
     (diagrams of suspensions want the same poles everywhere).  Suspending
     the empty complex is refused rather than given a conventional value."""
-    if k.is_empty:
+    if not k.facets:
         raise InputError("refusing to suspend an empty complex")
-    verts = set(k.vertices())
+    verts = {v for (v,) in k.simplices_by_dim[0]}
     if north is None and south is None:
         north, south = "north", "south"
         while north in verts or south in verts:

@@ -6,10 +6,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from corpus_reference import corpus
+from corpus_reference import corpus, direct_sum
 from map_reference import add, compose, negate
+from shadow_reference import (homology_presentation, induced_on_homology,
+                              induces_iso_everywhere, is_iso, shift)
 from smith_reference import kernel_basis, matrix_rank
 from test_cosimplicial import SIGNED
+from torsion_reference import chain_euler
 from unit_reduce_reference import unit_reduce as reference_unit_reduce
 from tottower import chains
 from tottower.abelian import HomologyGroup
@@ -22,7 +25,7 @@ from tottower.constructions import constant_object
 from tottower.cosimplicial import (
     cosimplicial_from_data,
     cosimplicial_to_data,
-    tower,
+    tot_n,
     tower_fiber,
 )
 from tottower.deloop import subset_model
@@ -58,7 +61,7 @@ def test_circle_homology():
     assert c.homology(1) == HomologyGroup(1)
     assert c.homology(2) == HomologyGroup(0)
     assert c.homology(-1) == HomologyGroup(0)
-    assert c.euler_characteristic() == 0
+    assert chain_euler(c) == 0
 
 
 def test_boundary_squared_checked():
@@ -84,16 +87,16 @@ def test_shape_validation():
 
 
 def test_shift_moves_degrees():
-    c = circle_complex().shift(5)
+    c = shift(circle_complex(), 5)
     assert c.homology(5) == HomologyGroup(1)
     assert c.homology(6) == HomologyGroup(1)
     assert c.homology(0) == HomologyGroup(0)
-    assert c.euler_characteristic() == 0  # even shift keeps the signs
+    assert chain_euler(c) == 0  # even shift keeps the signs
 
 
 def test_direct_sum_adds_homology():
     c = circle_complex()
-    d = c.shift(2).direct_sum(c)
+    d = direct_sum(shift(c, 2), c)
     assert d.homology(0) == HomologyGroup(1)
     assert d.homology(1) == HomologyGroup(1)
     assert d.homology(2) == HomologyGroup(1)
@@ -139,7 +142,7 @@ def test_homology_paths_agree(draw_mats):
     c = random_complex(draw_mats)
     for k in range(c.lo - 1, c.hi + 2):
         fast = c.homology(k)
-        pres = c.homology_presentation(k)
+        pres = homology_presentation(c, k)
         assert pres.group() == fast
 
 
@@ -147,7 +150,7 @@ def test_homology_paths_agree(draw_mats):
 def test_identity_map_induces_isos(draw_mats):
     c = random_complex(draw_mats)
     ident = identity_chain_map(c)
-    assert ident.induces_iso_everywhere()
+    assert induces_iso_everywhere(ident)
 
 
 def test_chain_map_must_commute():
@@ -170,19 +173,18 @@ def test_chain_map_compose_and_sum():
     c = circle_complex()
     ident = identity_chain_map(c)
     two = add(ident, ident)
-    assert two.component(0) == IntMatrix.identity(3).scale(2)
+    assert two.component(0).to_rows() == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
     assert compose(two, ident).component(1) == two.component(1)
-    assert add(ident, negate(ident)).is_zero
+    assert not add(ident, negate(ident)).comps
 
 
 def test_induced_hom_degree_one():
     c = circle_complex()
     ident = identity_chain_map(c)
-    h = ident.induced_on_homology(1)
-    assert h.is_iso()
-    doubled = add(ident, ident).induced_on_homology(1)
+    assert is_iso(induced_on_homology(ident, 1))
+    doubled = induced_on_homology(add(ident, ident), 1)
     # x2 on H_1 = Z is injective but not onto
-    assert not doubled.is_iso()
+    assert not is_iso(doubled)
 
 
 def test_serialization_roundtrip():
@@ -239,7 +241,8 @@ def test_unit_reduction_matches_smith_with_torsion(draw_mats):
 
 def tower_complexes(x):
     """The levels, the stages and every fiber of a cosimplicial object."""
-    return list(x.levels) + list(tower(x).stages) + [
+    stages = [tot_n(x, m) for m in range(x.truncation + 1)]
+    return list(x.levels) + stages + [
         tower_fiber(x, n, m)
         for m in range(x.truncation + 1) for n in range(m)
     ]

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from corpus_reference import corpus
+from test_cosimplicial import SIGNED
 from test_torsion import TWO_SWEEP_BOUNDARY
 from tottower import (abelian, cli, cosimplicial, intlinalg, posets,
                       simplicial, spectral)
@@ -630,14 +631,30 @@ def test_tot_stage_flag(tmp_path, capsys):
     assert run(["tot", "--stage", "7", path], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("x", [
+    pytest.param(cech_object(4, 4), id="cech_4_4"),
+    pytest.param(corpus(seed=20250811, count=9)[8].x, id="corpus_8"),
+] + [pytest.param(obj.x, id=obj.name) for obj in SIGNED])
+def test_tot_stage_tables_are_the_single_stages(x, tmp_path, capsys):
+    path = write_json(tmp_path, "x.json", cosimplicial_to_data(x))
+    stages = run_report(["tot", path], capsys)["stages"]
+    assert list(stages) == [str(n) for n in range(x.truncation + 1)]
+    for n, table in stages.items():
+        assert run_report(["tot", "--stage", n, path],
+                          capsys)["homology"] == table
+
+
 def test_tot_stage_builds_only_that_stage(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("tot --stage must not build this")
 
     path = cech_file(tmp_path)
-    monkeypatch.setattr(cosimplicial, "tower", refuse)
+    built = []
+    tot_n = cosimplicial.tot_n
+    monkeypatch.setattr(cosimplicial, "tot_n",
+                        lambda x, n: built.append(n) or tot_n(x, n))
     report = run_report(["tot", "--stage", "1", path], capsys)
-    assert report["homology"] == {"-1": "Z", "0": "Z"}
+    assert report["homology"] == {"-1": "Z", "0": "Z"} and built == [1]
     # the range is checked before any conormalization
     monkeypatch.setattr(cosimplicial, "conormalize", refuse)
     monkeypatch.setattr(cosimplicial, "tot_n", refuse)

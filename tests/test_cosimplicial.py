@@ -6,11 +6,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus_reference import CorpusObject, corpus, gamma_co, quasi_iso_pairs
-from map_reference import add, compose, negate
+from corpus_reference import (CorpusObject, corpus, direct_sum, gamma_co,
+                              quasi_iso_pairs)
+from map_reference import (add, compose, negate, stage_projection,
+                           stripe_tail)
 from shadow_reference import (
     CosimplicialMap,
     quasi_iso_invariance,
+    shift,
     shift_check,
     shift_object,
 )
@@ -32,7 +35,6 @@ from tottower.cosimplicial import (
     matching_kernel_agrees,
     matching_object,
     tot_n,
-    tower,
     tower_fiber,
     validate_cosimplicial,
 )
@@ -85,7 +87,7 @@ def signed_pieces(x) -> list:
     conorm = x.conormalization
     return [
         s for s, delta in enumerate(conorm.deltas)
-        if not delta.is_zero
+        if delta.comps
         and any(not b.is_zero for b in conorm.pieces[s].boundaries)
     ]
 
@@ -135,16 +137,15 @@ def test_constant_validates_and_conormalizes_to_base():
     conorm = conormalize(x)
     assert conorm.pieces[0] == c
     for piece in conorm.pieces[1:]:
-        assert piece.total_rank() == 0
+        assert not any(piece.ranks)
 
 
 def test_constant_tot_stages_all_equal_base():
     c = square_complex()
     x = constant_object(c, 3)
-    tw = tower(x)
-    assert all(stage == c for stage in tw.stages)
+    assert all(tot_n(x, n) == c for n in range(4))
     for n in range(1, 4):
-        proj = tw.projection(n)
+        proj = stage_projection(x, n)
         assert proj.component(0) == IntMatrix.identity(2)
     assert tower_fiber(x, 0, 3) == ZERO_COMPLEX
 
@@ -403,7 +404,7 @@ def test_one_conormalization_per_object(monkeypatch):
 
     monkeypatch.setattr(cosimplicial, "conormalize", counted)
     x = cech_object(3, 2)
-    tower(x).stage(2).homology_all()
+    tot_n(x, 2).homology_all()
     tower_fiber(x, 1, 2).homology_all()
     spectral_sequence(x).to_data()
     tot_n(x, 1)
@@ -449,33 +450,34 @@ def test_corpus_fiber_includes_into_stage(obj):
     """The stripes > n of stage m are a subcomplex equal to the fiber of
     Tot_m -> Tot_n, and the stage projections down to n kill it.
 
-    The ChainMap constructor checks both the shapes, which ties the
-    fiber's ranks to the tail, and the commuting with the boundaries.
-    The ChainComplexInt constructor trusts that stages and fibers square
-    to zero, which rests on the stripe signs: that is checked here."""
+    The constructors trust their callers, so the commuting of the maps
+    and the square-zero law of stages and fibers, which rests on the
+    stripe signs, are checked here.  The products check the shapes."""
     conorm = obj.x.conormalization
-    tw = tower(obj.x)
     for m in range(1, obj.x.truncation + 1):
-        tw.stage(m).check_square_zero()
+        stage = tot_n(obj.x, m)
+        stage.check_square_zero()
+        stage_projection(obj.x, m).check_commutes()
         win = StripeWindow(conorm, -1, m)
         for n in range(m):
             fib = tower_fiber(obj.x, n, m)
             fib.check_square_zero()
-            incl = chain_map(fib, tw.stage(m), {
-                k: win.tail(n + 1, k) for k in win.blocks
+            incl = chain_map(fib, stage, {
+                k: stripe_tail(win, n + 1, k) for k in win.blocks
             })
+            incl.check_commutes()
             down = incl
             for j in range(m, n, -1):
-                down = compose(tw.projection(j), down)
-            assert down.is_zero
+                down = compose(stage_projection(obj.x, j), down)
+            assert not down.comps
 
 
 def test_tower_stage_ranks_are_stripe_sums():
     obj = next(o for o in CORPUS if o.name.startswith("blocks")
                and o.x.truncation >= 2)
     conorm = conormalize(obj.x)
-    tw = tower(obj.x)
-    for n, stage in enumerate(tw.stages):
+    for n in range(obj.x.truncation + 1):
+        stage = tot_n(obj.x, n)
         for k in stage.degrees():
             expected = sum(
                 conorm.pieces[s].rank(k + s) for s in range(n + 1)
@@ -519,7 +521,7 @@ def _replace_outside_window(obj, n, m, fatten):
                 cone = ChainComplexInt(
                     pieces[j].lo, (1, 1), (IntMatrix.identity(1),)
                 )
-                pieces[j] = pieces[j].direct_sum(cone)
+                pieces[j] = direct_sum(pieces[j], cone)
             else:
                 pieces[j] = _zero_like(pieces[j])
     for s in range(len(deltas)):
@@ -564,7 +566,7 @@ def test_shift_moves_fiber_homology(j):
 def test_shift_object_levels():
     obj = CORPUS[0]
     y = shift_object(obj.x, 2)
-    assert y.levels[0] == obj.x.levels[0].shift(2)
+    assert y.levels[0] == shift(obj.x.levels[0], 2)
     ok, _ = validate_cosimplicial(y)
     assert ok
 

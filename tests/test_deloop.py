@@ -41,8 +41,6 @@ def test_subset_two_one():
     assert report.d_max == 1
     assert not report.trivial_fiber
     assert report.d_max == subset_deloop_bound(2, 1)
-    assert report.certifies(1)
-    assert not report.certifies(2)
 
 
 def test_subset_four_two():
@@ -77,7 +75,6 @@ def test_trivial_fiber_when_nothing_truncated():
     assert report.d_max is None
     assert report.uniform_sphere_dim is None
     assert report.complement_dim == -1
-    assert report.certifies(10)
 
 
 @pytest.mark.parametrize(
@@ -102,8 +99,6 @@ def test_raw_d_max_can_reach_zero():
     assert report.uniform_sphere_dim == 1
     assert report.complement_dim == 1
     assert report.d_max == 0
-    assert report.certifies(0)
-    assert not report.certifies(1)
 
 
 def test_fence_violation_rejected():

@@ -10,6 +10,7 @@ module importing another's underscore name ties the two together.
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -54,13 +55,13 @@ def test_no_private_imports_between_modules(name):
     assert not private, f"{name} imports private names {private}"
 
 
-# -- exported names that nothing in src calls --------------------------------
+# -- exported names and methods that nothing in src calls --------------------
 
-# Every __all__ name that no module of the package references, apart from
-# its own definition, with the phrase of the README library section that
-# names it as library API.  A name that loses its last caller in src (as
-# intlinalg.solve_matrix once did) fails the test below until it is either
-# deleted or added here with the README naming it.
+# Every name that uncalled_names reports, with the phrase of the README
+# library section that names it as library API.  A name or method that
+# loses its last caller in src (as intlinalg.solve_matrix once did) fails
+# the test below until it is either deleted or added here with the README
+# naming it.
 LIBRARY_ONLY = {
     "constructions.cech_object": "cech_object",
     "constructions.constant_object": "`constant_object`",
@@ -74,33 +75,46 @@ LIBRARY_ONLY = {
 }
 
 
-def _referenced_names() -> set:
-    """Every identifier that some module of the package loads, by name or
-    as an attribute.  Definitions, assignments and the strings of
-    __all__ are not references."""
-    used = set()
-    for name in MODULES:
-        with open(importlib.import_module(name).__file__,
-                  encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+def uncalled_names(sources: dict) -> set:
+    """What nothing calls: module.name for each __all__ name that no module
+    loads, by name or as an attribute, and module.Class.method for each
+    public method of an exported class that no module names as an
+    attribute outside that method's body.  ``sources`` maps module names
+    to source text."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    loaded = {node.id for node in nodes
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    attrs = Counter(node.attr for node in nodes
+                    if isinstance(node, ast.Attribute))
+    out = set()
+    for name, tree in trees.items():
+        exported = next((ast.literal_eval(node.value) for node in tree.body
+                         if isinstance(node, ast.Assign)
+                         and ast.unparse(node.targets[0]) == "__all__"), ())
+        out |= {f"{name}.{e}" for e in exported
+                if e not in loaded and not attrs[e]}
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exported):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and not fn.name.startswith("_")
+                        and attrs[fn.name] == sum(
+                            isinstance(node, ast.Attribute)
+                            and node.attr == fn.name
+                            for node in ast.walk(fn))):
+                    out.add(f"{name}.{cls.name}.{fn.name}")
+    return out
 
 
 def test_every_uncalled_export_is_named_library_api():
-    used = _referenced_names()
-    uncalled = {
-        f"{name.removeprefix('tottower.')}.{export}"
-        for name in MODULES
-        for export in getattr(importlib.import_module(name), "__all__", ())
-        if export not in used
-    }
+    uncalled = uncalled_names({
+        name.removeprefix("tottower."): Path(
+            importlib.import_module(name).__file__).read_text("utf-8")
+        for name in MODULES})
     lost = sorted(uncalled - LIBRARY_ONLY.keys())
-    assert not lost, f"exported but called nowhere in src: {lost}"
+    assert not lost, f"public but called nowhere in src: {lost}"
     stale = sorted(LIBRARY_ONLY.keys() - uncalled)
     assert not stale, f"called in src, drop from LIBRARY_ONLY: {stale}"
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -108,3 +122,22 @@ def test_every_uncalled_export_is_named_library_api():
     unnamed = sorted(n for n, phrase in LIBRARY_ONLY.items()
                      if phrase not in text)
     assert not unnamed, f"the README library section does not name {unnamed}"
+
+
+LIVE = """
+__all__ = ["Box"]
+class Box:
+    def used(self): return self
+    def lost(self): return self
+    def recursive(self, n): return self.recursive(n - 1) if n else self
+def run(): return Box().used()
+"""
+
+
+def test_the_guard_reports_a_method_without_callers():
+    """A method whose last caller went, and one whose only use is inside
+    its own body, are both reported; the called one is not."""
+    assert uncalled_names({"m": LIVE}) == {"m.Box.lost", "m.Box.recursive"}
+    called = LIVE + "def more(b):\n    return b.lost(), b.recursive(1)\n"
+    assert uncalled_names({"m": called}) == set()
+    assert uncalled_names({"n": "__all__ = ['gone']"}) == {"n.gone"}

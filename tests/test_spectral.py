@@ -6,11 +6,12 @@ import sys
 import pytest
 
 from corpus_reference import corpus, gamma_co
-from map_reference import add
+from map_reference import add, stripe_head, stripe_tail
+from shadow_reference import is_iso
 from smith_reference import kernel_basis
 from test_cosimplicial import SIGNED
 from test_intlinalg import record_smith_forms
-from tottower import abelian, chains, cosimplicial, intlinalg, spectral
+from tottower import abelian, cosimplicial, intlinalg, spectral
 from tottower.abelian import GroupHom, HomologyGroup
 from tottower.chains import ChainComplexInt, chain_map
 from tottower.cli import main
@@ -66,7 +67,7 @@ def test_constant_collapses_at_the_corner():
     ss = spectral_sequence(x)
     assert ss.r_max == 5
     for r in range(1, 6):
-        assert ss.page(r).table() == {(0, 0): Z}
+        assert dict(ss.page(r).entries) == {(0, 0): Z}
     assert dict(ss.e_infinity) == {(0, 0): Z}
     assert dict(ss.graded_limit) == {(0, 0): Z}
 
@@ -80,7 +81,7 @@ def test_cech_second_page_is_two_lines(m):
         expected = {(0, 0): HomologyGroup(2)}
     else:
         expected = {(0, 0): Z, (m, 0): Z}
-    page = ss.page(2).table() if ss.r_max >= 2 else ss.page(1).table()
+    page = dict(ss.page(min(2, ss.r_max)).entries)
     assert page == expected
     # no room for later differentials out of internal degree zero
     assert dict(ss.e_infinity) == expected
@@ -88,11 +89,11 @@ def test_cech_second_page_is_two_lines(m):
 
 def test_zigzag_supports_a_page_two_differential():
     ss = spectral_sequence(zigzag_two_step())
-    assert ss.page(2).table() == {(0, 1): Z, (2, 2): Z}
+    assert dict(ss.page(2).entries) == {(0, 1): Z, (2, 2): Z}
     diffs = dict(ss.page(2).differentials)
     assert set(diffs) == {(0, 1)}
-    assert diffs[(0, 1)].is_iso()
-    assert ss.page(3).table() == {}
+    assert is_iso(diffs[(0, 1)])
+    assert dict(ss.page(3).entries) == {}
     assert dict(ss.e_infinity) == {}
 
 
@@ -185,8 +186,8 @@ def reference_z_lattice(win, s, r, k):
     """_Filtration.z_lattice as the package had it before it sliced the
     condition out of the boundary: coordinate projections and
     inclusions multiplied out.  Kept as the reference."""
-    inc = win.tail(s, k)
-    cond = win.head(s + r, k - 1) @ win.boundary(k) @ inc
+    inc = stripe_tail(win, s, k)
+    cond = stripe_head(win, s + r, k - 1) @ win.boundary(k) @ inc
     return lattice_basis(inc @ kernel_basis(cond))
 
 
@@ -213,31 +214,39 @@ def test_z_lattices_take_one_elimination_per_block(monkeypatch, tmp_path,
                                                    capsys):
     """ss on cech_object(4, 4) reads z-lattices at many (s, r, k) but cuts
     few blocks (k, rows, col0) of the total differential: each block
-    takes one kernel_lattice elimination."""
+    takes one kernel_lattice elimination.  The graded limit presents only
+    the 5 of its 25 pieces whose two z-lattices differ."""
     path = tmp_path / "cech_4_4.json"
     path.write_text(json.dumps(cosimplicial_to_data(cech_object(4, 4))))
-    callers = []
+    callers, presenters = [], []
     blocks = set()
     reads = 0
     kernel_lattice = intlinalg.kernel_lattice
     z_lattice = spectral._Filtration.z_lattice
+    presented = spectral.subquotient_presentation
 
     def counting(mat):
         callers.append(sys._getframe(1).f_code.co_name)
         return kernel_lattice(mat)
+
+    def presenting(numer, denom):
+        presenters.append(sys._getframe(1).f_code.co_name)
+        return presented(numer, denom)
 
     def reading(self, s, r, k):
         nonlocal reads
         reads += 1
         blocks.add((k, self.win.start(s + r, k - 1), self.win.start(s, k)))
         return z_lattice(self, s, r, k)
-    for module in (abelian, chains, cosimplicial, spectral):
+    for module in (abelian, cosimplicial, spectral):
         monkeypatch.setattr(module, "kernel_lattice", counting)
     monkeypatch.setattr(spectral._Filtration, "z_lattice", reading)
+    monkeypatch.setattr(spectral, "subquotient_presentation", presenting)
     assert main(["ss", str(path)]) == 0
     capsys.readouterr()
     assert callers.count("z_lattice") == len(blocks) == 19 < reads
     assert len(callers) <= 57
+    assert presenters.count("_graded_limit") == 5
 
 
 @pytest.mark.parametrize("obj", OBJECTS, ids=lambda o: o.name)
@@ -245,7 +254,7 @@ def test_corpus_second_page_matches_level_homology(obj):
     """The page built from the filtration must agree with the cohomology
     of the conormalized levelwise homology, computed without stripes."""
     ss = spectral_sequence(obj.x)
-    assert ss.page(2).table() == e2_from_level_homology(obj.x)
+    assert dict(ss.page(2).entries) == e2_from_level_homology(obj.x)
 
 
 @pytest.mark.parametrize("obj", OBJECTS, ids=lambda o: o.name)
@@ -263,7 +272,7 @@ def test_first_differential_fires_somewhere():
     changed = 0
     for obj in corpus(seed=20250811, count=30):
         ss = spectral_sequence(obj.x)
-        if ss.page(1).table() != ss.page(2).table():
+        if dict(ss.page(1).entries) != dict(ss.page(2).entries):
             changed += 1
     assert changed >= 2
 

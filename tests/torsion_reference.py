@@ -79,3 +79,8 @@ def local_smith_valuations(mat, p: int, e: int) -> list:
                 del rows[r]
         vals.append(k)
     return sorted(vals)
+
+
+def chain_euler(c) -> int:
+    """The chain-level side of the Euler cross-checks, from ranks alone."""
+    return sum((-1) ** k * c.rank(k) for k in c.degrees())
