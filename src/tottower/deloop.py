@@ -28,10 +28,11 @@ from __future__ import annotations
 from ._record import record
 from .errors import InputError, InvariantError, PreconditionError
 from .posets import (
+    FinPoset,
     PosetInclusion,
     check_fence_condition,
     checked_chain_count,
-    down_slice,
+    down_slice_masks,
     full_subposet,
     order_complex,
     poset_dimension,
@@ -96,11 +97,22 @@ def analyze_inclusion(incl: PosetInclusion) -> InclusionReport:
     dimension, which is the signature of the slice's unreduced
     suspension as the tests' reference ``t_functor`` builds it.
 
+    Slices are grouped by shape, their relation masks: the caps are
+    checked, and the order complex and its homology computed, once per
+    shape, at its first element in ambient order, and every element of
+    that shape gets the same value.  This is exact, not up to
+    isomorphism: a slice keeps its elements in ``label_key`` order, so
+    vertex codes follow element indices and equal masks give the same
+    coded order complex, the same chain complex and the same homology.
+    Walking the elements in ambient order keeps every error at the
+    element the per-slice computation would name.
+
     Raises PreconditionError when the inclusion is not downward closed,
     a slice is empty, or the complement values fail to be homology wedges
     of a single sphere dimension.  Raises InvariantError if a subposet
     value comes out noncontractible, which theory forbids, and InputError
-    if a slice has more than ``posets.MAX_CHAINS`` maximal chains.
+    if a slice has more than ``posets.MAX_CHAINS`` maximal chains or more
+    than ``simplicial.MAX_FACES`` chains in all.
     """
     ok, witnesses = check_fence_condition(incl)
     if not ok:
@@ -109,21 +121,34 @@ def analyze_inclusion(incl: PosetInclusion) -> InclusionReport:
             f"inclusion is not downward closed: {x!r} < {c!r} "
             f"({len(witnesses)} witnesses)"
         )
-    slices = {d: down_slice(incl, d) for d in incl.ambient.elements}
-    for d, sl in slices.items():
-        if not sl.elements:
+    sub = incl.sub
+    slices = []     # one poset per slice shape, first seen first
+    shape_of = {}   # slice relation masks -> index into slices
+    shapes = []     # per ambient element, the index of its slice shape
+    for d, (picked, down) in zip(incl.ambient.elements,
+                                 down_slice_masks(incl)):
+        if not picked:
             raise PreconditionError(
                 f"slice under {d!r} is empty; cannot take its suspension"
             )
-        # refuse an oversized slice before any order complex is built
-        checked_chain_count(sl)
-    inside = set(incl.sub.elements)
+        if down not in shape_of:
+            sl = FinPoset(tuple(sub.elements[t] for t in picked), down)
+            # refuse an oversized slice before any order complex is built
+            checked_chain_count(sl)
+            shape_of[down] = len(slices)
+            slices.append(sl)
+        shapes.append(shape_of[down])
+    inside = set(sub.elements)
+    shape_sigs = {}
     signatures = []
     complement_sigs = []
-    for e, sl in slices.items():
-        sig = wedge_signature(order_complex(sl))
-        if sig is not None and not sig.is_contractible:
-            sig = WedgeSignature(sig.sphere_dim + 1, sig.count)
+    for e, k in zip(incl.ambient.elements, shapes):
+        if k not in shape_sigs:
+            sig = wedge_signature(order_complex(slices[k]))
+            if sig is not None and not sig.is_contractible:
+                sig = WedgeSignature(sig.sphere_dim + 1, sig.count)
+            shape_sigs[k] = sig
+        sig = shape_sigs[k]
         if e in inside:
             if sig is None or not sig.is_contractible:
                 raise InvariantError(

@@ -33,7 +33,7 @@ __all__ = [
     "subspace_poset",
     "gaussian_binomial",
     "PosetInclusion",
-    "down_slice",
+    "down_slice_masks",
     "order_complex",
     "checked_chain_count",
     "MAX_CHAINS",
@@ -50,7 +50,8 @@ __all__ = [
 # MAX_FACES now refuses that poset: it has 167490 chains in all.
 MAX_CHAINS = 25_000
 # subset_poset and subspace_poset refuse to build more elements than this:
-# relating them costs one comparison per ordered pair, about 30 s at 4096.
+# subspace_poset relates them with one comparison per ordered pair, about
+# 30 s at 4096.
 MAX_POSET_ELEMENTS = 4096
 # subspace_poset refuses a larger q.  For n >= 2 the q + 1 lines of F_q^2
 # already pass MAX_POSET_ELEMENTS, so this bounds the n = 1 case, and the
@@ -72,8 +73,9 @@ class FinPoset:
     down[i] is the bitmask of indices j with elements[j] <= elements[i].
     The constructor checks the elements, the mask count and reflexivity.
     It trusts transitivity and antisymmetry: poset_from_relation, the one
-    reader of an outside relation, closes it and refuses a cycle, and
-    full_subposet restricts a relation that has both.
+    reader of an outside relation, closes it and refuses a cycle,
+    subset_poset builds inclusion itself, and full_subposet and
+    down_slice_masks restrict a relation that has both.
     """
 
     elements: tuple
@@ -220,18 +222,19 @@ def poset_from_relation(elements, leq=None, pairs=None) -> FinPoset:
     return FinPoset(tuple(elems), tuple(down))
 
 
+def _restrict(down, picked) -> tuple:
+    """The masks down[t] for t in picked, cut to the indices in picked and
+    renumbered by their positions there."""
+    pos = {t: k for k, t in enumerate(picked)}
+    return tuple(
+        sum(1 << pos[u] for u in _bits(down[t]) if u in pos) for t in picked
+    )
+
+
 def full_subposet(p: FinPoset, selection) -> FinPoset:
     """The elements of selection, ordered as in p."""
     sel = sorted(set(selection), key=label_key)
-    idx = [p.index(e) for e in sel]
-    masks = []
-    for a in idx:
-        m = 0
-        for t, b in enumerate(idx):
-            if (p.down[a] >> b) & 1:
-                m |= 1 << t
-        masks.append(m)
-    return FinPoset(tuple(sel), tuple(masks))
+    return FinPoset(tuple(sel), _restrict(p.down, [p.index(e) for e in sel]))
 
 
 def poset_dimension(p: FinPoset) -> int:
@@ -283,14 +286,25 @@ def subset_poset(base, min_card: int = 1, max_card: int | None = None) \
     max_card = min(max_card, len(items))
     if min_card < 1 or min_card > max_card:
         raise InputError("need 1 <= min_card <= max_card")
-    elements = [
+    # index tuples in lexicographic order are the subsets in label_key
+    # order.  Above min_card, a subset's down-set is itself and the
+    # down-sets of the subsets one element smaller, so sets are visited by
+    # card and no pair of subsets is compared.
+    combos = sorted(
         c
         for k in range(min_card, max_card + 1)
-        for c in itertools.combinations(items, k)
-    ]
-    return poset_from_relation(
-        elements, leq=lambda a, b: set(a) <= set(b)
+        for c in itertools.combinations(range(len(items)), k)
     )
+    at = {sum(1 << i for i in c): t for t, c in enumerate(combos)}
+    down = [0] * len(combos)
+    for bits, t in sorted(at.items(), key=lambda kv: kv[0].bit_count()):
+        m = 1 << t
+        if bits.bit_count() > min_card:
+            for i in _bits(bits):
+                m |= down[at[bits ^ (1 << i)]]
+        down[t] = m
+    return FinPoset(
+        tuple(tuple(items[i] for i in c) for c in combos), tuple(down))
 
 
 def _is_prime(q: int) -> bool:
@@ -399,12 +413,22 @@ class PosetInclusion:
         return tuple(e for e in self.ambient.elements if e not in inside)
 
 
-def down_slice(incl: PosetInclusion, d) -> FinPoset:
-    """Elements of the subposet lying weakly below d in the ambient."""
-    picked = [
-        c for c in incl.sub.elements if incl.ambient.leq(c, d)
-    ]
-    return full_subposet(incl.sub, picked)
+def down_slice_masks(incl: PosetInclusion):
+    """Yield, per ambient element in order, the slice of the subposet
+    weakly below it as (picked, down): the subposet indices in it,
+    ascending, and its relation masks over positions in picked.
+
+    The slice poset is FinPoset(tuple(incl.sub.elements[t] for t in
+    picked), down).  Each slice is cut from the ambient element's own
+    mask, so no comparison is made and no poset is built.
+    """
+    amb, sub = incl.ambient, incl.sub
+    at = [None] * len(amb.elements)    # ambient index -> subposet index
+    for t, c in enumerate(sub.elements):
+        at[amb.index(c)] = t
+    for mask in amb.down:
+        picked = [at[j] for j in _bits(mask) if at[j] is not None]
+        yield picked, _restrict(sub.down, picked)
 
 
 def checked_chain_count(p: FinPoset) -> int:

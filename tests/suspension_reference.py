@@ -4,7 +4,8 @@
 its wedge signature up one degree instead of suspending it.  The pointwise
 suspension diagram it stands for is built here, with the unreduced
 suspension of a complex, so the tests can check the shortcut against the
-construction itself.  No module of the package uses these.
+construction itself, with the slices cut by comparing elements one pair
+at a time.  No module of the package uses these.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ import itertools
 from dataclasses import dataclass
 
 from tottower.errors import InputError, InvariantError, PreconditionError
-from tottower.posets import FinPoset, PosetInclusion, down_slice, order_complex
+from tottower.posets import (
+    FinPoset,
+    PosetInclusion,
+    full_subposet,
+    order_complex,
+)
 from tottower.simplicial import (
     SimplicialComplex,
     complex_from_facets,
@@ -42,6 +48,16 @@ def unreduced_suspension(k: SimplicialComplex, north=None,
         facets.append(f + (north,))
         facets.append(f + (south,))
     return complex_from_facets(facets, basepoint=north)
+
+
+def down_slice(incl: PosetInclusion, d) -> FinPoset:
+    """Elements of the subposet lying weakly below d in the ambient, found
+    by one comparison per subposet element; the package cuts its slices
+    from masks with ``posets.down_slice_masks`` instead."""
+    picked = [
+        c for c in incl.sub.elements if incl.ambient.leq(c, d)
+    ]
+    return full_subposet(incl.sub, picked)
 
 
 def lan_point(incl: PosetInclusion, d) -> SimplicialComplex:

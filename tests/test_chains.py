@@ -11,6 +11,7 @@ from map_reference import add, compose, negate
 from shadow_reference import (homology_presentation, induced_on_homology,
                               induces_iso_everywhere, is_iso, shift)
 from smith_reference import kernel_basis, matrix_rank
+from suspension_reference import down_slice
 from test_cosimplicial import SIGNED
 from torsion_reference import chain_euler
 from unit_reduce_reference import unit_reduce as reference_unit_reduce
@@ -32,7 +33,6 @@ from tottower.deloop import subset_model
 from tottower.errors import InputError, InvariantError
 from tottower.intlinalg import IntMatrix, snf_invariants
 from tottower.posets import (
-    down_slice,
     order_complex,
     poset_from_relation,
     subset_poset,

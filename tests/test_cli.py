@@ -15,8 +15,8 @@ import pytest
 from corpus_reference import corpus
 from test_cosimplicial import SIGNED
 from test_torsion import TWO_SWEEP_BOUNDARY
-from tottower import (abelian, cli, cosimplicial, intlinalg, posets,
-                      simplicial, spectral)
+from tottower import (abelian, cli, cosimplicial, deloop, intlinalg,
+                      posets, simplicial, spectral)
 from tottower.chains import ChainComplexInt
 from tottower.cli import main
 from tottower.constructions import cech_object, constant_object
@@ -934,6 +934,42 @@ def test_deloop_slice_with_too_many_chains_is_refused_quickly(
     monkeypatch.setattr("tottower.deloop.order_complex", refuse)
     assert_quick_refusal(["deloop", "--subset", "1", "1"], capsys,
                          "maximal chains")
+
+
+def test_deloop_of_a_large_subset_model_is_refused_per_shape(
+        monkeypatch, capsys):
+    """In ambient order the slices under (0,), (0, 1), ..., (0, ..., 8)
+    are nine shapes, and the ninth, the card <= 5 subsets of a 9-set,
+    has 78825 chains.  The subset poset is built without relating pairs,
+    each shape's caps are checked once, and no slice after the refused
+    one is cut."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a relation was closed pair by pair")
+
+    counted = []
+    check = deloop.checked_chain_count
+    built = []
+    post_init = posets.FinPoset.__post_init__
+
+    def counting(p):
+        counted.append(p)
+        return check(p)
+
+    def building(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(posets, "poset_from_relation", refuse)
+    monkeypatch.setattr(deloop, "checked_chain_count", counting)
+    monkeypatch.setattr(posets.FinPoset, "__post_init__", building)
+    err = assert_one_line_input_error(["deloop", "--subset", "11", "5"],
+                                      capsys)
+    assert err == ("input error: poset has 78825 chains; order complexes "
+                   "are built with at most 65536 faces\n")
+    assert [set().union(*p.elements) for p in counted] == [
+        set(range(k)) for k in range(1, 10)]
+    # the ambient, the subposet and one slice per shape
+    assert len(built) == 2 + len(counted)
 
 
 def test_too_many_poset_elements_is_refused_quickly(capsys):

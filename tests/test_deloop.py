@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tottower import InvariantError, PreconditionError, InputError
-from tottower import posets, simplicial
+from tottower import deloop, posets, simplicial
 from tottower.deloop import (
     analyze_inclusion,
     delta_model,
@@ -28,9 +28,9 @@ from tottower.posets import (
     full_subposet,
     poset_from_relation,
 )
-from tottower.simplicial import wedge_signature
+from tottower.simplicial import WedgeSignature, wedge_signature
 
-from suspension_reference import t_functor
+from suspension_reference import down_slice, t_functor
 
 
 def test_subset_two_one():
@@ -207,6 +207,12 @@ def _reference_signatures(incl):
 
 
 def _assert_matches_reference(incl):
+    # the slices the package cuts from masks are the compared ones
+    for d, (picked, down) in zip(incl.ambient.elements,
+                                 posets.down_slice_masks(incl)):
+        sl = down_slice(incl, d)
+        assert tuple(incl.sub.elements[t] for t in picked) == sl.elements
+        assert down == sl.down
     try:
         want = _reference_signatures(incl)
     except (PreconditionError, InvariantError) as exc:
@@ -239,6 +245,14 @@ def test_analysis_matches_t_functor_on_gate_models(family, args):
     _assert_matches_reference(BUILDERS[family](*args))
 
 
+@pytest.mark.parametrize("incl", [
+    subset_model(6, 4), subspace_model(3, 3, 2), delta_model(3, 5),
+], ids=["subset(6, 4)", "subspace(3, 3, 2)", "delta(3, 5)"])
+def test_analysis_matches_t_functor_on_larger_models(incl):
+    # slices repeat their shape many times over in these
+    _assert_matches_reference(incl)
+
+
 @given(st.integers(1, 6), st.data())
 def test_analysis_matches_t_functor_on_random_inclusions(n, data):
     # pairs only run upward in the labels, so the relation has no cycle
@@ -261,13 +275,13 @@ def test_analysis_matches_t_functor_on_random_inclusions(n, data):
     _assert_matches_reference(incl)
 
 
-def _crown_with_point(extra=()):
+def _crown_with_point(extra=(), tops=("z",)):
     # a, b < c, d is a circle; e sits apart; z lies above all five, so
     # its slice has reduced homology in degrees 0 and 1 and is no wedge
     low = ["a", "b", "c", "d", "e"]
     pairs = [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
-    pairs += [(x, "z") for x in low]
-    ambient = poset_from_relation(low + ["z", *extra], pairs=pairs)
+    pairs += [(x, top) for x in low for top in tops]
+    ambient = poset_from_relation(low + [*tops, *extra], pairs=pairs)
     return PosetInclusion(full_subposet(ambient, low), ambient)
 
 
@@ -309,3 +323,62 @@ def test_analysis_never_suspends():
     assert not hasattr(simplicial, "unreduced_suspension")
     report = analyze_inclusion(subset_model(4, 2))
     assert report.d_max == 1
+
+
+# -- one order complex per slice shape ----------------------------------------
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("build,args,slices,shapes", [
+    (subset_model, (6, 4), 63, 6),
+    (subspace_model, (2, 4, 2), 66, 4),
+    (delta_model, (2, 4), 31, 5),
+])
+def test_one_order_complex_per_slice_shape(monkeypatch, build, args,
+                                           slices, shapes):
+    incl = build(*args)
+    assert len(incl.ambient.elements) == slices
+    assert len({down_slice(incl, d).down
+                for d in incl.ambient.elements}) == shapes
+    counted = {name: _count_calls(monkeypatch, deloop, name) for name in
+               ("checked_chain_count", "order_complex", "wedge_signature")}
+    report = analyze_inclusion(incl)
+    assert {name: len(c) for name, c in counted.items()} == dict.fromkeys(
+        counted, shapes)
+    assert len(report.signatures) == slices
+
+
+def test_slices_of_one_size_and_two_shapes_keep_their_values():
+    # the slices under x and y both have two elements, but a and c are
+    # incomparable while a < b, so only the value over x is a sphere
+    ambient = poset_from_relation(
+        ["a", "b", "c", "x", "y"],
+        pairs=[("a", "b"), ("a", "x"), ("c", "x"), ("b", "y")])
+    incl = PosetInclusion(full_subposet(ambient, ["a", "b", "c"]), ambient)
+    _assert_matches_reference(incl)
+    sigs = dict(analyze_inclusion(incl).signatures)
+    assert sigs["x"] == WedgeSignature(1, 1)
+    assert sigs["y"].is_contractible
+
+
+def test_a_repeated_failing_shape_names_its_first_element(monkeypatch):
+    # y and z lie above all five low elements, so their slices have one
+    # shape, which is no wedge: the error names y.  Three order complexes
+    # are built, for the points a, b and e, the slices under c and d,
+    # and the slice under y.
+    incl = _crown_with_point(tops=("y", "z"))
+    _assert_matches_reference(incl)
+    calls = _count_calls(monkeypatch, deloop, "order_complex")
+    with pytest.raises(PreconditionError, match="'y' is not a homology"):
+        analyze_inclusion(incl)
+    assert [len(p.elements) for (p,) in calls] == [1, 3, 5]

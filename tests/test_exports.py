@@ -69,6 +69,7 @@ LIBRARY_ONLY = {
     "cosimplicial.matching_kernel_agrees": "`matching_kernel_agrees`",
     "deloop.cover_suspension_bound": "closed-form bounds",
     "deloop.subset_deloop_bound": "closed-form bounds",
+    "posets.FinPoset.leq": "`FinPoset.leq`",
     "simplicial.barycentric_subdivision": "barycentric subdivision",
     "simplicial.complex_to_data": "`complex_to_data`",
     "simplicial.skeleton": "skeleta",

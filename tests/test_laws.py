@@ -12,6 +12,7 @@ import pytest
 
 from corpus_reference import corpus, quasi_iso_pairs
 from shadow_reference import quasi_iso_invariance
+from suspension_reference import down_slice
 from test_cosimplicial import stripe_sign_objects
 from test_simplicial import reference_canonical_check
 from tottower.chains import ChainComplexInt, ChainMap
@@ -193,8 +194,12 @@ def test_built_objects_obey_their_laws(monkeypatch):
     hocolim_chain(cover_from_subcomplexes(
         space, [[[0, 2], [0, 3]], [[1, 2], [1, 3]]], basepoint=2
     )).homology_all()
-    analyze_inclusion(subset_model(5, 3))
-    analyze_inclusion(subspace_model(2, 3, 1))
+    # the analysis builds one order complex per slice shape; the order
+    # complex of every slice is checked here as well
+    for incl in (subset_model(5, 3), subspace_model(2, 3, 1)):
+        analyze_inclusion(incl)
+        for d in incl.ambient.elements:
+            chain_complex(order_complex(down_slice(incl, d)), reduced=True)
     order_complex(subspace_poset(2, 3, 2))
     assert counts["complexes"] > 500
     assert counts["maps"] > 800

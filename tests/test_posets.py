@@ -17,7 +17,6 @@ from tottower.posets import (
     FinPoset,
     PosetInclusion,
     check_fence_condition,
-    down_slice,
     full_subposet,
     gaussian_binomial,
     order_complex,
@@ -30,11 +29,17 @@ from tottower.posets import (
 from tottower.simplicial import (
     WedgeSignature,
     complex_from_facets,
+    label_key,
     skeleton,
     wedge_signature,
 )
 
-from suspension_reference import DiagramOfComplexes, lan_point, t_functor
+from suspension_reference import (
+    DiagramOfComplexes,
+    down_slice,
+    lan_point,
+    t_functor,
+)
 from test_laws import reference_inclusion_check
 
 
@@ -76,6 +81,27 @@ def test_subset_poset_shape():
         subset_poset([])
     with pytest.raises(InputError):
         subset_poset([1, 1, 2])
+
+
+@pytest.mark.parametrize("base", [
+    range(7), "abcdefg", [3, "b", (0,), -1, "a", (1, "x"), ()],
+], ids=["ints", "strs", "mixed"])
+def test_subset_poset_is_inclusion(base):
+    """subset_poset builds its masks from bitmasks; relating every pair of
+    subsets by set inclusion gives the same poset."""
+    items = list(base)
+    for size in range(1, len(items) + 1):
+        part = items[:size]
+        for lo, hi in {(1, None), (1, 1), (2, size), (1, (size + 1) // 2),
+                       (size // 2 + 1, size - 1)}:
+            if hi is not None and not 1 <= lo <= hi:
+                continue
+            want = poset_from_relation(
+                [c for k in range(lo, (hi or size) + 1)
+                 for c in itertools.combinations(
+                     sorted(part, key=label_key), k)],
+                leq=lambda a, b: set(a) <= set(b))
+            assert subset_poset(part, lo, hi) == want, (size, lo, hi)
 
 
 def test_boolean_proper_part_is_a_sphere():
