@@ -49,9 +49,9 @@ __all__ = [
 # 8-set with card <= 6 (20160 chains of 6) took about 5 s and 280 MiB.
 # MAX_FACES now refuses that poset: it has 167490 chains in all.
 MAX_CHAINS = 25_000
-# subset_poset and subspace_poset refuse to build more elements than this:
-# subspace_poset relates them with one comparison per ordered pair, about
-# 30 s at 4096.
+# subset_poset and subspace_poset refuse to build more elements than this.
+# Relating them costs little: on a 2-vCPU Xeon VM, subspace_poset built
+# the costliest poset under the cap, all 3651 subspaces of F_7^4, in 0.22 s.
 MAX_POSET_ELEMENTS = 4096
 # subspace_poset refuses a larger q.  For n >= 2 the q + 1 lines of F_q^2
 # already pass MAX_POSET_ELEMENTS, so this bounds the n = 1 case, and the
@@ -72,10 +72,10 @@ class FinPoset:
 
     down[i] is the bitmask of indices j with elements[j] <= elements[i].
     The constructor checks the elements, the mask count and reflexivity.
-    It trusts transitivity and antisymmetry: poset_from_relation, the one
-    reader of an outside relation, closes it and refuses a cycle,
-    subset_poset builds inclusion itself, and full_subposet and
-    down_slice_masks restrict a relation that has both.
+    It trusts transitivity and antisymmetry: poset_from_relation,
+    subset_poset and subspace_poset get their masks from one closure that
+    refuses a cycle, and full_subposet and down_slice_masks restrict a
+    relation that has both.
     """
 
     elements: tuple
@@ -164,6 +164,11 @@ class FinPoset:
             )
         return sum(ending)
 
+    @cached_property
+    def _chain_counts(self) -> tuple:
+        """(maximal chains, all chains), counted once per poset."""
+        return self.maximal_chain_count(), self.chain_count()
+
     def maximal_chains(self) -> tuple:
         """All maximal chains, each as an ascending tuple of elements."""
         n = len(self.elements)
@@ -183,43 +188,55 @@ class FinPoset:
         return tuple(chains)
 
 
-def poset_from_relation(elements, leq=None, pairs=None) -> FinPoset:
-    """Build a poset from a comparison callable or explicit pairs.
+def _close(lower) -> tuple:
+    """The down-masks of the reflexive transitive closure of a relation.
 
-    The given relation is closed reflexively and transitively; a cycle
-    among distinct elements is rejected.  This is where a relation from
-    outside the package is proved to be a partial order.
+    lower[i] lists indices j with e_j <= e_i; repeats and i itself are
+    allowed.  Elements are finished in a topological order (Kahn's
+    algorithm), each mask its own bit ORed with the finished masks below
+    it.  Elements left unfinished when none is free lie on or above a
+    cycle, and the relation is refused.
+    """
+    below = [set(js) - {i} for i, js in enumerate(lower)]
+    above = [[] for _ in below]
+    for i, js in enumerate(below):
+        for j in js:
+            above[j].append(i)
+    waiting = [len(js) for js in below]
+    ready = [i for i, w in enumerate(waiting) if not w]
+    down = [0] * len(below)
+    for i in ready:     # ready grows as elements are freed
+        m = 1 << i
+        for j in below[i]:
+            m |= down[j]
+        down[i] = m
+        for k in above[i]:
+            waiting[k] -= 1
+            if not waiting[k]:
+                ready.append(k)
+    if len(ready) < len(below):
+        raise InputError("relation has a cycle")
+    return tuple(down)
+
+
+def poset_from_relation(elements, pairs=()) -> FinPoset:
+    """Build a poset from explicit pairs (a, b), each saying a <= b.
+
+    The pairs are closed reflexively and transitively; self-pairs and
+    repeats are allowed, and a cycle among distinct elements is refused.
+    This is where a relation from outside the package is proved to be a
+    partial order.
     """
     elems = sorted(elements, key=label_key)
     if len(set(elems)) != len(elems):
         raise InputError("duplicate poset elements")
-    n = len(elems)
-    down = [1 << i for i in range(n)]
-    if leq is not None:
-        for i in range(n):
-            for j in range(n):
-                if i != j and leq(elems[j], elems[i]):
-                    down[i] |= 1 << j
-    if pairs is not None:
-        pos = {e: i for i, e in enumerate(elems)}
-        for a, b in pairs:
-            if a not in pos or b not in pos:
-                raise InputError(f"relation pair ({a!r}, {b!r}) off the set")
-            down[pos[b]] |= 1 << pos[a]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = down[i]
-            for j in _bits(acc):
-                acc |= down[j]
-            if acc != down[i]:
-                down[i] = acc
-                changed = True
-    for i, m in enumerate(down):
-        if any(j != i and (down[j] >> i) & 1 for j in _bits(m)):
-            raise InputError("relation has a cycle")
-    return FinPoset(tuple(elems), tuple(down))
+    pos = {e: i for i, e in enumerate(elems)}
+    lower = [[] for _ in elems]
+    for a, b in pairs:
+        if a not in pos or b not in pos:
+            raise InputError(f"relation pair ({a!r}, {b!r}) off the set")
+        lower[pos[b]].append(pos[a])
+    return FinPoset(tuple(elems), _close(lower))
 
 
 def _restrict(down, picked) -> tuple:
@@ -245,11 +262,8 @@ def poset_dimension(p: FinPoset) -> int:
     heights = [0] * n
     order = sorted(range(n), key=lambda i: p.down[i].bit_count())
     for i in order:
-        best = 0
-        for j in _bits(p.down[i] & ~(1 << i)):
-            if heights[j] + 1 > best:
-                best = heights[j] + 1
-        heights[i] = best
+        below = _bits(p.down[i] & ~(1 << i))
+        heights[i] = max((heights[j] + 1 for j in below), default=0)
     return max(heights)
 
 
@@ -281,41 +295,27 @@ def subset_poset(base, min_card: int = 1, max_card: int | None = None) \
         raise InputError("base set has repeated items")
     if not items:
         raise InputError("base set is empty")
-    if max_card is None:
-        max_card = len(items)
-    max_card = min(max_card, len(items))
-    if min_card < 1 or min_card > max_card:
+    if min_card < 1 or min_card > top:
         raise InputError("need 1 <= min_card <= max_card")
     # index tuples in lexicographic order are the subsets in label_key
-    # order.  Above min_card, a subset's down-set is itself and the
-    # down-sets of the subsets one element smaller, so sets are visited by
-    # card and no pair of subsets is compared.
+    # order.  Above min_card, the subsets below one are those one element
+    # smaller, so no pair of subsets is compared.
     combos = sorted(
         c
-        for k in range(min_card, max_card + 1)
-        for c in itertools.combinations(range(len(items)), k)
+        for k in range(min_card, top + 1)
+        for c in itertools.combinations(range(n), k)
     )
     at = {sum(1 << i for i in c): t for t, c in enumerate(combos)}
-    down = [0] * len(combos)
-    for bits, t in sorted(at.items(), key=lambda kv: kv[0].bit_count()):
-        m = 1 << t
+    lower = [[] for _ in combos]
+    for bits, t in at.items():
         if bits.bit_count() > min_card:
-            for i in _bits(bits):
-                m |= down[at[bits ^ (1 << i)]]
-        down[t] = m
+            lower[t] = [at[bits ^ (1 << i)] for i in _bits(bits)]
     return FinPoset(
-        tuple(tuple(items[i] for i in c) for c in combos), tuple(down))
+        tuple(tuple(items[i] for i in c) for c in combos), _close(lower))
 
 
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
+    return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -345,18 +345,15 @@ def _rref_matrices(n: int, k: int, q: int):
             yield tuple(tuple(r) for r in rows)
 
 
-def _rowspace_leq(v, w, q: int) -> bool:
-    # every row of v must reduce to zero against the echelon basis w
-    piv = [next(i for i, x in enumerate(row) if x) for row in w]
-    for row in v:
-        r = list(row)
-        for wr, p in zip(w, piv):
-            c = r[p]
-            if c:
-                r = [(a - c * b) % q for a, b in zip(r, wr)]
-        if any(r):
-            return False
-    return True
+def _add_line(v, piv, line, q: int) -> tuple:
+    """The reduced echelon basis of v + line.  v has pivot columns piv,
+    and line is a 1-dimensional echelon basis that is zero on all of
+    them, so it lies outside v."""
+    (r,) = line
+    c = r.index(1)      # the pivot of line
+    rows = [tuple((a - w[c] * b) % q for a, b in zip(w, r)) for w in v]
+    rows.insert(sum(p < c for p in piv), r)
+    return tuple(rows)
 
 
 def subspace_poset(q: int, n: int, max_dim: int) -> FinPoset:
@@ -393,9 +390,22 @@ def subspace_poset(q: int, n: int, max_dim: int) -> FinPoset:
                 f"{len(level)}, expected {expected}"
             )
         elements.extend(level)
-    return poset_from_relation(
-        elements, leq=lambda a, b: _rowspace_leq(a, b, q)
-    )
+    # a subspace of dimension k + 1 holding a k-dimensional v is v plus
+    # exactly one line zero on the pivot columns of v, so v is related to
+    # each subspace covering it once; free[piv] lists those lines
+    lines = elements[:gaussian_binomial(n, 1, q)]
+    free = {piv: [line for line in lines if not any(line[0][p] for p in piv)]
+            for k in range(1, max_dim)
+            for piv in itertools.combinations(range(n), k)}
+    elements.sort(key=label_key)
+    at = {v: t for t, v in enumerate(elements)}
+    lower = [[] for _ in elements]
+    for v, t in at.items():
+        if len(v) < max_dim:
+            piv = tuple(row.index(1) for row in v)
+            for line in free[piv]:
+                lower[at[_add_line(v, piv, line, q)]].append(t)
+    return FinPoset(tuple(elements), _close(lower))
 
 
 @record
@@ -435,13 +445,12 @@ def checked_chain_count(p: FinPoset) -> int:
     """The number of maximal chains of p; InputError above MAX_CHAINS,
     or when p has more than MAX_FACES chains in all (the faces of its
     order complex)."""
-    count = p.maximal_chain_count()
+    count, faces = p._chain_counts
     if count > MAX_CHAINS:
         raise InputError(
             f"poset has {count} maximal chains; order complexes are "
             f"built for at most {MAX_CHAINS}"
         )
-    faces = p.chain_count()
     if faces > MAX_FACES:
         raise InputError(
             f"poset has {faces} chains; order complexes are built with "

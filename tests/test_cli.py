@@ -891,6 +891,16 @@ def test_simplicial_report_bytes_are_pinned(tmp_path, capsys):
     assert report["homology"] == {"0": "Z^2", "1": "Z/2"}
 
 
+def test_subspace_reports_are_pinned(capsys):
+    # both took seconds while subspaces were related pair by pair
+    report = run_report(["poset", "--subspace", "q=2", "n=6", "dim"], capsys)
+    assert report == {"dim": 5, "weakenings": []}
+    code, out, err = run(["deloop", "--subspace", "2", "5", "3"], capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "152cc5822d2c751e0be8d718335c69afa9723bab13295523f57a83faf912af1b")
+
+
 # -- caps on enumeration ------------------------------------------------------
 
 # 10 layers of 10 incomparable elements, each below the whole next layer:

@@ -358,6 +358,16 @@ def test_one_order_complex_per_slice_shape(monkeypatch, build, args,
     assert len(report.signatures) == slices
 
 
+def test_each_slice_shape_counts_its_chains_once(monkeypatch):
+    # the caps of a shape are checked before its order complex is built,
+    # and order_complex checks them again on the same poset
+    counted = {name: _count_calls(monkeypatch, posets.FinPoset, name)
+               for name in ("maximal_chain_count", "chain_count")}
+    analyze_inclusion(subset_model(6, 4))
+    assert {name: len(c) for name, c in counted.items()} == {
+        "maximal_chain_count": 6, "chain_count": 6}
+
+
 def test_slices_of_one_size_and_two_shapes_keep_their_values():
     # the slices under x and y both have two elements, but a and c are
     # incomparable while a < b, so only the value over x is a sphere

@@ -34,6 +34,11 @@ from tottower.simplicial import (
     wedge_signature,
 )
 
+from poset_reference import (
+    pairwise_poset,
+    subspace_inclusion,
+    warshall_poset,
+)
 from suspension_reference import (
     DiagramOfComplexes,
     down_slice,
@@ -44,12 +49,12 @@ from test_laws import reference_inclusion_check
 
 
 def test_chain_poset_and_antichain():
-    chain = poset_from_relation([0, 1, 2], leq=lambda a, b: a <= b)
+    chain = poset_from_relation([0, 1, 2], pairs=[(0, 1), (1, 2)])
     assert poset_dimension(chain) == 2
     assert chain.maximal_chains() == ((0, 1, 2),)
     oc = order_complex(chain)
     assert wedge_signature(oc) == WedgeSignature.contractible()
-    anti = poset_from_relation("abc", leq=lambda a, b: a == b)
+    anti = poset_from_relation("abc")
     assert poset_dimension(anti) == 0
     assert len(anti.maximal_chains()) == 3
 
@@ -64,7 +69,8 @@ def test_relation_closure_and_cycles():
 
 
 def test_covers_skip_long_edges():
-    p = poset_from_relation([0, 1, 2], leq=lambda a, b: a <= b)
+    p = poset_from_relation(
+        [0, 1, 2], pairs=itertools.combinations(range(3), 2))
     assert p.covers == ((0, 1), (1, 2))
 
 
@@ -87,8 +93,8 @@ def test_subset_poset_shape():
     range(7), "abcdefg", [3, "b", (0,), -1, "a", (1, "x"), ()],
 ], ids=["ints", "strs", "mixed"])
 def test_subset_poset_is_inclusion(base):
-    """subset_poset builds its masks from bitmasks; relating every pair of
-    subsets by set inclusion gives the same poset."""
+    """subset_poset closes the relation "one element smaller"; relating
+    every pair of subsets by set inclusion gives the same poset."""
     items = list(base)
     for size in range(1, len(items) + 1):
         part = items[:size]
@@ -96,11 +102,11 @@ def test_subset_poset_is_inclusion(base):
                        (size // 2 + 1, size - 1)}:
             if hi is not None and not 1 <= lo <= hi:
                 continue
-            want = poset_from_relation(
+            want = pairwise_poset(
                 [c for k in range(lo, (hi or size) + 1)
                  for c in itertools.combinations(
                      sorted(part, key=label_key), k)],
-                leq=lambda a, b: set(a) <= set(b))
+                lambda a, b: set(a) <= set(b))
             assert subset_poset(part, lo, hi) == want, (size, lo, hi)
 
 
@@ -124,6 +130,22 @@ def test_subspace_poset_counts():
         subspace_poset(4, 2, 1)
     with pytest.raises(InputError):
         subspace_poset(2, 0, 1)
+
+
+# every (q, n) whose whole subspace poset has at most about 400 elements
+SMALL_SUBSPACE_SPACES = [(q, n) for q, top in ((2, 5), (3, 4), (5, 3), (7, 3))
+                         for n in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("q,n", SMALL_SUBSPACE_SPACES)
+def test_subspace_poset_is_inclusion(q, n):
+    """subspace_poset closes the relation "v plus one line"; relating
+    every pair of subspaces by row reduction gives the same poset."""
+    related = subspace_inclusion(subspace_poset(q, n, n).elements, q)
+    for d in range(1, n + 1):
+        p = subspace_poset(q, n, d)
+        assert p == pairwise_poset(
+            p.elements, lambda a, b: (a, b) in related), d
 
 
 def test_subspace_proper_part_is_folkman_wedge():
@@ -151,9 +173,7 @@ def test_inclusion_must_be_full():
     """PosetInclusion trusts its caller; the check it used to run, kept in
     tests/test_laws.py, refuses a subposet that is not full."""
     amb = subset_poset(range(2))
-    broken = poset_from_relation(
-        list(amb.elements), leq=lambda a, b: a == b
-    )
+    broken = poset_from_relation(list(amb.elements))
     with pytest.raises(InputError, match="not full"):
         reference_inclusion_check(PosetInclusion(broken, amb))
 
@@ -251,6 +271,23 @@ LABELS = st.one_of(
 )
 
 
+@given(st.lists(LABELS, max_size=8, unique=True), st.data())
+def test_relation_closure_matches_warshall(labels, data):
+    """poset_from_relation closes its pairs as Warshall's algorithm does,
+    self-pairs and repeats included, and refuses exactly the relations
+    with a cycle among distinct elements."""
+    pairs = data.draw(st.lists(
+        st.tuples(st.sampled_from(labels), st.sampled_from(labels)),
+        max_size=16,
+    )) if labels else []
+    want = warshall_poset(labels, pairs)
+    if want is None:
+        with pytest.raises(InputError, match="relation has a cycle"):
+            poset_from_relation(labels, pairs=pairs)
+    else:
+        assert poset_from_relation(labels, pairs=pairs) == want
+
+
 @given(st.lists(LABELS, max_size=7, unique=True), st.data())
 def test_order_complex_matches_the_checked_route(labels, data):
     """order_complex builds the canonical facets itself; the checked
@@ -342,7 +379,8 @@ def test_element_cap_is_checked_before_building(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("elements were related")
 
-    monkeypatch.setattr(posets, "poset_from_relation", refuse)
+    # every builder relates its elements through the one closure
+    monkeypatch.setattr(posets, "_close", refuse)
     for build in (lambda: subset_poset(range(4), max_card=2),
                   lambda: subset_poset(range(5), min_card=2, max_card=2),
                   lambda: subspace_poset(2, 3, 2)):
