@@ -21,6 +21,7 @@ from .errors import InputError, InvariantError
 from .simplicial import (
     MAX_FACES,
     SimplicialComplex,
+    complex_from_coded,
     label_key,
 )
 
@@ -71,11 +72,13 @@ class FinPoset:
     """Partial order on a canonical tuple of elements.
 
     down[i] is the bitmask of indices j with elements[j] <= elements[i].
-    The constructor checks the elements, the mask count and reflexivity.
-    It trusts transitivity and antisymmetry: poset_from_relation,
-    subset_poset and subspace_poset get their masks from one closure that
-    refuses a cycle, and full_subposet and down_slice_masks restrict a
-    relation that has both.
+    The constructor checks that the elements are distinct, the mask count
+    and reflexivity.  It trusts the element order, transitivity and
+    antisymmetry: poset_from_relation, subset_poset and subspace_poset
+    sort their elements by ``label_key``, computing each key once, and get
+    their masks from one closure that refuses a cycle; full_subposet and
+    down_slice_masks keep a subsequence of a poset's elements and restrict
+    a relation that has both.
     """
 
     elements: tuple
@@ -85,9 +88,6 @@ class FinPoset:
         n = len(self.elements)
         if len(set(self.elements)) != n:
             raise InputError("duplicate poset elements")
-        keys = [label_key(e) for e in self.elements]
-        if keys != sorted(keys):
-            raise InputError("elements are not in canonical order")
         if len(self.down) != n:
             raise InputError("one relation mask per element required")
         full = (1 << n) - 1
@@ -169,24 +169,6 @@ class FinPoset:
         """(maximal chains, all chains), counted once per poset."""
         return self.maximal_chain_count(), self.chain_count()
 
-    def maximal_chains(self) -> tuple:
-        """All maximal chains, each as an ascending tuple of elements."""
-        n = len(self.elements)
-        succ = self._succ
-        minimal = [
-            i for i in range(n) if self.down[i] == (1 << i)
-        ]
-        chains = []
-        stack = [(i, [i]) for i in reversed(minimal)]
-        while stack:
-            i, path = stack.pop()
-            if not succ[i]:
-                chains.append(tuple(self.elements[t] for t in path))
-                continue
-            for nxt in reversed(succ[i]):
-                stack.append((nxt, path + [nxt]))
-        return tuple(chains)
-
 
 def _close(lower) -> tuple:
     """The down-masks of the reflexive transitive closure of a relation.
@@ -250,8 +232,9 @@ def _restrict(down, picked) -> tuple:
 
 def full_subposet(p: FinPoset, selection) -> FinPoset:
     """The elements of selection, ordered as in p."""
-    sel = sorted(set(selection), key=label_key)
-    return FinPoset(tuple(sel), _restrict(p.down, [p.index(e) for e in sel]))
+    picked = sorted({p.index(e) for e in selection})
+    return FinPoset(tuple(p.elements[t] for t in picked),
+                    _restrict(p.down, picked))
 
 
 def poset_dimension(p: FinPoset) -> int:
@@ -459,6 +442,43 @@ def checked_chain_count(p: FinPoset) -> int:
     return count
 
 
+def _chains(p: FinPoset) -> tuple:
+    """(facets, by_size): every chain of p once, as the ascending tuple of
+    its element indices.  by_size[s] lists the chains of s + 1 elements
+    in lexicographic order; facets lists the maximal chains, the same
+    tuple objects, in lexicographic order.
+
+    A chain is the clique it spans in the comparability graph, and it
+    carries the AND of down[i] | up[i] over its elements: those comparable
+    with all of them, its own included.  It grows by each of those above
+    its last index, so it is built once, from its prefix, and it is
+    maximal exactly when the mask holds no element but its own.  The walk
+    is depth first on its own stack, which leaves no reference cycle
+    behind, and pushes the larger index first, so chains come off in
+    lexicographic order.  Call it only after checked_chain_count(p).
+    """
+    comp = [d | u for d, u in zip(p.down, p._up)]
+    # a chain of s elements has 2^s - 1 subchains and checked_chain_count
+    # holds them to MAX_FACES, so no chain is longer than this
+    by_size = [[] for _ in range(MAX_FACES.bit_length())]
+    facets = []
+    stack = [((i,), comp[i]) for i in reversed(range(len(comp)))]
+    while stack:
+        chain, mask = stack.pop()
+        size = len(chain)
+        by_size[size - 1].append(chain)
+        if mask.bit_count() == size:
+            facets.append(chain)
+            continue
+        start = chain[-1] + 1
+        above = mask >> start << start
+        while above:
+            j = above.bit_length() - 1
+            above ^= 1 << j
+            stack.append((chain + (j,), mask & comp[j]))
+    return facets, [s for s in by_size if s]
+
+
 def order_complex(p: FinPoset) -> SimplicialComplex:
     """Complex of chains; the empty poset gives the empty complex.
 
@@ -466,17 +486,16 @@ def order_complex(p: FinPoset) -> SimplicialComplex:
     MAX_FACES chains in all, is refused with InputError before any chain
     is listed.
 
-    The facets are built in canonical form here: the elements passed
+    The chains are listed once each, by one walk over the relation masks
+    (``_chains``), already coded and sorted: the elements passed
     ``label_key`` when the poset was built and are stored in its order,
-    every element lies on a maximal chain, and no maximal chain holds
-    another, so sorting by element index is all there is to do.
+    so element indices are the vertex codes.  The complex takes the
+    facets and every face from the walk through ``complex_from_coded``
+    and does not list them again.
     """
     checked_chain_count(p)
-    index, elements = p._index, p.elements
-    chains = sorted(tuple(sorted(map(index.__getitem__, c)))
-                    for c in p.maximal_chains())
-    return SimplicialComplex(
-        tuple(tuple(map(elements.__getitem__, c)) for c in chains))
+    facets, by_size = _chains(p)
+    return complex_from_coded(p.elements, facets, by_size)
 
 
 def check_fence_condition(incl: PosetInclusion):

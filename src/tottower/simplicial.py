@@ -13,7 +13,9 @@ Vertices are coded once: the distinct labels, sorted by ``label_key``, get
 the codes 0..n-1, and simplices are enumerated, sorted and looked up as
 tuples of these ints.  The coding preserves order, so every simplex order
 equals the ``label_key`` order of the labels themselves.  Labels come back
-only in ``facets``, ``vertices`` and ``simplices_by_dim``.
+only in ``facets``, ``vertices`` and ``simplices_by_dim``.  An order
+complex comes with its simplices already coded and sorted
+(``complex_from_coded``), so none is enumerated again.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "label_key",
     "SimplicialComplex",
     "complex_from_facets",
+    "complex_from_coded",
     "skeleton",
     "barycentric_subdivision",
     "chain_complex",
@@ -51,14 +54,16 @@ __all__ = [
 
 # Complexes with more faces than this are refused with InputError: a facet
 # of v vertices alone has 2^v - 1 faces, so one too large is refused before
-# any face is listed, and posets.order_complex counts all chains first.
-# Otherwise the faces are counted as they are listed, and listing stops at
-# the first facet that takes the count past the cap, so no more than twice
-# MAX_FACES faces are ever held.  On a 2-vCPU Xeon VM the
-# homology of one facet of 16 vertices (65535 faces) takes about 6.9 s and
-# 210 MiB, and each further vertex doubles the faces.  The largest complex
-# the tests, the benchmark and the scripts build has 14511 faces; the order
-# complex of the subsets of an 8-set with card <= 5 has 36366.
+# any face is listed.  posets.order_complex counts all chains first and
+# lists each one once, then hands them over through complex_from_coded, so
+# an order complex is never listed here.  Other complexes count their faces
+# as they are listed, and listing stops at the first facet that takes the
+# count past the cap, so no more than twice MAX_FACES faces are ever held.
+# On a 2-vCPU Xeon VM the homology of one facet of 16 vertices (65535
+# faces) takes about 6.9 s and 210 MiB, and each further vertex doubles the
+# faces.  The largest complex the benchmark and the scripts build has 14511
+# faces; the order complex of the subsets of an 8-set with card <= 5 has
+# 36366, and the tests list the 65535 of a total order of 16.
 MAX_FACES = 65_536
 
 
@@ -180,6 +185,25 @@ def complex_from_facets(facets, basepoint=None) -> SimplicialComplex:
         if not absorbed:
             keep.append(tuple(map(labels.__getitem__, f)))
     return SimplicialComplex(tuple(keep), basepoint)
+
+
+def complex_from_coded(labels: tuple, facets, by_size) -> SimplicialComplex:
+    """The complex whose ``_coded`` is (labels, by_size), filled in here
+    rather than listed again from the facets.
+
+    Trusted, as the constructor is: labels are distinct, have passed
+    ``label_key`` and are listed in its order, and each is a vertex;
+    facets are code tuples whose labels are the canonical facet list the
+    constructor expects; and by_size[d] lists every d-simplex once, as a
+    sorted code tuple, in sorted order.  posets.order_complex builds all
+    three in one walk.  Equality and hash stay on the facets and
+    basepoint.
+    """
+    k = SimplicialComplex(
+        tuple(tuple(map(labels.__getitem__, f)) for f in facets))
+    # cached_property reads the instance dict before computing anything
+    k.__dict__["_coded"] = labels, dict(enumerate(map(tuple, by_size)))
+    return k
 
 
 def skeleton(k: SimplicialComplex, r: int) -> SimplicialComplex:

@@ -4,7 +4,10 @@
 the pairs or covers it is given.  The builders here take the slow, plain
 routes instead: one comparison per ordered pair of elements, with no
 closure at all, and a Warshall closure of a pair list over a boolean
-matrix.  No module of the package uses these.
+matrix.  ``maximal_chains`` lists the facets of an order complex along
+the cover relation, the route ``posets.order_complex`` took before it
+listed every chain in one walk over the relation masks.  No module of
+the package uses these.
 """
 
 from __future__ import annotations
@@ -64,3 +67,22 @@ def warshall_poset(elements, pairs) -> FinPoset | None:
     return FinPoset(tuple(elems), tuple(
         sum(1 << i for i in range(n) if rel[i][j]) for j in range(n)
     ))
+
+
+def maximal_chains(p: FinPoset) -> tuple:
+    """All maximal chains, each as an ascending tuple of elements."""
+    n = len(p.elements)
+    succ = p._succ
+    minimal = [
+        i for i in range(n) if p.down[i] == (1 << i)
+    ]
+    chains = []
+    stack = [(i, [i]) for i in reversed(minimal)]
+    while stack:
+        i, path = stack.pop()
+        if not succ[i]:
+            chains.append(tuple(p.elements[t] for t in path))
+            continue
+        for nxt in reversed(succ[i]):
+            stack.append((nxt, path + [nxt]))
+    return tuple(chains)

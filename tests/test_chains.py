@@ -278,10 +278,9 @@ def assert_unit_reduce_matches_reference(c):
         reference_unit_reduce(c.boundaries)
 
 
-def wedge_complexes():
-    """The reduced order complex of the nonempty subsets of {0..6} of size
-    at most 5, under four relabelings that each give another vertex
-    order, and so another elimination."""
+def wedge_posets():
+    """The nonempty subsets of {0..6} of size at most 5, under four
+    relabelings that each give another vertex order."""
     subsets = [
         c for k in range(1, 6) for c in itertools.combinations(range(7), k)
     ]
@@ -293,7 +292,13 @@ def wedge_complexes():
             (label[b[:i] + b[i + 1:]], label[b])
             for b in subsets if len(b) > 1 for i in range(len(b))
         ]
-        p = poset_from_relation(labels, pairs=covers)
+        yield poset_from_relation(labels, pairs=covers)
+
+
+def wedge_complexes():
+    """The reduced order complexes of wedge_posets, each vertex order
+    giving another elimination."""
+    for p in wedge_posets():
         yield chain_complex(order_complex(p), reduced=True)
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tottower import posets
+from tottower.deloop import delta_model, subset_model, subspace_model
 from tottower.errors import InputError, PreconditionError
 from tottower.posets import (
     FinPoset,
@@ -23,10 +24,12 @@ from tottower.posets import (
     poset_dimension,
     poset_from_relation,
     checked_chain_count,
+    down_slice_masks,
     subset_poset,
     subspace_poset,
 )
 from tottower.simplicial import (
+    SimplicialComplex,
     WedgeSignature,
     complex_from_facets,
     label_key,
@@ -35,6 +38,7 @@ from tottower.simplicial import (
 )
 
 from poset_reference import (
+    maximal_chains,
     pairwise_poset,
     subspace_inclusion,
     warshall_poset,
@@ -45,18 +49,19 @@ from suspension_reference import (
     lan_point,
     t_functor,
 )
+from test_chains import wedge_posets
 from test_laws import reference_inclusion_check
 
 
 def test_chain_poset_and_antichain():
     chain = poset_from_relation([0, 1, 2], pairs=[(0, 1), (1, 2)])
     assert poset_dimension(chain) == 2
-    assert chain.maximal_chains() == ((0, 1, 2),)
+    assert maximal_chains(chain) == ((0, 1, 2),)
     oc = order_complex(chain)
     assert wedge_signature(oc) == WedgeSignature.contractible()
     anti = poset_from_relation("abc")
     assert poset_dimension(anti) == 0
-    assert len(anti.maximal_chains()) == 3
+    assert len(maximal_chains(anti)) == 3
 
 
 def test_relation_closure_and_cycles():
@@ -78,7 +83,7 @@ def test_subset_poset_shape():
     p = subset_poset(range(3))
     assert len(p.elements) == 7
     assert poset_dimension(p) == 2
-    assert len(p.maximal_chains()) == 6
+    assert len(maximal_chains(p)) == 6
     bounded = subset_poset(range(4), max_card=2)
     assert len(bounded.elements) == 4 + 6
     with pytest.raises(InputError):
@@ -251,7 +256,7 @@ def test_chain_count_matches_enumeration(n, data):
         p = poset_from_relation(range(n), pairs=pairs)
     except InputError:
         return  # the random relation had a cycle
-    assert p.maximal_chain_count() == len(p.maximal_chains())
+    assert p.maximal_chain_count() == len(maximal_chains(p))
     chains = sum(
         1 for size in range(1, n + 1)
         for c in itertools.combinations(p.elements, size)
@@ -300,10 +305,140 @@ def test_order_complex_matches_the_checked_route(labels, data):
         p = poset_from_relation(labels, pairs=pairs)
     except InputError:
         return  # the random relation had a cycle
-    k = order_complex(p)
-    assert k == complex_from_facets(p.maximal_chains())
+    k = assert_walk_matches_facet_route(p)
     vertices = {v for (v,) in k.simplices_by_dim.get(0, ())}
     assert k.basepoint is None and vertices == set(labels)
+
+
+def assert_walk_matches_facet_route(p):
+    """order_complex lists every chain once in one walk and hands the
+    faces over already coded; the facet route lists the maximal chains
+    along the covers and canonicalizes them, and a complex built from
+    the facets alone lists its faces again from scratch.  All three
+    agree in facets and in every coded face."""
+    k = order_complex(p)
+    assert k == complex_from_facets(maximal_chains(p))
+    assert k._coded == SimplicialComplex(k.facets)._coded
+    return k
+
+
+@given(st.lists(LABELS, max_size=8, unique=True), st.data())
+def test_walk_matches_facet_route_with_isolated_elements(labels, data):
+    """Relations on part of the elements only, the rest isolated, and
+    with no pairs at all an antichain."""
+    related = data.draw(st.lists(st.sampled_from(labels), unique=True)) \
+        if labels else []
+    pairs = data.draw(st.lists(
+        st.tuples(st.sampled_from(related), st.sampled_from(related)),
+        max_size=10,
+    )) if related else []
+    try:
+        p = poset_from_relation(labels, pairs=pairs)
+    except InputError:
+        return  # the random relation had a cycle
+    k = assert_walk_matches_facet_route(p)
+    isolated = set(labels) - {v for pair in pairs for v in pair}
+    assert {(v,) for v in isolated} <= set(k.facets)
+    assert assert_walk_matches_facet_route(poset_from_relation(labels)) \
+        .facets == tuple((v,) for v in sorted(labels, key=label_key))
+
+
+def model_inclusions():
+    yield subset_model(5, 3)
+    yield subset_model(6, 4)
+    yield subspace_model(2, 4, 2)
+    yield subspace_model(3, 3, 1)
+    for n, m in ((1, 3), (2, 4), (3, 4)):
+        yield delta_model(n, m)
+
+
+def slice_posets(incl):
+    """The slice of the subposet under each ambient element, as deloop
+    builds it."""
+    for picked, down in down_slice_masks(incl):
+        yield FinPoset(tuple(incl.sub.elements[t] for t in picked), down)
+
+
+def test_walk_matches_facet_route_on_models():
+    for p in (subset_poset(range(5)), subset_poset(range(6), max_card=4),
+              subset_poset("abcdef", min_card=2, max_card=4),
+              subspace_poset(2, 4, 4), subspace_poset(3, 3, 2)):
+        assert_walk_matches_facet_route(p)
+    for incl in model_inclusions():
+        assert_walk_matches_facet_route(incl.sub)
+        for sl in slice_posets(incl):
+            assert_walk_matches_facet_route(sl)
+
+
+def test_walk_matches_facet_route_on_wedge_orderings():
+    for p in wedge_posets():
+        assert_walk_matches_facet_route(p)
+
+
+def test_the_walk_builds_each_chain_once():
+    """The wedge_subset poset: 14511 chains, each built as one tuple,
+    the 2520 facets among them."""
+    p = subset_poset(range(7), max_card=5)
+    facets, by_size = posets._chains(p)
+    built = {id(c) for chains in by_size for c in chains}
+    assert len(built) == sum(map(len, by_size)) == p.chain_count() == 14511
+    assert len(facets) == p.maximal_chain_count() == 2520
+    assert all(id(f) in built for f in facets)
+    assert len(by_size) == 5
+
+
+def line_poset(n):
+    return poset_from_relation(range(n), pairs=[(i, i + 1)
+                                                 for i in range(n - 1)])
+
+
+def refuse_listing(p):
+    raise AssertionError("chains were listed")
+
+
+def test_longest_total_order_under_the_face_cap(monkeypatch):
+    """A total order of 16 has 2^16 - 1 = 65535 chains, under MAX_FACES,
+    and all are listed; one of 17 is refused before any is."""
+    k = assert_walk_matches_facet_route(line_poset(16))
+    assert k.facets == (tuple(range(16)),)
+    assert sum(map(len, k.simplices_by_dim.values())) == 65535
+    monkeypatch.setattr(posets, "_chains", refuse_listing)
+    with pytest.raises(InputError, match="poset has 131071 chains"):
+        order_complex(line_poset(17))
+
+
+def assert_in_label_key_order(p):
+    keys = [label_key(e) for e in p.elements]
+    assert all(a < b for a, b in zip(keys, keys[1:])), p.elements
+
+
+@given(st.lists(LABELS, min_size=1, max_size=7, unique=True), st.data())
+def test_every_builder_keeps_label_key_order(labels, data):
+    """The FinPoset constructor trusts its element order; every builder
+    hands it the elements in label_key order."""
+    assert_in_label_key_order(subset_poset(labels))
+    assert_in_label_key_order(subset_poset(labels, min_card=len(labels)))
+    pairs = data.draw(st.lists(
+        st.tuples(st.sampled_from(labels), st.sampled_from(labels)),
+        max_size=10,
+    ))
+    try:
+        p = poset_from_relation(labels, pairs=pairs)
+    except InputError:
+        return  # the random relation had a cycle
+    assert_in_label_key_order(p)
+    picked = data.draw(st.lists(st.sampled_from(labels)))
+    assert_in_label_key_order(full_subposet(p, picked))
+
+
+def test_model_posets_and_deloop_slices_keep_label_key_order():
+    for q, n in SMALL_SUBSPACE_SPACES:
+        assert_in_label_key_order(subspace_poset(q, n, n))
+    for incl in model_inclusions():
+        assert_in_label_key_order(incl.ambient)
+        assert_in_label_key_order(incl.sub)
+        for sl in slice_posets(incl):
+            assert_in_label_key_order(sl)
 
 
 def test_order_complex_of_the_empty_poset():
@@ -315,7 +450,7 @@ def test_chain_count_on_model_posets():
     assert poset_from_relation([]).maximal_chain_count() == 0
     for p in (subset_poset(range(5)), subset_poset(range(6), max_card=4),
               subspace_poset(3, 4, 3), subspace_poset(2, 4, 4)):
-        assert p.maximal_chain_count() == len(p.maximal_chains())
+        assert p.maximal_chain_count() == len(maximal_chains(p))
     assert subset_poset(range(5)).maximal_chain_count() == 120
     # complete flags in F_3^4: [4]_3! = 1 * 4 * 13 * 40
     assert subspace_poset(3, 4, 4).maximal_chain_count() == 2080
@@ -332,11 +467,7 @@ def test_chain_cap_is_checked_before_listing(monkeypatch):
     assert checked_chain_count(subset_poset(range(3))) == 6
     assert order_complex(subset_poset(range(3))).dimension == 2
     big = subset_poset(range(4), max_card=3)
-
-    def refuse(self):
-        raise AssertionError("chains were listed")
-
-    monkeypatch.setattr(FinPoset, "maximal_chains", refuse)
+    monkeypatch.setattr(posets, "_chains", refuse_listing)
     with pytest.raises(InputError, match="24 maximal chains"):
         order_complex(big)
 
@@ -346,12 +477,8 @@ def test_face_cap_is_checked_before_listing(monkeypatch):
     # the subsets of a 3-set: 7 elements, 6 maximal chains, 26 chains
     assert checked_chain_count(subset_poset(range(3))) == 6
     # a total order of 5: one maximal chain, 2^5 - 1 chains
-    line = poset_from_relation(range(5), pairs=[(i, i + 1) for i in range(4)])
-
-    def refuse(self):
-        raise AssertionError("chains were listed")
-
-    monkeypatch.setattr(FinPoset, "maximal_chains", refuse)
+    line = line_poset(5)
+    monkeypatch.setattr(posets, "_chains", refuse_listing)
     with pytest.raises(InputError, match="poset has 31 chains"):
         order_complex(line)
 
