@@ -157,7 +157,7 @@ def presented_homology(f: GroupHom, g: GroupHom) -> HomologyGroup:
     rc = _relation_matrix(g.dst_orders)
     # lifts of ker g: x with g.mat @ x in the relation lattice of C
     paired = kernel_lattice(IntMatrix.hstack([g.mat, -rc]))
-    numer = lattice_basis(paired.take_rows(range(m)))
+    numer = lattice_basis(paired.block(range(m), range(paired.ncols)))
     denom = IntMatrix.hstack([f.mat, rb])
     return subquotient_presentation(numer, denom).group()
 
@@ -226,12 +226,15 @@ def _subquotient_memo(numer_basis: IntMatrix,
     if any(q <= p for p, q in zip([-1] + tops, tops)):
         raise InvariantError("numerator pivot rows do not strictly increase")
     wres = smith_normal_form(hermite_solve(numer_basis, denom_gens))
-    all_orders = wres.invariants + (0,) * (numer_basis.ncols - wres.rank)
-    keep = [i for i, d in enumerate(all_orders) if d != 1]
-    return Subquotient(numer_basis.nrows,
-                       tuple(all_orders[i] for i in keep),
-                       (numer_basis @ wres.u_inv).take_columns(keep),
-                       numer_basis, wres.u.take_rows(keep))
+    n = numer_basis.ncols
+    all_orders = wres.invariants + (0,) * (n - wres.rank)
+    # the invariants run in divisibility order, so the trivial generators
+    # (the 1s) come first and the kept ones are a contiguous suffix
+    keep = range(wres.invariants.count(1), n)
+    return Subquotient(numer_basis.nrows, all_orders[keep.start:],
+                       (numer_basis @ wres.u_inv).block(
+                           range(numer_basis.nrows), keep),
+                       numer_basis, wres.u.block(keep, range(n)))
 
 
 def induced_hom(src: Subquotient, dst: Subquotient,

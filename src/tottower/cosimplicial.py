@@ -9,16 +9,17 @@ we extract:
   the same matrix) with the alternating coface sum as differential;
 * matching objects M^m as compatible-tuple kernels, with the canonical
   comparison map out of X^{m+1};
-* partial totalizations Tot_n and tower fibers, each the total complex
-  of a ``StripeWindow`` a < s <= b: tot degree k takes (N^s)_{k+s}, the
-  internal boundary is weighted by (-1)^s, the conormalized coface sum
-  crosses stripes unsigned.  Stage n is the window -1 < s <= n, the
-  fiber of Tot_m -> Tot_n the window n < s <= m; the same window gives
-  the spectral filtration.
+* partial totalizations Tot_n and tower fibers, each the window of the
+  stripes a < s <= b of one ``StripeWindow`` per conormalization: tot
+  degree k takes (N^s)_{k+s}, the internal boundary is weighted by
+  (-1)^s, the conormalized coface sum crosses stripes unsigned.  Stage n
+  is the window -1 < s <= n, the fiber of Tot_m -> Tot_n the window
+  n < s <= m, each sliced out of the one total differential; the
+  spectral filtration cuts its blocks from it too.
 
-Stripe windows read nothing outside their own levels, which is what
-makes the fiber of Tot_m -> Tot_n depend only on cosimplicial degrees
-n+1..m, entry for entry.
+A window's blocks hold only its own pieces and the coface sums between
+them, which is what makes the fiber of Tot_m -> Tot_n depend only on
+cosimplicial degrees n+1..m, entry for entry.
 """
 
 from __future__ import annotations
@@ -234,6 +235,12 @@ class Conormalization:
     def truncation(self) -> int:
         return len(self.pieces) - 1
 
+    @cached_property
+    def total(self) -> StripeWindow:
+        """The stripe layout of every piece, built once: every Tot stage,
+        tower fiber and filtration block is cut from its differential."""
+        return StripeWindow(self.pieces, self.deltas)
+
 
 def conormalize(x: CosimplicialChain) -> Conormalization:
     """Compute N^s = ker of all codegeneracies out of X^s, with the
@@ -382,27 +389,26 @@ def matching_kernel_agrees(x: CosimplicialChain, m: int) -> bool:
 # -- totalization ------------------------------------------------------------
 
 class StripeWindow:
-    """Stripe layout of the window a < s <= b of a conormalization.
+    """Stripe layout of the total complex of a conormalization.
 
-    ``blocks`` maps each tot degree k to [(s, rank of (N^s)_{k+s})] in
-    ascending stripe order, covering every stripe at every degree of the
-    union window (with zero ranks where a stripe is out of range).
-    Stripes sit in ascending coordinate blocks, so the stripes >= s form
-    a contiguous tail of the coordinates at every degree.
+    ``blocks`` maps each tot degree k of any stripe to [(s, rank of
+    (N^s)_{k+s})] over every stripe s, ascending (zero ranks where a
+    stripe is out of range).  Stripes sit in ascending coordinate blocks,
+    so the stripes a < s <= b are a contiguous run of the coordinates at
+    every degree, and a window's differential is a block of the total
+    one.  It holds the pieces and coface sums, not the conormalization
+    that caches it, so it makes no reference cycle.
     """
 
-    def __init__(self, conorm: Conormalization, a: int, b: int):
-        self.conorm = conorm
-        self.b = b
-        stripes = range(a + 1, b + 1)
-        self.blocks = {}
-        if stripes:
-            lo = min(conorm.pieces[s].lo - s for s in stripes)
-            hi = max(conorm.pieces[s].hi - s for s in stripes)
-            self.blocks = {
-                k: [(s, conorm.pieces[s].rank(k + s)) for s in stripes]
-                for k in range(lo, hi + 1)
-            }
+    def __init__(self, pieces: tuple, deltas: tuple):
+        self.pieces = pieces
+        self.deltas = deltas
+        lo = min(p.lo - s for s, p in enumerate(pieces))
+        hi = max(p.hi - s for s, p in enumerate(pieces))
+        self.blocks = {
+            k: [(s, p.rank(k + s)) for s, p in enumerate(pieces)]
+            for k in range(lo, hi + 1)
+        }
         self._boundaries = {}
 
     def rank(self, k: int) -> int:
@@ -413,46 +419,40 @@ class StripeWindow:
         return sum(r for st, r in self.blocks.get(k, ()) if st < s)
 
     def boundary(self, k: int) -> IntMatrix:
-        """Differential from tot degree k to k-1 (zero off the window).
+        """Differential from tot degree k to k-1, built once per degree.
 
-        Applies the stripe boundary with sign (-1)^s and the unsigned
-        coface sum into the next stripe when that stripe is inside."""
-        if k in self._boundaries:
-            return self._boundaries[k]
-        entries = {}
-        for s, r in self.blocks.get(k, ()):
-            if not r:
-                continue
-            col0 = self.start(s, k)
-            t = k + s
-            block = self.conorm.pieces[s].boundary(t)
-            row0 = self.start(s, k - 1)
-            sign = -1 if s % 2 else 1
-            for (i, j, v) in block.entries:
-                entries[(row0 + i, col0 + j)] = sign * v
-            if s + 1 <= self.b:
-                block = self.conorm.deltas[s].component(t)
-                row0 = self.start(s + 1, k - 1)
-                for (i, j, v) in block.entries:
-                    entries[(row0 + i, col0 + j)] = v
-        mat = IntMatrix.from_dict(self.rank(k - 1), self.rank(k), entries)
-        self._boundaries[k] = mat
-        return mat
+        Block (s, s) is the boundary of stripe s with sign (-1)^s, block
+        (s + 1, s) the unsigned coface sum into the next stripe."""
+        if k not in self._boundaries:
+            grid = {}
+            for s, piece in enumerate(self.pieces):
+                bnd = piece.boundary(k + s)
+                grid[(s, s)] = -bnd if s % 2 else bnd
+            for s, delta in enumerate(self.deltas):
+                grid[(s + 1, s)] = delta.component(k + s)
+            sizes = [[p.rank(j + s) for s, p in enumerate(self.pieces)]
+                     for j in (k - 1, k)]
+            self._boundaries[k] = IntMatrix.from_blocks(*sizes, grid)
+        return self._boundaries[k]
 
-    def complex(self) -> ChainComplexInt:
-        """Total complex of the window, zero-rank end degrees dropped.
+    def window(self, a: int, b: int) -> ChainComplexInt:
+        """Total complex of the stripes a < s <= b, zero-rank end degrees
+        dropped, its differential sliced out of the total one.
 
         The square of the differential vanishes because the coface sum
         is itself a chain map and squares to zero.  An empty window
         gives the zero complex."""
-        live = [k for k in self.blocks if self.rank(k)]
+        def run(k):
+            return range(self.start(a + 1, k), self.start(b + 1, k))
+        live = [k for k in self.blocks if run(k)]
         if not live:
             return ChainComplexInt(0, (0,), ())
         degs = range(live[0], live[-1] + 1)
         return ChainComplexInt(
             degs[0],
-            tuple(self.rank(k) for k in degs),
-            tuple(self.boundary(k) for k in degs[1:]),
+            tuple(len(run(k)) for k in degs),
+            tuple(self.boundary(k).block(run(k - 1), run(k))
+                  for k in degs[1:]),
         )
 
 
@@ -462,7 +462,7 @@ def tot_n(x: CosimplicialChain, n: int) -> ChainComplexInt:
     Stage 0 is the level X^0 itself, on the nose."""
     if not 0 <= n <= x.truncation:
         raise InputError("need 0 <= n <= truncation")
-    return StripeWindow(x.conormalization, -1, n).complex()
+    return x.conormalization.total.window(-1, n)
 
 
 def tower_fiber(x: CosimplicialChain, n: int, m: int) -> ChainComplexInt:
@@ -474,7 +474,7 @@ def tower_fiber(x: CosimplicialChain, n: int, m: int) -> ChainComplexInt:
     complex."""
     if not 0 <= n <= m <= x.truncation:
         raise InputError("need 0 <= n <= m <= truncation")
-    return StripeWindow(x.conormalization, n, m).complex()
+    return x.conormalization.total.window(n, m)
 
 
 # -- serialization -----------------------------------------------------------

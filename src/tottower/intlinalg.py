@@ -34,6 +34,7 @@ subquotients and the spectral filtration use only these two.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate, compress
 
@@ -239,31 +240,22 @@ class IntMatrix:
             del acc[key]
         return acc
 
-    def take_rows(self, indices) -> "IntMatrix":
-        idx = list(indices)
-        pos: dict = {}
-        for p, i in enumerate(idx):
-            if not (0 <= i < self.nrows):
-                raise InputError(f"row index {i} out of range")
-            pos.setdefault(i, []).append(p)
-        data = {}
-        for i, j, v in self.entries:
-            for p in pos.get(i, ()):
-                data[(p, j)] = v
-        return IntMatrix.from_dict(len(idx), self.ncols, data)
-
-    def take_columns(self, indices) -> "IntMatrix":
-        idx = list(indices)
-        pos: dict = {}
-        for p, j in enumerate(idx):
-            if not (0 <= j < self.ncols):
-                raise InputError(f"column index {j} out of range")
-            pos.setdefault(j, []).append(p)
-        data = {}
-        for i, j, v in self.entries:
-            for p in pos.get(j, ()):
-                data[(i, p)] = v
-        return IntMatrix.from_dict(self.nrows, len(idx), data)
+    def block(self, rows: range, cols: range) -> "IntMatrix":
+        """The submatrix on a run of rows and a run of columns, each a
+        step-1 range inside the shape.  The rows' entries are found by
+        bisection, and shifting keeps them sorted, so nothing is sorted."""
+        for run, size in ((rows, self.nrows), (cols, self.ncols)):
+            if not (run.step == 1 and 0 <= run.start <= run.stop <= size):
+                raise InputError(f"{run} is not a run inside 0..{size}")
+        if len(rows) == self.nrows and len(cols) == self.ncols:
+            return self
+        r0, c0, c1 = rows.start, cols.start, cols.stop
+        lo = bisect_left(self.entries, (r0,))
+        hi = bisect_left(self.entries, (rows.stop,), lo)
+        return IntMatrix(len(rows), len(cols), tuple([
+            (i - r0, j - c0, v) for i, j, v in self.entries[lo:hi]
+            if c0 <= j < c1
+        ]))
 
 
 def _symquo(b: int, v: int) -> int:

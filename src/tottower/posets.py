@@ -110,6 +110,10 @@ class FinPoset:
         return tuple(up)
 
     def index(self, v) -> int:
+        """The position of v; InputError if v is not an element.  The
+        lookup goes by ``==``, under which True is 1, so a label that
+        ``label_key`` refuses, at any depth, is refused first."""
+        label_key(v)
         try:
             return self._index[v]
         except KeyError:

@@ -31,12 +31,7 @@ from .abelian import (
     presented_homology,
     subquotient_presentation,
 )
-from .cosimplicial import (
-    Conormalization,
-    CosimplicialChain,
-    StripeWindow,
-    coface_sum,
-)
+from .cosimplicial import Conormalization, CosimplicialChain, coface_sum
 from .errors import InputError, InvariantError
 from .intlinalg import IntMatrix, kernel_lattice, lattice_basis
 
@@ -60,11 +55,12 @@ MAX_PAGES = 64
 
 class _Filtration:
     """The decreasing filtration F^s of the full totalization by the
-    stripes >= s, with the z-lattices every page reads cached."""
+    stripes >= s, on the conormalization's one stripe layout, with the
+    z-lattices every page reads cached."""
 
     def __init__(self, conorm: Conormalization):
         self.top = conorm.truncation
-        self.win = StripeWindow(conorm, -1, self.top)
+        self.win = conorm.total
         self._z = {}
 
     def z_lattice(self, s: int, r: int, k: int) -> IntMatrix:
@@ -76,15 +72,10 @@ class _Filtration:
         col0 = self.win.start(s, k)
         key = (k, rows, col0)
         if key not in self._z:
-            # sliced out of D's entries; filtering and shifting keep them
-            # sorted row-major, and shifting the rows of a column Hermite
-            # form keeps it one
+            # shifting the rows of a column Hermite form keeps it one
             bnd = self.win.boundary(k)
-            cond = IntMatrix(rows, bnd.ncols - col0, tuple(
-                (i, j - col0, v) for i, j, v in bnd.entries
-                if i < rows and j >= col0
-            ))
-            ker = kernel_lattice(cond)
+            ker = kernel_lattice(bnd.block(range(rows),
+                                           range(col0, bnd.ncols)))
             self._z[key] = IntMatrix(bnd.ncols, ker.ncols, tuple(
                 (i + col0, j, v) for i, j, v in ker.entries
             ))
@@ -334,8 +325,9 @@ def _level_homology_spot(x: CosimplicialChain, s: int, t: int):
         system = IntMatrix.from_blocks(
             [below.rank(t)] * s, [width] + [wit] * s, blocks
         )
-        coeffs = kernel_lattice(system).take_rows(range(width))
-        numer = lattice_basis(cycles @ coeffs)
+        coeffs = kernel_lattice(system)
+        numer = lattice_basis(
+            cycles @ coeffs.block(range(width), range(coeffs.ncols)))
     return subquotient_presentation(numer, bnd)
 
 

@@ -23,12 +23,13 @@ fiber).
 
 from __future__ import annotations
 
+from map_reference import ReferenceWindow
 from tottower._record import record
 from tottower.abelian import (GroupHom, HomologyGroup, Subquotient,
                               _relation_matrix, induced_hom,
                               subquotient_presentation)
 from tottower.chains import ChainComplexInt, ChainMap, chain_map
-from tottower.cosimplicial import CosimplicialChain, StripeWindow, tower_fiber
+from tottower.cosimplicial import CosimplicialChain, tower_fiber
 from tottower.errors import InputError, InvariantError, PreconditionError
 from tottower.intlinalg import (IntMatrix, hermite_solve, kernel_lattice,
                                 snf_invariants)
@@ -145,8 +146,8 @@ def _fiber_map(f: CosimplicialMap, n: int, m: int) -> ChainMap:
     Each level map carries the kernel of the codegeneracies into the
     same kernel on the other side, so solving through the embeddings is
     guaranteed to succeed."""
-    src = StripeWindow(f.src.conormalization, n, m)
-    dst = StripeWindow(f.dst.conormalization, n, m)
+    src = ReferenceWindow(f.src.conormalization, n, m)
+    dst = ReferenceWindow(f.dst.conormalization, n, m)
     comps = {}
     for k, blocks in src.blocks.items():
         entries = {}

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from map_reference import take_columns, take_rows
 from tottower.errors import InputError, InvariantError
 from tottower.intlinalg import (
     IntMatrix,
@@ -109,7 +110,7 @@ def kernel_basis(mat: IntMatrix) -> IntMatrix:
     would give different objects.
     """
     res, v = smith_with_v(mat)
-    return v.take_columns(range(res.rank, mat.ncols))
+    return take_columns(v, range(res.rank, mat.ncols))
 
 
 def matrix_rank(mat: IntMatrix) -> int:
@@ -195,5 +196,5 @@ def smith_subquotient(numer_basis: IntMatrix,
     keep = [i for i, d in enumerate(all_orders) if d != 1]
     return SmithSubquotient(numer_basis.nrows,
                             tuple(all_orders[i] for i in keep),
-                            (numer_basis @ wres.u_inv).take_columns(keep),
-                            res, v, wres.u.take_rows(keep))
+                            take_columns(numer_basis @ wres.u_inv, keep),
+                            res, v, take_rows(wres.u, keep))

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from corpus_reference import (CorpusObject, corpus, direct_sum, gamma_co,
                               quasi_iso_pairs)
-from map_reference import (add, compose, negate, stage_projection,
-                           stripe_tail)
+from map_reference import (ReferenceWindow, add, compose, negate,
+                           stage_projection, stripe_tail)
 from shadow_reference import (
     CosimplicialMap,
     quasi_iso_invariance,
@@ -28,7 +28,6 @@ from tottower.cosimplicial import (
     _ZERO_CELLS,
     CosimplicialChain,
     CosimplicialDecoder,
-    StripeWindow,
     conormalize,
     cosimplicial_from_data,
     cosimplicial_to_data,
@@ -458,7 +457,7 @@ def test_corpus_fiber_includes_into_stage(obj):
         stage = tot_n(obj.x, m)
         stage.check_square_zero()
         stage_projection(obj.x, m).check_commutes()
-        win = StripeWindow(conorm, -1, m)
+        win = ReferenceWindow(conorm, -1, m)
         for n in range(m):
             fib = tower_fiber(obj.x, n, m)
             fib.check_square_zero()
@@ -470,6 +469,64 @@ def test_corpus_fiber_includes_into_stage(obj):
             for j in range(m, n, -1):
                 down = compose(stage_projection(obj.x, j), down)
             assert not down.comps
+
+
+@pytest.mark.parametrize("x", [obj.x for obj in OBJECTS] + [
+    cech_object(3, 3), cech_object(2, 4)])
+def test_every_window_is_cut_from_the_total_layout(x):
+    """Every window -1 <= a <= b <= M of the one layout equals the window
+    with a differential of its own: degrees, ranks and boundary matrices.
+    The full layout's blocks and differential, out to one degree past
+    each end, equal those of the widest reference window."""
+    conorm = x.conormalization
+    total = conorm.total
+    assert conorm.total is total
+    top = x.truncation
+    for a in range(-1, top + 1):
+        for b in range(a, top + 1):
+            got = total.window(a, b)
+            want = ReferenceWindow(conorm, a, b).complex()
+            assert (got.lo, got.ranks, got.boundaries) == \
+                (want.lo, want.ranks, want.boundaries), (a, b)
+    ref = ReferenceWindow(conorm, -1, top)
+    assert total.blocks == ref.blocks
+    for k in range(min(ref.blocks) - 1, max(ref.blocks) + 2):
+        assert total.boundary(k) == ref.boundary(k), k
+        assert total.rank(k) == ref.rank(k)
+        for s in range(-1, top + 3):
+            assert total.start(s, k) == ref.start(s, k)
+
+
+def test_a_report_lays_out_the_stripes_once(tmp_path, capsys, monkeypatch):
+    """tot on the Cech object of 4 points with truncation 4 (the ss_cech
+    benchmark object) reads 5 stages and 4 fibers, and ss reads its
+    filtration: each builds one stripe layout and each degree of its
+    differential once."""
+    path = tmp_path / "cech_4_4.json"
+    path.write_text(json.dumps(cosimplicial_to_data(cech_object(4, 4))))
+    layout = cosimplicial.StripeWindow
+    init, boundary = layout.__init__, layout.boundary
+    layouts, built = [], []
+
+    def counting_init(self, *args):
+        layouts.append(self)
+        init(self, *args)
+
+    def counting_boundary(self, k):
+        if k not in self._boundaries:
+            built.append(k)
+        return boundary(self, k)
+    monkeypatch.setattr(layout, "__init__", counting_init)
+    monkeypatch.setattr(layout, "boundary", counting_boundary)
+    for command in ("tot", "ss"):
+        layouts.clear()
+        built.clear()
+        assert main([command, str(path)]) == 0
+        capsys.readouterr()
+        assert len(layouts) == 1, command
+        assert sorted(built) == sorted(set(built)), command
+        # the levels sit in chain degree 0, so tot degrees run -4..0
+        assert set(range(-3, 1)) <= set(built) <= set(range(-4, 2))
 
 
 def test_tower_stage_ranks_are_stripe_sums():

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 import shadow_reference
 from corpus_reference import corpus, quasi_iso_pairs
+from map_reference import take_columns, take_rows
 from shadow_reference import quasi_iso_invariance
 from smith_reference import (
     diagonal,
@@ -955,9 +956,46 @@ def test_empty_shapes():
     assert (IntMatrix.zeros(0, 2) @ IntMatrix.zeros(2, 4)).shape == (0, 4)
 
 
+@st.composite
+def matrix_and_runs(draw):
+    """A matrix of 0..6 rows and columns, zero shapes included, and a
+    run of its rows and one of its columns, empty runs included."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -5))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    mat = IntMatrix.from_rows(rows, ncols=n)
+    runs = []
+    for size in (m, n):
+        start = draw(st.integers(0, size))
+        runs.append(range(start, draw(st.integers(start, size))))
+    return mat, runs[0], runs[1]
+
+
+@given(matrix_and_runs())
+def test_block_matches_the_index_reference(case):
+    mat, rows, cols = case
+    got = mat.block(rows, cols)
+    assert got == take_columns(take_rows(mat, rows), cols)
+    assert got.shape == (len(rows), len(cols))
+
+
+def test_block_refuses_a_run_outside_the_shape():
+    a = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert a.block(range(2), range(3)) is a
+    assert a.block(range(1, 1), range(3, 3)) == IntMatrix.zeros(0, 0)
+    assert IntMatrix.zeros(0, 0).block(range(0), range(0)).shape == (0, 0)
+    for rows, cols in ((range(3), range(3)), (range(2), range(4)),
+                       (range(-1, 1), range(3)), (range(2), range(2, 1)),
+                       (range(0, 2, 2), range(3)), (range(2), range(2, 0, -1))):
+        with pytest.raises(InputError):
+            a.block(rows, cols)
+
+
 def test_take_and_stack_roundtrip():
     a = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    assert a.take_columns([2, 0]).to_rows() == [[3, 1], [6, 4]]
-    assert a.take_rows([1]).to_rows() == [[4, 5, 6]]
-    assert IntMatrix.hstack([a.take_columns([0, 1]), a.take_columns([2])]) == a
-    assert IntMatrix.vstack([a.take_rows([0]), a.take_rows([1])]) == a
+    assert take_columns(a, [2, 0]).to_rows() == [[3, 1], [6, 4]]
+    assert take_rows(a, [1]).to_rows() == [[4, 5, 6]]
+    assert IntMatrix.hstack([take_columns(a, [0, 1]),
+                             take_columns(a, [2])]) == a
+    assert IntMatrix.vstack([take_rows(a, [0]), take_rows(a, [1])]) == a

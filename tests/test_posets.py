@@ -64,6 +64,25 @@ def test_chain_poset_and_antichain():
     assert len(maximal_chains(anti)) == 3
 
 
+def test_lookups_refuse_what_label_key_refuses():
+    """Lookups go by ==, under which True is 1 and (True,) is (1,): a bool
+    label, at any depth, or a label of another type is refused, never
+    read as the element it equals."""
+    p = poset_from_relation([0, 1, 2], pairs=[(0, 1)])
+    q = poset_from_relation([(0,), (1,)], pairs=[((0,), (1,))])
+    assert (p.index(1), p.leq(0, 1), q.index((1,))) == (1, True, 1)
+    bad = [(p, True), (p, False), (p, 1.0), (p, [1]),
+           (q, (True,)), (q, ((0,), False))]
+    for poset, label in bad:
+        with pytest.raises(InputError):
+            poset.index(label)
+    for a, b in ((False, True), (0, True), (False, 1)):
+        with pytest.raises(InputError):
+            p.leq(a, b)
+    with pytest.raises(InputError):
+        full_subposet(q, [(True,)])
+
+
 def test_relation_closure_and_cycles():
     p = poset_from_relation([0, 1, 2], pairs=[(0, 1), (1, 2)])
     assert p.leq(0, 2)  # transitive closure filled this in
