@@ -6,13 +6,13 @@ constructors trust their callers for the laws, which every complex and
 chain map the package builds obeys by construction; data from outside is
 checked once, by ``check_square_zero`` and ``check_commutes``.
 
-Homology comes in two flavours.  ``homology`` uses the rank formula
-(free rank n_k - r_k - r_{k+1}, torsion from the invariant factors of the
-incoming boundary), which is the cheap path.  Before any Smith form it
+Homology uses the rank formula (free rank n_k - r_k - r_{k+1}, torsion
+from the invariant factors of the incoming boundary).  One reduction first
 cancels every +-1 pivot across all boundaries together (the elementary
 reductions of Kaczynski, Mrozek and Slusarek, "Homology computation by
-reduction of chain complexes", 1998) and takes Smith forms only of the
-small residual matrices.
+reduction of chain complexes", 1998), then takes Smith forms of the small
+residuals.  It reads the boundaries column by column from a feed: the
+matrix entries of a complex, or the faces ``simplicial`` codes.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "ChainComplexInt",
     "ChainMap",
     "chain_map",
+    "homology_from_columns",
     "identity_chain_map",
 ]
 
@@ -93,28 +94,13 @@ class ChainComplexInt:
 
     @cached_property
     def _boundary_invariants(self) -> tuple:
-        pairs, residuals = _unit_reduce(self.boundaries)
-        return tuple(
-            (1,) * p + snf_invariants(r) for p, r in zip(pairs, residuals)
-        )
-
-    def _rank_of_boundary(self, k: int) -> int:
-        t = k - self.lo - 1
-        if 0 <= t < len(self.boundaries):
-            return len(self._boundary_invariants[t])
-        return 0
+        return _invariants(self.ranks, _entry_columns(self.boundaries))
 
     def homology(self, k: int) -> HomologyGroup:
-        n = self.rank(k)
-        free = n - self._rank_of_boundary(k) - self._rank_of_boundary(k + 1)
-        t_in = k + 1 - self.lo - 1
-        if 0 <= t_in < len(self.boundaries):
-            torsion = tuple(
-                d for d in self._boundary_invariants[t_in] if d > 1
-            )
-        else:
-            torsion = ()
-        return HomologyGroup(free, torsion)
+        t = k - self.lo
+        if 0 <= t < len(self.ranks):
+            return _homology(self.ranks, self._boundary_invariants, t)
+        return HomologyGroup(0)
 
     def homology_all(self) -> dict:
         return {k: self.homology(k) for k in self.degrees()}
@@ -146,37 +132,36 @@ class ChainComplexInt:
         return complex_
 
 
-def _unit_reduce(boundaries: tuple) -> tuple:
-    """Cancel every +-1 pivot of the boundaries; return (pairs, residuals).
+def homology_from_columns(lo: int, ranks: tuple, columns) -> dict:
+    """{degree: HomologyGroup} in degrees lo .. lo+len(ranks)-1, boundary t
+    (degree lo+t+1 to lo+t) read from the feed columns(t, skip): it gives
+    (cols, row_index), column -> {row: value} and row -> set of columns,
+    filled in ascending (row, column) order and without the rows in skip.
+    The order decides which pivots are taken, never the groups."""
+    invariants = _invariants(ranks, columns)
+    return {lo + t: _homology(ranks, invariants, t) for t in range(len(ranks))}
 
-    Boundaries are taken from the bottom up.  In boundaries[t] each column
-    b, in index order, with a unit entry is paired with the unit row a
-    that has the fewest nonzeros (ties to the lower index).  Column
-    operations clear row a, then row a and column b are deleted.  In the
-    new basis row b of boundaries[t+1] and column a of boundaries[t-1]
-    are zero, because the boundary squares to zero, so they are dropped
-    unchanged: row b when boundaries[t+1] is indexed, as its reduction
-    starts, and column a when the residuals are read off.  Columns that
-    the clearing touched are visited again, and boundaries[t] only loses
-    rows and columns afterwards, so no unit entry is left when the pass
-    ends.  Bottom up is about three times faster than top down on order
-    complexes.
 
-    pairs[t] counts the pivots removed from boundaries[t] and
-    residuals[t] is what is left of it, so that, invariant factors being
-    unique, snf_invariants(boundaries[t]) equals
-    (1,) * pairs[t] + snf_invariants(residuals[t]).
-    """
-    # cols[t][j] maps row -> value of column j; rt[i] holds the columns
-    # where row i is nonzero
-    cols = []
-    gone = [set() for _ in range(len(boundaries) + 1)]
-    pairs = [0] * len(boundaries)
-    for t, bnd in enumerate(boundaries):
-        ct = {}
-        rt = {}
-        skip = gone[t]
-        for i, j, v in bnd.entries:
+def _homology(ranks: tuple, invariants: tuple, t: int) -> HomologyGroup:
+    """The group in degree lo+t, boundary t running from lo+t+1 to lo+t."""
+    out = invariants[t - 1] if t else ()
+    into = invariants[t] if t < len(invariants) else ()
+    return HomologyGroup(ranks[t] - len(out) - len(into),
+                         tuple(d for d in into if d > 1))
+
+
+def _invariants(ranks: tuple, columns) -> tuple:
+    pairs, residuals = _unit_reduce(ranks, columns)
+    return tuple(
+        (1,) * p + snf_invariants(r) for p, r in zip(pairs, residuals)
+    )
+
+
+def _entry_columns(boundaries: tuple):
+    """The feed of _unit_reduce that reads boundaries[t].entries."""
+    def columns(t, skip):
+        ct, rt = {}, {}
+        for i, j, v in boundaries[t].entries:
             if i in skip:
                 continue
             col = ct.get(j)
@@ -189,6 +174,37 @@ def _unit_reduce(boundaries: tuple) -> tuple:
                 rt[i] = {j}
             else:
                 row.add(j)
+        return ct, rt
+    return columns
+
+
+def _unit_reduce(ranks: tuple, columns) -> tuple:
+    """Cancel every +-1 pivot of the boundaries; return (pairs, residuals).
+
+    Boundary t, of shape (ranks[t], ranks[t+1]), comes from the feed
+    columns, taken from the bottom up.  In boundary t each column b, in
+    index order, with a unit entry is paired with the unit row a that has
+    the fewest nonzeros (ties to the lower index).  Column operations
+    clear row a, then row a and column b are deleted.  In the new basis
+    row b of boundary t+1 and column a of boundary t-1 are zero, because
+    the boundary squares to zero, so they are dropped unchanged: row b by
+    the feed of boundary t+1, and column a when the residuals are read
+    off.  Columns that the clearing changed, beyond losing row a, are
+    visited again, and boundary t only loses rows and columns afterwards,
+    so no unit is left when the pass ends.  Bottom up is about three times
+    faster than top down on order complexes.
+
+    pairs[t] counts the pivots removed from boundary t and residuals[t] is
+    what is left of it: invariant factors being unique, boundary t has
+    (1,) * pairs[t] + snf_invariants(residuals[t]) as its own.
+    """
+    # cols[t][j] maps row -> value of column j; rt[i] holds the columns
+    # where row i is nonzero
+    cols = []
+    gone = [set() for _ in ranks]
+    pairs = [0] * (len(ranks) - 1)
+    for t in range(len(pairs)):
+        ct, rt = columns(t, gone[t])
         cols.append(ct)
         queue = deque(sorted(ct))
         queued = set(queue)
@@ -219,6 +235,8 @@ def _unit_reduce(boundaries: tuple) -> tuple:
             for j in row_a:
                 col_j = ct[j]
                 c = col_j.pop(a) * v
+                if not col_b:
+                    continue  # deleting row a makes no unit to revisit
                 for i, w in col_b.items():
                     nv = col_j.get(i, 0) - c * w
                     if nv:
@@ -235,11 +253,10 @@ def _unit_reduce(boundaries: tuple) -> tuple:
             gone[t + 1].add(b)
             pairs[t] += 1
     residuals = []
-    for t, bnd in enumerate(boundaries):
-        keep_r = [i for i in range(bnd.nrows) if i not in gone[t]]
-        keep_c = [j for j in range(bnd.ncols) if j not in gone[t + 1]]
+    for t, ct in enumerate(cols):
+        keep_r = [i for i in range(ranks[t]) if i not in gone[t]]
+        keep_c = [j for j in range(ranks[t + 1]) if j not in gone[t + 1]]
         new_r = {i: p for p, i in enumerate(keep_r)}
-        ct = cols[t]
         data = {
             (new_r[i], q): v
             for q, j in enumerate(keep_c) if j in ct

@@ -104,14 +104,15 @@ def _group_table(groups: dict) -> dict:
 # -- homology -----------------------------------------------------------------
 
 def cmd_homology(args) -> dict:
-    from .simplicial import (chain_complex, complex_from_data,
-                             euler_characteristic, reduced_homology)
+    from .simplicial import (complex_from_data, euler_characteristic,
+                             homology_from_reduced, reduced_homology)
 
     space = complex_from_data(_load_json(args.file))
+    reduced = reduced_homology(space)
     return {
         "euler": euler_characteristic(space),
-        "homology": _group_table(chain_complex(space).homology_all()),
-        "reduced": _group_table(reduced_homology(space)),
+        "homology": _group_table(homology_from_reduced(reduced)),
+        "reduced": _group_table(reduced),
         "weakenings": [],
     }
 

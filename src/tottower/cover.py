@@ -29,8 +29,8 @@ from .errors import InputError, PreconditionError
 from .intlinalg import IntMatrix
 from .simplicial import (
     SimplicialComplex,
-    chain_complex,
     complex_from_facets,
+    homology_from_reduced,
     reduced_homology,
 )
 
@@ -268,7 +268,8 @@ def verify_cover_theorem(cov: CoverDiagram, r: int) -> CoverReport:
     it.  Nothing raises on a failed check; the report carries it."""
     acyclic_ok, witnesses = check_r_acyclic(cov, r)
     bar = hocolim_chain(cov)
-    space_homology = chain_complex(cov.space).homology_all()
+    reduced = reduced_homology(cov.space)
+    space_homology = homology_from_reduced(reduced)
     bar_homology = bar.homology_all()
     degrees = sorted(set(space_homology) | set(bar_homology))
     zero = HomologyGroup(0)
@@ -282,7 +283,6 @@ def verify_cover_theorem(cov: CoverDiagram, r: int) -> CoverReport:
     bound = 2 * r - cov.size
     diagnostics = []
     if acyclic_ok:
-        reduced = reduced_homology(cov.space)
         failures = tuple(
             (d, str(group))
             for d, group in sorted(reduced.items())

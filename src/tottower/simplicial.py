@@ -5,9 +5,9 @@ mixed-type total order of ``label_key`` makes every construction
 deterministic, including barycentric subdivisions whose vertices are
 simplices of the original complex.
 
-A complex is stored by its facets.  Chain complexes use the sorted list of
-k-simplices as the degree-k basis and the alternating-sum boundary on
-key-sorted vertex tuples.
+A complex is stored by its facets.  Homology takes the sorted k-simplices
+as the degree-k basis and feeds the alternating-sum boundary on sorted
+vertex tuples face by face to ``chains``, never as a matrix.
 
 Vertices are coded once: the distinct labels, sorted by ``label_key``, get
 the codes 0..n-1, and simplices are enumerated, sorted and looked up as
@@ -21,13 +21,13 @@ complex comes with its simplices already coded and sorted
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import cached_property
 
 from ._record import record
 from .abelian import HomologyGroup
-from .chains import ChainComplexInt
+from .chains import homology_from_columns
 from .errors import InputError
-from .intlinalg import IntMatrix
 from .schema import field, is_int, list_of
 
 __all__ = [
@@ -37,8 +37,8 @@ __all__ = [
     "complex_from_coded",
     "skeleton",
     "barycentric_subdivision",
-    "chain_complex",
     "reduced_homology",
+    "homology_from_reduced",
     "HOMOLOGY_ONLY_DISCLAIMER",
     "WedgeSignature",
     "wedge_signature",
@@ -59,11 +59,11 @@ __all__ = [
 # an order complex is never listed here.  Other complexes count their faces
 # as they are listed, and listing stops at the first facet that takes the
 # count past the cap, so no more than twice MAX_FACES faces are ever held.
-# On a 2-vCPU Xeon VM the homology of one facet of 16 vertices (65535
-# faces) takes about 6.9 s and 210 MiB, and each further vertex doubles the
-# faces.  The largest complex the benchmark and the scripts build has 14511
-# faces; the order complex of the subsets of an 8-set with card <= 5 has
-# 36366, and the tests list the 65535 of a total order of 16.
+# On a 2-vCPU Xeon VM `tottower homology` of one facet of 16 vertices
+# (65535 faces) takes about 0.4 s and 47 MiB, and each further vertex
+# doubles the faces.  The largest complex the benchmark and the scripts
+# build has 14511 faces; the order complex of the subsets of an 8-set with
+# card <= 5 has 36366, and the tests list the 65535 of a total order of 16.
 MAX_FACES = 65_536
 
 
@@ -233,37 +233,39 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
     return complex_from_facets(facets, base)
 
 
-def chain_complex(k: SimplicialComplex, reduced: bool = False) \
-        -> ChainComplexInt:
-    top = k.dimension
-    if top < 0:
-        if reduced:
-            return ChainComplexInt(-1, (1, 0), (IntMatrix.zeros(1, 0),))
-        return ChainComplexInt(0, (0,), ())
-    by_dim = k._coded[1]
-    ranks = tuple(len(by_dim[d]) for d in range(top + 1))
-    bnds = []
-    for d in range(1, top + 1):
-        row_of = {s: i for i, s in enumerate(by_dim[d - 1])}
-        # combinations(s, d) drops s[d], s[d-1], ..., s[0] in turn, and
-        # the face without s[i] has sign (-1)^i
-        signs = [(-1) ** (d - t) for t in range(d + 1)]
-        # columns are visited in order, so each row fills up sorted
-        rows = [[] for _ in range(ranks[d - 1])]
-        for j, s in enumerate(by_dim[d]):
-            for face, sign in zip(itertools.combinations(s, d), signs):
-                i = row_of[face]
-                rows[i].append((i, j, sign))
-        bnds.append(IntMatrix(ranks[d - 1], ranks[d],
-                              tuple(itertools.chain.from_iterable(rows))))
-    if not reduced:
-        return ChainComplexInt(0, ranks, tuple(bnds))
-    aug = IntMatrix(1, ranks[0], tuple((0, j, 1) for j in range(ranks[0])))
-    return ChainComplexInt(-1, (1,) + ranks, (aug,) + tuple(bnds))
-
-
 def reduced_homology(k: SimplicialComplex) -> dict:
-    return chain_complex(k, reduced=True).homology_all()
+    """{degree: HomologyGroup} of the augmented chains, degrees -1 .. dim;
+    the augmentation is the boundary onto the (-1)-simplex ()."""
+    by_dim = k._coded[1]
+    # the empty complex keeps its degree 0, of rank 0
+    simps = [((),)] + [by_dim.get(d, ()) for d in range(max(len(by_dim), 1))]
+
+    def columns(t, skip):
+        row_of = {s: i for i, s in enumerate(simps[t])}
+        # combinations(s, t) drops s[t], s[t-1], ..., s[0] in turn, and
+        # the face without s[i] has sign (-1)^i
+        signs = [(-1) ** (t - q) for q in range(t + 1)]
+        cols, rows = {}, defaultdict(set)
+        for j, s in enumerate(simps[t + 1]):
+            col = {}
+            for face, sign in zip(itertools.combinations(s, t), signs):
+                i = row_of[face]
+                if i not in skip:
+                    col[i] = sign
+                    rows[i].add(j)
+            if col:
+                cols[j] = col
+        return cols, rows
+    return homology_from_columns(-1, tuple(map(len, simps)), columns)
+
+
+def homology_from_reduced(groups: dict) -> dict:
+    """The homology table, degrees 0 .. dim, read off the reduced one:
+    H_0 is H~_0 plus Z unless H~_{-1} = Z marks the empty complex."""
+    out = {d: h for d, h in groups.items() if d >= 0}
+    if groups[-1].is_trivial:
+        out[0] = HomologyGroup(out[0].rank + 1, out[0].torsion)
+    return out
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:

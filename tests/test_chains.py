@@ -10,6 +10,7 @@ from corpus_reference import corpus, direct_sum
 from map_reference import add, compose, negate
 from shadow_reference import (homology_presentation, induced_on_homology,
                               induces_iso_everywhere, is_iso, shift)
+from simplicial_reference import chain_complex
 from smith_reference import kernel_basis, matrix_rank
 from suspension_reference import down_slice
 from test_cosimplicial import SIGNED
@@ -39,7 +40,6 @@ from tottower.posets import (
     subspace_poset,
 )
 from tottower.simplicial import (
-    chain_complex,
     complex_from_facets,
     reduced_homology,
 )
@@ -211,13 +211,18 @@ def test_from_data_rejects_booleans_and_non_list_matrices(data):
 
 # -- unit reduction before Smith ----------------------------------------------
 
+def unit_reduce(c):
+    """chains._unit_reduce fed from the entries of c's boundaries."""
+    return chains._unit_reduce(c.ranks, chains._entry_columns(c.boundaries))
+
+
 def assert_invariants_match_direct_smith(c):
     # the rank path reduces unit pairs first; invariant factors are
     # unique, so the whole tuple must equal a plain Smith form's
     direct = tuple(snf_invariants(b) for b in c.boundaries)
     assert c._boundary_invariants == direct
     # and the reduction runs until no unit entry is left
-    _, residuals = chains._unit_reduce(c.boundaries)
+    _, residuals = unit_reduce(c)
     assert not any(abs(v) == 1 for r in residuals for _, _, v in r.entries)
 
 
@@ -226,7 +231,7 @@ def test_unit_reduction_revisits_touched_columns():
     # its 3 into 3 - 2 = 1, so column 0 must be visited again
     c = ChainComplexInt(0, (2, 2), (IntMatrix.from_rows([[2, 1], [3, 1]]),))
     assert_invariants_match_direct_smith(c)
-    assert chains._unit_reduce(c.boundaries)[0] == [2]
+    assert unit_reduce(c)[0] == [2]
 
 
 @given(mats_strategy())
@@ -274,8 +279,7 @@ def test_unit_reduction_matches_smith_on_acceptance_posets():
 # -- the unit reduction against the version it replaced ------------------------
 
 def assert_unit_reduce_matches_reference(c):
-    assert chains._unit_reduce(c.boundaries) == \
-        reference_unit_reduce(c.boundaries)
+    assert unit_reduce(c) == reference_unit_reduce(c.boundaries)
 
 
 def wedge_posets():

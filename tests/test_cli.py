@@ -16,7 +16,7 @@ from corpus_reference import corpus
 from map_reference import take_columns
 from test_cosimplicial import SIGNED
 from test_torsion import TWO_SWEEP_BOUNDARY
-from tottower import (abelian, cli, cosimplicial, deloop, intlinalg,
+from tottower import (abelian, chains, cli, cosimplicial, deloop, intlinalg,
                       posets, simplicial, spectral)
 from tottower.chains import ChainComplexInt
 from tottower.cli import main
@@ -430,23 +430,42 @@ def test_poset_from_file(tmp_path, capsys):
 def test_non_free_wedge_check_builds_one_complex(tmp_path, capsys,
                                                 monkeypatch):
     # a circle (two minima below two maxima) plus an isolated point:
-    # reduced homology Z in degrees 0 and 1, so no wedge signature
+    # reduced homology Z in degrees 0 and 1, so no wedge signature; the
+    # report reads the table of its one reduction
     path = write_json(tmp_path, "circle.json", {
         "elements": ["a", "b", "c", "d", "e"],
         "leq": [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]],
     })
     calls = []
-    build = simplicial.chain_complex
+    reduce = chains._unit_reduce
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return build(*args, **kwargs)
+        return reduce(*args, **kwargs)
 
-    monkeypatch.setattr(simplicial, "chain_complex", counting)
+    monkeypatch.setattr(chains, "_unit_reduce", counting)
     report = run_report(["poset", "wedge-check", path], capsys)
     assert report["free"] is False
     assert report["reduced"] == {"0": "Z", "1": "Z"}
     assert len(calls) == 1
+
+
+def test_wedge_check_builds_no_boundary_matrix(capsys, monkeypatch):
+    # the subsets of {0..6} of card 1..5 give an order complex of
+    # dimension 4, so 5 boundaries in its augmented chains; they are read
+    # from its coded faces, and only their residuals become matrices
+    built = []
+    post_init = IntMatrix.__post_init__
+
+    def counting(mat):
+        built.append(mat.shape)
+        post_init(mat)
+
+    monkeypatch.setattr(IntMatrix, "__post_init__", counting)
+    report = run_report(["poset", "wedge-check", "--subset-size", "7",
+                         "--max-card", "5"], capsys)
+    assert (report["degree"], report["rank"]) == (4, 6)
+    assert len(built) <= 5, built
 
 
 @pytest.mark.parametrize("data", [

@@ -15,10 +15,10 @@ from tottower.cover import (
     hocolim_chain,
     verify_cover_theorem,
 )
+from simplicial_reference import chain_complex
 from tottower.simplicial import (
     barycentric_subdivision,
     complex_from_facets,
-    chain_complex,
 )
 
 

@@ -16,6 +16,7 @@ import shadow_reference
 from corpus_reference import corpus, quasi_iso_pairs
 from map_reference import take_columns, take_rows
 from shadow_reference import quasi_iso_invariance
+from simplicial_reference import chain_complex
 from smith_reference import (
     diagonal,
     kernel_basis,
@@ -47,7 +48,7 @@ from tottower.intlinalg import (
 )
 from tottower.posets import order_complex, subset_poset
 from tottower.schema import is_int
-from tottower.simplicial import chain_complex, complex_from_facets
+from tottower.simplicial import complex_from_facets
 from tottower.spectral import e2_from_level_homology, spectral_sequence
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from corpus_reference import corpus, quasi_iso_pairs
 from shadow_reference import quasi_iso_invariance
+from simplicial_reference import chain_complex
 from suspension_reference import down_slice
 from test_cosimplicial import stripe_sign_objects
 from test_simplicial import reference_canonical_check
@@ -40,7 +41,6 @@ from tottower.posets import (
 from tottower.simplicial import (
     SimplicialComplex,
     barycentric_subdivision,
-    chain_complex,
     complex_from_facets,
     skeleton,
 )

@@ -30,7 +30,9 @@ def test_script_runs_and_agrees(script, expected):
 
 def test_bench_tracer_hooks_still_count(tmp_path):
     """bench/tracer.py counts matrices by rebinding
-    IntMatrix.__post_init__ and spans by rebinding public names."""
+    IntMatrix.__post_init__ and spans by rebinding public names.  The
+    report takes both tables from one reduction of the coded faces, which
+    builds the three residuals and no chain complex."""
     space = tmp_path / "K.json"
     space.write_text(json.dumps({"facets": [[0, 1, 2], [2, 3]]}))
     out = tmp_path / "trace.json"
@@ -41,8 +43,10 @@ def test_bench_tracer_hooks_still_count(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     metrics = json.loads(out.read_text())["metrics"]
-    assert metrics["intlinalg.matrices_built"] > 0
-    assert metrics["chains.homology_calls"] == 2
+    assert metrics["intlinalg.matrices_built"] == 3
+    assert metrics["simplicial.reduced_homology_calls"] == 1
+    assert metrics["chains.calls"] == 1
+    assert metrics["chains.homology_calls"] == 0
 
 
 def test_bench_tracer_wraps_names_imported_in_a_command(tmp_path):

@@ -10,11 +10,14 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from test_chains import acceptance_posets
+from test_chains import acceptance_posets, wedge_posets
+from tottower import chains
 from tottower.abelian import HomologyGroup
 from tottower.chains import ChainComplexInt
+from tottower.deloop import delta_model, subset_model, subspace_model
 from tottower.errors import InputError
-from tottower.intlinalg import IntMatrix
+from tottower.intlinalg import IntMatrix, snf_invariants
+from tottower.posets import order_complex
 from tottower import simplicial
 from tottower.simplicial import (
     MAX_FACES,
@@ -22,11 +25,11 @@ from tottower.simplicial import (
     SimplicialComplex,
     WedgeSignature,
     barycentric_subdivision,
-    chain_complex,
     complex_from_data,
     complex_from_facets,
     complex_to_data,
     euler_characteristic,
+    homology_from_reduced,
     label_from_data,
     label_key,
     reduced_homology,
@@ -35,7 +38,8 @@ from tottower.simplicial import (
 )
 
 from poset_reference import maximal_chains
-from suspension_reference import unreduced_suspension
+from simplicial_reference import chain_complex
+from suspension_reference import down_slice, unreduced_suspension
 from torsion_reference import chain_euler
 
 CIRCLE = complex_from_facets([[0, 1], [1, 2], [0, 2]])
@@ -138,6 +142,8 @@ def test_empty_complex():
     assert not empty.facets
     assert empty.dimension == -1
     assert reduced_homology(empty) == {-1: HomologyGroup(1), 0: HomologyGroup(0)}
+    assert homology_from_reduced(reduced_homology(empty)) == \
+        {0: HomologyGroup(0)}
     assert wedge_signature(empty) is None
     with pytest.raises(InputError):
         unreduced_suspension(empty)
@@ -419,3 +425,81 @@ def test_coded_complex_refuses_like_reference(facets, data):
 def test_coded_complex_matches_reference_on_acceptance_posets():
     for p in acceptance_posets():
         assert_matches_reference(maximal_chains(p), reduced=(True,))
+
+
+# -- the face route against the boundary matrices it replaced -----------------
+
+def face_reduction(k):
+    """reduced_homology(k), the ranks and feed it reduced, and the
+    (pairs, residuals) of that one unit reduction."""
+    made = []
+    reduce = chains._unit_reduce
+
+    def recording(ranks, columns):
+        made.append((ranks, columns, reduce(ranks, columns)))
+        return made[-1][2]
+
+    chains._unit_reduce = recording
+    try:
+        groups = reduced_homology(k)
+    finally:
+        chains._unit_reduce = reduce
+    (made,) = made
+    return (groups, *made)
+
+
+def assert_face_route_matches_matrices(k):
+    """Same groups as the boundary matrices of chain_complex, reduced and
+    not; the same columns and row indexes, with no row skipped and with
+    every other one; and the same unit pairs and residual invariants per
+    boundary."""
+    groups, ranks, columns, (pairs, residuals) = face_reduction(k)
+    c = chain_complex(k, reduced=True)
+    assert groups == c.homology_all()
+    assert homology_from_reduced(groups) == chain_complex(k).homology_all()
+    entries = chains._entry_columns(c.boundaries)
+    assert ranks == c.ranks
+    for t in range(len(c.boundaries)):
+        for skip in (set(), set(range(0, ranks[t], 2))):
+            assert columns(t, skip) == entries(t, skip)
+    want_pairs, want_residuals = chains._unit_reduce(c.ranks, entries)
+    assert pairs == want_pairs
+    assert [r.shape for r in residuals] == [r.shape for r in want_residuals]
+    assert list(map(snf_invariants, residuals)) == \
+        list(map(snf_invariants, want_residuals))
+
+
+def test_face_route_matches_matrices_on_named_complexes():
+    named = [
+        complex_from_facets([]),
+        complex_from_facets([[0]]),
+        complex_from_facets([[0, 1], [1, 2], [3], [4, 5]]),
+        CIRCLE, TRIANGLE, RP2, barycentric_subdivision(RP2),
+        unreduced_suspension(RP2),
+        complex_from_facets(itertools.combinations(range(6), 5)),
+    ]
+    named += [order_complex(p) for p in acceptance_posets()]
+    for k in named:
+        assert_face_route_matches_matrices(k)
+    # the subdivided projective plane keeps its torsion
+    assert reduced_homology(barycentric_subdivision(RP2)) == {
+        -1: HomologyGroup(0), 0: HomologyGroup(0),
+        1: HomologyGroup(0, (2,)), 2: HomologyGroup(0)}
+
+
+def test_face_route_matches_matrices_on_deloop_slices():
+    for incl in (subset_model(6, 4), subspace_model(2, 4, 2),
+                 subspace_model(3, 3, 1), delta_model(2, 4)):
+        for d in incl.ambient.elements:
+            assert_face_route_matches_matrices(
+                order_complex(down_slice(incl, d)))
+
+
+def test_face_route_matches_matrices_on_wedge_orderings():
+    for p in wedge_posets():
+        assert_face_route_matches_matrices(order_complex(p))
+
+
+@given(small_complex_strategy(max_verts=7, max_facets=6, max_size=5))
+def test_face_route_matches_matrices_on_random_complexes(k):
+    assert_face_route_matches_matrices(k)

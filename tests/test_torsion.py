@@ -10,6 +10,7 @@ import random
 from hypothesis import given, strategies as st
 
 from corpus_reference import corpus, random_complex
+from simplicial_reference import chain_complex
 from test_cosimplicial import stripe_sign_objects
 from test_simplicial import RP2
 from torsion_reference import (
@@ -25,7 +26,7 @@ from tottower.chains import ChainComplexInt
 from tottower.constructions import cech_object, constant_object
 from tottower.cosimplicial import tot_n
 from tottower.intlinalg import IntMatrix
-from tottower.simplicial import barycentric_subdivision, chain_complex
+from tottower.simplicial import barycentric_subdivision
 from tottower.spectral import spectral_sequence
 
 # p^8 stays below 2^63 for every prime below this bound, so the local
