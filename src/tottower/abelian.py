@@ -5,7 +5,7 @@ answer: a free rank plus invariant factors in divisibility order, suitable
 for equality tests and reports.  ``Subquotient`` keeps enough of a
 presentation (the numerator's echelon basis and the transform into
 generator coordinates) to push elements through and to induce
-homomorphisms, which is what the spectral sequence machinery needs.
+homomorphisms, building ambient generators only when a map reads them.
 Coordinates in the numerator come from forward substitution against its
 echelon basis (``hermite_solve``), so each subquotient takes exactly one
 Smith form, that of the quotient, and pushing elements through takes none.
@@ -24,7 +24,7 @@ presents 60 subquotients of 17 distinct pairs.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ._record import record
 from .errors import InputError, InvariantError
@@ -33,6 +33,7 @@ from .intlinalg import (
     hermite_solve,
     kernel_lattice,
     lattice_basis,
+    right_inverse,
     smith_normal_form,
 )
 
@@ -166,18 +167,21 @@ def presented_homology(f: GroupHom, g: GroupHom) -> HomologyGroup:
 class Subquotient:
     """Presentation of L/L' for lattices L' <= L inside some Z^N.
 
-    ``gens`` columns are ambient representatives of the generators, whose
-    orders are listed in ``orders``: the invariant factors >= 2 in
-    divisibility order, then a 0 per infinite summand (trivial generators
-    are dropped).  ``_numer`` is the column echelon basis of L and ``_u``
-    sends L-coordinates to generator coordinates.
+    The generators have the orders listed in ``orders``: the invariant
+    factors >= 2 in divisibility order, then a 0 per infinite summand
+    (trivial generators are dropped).  ``_numer`` is the column echelon
+    basis of L and ``_u`` sends L-coordinates to generator coordinates.
     """
 
     ambient: int
     orders: tuple
-    gens: IntMatrix
     _numer: IntMatrix
     _u: IntMatrix
+
+    @cached_property
+    def gens(self) -> IntMatrix:
+        """Ambient generators as columns, column t with coordinates e_t."""
+        return self._numer @ right_inverse(self._u)
 
     def group(self) -> HomologyGroup:
         return HomologyGroup(self.orders.count(0),
@@ -232,8 +236,6 @@ def _subquotient_memo(numer_basis: IntMatrix,
     # (the 1s) come first and the kept ones are a contiguous suffix
     keep = range(wres.invariants.count(1), n)
     return Subquotient(numer_basis.nrows, all_orders[keep.start:],
-                       (numer_basis @ wres.u_inv).block(
-                           range(numer_basis.nrows), keep),
                        numer_basis, wres.u.block(keep, range(n)))
 
 

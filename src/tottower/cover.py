@@ -67,6 +67,8 @@ class CoverDiagram:
         if not self.pieces:
             raise InputError("cover needs at least one piece")
         ambient = _simplex_set(self.space)
+        if (self.basepoint,) not in ambient:
+            raise InputError("basepoint is not a vertex")
         covered = set()
         for idx, piece in enumerate(self.pieces, start=1):
             simps = _simplex_set(piece)
@@ -107,11 +109,9 @@ class CoverDiagram:
 
 
 def cover_from_subcomplexes(space, piece_facets, basepoint) -> CoverDiagram:
-    """Build a cover from facet lists, one list per piece."""
-    pieces = tuple(
-        complex_from_facets(facets, basepoint=basepoint)
-        for facets in piece_facets
-    )
+    """Build a cover from facet lists, one list per piece, unpointed: the
+    diagram's own check names a piece that misses the basepoint."""
+    pieces = tuple(complex_from_facets(facets) for facets in piece_facets)
     return CoverDiagram(space=space, pieces=pieces, basepoint=basepoint)
 
 

@@ -12,23 +12,22 @@ the rule is simply applied again, and termination follows because the
 minimal absolute value strictly drops on every such retry.  No row or
 column is ever swapped: each pivot stays at the site where elimination
 finds it and its value is read there.  A form with transforms tracks
-only the row transform u and its inverse u_inv, and permutes the rows of
-u and the columns of u_inv once, as it exports them.
+only the row transform u, and permutes its rows once, as it exports it.
 
 No elimination is remembered here.  The package's one memo across
 calls sits a layer up: ``abelian.subquotient_presentation`` remembers
 whole subquotient presentations, so a repeated one takes neither its
 Smith form nor the solves and products around it.  Repeated kernels are
 not asked for in the first place: the spectral filtration keys each of
-its kernels on the block of the total differential that the kernel
-cuts.
+its kernels on the block of the total differential that the kernel cuts.
 
 A Smith form with transforms is not needed for a canonical kernel or for
 coordinates in a canonical basis.  ``kernel_lattice`` gives the Hermite
 basis of a kernel from the same row clearing that ``lattice_basis``
 runs, over [A; I], and ``hermite_solve`` finds coordinates against a
 column echelon basis by forward substitution.  Conormalization, the
-subquotients and the spectral filtration use only these two.
+subquotients and the spectral filtration use only these two, and
+``right_inverse``, which inverts rows of u, is built from them.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ __all__ = [
     "kernel_lattice",
     "hermite_solve",
     "lattice_basis",
+    "right_inverse",
 ]
 
 
@@ -301,9 +301,8 @@ class _Smith:
         self.done_cols = set()
         if transforms:
             self.u_rows = {i: {i: 1} for i in range(self.m)}
-            self.uinv_columns = {i: {i: 1} for i in range(self.m)}
 
-    # -- elementary operations, applied to the matrix and transforms ----
+    # -- elementary operations, applied to the matrix and u --------------
 
     def _set(self, i: int, j: int, v: int) -> None:
         row = self.rows[i]
@@ -322,7 +321,6 @@ class _Smith:
             self._set(i, j, row_i.get(j, 0) + c * w)
         if self.track:
             _dict_add(self.u_rows[i], self.u_rows[k], c)
-            _dict_add(self.uinv_columns[k], self.uinv_columns[i], -c)
 
     def _col_add(self, j: int, l: int, c: int) -> None:
         # c_j += c * c_l, for c != 0
@@ -331,15 +329,9 @@ class _Smith:
 
     def _row_negate(self, i: int) -> None:
         row = self.rows[i]
-        for j in row:
-            row[j] = -row[j]
-        if self.track:
-            u = self.u_rows[i]
-            for j in u:
-                u[j] = -u[j]
-            col = self.uinv_columns[i]
-            for k in col:
-                col[k] = -col[k]
+        for r in (row, self.u_rows[i]) if self.track else (row,):
+            for j in r:
+                r[j] = -r[j]
 
     def _col_pair(self, j1: int, j2: int, x: int, y: int, z: int, w: int) -> None:
         # (c_j1, c_j2) <- (x c_j1 + y c_j2, z c_j1 + w c_j2), det x*w - y*z = ±1
@@ -413,17 +405,14 @@ class _Smith:
                 self._row_add(i2, i1, -(y * (b // g)))
                 changed = True
 
-    def export(self, order: list) -> tuple:
-        """u and u_inv with pivot t moved to row t.  Row p of the placed
-        form is the working row that _placed puts there; the rows of u and
-        the columns of u_inv move with it."""
+    def export(self, order: list) -> IntMatrix:
+        """u with pivot t moved to row t.  Row p of the placed form is the
+        working row that _placed puts there; the rows of u move with it."""
         m = self.m
         row_at = _placed([i for i, _ in order], m)
         u = {p * m + j: w for p, i in enumerate(row_at)
              for j, w in self.u_rows[i].items()}
-        u_inv = {i * m + p: w for p, k in enumerate(row_at)
-                 for i, w in self.uinv_columns[k].items()}
-        return IntMatrix.from_cells(m, m, u), IntMatrix.from_cells(m, m, u_inv)
+        return IntMatrix.from_cells(m, m, u)
 
 
 def _placed(pivots: list, size: int) -> list:
@@ -444,7 +433,7 @@ class SNFResult:
     """Smith normal form of an integer matrix.
 
     ``invariants`` lists the diagonal d_1 | d_2 | ... | d_r, all positive.
-    With transforms, u is unimodular and u_inv is its exact inverse, and
+    With transforms, u is unimodular (its inverse is not kept) and
     u @ a == d @ w, for the nrows x ncols matrix d with the invariants
     down its diagonal and a unimodular w that is not kept: row t of
     u @ a is invariants[t] times a primitive row, and the rows past the
@@ -460,7 +449,6 @@ class SNFResult:
     invariants: tuple
     pivot_sites: tuple
     u: IntMatrix | None = None
-    u_inv: IntMatrix | None = None
 
     @property
     def rank(self) -> int:
@@ -470,9 +458,8 @@ class SNFResult:
 def smith_normal_form(mat: IntMatrix, transforms: bool = True) -> SNFResult:
     """Smith normal form with the (|value|, row, column) pivot rule.
 
-    With ``transforms`` the result carries unimodular u and u_inv such
-    that u @ mat is the invariant diagonal times a unimodular matrix and
-    u @ u_inv is the identity.
+    With ``transforms`` the result carries a unimodular u such that
+    u @ mat is the invariant diagonal times a unimodular matrix.
     Skipping transforms roughly halves the work for rank-only callers, and
     such a form moves nothing: it reads each invariant at its pivot site.
     """
@@ -480,11 +467,8 @@ def smith_normal_form(mat: IntMatrix, transforms: bool = True) -> SNFResult:
     order = worker.eliminate()
     worker.fix_divisibility(order)
     invariants = tuple(worker.rows[i][j] for i, j in order)
-    if transforms:
-        u, u_inv = worker.export(order)
-        return SNFResult(mat.nrows, mat.ncols, invariants, tuple(order),
-                         u=u, u_inv=u_inv)
-    return SNFResult(mat.nrows, mat.ncols, invariants, tuple(order))
+    u = worker.export(order) if transforms else None
+    return SNFResult(mat.nrows, mat.ncols, invariants, tuple(order), u)
 
 
 def snf_invariants(mat: IntMatrix) -> tuple:
@@ -530,7 +514,7 @@ def lattice_basis(mat: IntMatrix) -> IntMatrix:
     """
     basis = []
     basis_at = {}
-    for r, main in _clear_rows(mat):
+    for r, _, main in _clear_rows(mat):
         p = len(basis)
         if main[r] < 0:
             main = {k: -v for k, v in main.items()}
@@ -555,12 +539,12 @@ def _clear_rows(mat: IntMatrix, tails: list | None = None):
     At each row the columns nonzero there are reduced against the one
     with the smallest |entry| (ties: fewest nonzeros, then lowest id)
     until one is left; that column leaves the working set and is yielded
-    as (row, column dict), so later rows never touch it.  The working
-    columns are row -> value dicts with a row -> column-id index.  With
-    ``tails`` (one row -> value dict per column, kept outside the index)
-    every column operation is applied to the tails as well, and a
-    yielded column's tail is set to None, so the tails left at the end
-    are those of the columns whose mat-part ended zero.
+    as (row, column id, column dict), so later rows never touch it.  The
+    working columns are row -> value dicts with a row -> column-id index.
+    With ``tails`` (one row -> value dict per column, kept outside the
+    index) every column operation is applied to the tails as well; a
+    yielded column's tail is final from then on, and the columns never
+    yielded are those whose mat-part ended zero.
     """
     cols = [{} for _ in range(mat.ncols)]
     at_row = {}
@@ -583,9 +567,7 @@ def _clear_rows(mat: IntMatrix, tails: list | None = None):
         main = cols[p]
         for k in main:
             at_row[k].discard(p)
-        if tails is not None:
-            tails[p] = None
-        yield r, main
+        yield r, p, main
 
 
 def kernel_lattice(mat: IntMatrix) -> IntMatrix:
@@ -594,18 +576,17 @@ def kernel_lattice(mat: IntMatrix) -> IntMatrix:
     Equals lattice_basis of any basis of the kernel, since the column
     Hermite form of a lattice is unique, but takes no Smith form: the
     rows of mat are cleared over the columns of [mat; I], and the I-parts
-    of the columns whose mat-part ends zero span the kernel.  They are columns
-    of a unimodular matrix, so the lattice they span is saturated; the
-    columns left nonzero have independent images.  The identity rows are
-    carried as tails and never indexed.  A matrix with no entries has
-    all of Z^ncols as its kernel, whose Hermite basis is the identity.
+    (tails) of the columns never yielded span the kernel.  They are
+    columns of a unimodular matrix, so the lattice they span is
+    saturated; the yielded columns have independent images.  A matrix
+    with no entries has all of Z^ncols as its kernel, whose Hermite basis
+    is the identity.
     """
     if not mat.entries:
         return IntMatrix.identity(mat.ncols)
     tails = [{j: 1} for j in range(mat.ncols)]
-    for _ in _clear_rows(mat, tails):
-        pass
-    kernel = [col for col in tails if col is not None]
+    pivots = {p for _, p, _ in _clear_rows(mat, tails)}
+    kernel = [col for j, col in enumerate(tails) if j not in pivots]
     k = len(kernel)
     return lattice_basis(IntMatrix.from_cells(mat.ncols, k, {
         i * k + c: v for c, col in enumerate(kernel) for i, v in col.items()
@@ -665,3 +646,20 @@ def hermite_solve(basis: IntMatrix, b: IntMatrix) -> IntMatrix:
     if any(rest.values()):
         raise InvariantError("system has no integral solution")
     return IntMatrix.from_cells(basis.ncols, n, cells)
+
+
+def right_inverse(rows: IntMatrix) -> IntMatrix:
+    """An integral x with rows @ x == I, for rows whose maximal minors
+    have gcd 1 (rows that extend to a unimodular matrix).  Clearing the
+    rows over [rows; I], as kernel_lattice does, leaves a lower triangular
+    rows @ tails, which hermite_solve inverts; it raises InvariantError
+    when a row has no pivot or a pivot is not a unit."""
+    tails = [{j: 1} for j in range(rows.ncols)]
+    pivots = list(_clear_rows(rows, tails))
+    lower, picked = {}, {}
+    for t, (_, p, main) in enumerate(pivots):
+        lower.update({(i, t): v for i, v in main.items()})
+        picked.update({(i, t): v for i, v in tails[p].items()})
+    return IntMatrix.from_dict(rows.ncols, len(pivots), picked) @ \
+        hermite_solve(IntMatrix.from_dict(rows.nrows, len(pivots), lower),
+                      IntMatrix.identity(rows.nrows))

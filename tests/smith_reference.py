@@ -1,12 +1,19 @@
-"""The package's Smith form with its column transform v, and the solves
-and kernels that read v, kept as references for the echelon routes that
-replaced them in the package.
+"""The package's Smith form with its column transform v or with the
+inverse u_inv of its row transform, and the solves, kernels and
+generators that read them, kept as references for the echelon routes
+that replaced them in the package.
 
 ``VSmith`` is the package's ``_Smith`` reduction, also tracking v: it
 overrides only ``__init__`` and the two column operations, so every
 elimination it runs is the package's own, and ``smith_with_v`` returns
 the package's ``SNFResult`` together with v, so that
-u @ a @ v == diagonal(res).  ``kernel_basis`` reads the kernel off v; the
+u @ a @ v == diagonal(res).  ``UInvSmith`` likewise also tracks u_inv,
+as the package's ``_Smith`` did before subquotients built their
+generators from ``right_inverse``: it overrides ``__init__``, the two row
+operations and ``export``, and ``smith_with_u_inv`` returns the package's
+``SNFResult`` together with u_inv.  ``u_inv_gens`` is the generator
+matrix a subquotient kept then, ``numer @ u_inv`` on the columns past the
+invariants equal to 1.  ``kernel_basis`` reads the kernel off v; the
 seeded corpus (``corpus_reference``) draws random combinations of that
 basis, so it must stay byte for byte what it was.
 
@@ -18,7 +25,8 @@ and ``smith_subquotient`` are ``abelian.Subquotient`` and the body of
 Smith form and took two Smith forms: one of the numerator, solved against
 for the denominator and for ``coords``, and one of the quotient.  The only
 edits are that ``res.solve(b)`` reads ``snf_solve(res, v, b)``, with the
-numerator's v kept next to its Smith form.
+numerator's v kept next to its Smith form, and that ``wres.u_inv`` reads
+the u_inv of ``smith_with_u_inv``.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from tottower.intlinalg import (
     _dict_add,
     _placed,
     _Smith,
-    smith_normal_form,
+    hermite_solve,
     snf_invariants,
 )
 
@@ -65,6 +73,54 @@ class VSmith(_Smith):
         self.v_cols[j1], self.v_cols[j2] = new1, new2
 
 
+class UInvSmith(_Smith):
+    """``_Smith`` with transforms, also tracking the inverse u_inv of the
+    row transform as one column dict per working row."""
+
+    def __init__(self, mat: IntMatrix):
+        super().__init__(mat, True)
+        self.uinv_columns = {i: {i: 1} for i in range(self.m)}
+
+    def _row_add(self, i: int, k: int, c: int) -> None:
+        super()._row_add(i, k, c)
+        _dict_add(self.uinv_columns[k], self.uinv_columns[i], -c)
+
+    def _row_negate(self, i: int) -> None:
+        super()._row_negate(i)
+        col = self.uinv_columns[i]
+        for k in col:
+            col[k] = -col[k]
+
+    def export(self, order: list) -> tuple:
+        """(u, u_inv); the columns of u_inv move as the rows of u do."""
+        m = self.m
+        row_at = _placed([i for i, _ in order], m)
+        u_inv = {i * m + p: w for p, k in enumerate(row_at)
+                 for i, w in self.uinv_columns[k].items()}
+        return super().export(order), IntMatrix.from_cells(m, m, u_inv)
+
+
+def smith_with_u_inv(mat: IntMatrix) -> tuple:
+    """(smith_normal_form(mat), u_inv) with u @ u_inv the identity; the
+    steps are those of ``smith_normal_form`` with transforms."""
+    worker = UInvSmith(mat)
+    order = worker.eliminate()
+    worker.fix_divisibility(order)
+    invariants = tuple(worker.rows[i][j] for i, j in order)
+    u, u_inv = worker.export(order)
+    return SNFResult(mat.nrows, mat.ncols, invariants, tuple(order),
+                     u=u), u_inv
+
+
+def u_inv_gens(numer: IntMatrix, denom: IntMatrix) -> IntMatrix:
+    """The generators of numer/denom as ``abelian`` built them from u_inv,
+    for a numerator in column echelon form."""
+    wres, u_inv = smith_with_u_inv(hermite_solve(numer, denom))
+    n = numer.ncols
+    return (numer @ u_inv).block(range(numer.nrows),
+                                 range(wres.invariants.count(1), n))
+
+
 def diagonal(res: SNFResult) -> IntMatrix:
     """The nrows x ncols matrix with the invariants of res on its diagonal."""
     return IntMatrix.from_dict(
@@ -88,7 +144,6 @@ def smith_with_v(mat: IntMatrix) -> tuple:
     order = worker.eliminate()
     worker.fix_divisibility(order)
     invariants = tuple(worker.rows[i][j] for i, j in order)
-    u, u_inv = worker.export(order)
     n = mat.ncols
     col_at = _placed([j for _, j in order], n)
     v = IntMatrix.from_cells(n, n, {
@@ -96,7 +151,7 @@ def smith_with_v(mat: IntMatrix) -> tuple:
         for i, w in worker.v_cols[j].items()
     })
     return SNFResult(mat.nrows, mat.ncols, invariants, tuple(order),
-                     u=u, u_inv=u_inv), v
+                     u=worker.export(order)), v
 
 
 def kernel_basis(mat: IntMatrix) -> IntMatrix:
@@ -191,10 +246,10 @@ def smith_subquotient(numer_basis: IntMatrix,
     res, v = smith_with_v(numer_basis)
     if res.rank != numer_basis.ncols:
         raise InputError("numerator columns are not independent")
-    wres = smith_normal_form(snf_solve(res, v, denom_gens))
+    wres, u_inv = smith_with_u_inv(snf_solve(res, v, denom_gens))
     all_orders = wres.invariants + (0,) * (numer_basis.ncols - wres.rank)
     keep = [i for i, d in enumerate(all_orders) if d != 1]
     return SmithSubquotient(numer_basis.nrows,
                             tuple(all_orders[i] for i in keep),
-                            take_columns(numer_basis @ wres.u_inv, keep),
+                            take_columns(numer_basis @ u_inv, keep),
                             res, v, take_rows(wres.u, keep))

@@ -6,10 +6,15 @@ from hypothesis import given, strategies as st
 from corpus_reference import corpus
 from map_reference import compose_homs, is_zero_hom, take_columns, take_rows
 from shadow_reference import group_from_orders, is_iso
-from smith_reference import smith_subquotient, solve_matrix
+from smith_reference import (
+    smith_subquotient,
+    smith_with_u_inv,
+    solve_matrix,
+    u_inv_gens,
+)
 from test_cosimplicial import SIGNED
-from test_intlinalg import sparse_strategy
-from tottower import abelian, intlinalg
+from test_intlinalg import sparse_strategy, wide_ints
+from tottower import abelian, intlinalg, spectral
 from tottower.abelian import (
     GroupHom,
     HomologyGroup,
@@ -203,11 +208,11 @@ class ReferenceSubquotient:
     def __init__(self, numer, denom):
         self.numer = numer
         w = solve_matrix(numer, denom)
-        wres = smith_normal_form(w)
+        wres, u_inv = smith_with_u_inv(w)
         all_orders = wres.invariants + (0,) * (numer.ncols - wres.rank)
         self.keep = [i for i, d in enumerate(all_orders) if d != 1]
         self.orders = tuple(all_orders[i] for i in self.keep)
-        self.gens = take_columns(numer @ wres.u_inv, self.keep)
+        self.gens = take_columns(numer @ u_inv, self.keep)
         self.u = wres.u
         inv = snf_invariants(w)
         self.group = HomologyGroup(numer.ncols - len(inv),
@@ -224,11 +229,21 @@ class ReferenceSubquotient:
         return IntMatrix.from_dict(len(self.orders), vecs.ncols, data)
 
 
+def assert_same_generators(sq, gens):
+    """gens stand for the generators of sq, as sq.gens does: both have
+    the identity as coordinates.  Two such matrices differ by columns of
+    the denominator, so every map reads the same matrix off either."""
+    ident = IntMatrix.identity(len(sq.orders))
+    assert sq.coords(sq.gens) == ident
+    assert sq.coords(gens) == ident
+
+
 def assert_matches_reference(numer, denom, vecs):
     sq = subquotient_presentation(numer, denom)
     ref = ReferenceSubquotient(numer, denom)
     assert sq.group() == ref.group
-    assert (sq.orders, sq.gens) == (ref.orders, ref.gens)
+    assert sq.orders == ref.orders
+    assert_same_generators(sq, ref.gens)
     try:
         expected = ref.coords(vecs)
     except InvariantError:
@@ -311,13 +326,13 @@ def coords_outcome(sq, vecs):
 
 def assert_matches_smith_subquotient(numer, denom, vecs):
     """The echelon presentation of numer/denom equals the Smith one in
-    orders, generators and transform, and each column of vecs gets the
-    same coordinates from both, or the same refusal.  Returns how many
-    columns both refused."""
+    orders and transform, its generators stand for the Smith one's, and
+    each column of vecs gets the same coordinates from both, or the same
+    refusal.  Returns how many columns both refused."""
     sq = SUBQUOTIENT_MEMO.__wrapped__(numer, denom)
     ref = smith_subquotient(numer, denom)
-    assert (sq.ambient, sq.orders, sq.gens, sq._u) == \
-        (ref.ambient, ref.orders, ref.gens, ref._u)
+    assert (sq.ambient, sq.orders, sq._u) == (ref.ambient, ref.orders, ref._u)
+    assert_same_generators(sq, ref.gens)
     refused = 0
     for j in range(vecs.ncols):
         col = take_columns(vecs, [j])
@@ -367,6 +382,99 @@ def test_subquotients_match_smith_reference_on_spectral_calls(monkeypatch):
             numer, denom, IntMatrix.hstack([sq.gens, numer, units]))
     assert len(pairs) > 150
     assert refused > 200
+
+
+# -- generators from right_inverse against the u_inv route -------------------
+
+def draw_wide(data, nrows, ncols):
+    return IntMatrix.from_rows(
+        [[data.draw(wide_ints()) for _ in range(ncols)]
+         for _ in range(nrows)], ncols=ncols)
+
+
+def draw_pair(data):
+    """(numer, denom): an echelon numerator with zero rows above and below
+    it, and a denominator in its span of full rank, of lower rank, or
+    zero, with entries past 2^64."""
+    n = data.draw(st.integers(1, 4))
+    basis = lattice_basis(draw_wide(data, n, data.draw(st.integers(0, 4))))
+    k = basis.ncols
+    above, below = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    numer = IntMatrix.vstack([IntMatrix.zeros(above, k), basis,
+                              IntMatrix.zeros(below, k)])
+    kind = data.draw(st.sampled_from(("full", "deficient", "zero")))
+    if kind == "full":
+        # lower triangular with a nonzero diagonal
+        cells = {(i, j): data.draw(wide_ints())
+                 for i in range(k) for j in range(i)}
+        cells.update({(i, i): data.draw(wide_ints().filter(bool))
+                      for i in range(k)})
+        rel = IntMatrix.from_dict(k, k, cells)
+    elif kind == "deficient":
+        r = data.draw(st.integers(0, max(k - 1, 0)))
+        rel = draw_wide(data, k, r) @ draw_wide(
+            data, r, data.draw(st.integers(0, 4)))
+    else:
+        rel = IntMatrix.zeros(k, data.draw(st.integers(0, 2)))
+    return numer, numer @ rel
+
+
+def assert_hom_matches_u_inv_route(src, dst, ambient_map, numer, denom):
+    """The map induced from src, whose presented pair is (numer, denom),
+    reads the same matrix off the u_inv generators."""
+    assert induced_hom(src, dst, ambient_map).mat == \
+        dst.coords(ambient_map @ u_inv_gens(numer, denom))
+
+
+@given(st.data())
+def test_generators_match_u_inv_route(data):
+    """On (numerator, denominator) pairs with a finite quotient, a free
+    part or no relations, and entries past 2^64, the lazily built
+    generators have the coordinates of the u_inv generators, and a map
+    onto a second subquotient induces the same matrix from either."""
+    numer, denom = draw_pair(data)
+    sq = subquotient_presentation(numer, denom)
+    assert_same_generators(sq, u_inv_gens(numer, denom))
+    n2 = data.draw(st.integers(1, 4))
+    a = draw_wide(data, n2, numer.nrows)
+    numer2 = lattice_basis(IntMatrix.hstack([a @ numer,
+                                             draw_wide(data, n2, 1)]))
+    denom2 = IntMatrix.hstack([
+        a @ denom, numer2 @ draw_wide(data, numer2.ncols, 1)])
+    sq2 = subquotient_presentation(numer2, denom2)
+    assert_same_generators(sq2, u_inv_gens(numer2, denom2))
+    assert_hom_matches_u_inv_route(sq, sq2, a, numer, denom)
+
+
+def test_spectral_generators_match_u_inv_route(monkeypatch):
+    """Every subquotient that the spectral sequence and the E2 oracle
+    present on the seeded corpus and on cech_object(3, 3) has generators
+    with the coordinates of the u_inv ones, and every map they induce
+    reads the same matrix off the u_inv generators."""
+    pairs = {}
+    homs = []
+
+    def recording(numer, denom):
+        sq = SUBQUOTIENT_MEMO(numer, denom)
+        pairs[id(sq)] = sq, numer, denom
+        return sq
+
+    def recording_hom(src, dst, ambient_map):
+        homs.append((src, dst, ambient_map))
+        return induced_hom(src, dst, ambient_map)
+    monkeypatch.setattr(abelian, "_subquotient_memo", recording)
+    monkeypatch.setattr(spectral, "induced_hom", recording_hom)
+    for x in [obj.x for obj in corpus(seed=20250811, count=40)] + [
+            cech_object(3, 3)]:
+        spectral_sequence(x)
+        e2_from_level_homology(x)
+    for sq, numer, denom in pairs.values():
+        assert_same_generators(sq, u_inv_gens(numer, denom))
+    for src, dst, ambient_map in homs:
+        _, numer, denom = pairs[id(src)]
+        assert_hom_matches_u_inv_route(src, dst, ambient_map, numer, denom)
+    assert len(pairs) > 90
+    assert len(homs) > 500
 
 
 # -- Smith form budget -------------------------------------------------------

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -333,6 +334,48 @@ def test_reports_leave_no_cyclic_garbage(tmp_path, capsys):
             gc.enable()
 
 
+def test_subquotient_generators_are_built_only_when_read(tmp_path, capsys,
+                                                        monkeypatch):
+    """ss on cech_object(4, 4) takes 17 Smith forms with transforms, one
+    per distinct subquotient, but reads the generators of only the 7
+    subquotients that a map leaves: each of those, and no other, takes
+    one right inverse."""
+    path = write_json(tmp_path, "cech_4_4.json",
+                      cosimplicial_to_data(cech_object(4, 4)))
+    inverses, smith_forms, sources = [], [], set()
+    real_inverse, real_smith = abelian.right_inverse, \
+        abelian.smith_normal_form
+    real_hom = spectral.induced_hom
+
+    def inverse(rows):
+        inverses.append(rows)
+        return real_inverse(rows)
+
+    def smith(mat, *args):
+        smith_forms.append(mat)
+        return real_smith(mat, *args)
+
+    def hom(src, dst, ambient_map):
+        sources.add(id(src))
+        return real_hom(src, dst, ambient_map)
+    monkeypatch.setattr(abelian, "right_inverse", inverse)
+    monkeypatch.setattr(abelian, "smith_normal_form", smith)
+    monkeypatch.setattr(spectral, "induced_hom", hom)
+    abelian._subquotient_memo.cache_clear()
+    code, _, err = run(["ss", path], capsys)
+    assert code == 0, err
+    assert (len(inverses), len(sources), len(smith_forms)) == (7, 7, 17)
+    # a fresh subquotient has no generators until they are read, and then
+    # keeps them
+    inverses.clear()
+    abelian._subquotient_memo.cache_clear()
+    sq = abelian.subquotient_presentation(
+        IntMatrix.identity(2), IntMatrix.from_rows([[2], [0]]))
+    assert "gens" not in sq.__dict__ and not inverses
+    assert sq.gens is sq.gens
+    assert len(inverses) == 1 and "gens" in sq.__dict__
+
+
 def test_every_cut_of_a_cosimplicial_file_is_refused(tmp_path, capsys):
     """Each proper prefix of a small object, in the default and the
     compact spelling, is not JSON: tot refuses it with exit 2 and one
@@ -605,6 +648,25 @@ def test_facets_must_be_a_list_of_lists(tmp_path, capsys):
         assert_one_line_input_error(["homology", path], capsys)
 
 
+def test_cover_names_the_piece_that_misses_the_basepoint(tmp_path, capsys):
+    # the basepoint is a vertex of the complex but not of piece 2
+    path = write_json(tmp_path, "p.json", {
+        "complex": {"facets": [[0, 1], [1, 2], [2, 0]]},
+        "pieces": [[0, 1], [2]],
+        "basepoint": 1,
+    })
+    err = assert_one_line_input_error(["cover", "--r", "1", path], capsys)
+    assert "basepoint 1 missing from piece 2" in err
+    # a basepoint that is not a vertex of the complex at all
+    path = write_json(tmp_path, "q.json", {
+        "complex": {"facets": [[0, 1], [1, 2], [2, 0]]},
+        "pieces": [[0, 1], [2]],
+        "basepoint": 7,
+    })
+    err = assert_one_line_input_error(["cover", "--r", "1", path], capsys)
+    assert err == "input error: basepoint is not a vertex\n"
+
+
 def test_cover_facet_index_must_not_be_a_boolean(tmp_path, capsys):
     # read as index 1, this would be a valid cover of the triangle
     path = write_json(tmp_path, "p.json", {
@@ -814,13 +876,47 @@ REPORT_SHA256 = {
     # the tot_load benchmark object, 54 MB of dense rows
     ("tot", "cech_5_4"):
         "4094226c26dea95e13cec7ee715f0c273925aeabc8b67c1286d5181b894c2f75",
+    # dense 24 x 24 levels: a full-rank one, whose one torsion order is
+    # past 2^64, and one of rank 20
+    ("ss", "dense_full"):
+        "b8792810bb673d534a76191023d23491421ab36cae1675696b6c75716a5ef4ab",
+    ("tot", "dense_full"):
+        "26dc35dfc27a84e8c0a9b8cf92973119fb94dafc53220b76b570853183405edb",
+    ("ss", "dense_deficient"):
+        "d98cd6def8bb87420cdeb86109798c14f7192405371b2529a5407f6dbc7006c5",
+    ("tot", "dense_deficient"):
+        "c30dd12d10aef72c6b9bf48c1769bca4a243a4b5cfed6cc83d6adb3a09d4c69f",
 }
 # ss --pages 8 on cech_3_3: pages 5..8 are copies of the stable page 4
 PAGES_8_SHA256 = \
     "18bc168316791415e7779db5e71f7a2d9fd6899e5b2388754b75e6ba372370aa"
 
 
+def dense_level(rows):
+    """An object with one level, one boundary matrix, truncation 0 and no
+    maps."""
+    return {"truncation": 0,
+            "levels": [{"lo": 0, "ranks": [len(rows), len(rows[0])],
+                        "boundaries": [rows]}],
+            "cofaces": [], "codegeneracies": []}
+
+
+def dense_levels():
+    """(full rank, rank deficient): seeded 24 x 24 levels, the first with
+    cells in -9..9, the second a product of a 24 x 20 and a 20 x 24 matrix
+    with such cells."""
+    rng = random.Random(24)
+
+    def cells(n, m):
+        return IntMatrix.from_rows(
+            [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)])
+    full = cells(24, 24)
+    deficient = cells(24, 20) @ cells(20, 24)
+    return dense_level(full.to_rows()), dense_level(deficient.to_rows())
+
+
 def test_report_bytes_are_pinned(tmp_path, capsys):
+    full, deficient = dense_levels()
     files = {
         "cech_3_3": write_json(tmp_path, "cech_3_3.json",
                                cosimplicial_to_data(cech_object(3, 3))),
@@ -832,6 +928,9 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
                                cosimplicial_to_data(cech_object(4, 4))),
         "cech_5_4": write_json(tmp_path, "cech_5_4.json",
                                cosimplicial_to_data(cech_object(5, 4))),
+        "dense_full": write_json(tmp_path, "dense_full.json", full),
+        "dense_deficient": write_json(tmp_path, "dense_deficient.json",
+                                      deficient),
     }
     memo = abelian._subquotient_memo
     for (command, name), expected in REPORT_SHA256.items():
@@ -848,6 +947,8 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
             if command == "ss":
                 assert (memo.cache_info().misses == misses) == warm
     assert "Z/" in run(["ss", files["corpus_8"]], capsys)[1]
+    assert "Z/11625532016889206226710784579" in \
+        run(["ss", files["dense_full"]], capsys)[1]
     code, out, err = run(["ss", "--pages", "8", files["cech_3_3"]], capsys)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == PAGES_8_SHA256

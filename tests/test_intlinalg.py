@@ -21,6 +21,7 @@ from smith_reference import (
     diagonal,
     kernel_basis,
     matrix_rank,
+    smith_with_u_inv,
     smith_with_v,
     solve_matrix,
     transpose,
@@ -42,6 +43,7 @@ from tottower.intlinalg import (
     hermite_solve,
     kernel_lattice,
     lattice_basis,
+    right_inverse,
     smith_normal_form,
     snf_invariants,
     xgcd,
@@ -213,8 +215,11 @@ def test_transforms_on_hand_value():
     assert res.invariants == (2, 4)
     _, v = smith_with_v(a)
     assert res.u @ a @ v == diagonal(res)
-    assert res.u @ res.u_inv == IntMatrix.identity(2)
-    assert res.u_inv @ res.u == IntMatrix.identity(2)
+    # u is unimodular: the reference that also tracks u_inv inverts it
+    ref, u_inv = smith_with_u_inv(a)
+    assert ref == res
+    assert res.u @ u_inv == IntMatrix.identity(2)
+    assert u_inv @ res.u == IntMatrix.identity(2)
 
 
 # -- randomized laws --------------------------------------------------------
@@ -229,8 +234,10 @@ def test_snf_transform_equation(a):
     res = smith_normal_form(a)
     _, v = smith_with_v(a)
     assert res.u @ a @ v == diagonal(res)
-    assert res.u @ res.u_inv == IntMatrix.identity(a.nrows)
-    assert res.u_inv @ res.u == IntMatrix.identity(a.nrows)
+    ref, u_inv = smith_with_u_inv(a)
+    assert ref == res
+    assert res.u @ u_inv == IntMatrix.identity(a.nrows)
+    assert u_inv @ res.u == IntMatrix.identity(a.nrows)
     for d, e in zip(res.invariants, res.invariants[1:]):
         assert e % d == 0
     assert all(d > 0 for d in res.invariants)
@@ -256,14 +263,18 @@ def smith_shapes():
 
 @given(smith_shapes())
 def test_v_tracking_reference_runs_the_package_elimination(a):
-    """smith_reference's VSmith only adds v to the package's _Smith: its
-    form (invariants, pivot sites, u and u_inv) is the package's, and its
-    v is unimodular with u @ a @ v == diagonal(res)."""
+    """smith_reference's VSmith only adds v to the package's _Smith, and
+    UInvSmith only u_inv: each form (invariants, pivot sites and u) is
+    the package's, v is unimodular with u @ a @ v == diagonal(res), and
+    u_inv is the inverse of u."""
     res, v = smith_with_v(a)
     assert res == smith_normal_form(a)
     assert v.shape == (a.ncols, a.ncols)
     assert res.u @ a @ v == diagonal(res)
     assert snf_invariants(v) == (1,) * a.ncols
+    ref, u_inv = smith_with_u_inv(a)
+    assert ref == res
+    assert u_inv @ res.u == IntMatrix.identity(a.nrows)
 
 
 @given(dense_strategy())
@@ -576,6 +587,79 @@ def test_hermite_solve_failures():
             hermite_solve(IntMatrix.from_rows(bad), b)
     with pytest.raises(InputError):
         hermite_solve(IntMatrix.identity(2), IntMatrix.zeros(3, 1))
+
+
+# -- right inverses of unimodular rows ----------------------------------------
+
+def wide_ints():
+    """Small integers and integers past 2^64, of either sign."""
+    return st.one_of(st.integers(-3, 3), st.integers(2**64, 2**66),
+                     st.integers(-2**66, -2**64))
+
+
+def draw_unimodular(data, n):
+    """The n x n identity under elementary row operations (r_i += c r_k,
+    r_i <-> r_k, r_i <- -r_i), with multipliers past 2^64 allowed; these
+    operations generate every unimodular matrix."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(data.draw(st.integers(0, 3 * n))):
+        i, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        op = data.draw(st.sampled_from(("add", "swap", "negate")))
+        if op == "add" and i != k:
+            c = data.draw(wide_ints())
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[k])]
+        elif op == "swap":
+            rows[i], rows[k] = rows[k], rows[i]
+        else:
+            rows[i] = [-a for a in rows[i]]
+    return IntMatrix.from_rows(rows, ncols=n)
+
+
+def maximal_minor_gcd(mat):
+    """gcd of the k x k minors of a k x n matrix, by expansion."""
+    rows = mat.to_rows()
+    g = 0
+    for csel in itertools.combinations(range(mat.ncols), mat.nrows):
+        g = math.gcd(g, det([[r[j] for j in csel] for r in rows]))
+    return g
+
+
+@given(st.data())
+def test_right_inverse_of_unimodular_rows(data):
+    u = draw_unimodular(data, data.draw(st.integers(1, 5)))
+    keep = data.draw(st.lists(st.integers(0, u.nrows - 1), unique=True))
+    rows = take_rows(u, keep)
+    assert maximal_minor_gcd(rows) == 1
+    x = right_inverse(rows)
+    assert x.shape == (u.nrows, len(keep))
+    assert rows @ x == IntMatrix.identity(len(keep))
+
+
+@given(st.data())
+def test_right_inverse_refuses_rows_with_a_common_minor_factor(data):
+    """m @ scale @ rows has maximal minors det(m) * d * those of rows, so
+    their gcd is d; with d = 0 the rows are dependent."""
+    u = draw_unimodular(data, data.draw(st.integers(1, 5)))
+    k = data.draw(st.integers(1, u.nrows))
+    rows = take_rows(u, data.draw(st.permutations(range(u.nrows)))[:k])
+    d = data.draw(st.sampled_from((0, 2, 3, 6, 2**64 + 2)))
+    t = data.draw(st.integers(0, k - 1))
+    scale = IntMatrix.from_dict(k, k, {(i, i): d if i == t else 1
+                                       for i in range(k)})
+    bad = draw_unimodular(data, k) @ scale @ rows
+    assert maximal_minor_gcd(bad) == d
+    with pytest.raises(InvariantError):
+        right_inverse(bad)
+
+
+def test_right_inverse_edge_shapes():
+    for n in range(4):
+        assert right_inverse(IntMatrix.zeros(0, n)) == IntMatrix.zeros(n, 0)
+    rows = IntMatrix.from_rows([[2, 3]])
+    assert rows @ right_inverse(rows) == IntMatrix.identity(1)
+    for bad in ([[0, 0]], [[2, 4]], [[1, 0], [1, 0]], [[1, 0, 0], [0, 2, 4]]):
+        with pytest.raises(InvariantError):
+            right_inverse(IntMatrix.from_rows(bad))
 
 
 def echelon_calls(monkeypatch):
