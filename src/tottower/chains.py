@@ -31,7 +31,6 @@ __all__ = [
     "ChainMap",
     "chain_map",
     "homology_from_columns",
-    "identity_chain_map",
 ]
 
 
@@ -106,13 +105,6 @@ class ChainComplexInt:
         return {k: self.homology(k) for k in self.degrees()}
 
     # -- serialization -----------------------------------------------------
-
-    def to_data(self):
-        return {
-            "lo": self.lo,
-            "ranks": list(self.ranks),
-            "boundaries": [b.to_rows() for b in self.boundaries],
-        }
 
     @classmethod
     def from_data(cls, data) -> "ChainComplexInt":
@@ -349,11 +341,3 @@ def chain_map(src: ChainComplexInt, dst: ChainComplexInt,
         (k, m) for k, m in mats.items() if not m.is_zero
     ))
     return ChainMap(src, dst, comps)
-
-
-def identity_chain_map(c: ChainComplexInt) -> ChainMap:
-    mats = {
-        k: IntMatrix.identity(c.rank(k))
-        for k in c.degrees() if c.rank(k)
-    }
-    return chain_map(c, c, mats)

@@ -149,10 +149,17 @@ def _poset_from_args(args):
         raise InputError(
             "give exactly one of --subset-size, --subspace, or a file"
         )
+    if args.subset_size is None:
+        for flag, value in (("--min-card", args.min_card),
+                            ("--max-card", args.max_card)):
+            if value is not None:
+                raise InputError(f"{flag} needs --subset-size")
+    if args.subspace is None and args.max_dim is not None:
+        raise InputError("--max-dim needs --subspace")
     if args.subset_size is not None:
         return subset_poset(
             range(args.subset_size),
-            min_card=args.min_card,
+            min_card=1 if args.min_card is None else args.min_card,
             max_card=args.max_card,
         )
     if args.subspace is not None:
@@ -294,8 +301,6 @@ def cmd_tot(args) -> dict:
         report["weakenings"] = [STABLE_MODEL_DISCLAIMER]
         return report
     if args.stage is not None:
-        if not 0 <= args.stage <= x.truncation:
-            raise InputError("stage must lie in 0..truncation")
         return {
             "stage": args.stage,
             "homology": _group_table(tot_n(x, args.stage).homology_all()),
@@ -375,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="poset JSON: {elements, leq}")
     p.add_argument("--subset-size", type=int, metavar="N",
                    help="subsets of an N-element set")
-    p.add_argument("--min-card", type=int, default=1, metavar="K")
+    p.add_argument("--min-card", type=int, metavar="K")
     p.add_argument("--max-card", type=int, metavar="K")
     p.add_argument("--subspace", nargs=2, metavar=("q=Q", "n=N"),
                    help="subspaces of F_q^n")

@@ -6,9 +6,10 @@ we extract:
 
 * the conormalization N^s = intersection of ker(s^i), a canonical
   sublattice per degree (Hermite basis, so the same subgroup always gets
-  the same matrix) with the alternating coface sum as differential;
-* matching objects M^m as compatible-tuple kernels, with the canonical
-  comparison map out of X^{m+1};
+  the same matrix) with the alternating coface sum as differential,
+  whose ``embeddings`` into the levels the tests compare with the
+  matching-object kernels of ``tests/matching_reference.py``, a second
+  route through the tuple constraints;
 * partial totalizations Tot_n and tower fibers, each the window of the
   stripes a < s <= b of one ``StripeWindow`` per conormalization: tot
   degree k takes (N^s)_{k+s}, the internal boundary is weighted by
@@ -33,7 +34,7 @@ from json.scanner import make_scanner
 from ._record import record
 from .chains import ChainComplexInt, ChainMap, chain_map
 from .errors import InputError, InvariantError
-from .intlinalg import IntMatrix, hermite_solve, kernel_lattice, lattice_basis
+from .intlinalg import IntMatrix, hermite_solve, kernel_lattice
 from .schema import checked, degree_key, field, is_int, list_of
 
 __all__ = [
@@ -42,13 +43,9 @@ __all__ = [
     "Conormalization",
     "conormalize",
     "coface_sum",
-    "MatchingObject",
-    "matching_object",
-    "matching_kernel_agrees",
     "StripeWindow",
     "tot_n",
     "tower_fiber",
-    "cosimplicial_to_data",
     "cosimplicial_from_data",
     "CosimplicialDecoder",
     "MAX_RANK",
@@ -299,93 +296,6 @@ def conormalize(x: CosimplicialChain) -> Conormalization:
     )
 
 
-# -- matching objects --------------------------------------------------------
-
-@record
-class MatchingObject:
-    """The compatible-tuple limit M^m with its canonical comparison.
-
-    ``basis`` gives, per degree, the kernel lattice basis inside the
-    (m+1)-fold product of X^m; ``canonical`` is X^{m+1} -> complex.
-    """
-
-    m: int
-    complex: ChainComplexInt
-    canonical: ChainMap
-    basis: dict
-
-
-def matching_object(x: CosimplicialChain, m: int) -> MatchingObject:
-    """Limit of levels below m+1 over the collapse maps out of [m+1].
-
-    Concretely: tuples (x_0 .. x_m) in X^m with s^j x_i = s^i x_{j+1}
-    for 0 <= i <= j <= m-1; the canonical map sends x in X^{m+1} to
-    (s^0 x, .., s^m x).  Its kernel is checked against the
-    conormalization by matching_kernel_agrees.
-    """
-    if not 0 <= m <= x.truncation - 1:
-        raise InputError("need 0 <= m <= truncation - 1")
-    level = x.levels[m]
-    copies = m + 1
-    basis = {}
-    for t in level.degrees():
-        r = level.rank(t)
-        s_mats = [
-            x.codegeneracy(m, i).component(t) for i in range(m)
-        ]
-        rows = []
-        for i in range(m):
-            for j in range(i, m):
-                rows.append(IntMatrix.from_blocks(
-                    (s_mats[j].nrows,), (r,) * copies,
-                    {(0, i): s_mats[j], (0, j + 1): -s_mats[i]},
-                ))
-        basis[t] = _kernel_of_stack(rows, copies * r)
-    ranks = tuple(basis[t].ncols for t in level.degrees())
-    boundaries = []
-    for t in level.degrees():
-        if t == level.lo:
-            continue
-        product_boundary = IntMatrix.from_blocks(
-            (level.rank(t - 1),) * copies,
-            (level.rank(t),) * copies,
-            {(c, c): level.boundary(t) for c in range(copies)},
-        )
-        boundaries.append(
-            hermite_solve(basis[t - 1], product_boundary @ basis[t])
-        )
-    match = ChainComplexInt(level.lo, ranks, tuple(boundaries))
-    above = x.levels[m + 1]
-    comps = {}
-    for t in above.degrees():
-        if t not in level.degrees():
-            continue
-        stacked = IntMatrix.vstack([
-            x.codegeneracy(m + 1, i).component(t) for i in range(m + 1)
-        ])
-        comps[t] = hermite_solve(basis[t], stacked)
-    canonical = chain_map(above, match, comps)
-    return MatchingObject(m=m, complex=match, canonical=canonical,
-                          basis=basis)
-
-
-def matching_kernel_agrees(x: CosimplicialChain, m: int) -> bool:
-    """ker(X^{m+1} -> M^m) must be the conormalized piece N^{m+1}.
-
-    Both sides are produced by independent routes (tuple constraints
-    versus stacked codegeneracies) and both end Hermite-canonical, so
-    agreement is literal matrix equality, degree by degree."""
-    mo = matching_object(x, m)
-    above = x.levels[m + 1]
-    emb = x.conormalization.embeddings[m + 1]
-    for t in above.degrees():
-        mine = kernel_lattice(mo.canonical.component(t))
-        expected = lattice_basis(emb.component(t))
-        if mine != expected:
-            return False
-    return True
-
-
 # -- totalization ------------------------------------------------------------
 
 class StripeWindow:
@@ -478,10 +388,6 @@ def tower_fiber(x: CosimplicialChain, n: int, m: int) -> ChainComplexInt:
 
 
 # -- serialization -----------------------------------------------------------
-
-def _map_to_data(f: ChainMap) -> dict:
-    return {str(k): mat.to_rows() for k, mat in f.comps}
-
 
 def _degree_table(pairs) -> dict:
     """The object of the given pairs, with each value of a degree table
@@ -689,19 +595,6 @@ def _map_from_data(src, dst, data) -> ChainMap:
     f = chain_map(src, dst, mats)
     f.check_commutes()
     return f
-
-
-def cosimplicial_to_data(x: CosimplicialChain) -> dict:
-    return {
-        "truncation": x.truncation,
-        "levels": [level.to_data() for level in x.levels],
-        "cofaces": [
-            [_map_to_data(d) for d in row] for row in x.cofaces
-        ],
-        "codegeneracies": [
-            [_map_to_data(s) for s in row] for row in x.codegeneracies
-        ],
-    }
 
 
 def _level_from_data(data) -> ChainComplexInt:

@@ -17,10 +17,13 @@ lives at the level of integral homology: a value whose homology matches a
 sphere wedge is accepted as one, and no homotopy equivalence is ever
 constructed.  Reports say so explicitly in their ``weakenings`` field.
 
-The model builders at the bottom produce the three families these bounds
-are sharp for: truncated subset posets inside a power set, truncated
-subspace posets inside the full subspace poset, and the simplex models
-pairing a totalization stage n with an ambient width m.
+The model builders at the bottom produce the three families on which
+d_max meets a closed form: truncated subset posets inside a power set,
+truncated subspace posets inside the full subspace poset, and the
+simplex models pairing a totalization stage n with an ambient width m.
+``tot_truncation_bound`` is the closed form of the last, which the
+``deloop --tot`` report gives; the tests hold the other two, in
+``tests/suspension_reference.py``.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ __all__ = [
     "InclusionReport",
     "analyze_inclusion",
     "tot_truncation_bound",
-    "subset_deloop_bound",
-    "cover_suspension_bound",
     "delta_model",
     "subset_model",
     "subspace_model",
@@ -214,22 +215,6 @@ def tot_truncation_bound(n: int, m: int):
     if m > 2 * n + 1:
         return None
     return 2 * n - m + 2
-
-
-def subset_deloop_bound(size: int, r: int) -> int:
-    """Bound for card <= r subsets inside the power set of a size-set."""
-    if not 1 <= r <= size:
-        raise PreconditionError("need 1 <= r <= size")
-    return 2 * r - size + 1
-
-
-def cover_suspension_bound(n: int, r: int) -> int:
-    """Suspension count certified by an n-piece cover with r-acyclic
-    intersections; the same arithmetic serves dim <= r subspaces inside
-    the subspaces of F_q^n."""
-    if not 1 <= r <= n:
-        raise PreconditionError("need 1 <= r <= n")
-    return 2 * r - n + 1
 
 
 # -- model builders ----------------------------------------------------------

@@ -119,9 +119,6 @@ class FinPoset:
         except KeyError:
             raise InputError(f"{v!r} is not a poset element") from None
 
-    def leq(self, x, y) -> bool:
-        return bool((self.down[self.index(y)] >> self.index(x)) & 1)
-
     @cached_property
     def covers(self) -> tuple:
         """Cover pairs (j, i) of indices: e_j covered by e_i."""

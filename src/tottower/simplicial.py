@@ -2,8 +2,8 @@
 
 Vertex labels may be integers, strings, or (nested) tuples of those; the
 mixed-type total order of ``label_key`` makes every construction
-deterministic, including barycentric subdivisions whose vertices are
-simplices of the original complex.
+deterministic, including order complexes whose vertices are the subsets
+or subspaces of a poset.
 
 A complex is stored by its facets.  Homology takes the sorted k-simplices
 as the degree-k basis and feeds the alternating-sum boundary on sorted
@@ -35,8 +35,6 @@ __all__ = [
     "SimplicialComplex",
     "complex_from_facets",
     "complex_from_coded",
-    "skeleton",
-    "barycentric_subdivision",
     "reduced_homology",
     "homology_from_reduced",
     "HOMOLOGY_ONLY_DISCLAIMER",
@@ -44,7 +42,6 @@ __all__ = [
     "wedge_signature",
     "wedge_signature_from_homology",
     "euler_characteristic",
-    "complex_to_data",
     "complex_from_data",
     "facets_from_data",
     "label_from_data",
@@ -206,33 +203,6 @@ def complex_from_coded(labels: tuple, facets, by_size) -> SimplicialComplex:
     return k
 
 
-def skeleton(k: SimplicialComplex, r: int) -> SimplicialComplex:
-    if r < 0:
-        raise InputError("skeleton dimension must be nonnegative")
-    if r >= k.dimension:
-        return k
-    facets = []
-    for f in k.facets:
-        if len(f) <= r + 1:
-            facets.append(f)
-        else:
-            facets.extend(itertools.combinations(f, r + 1))
-    return complex_from_facets(facets, k.basepoint)
-
-
-def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
-    """Vertices are simplices of k; facets are maximal inclusion chains."""
-    facets = []
-    for f in k.facets:
-        for perm in itertools.permutations(f):
-            chain = []
-            for i in range(len(perm)):
-                chain.append(tuple(sorted(perm[:i + 1], key=label_key)))
-            facets.append(chain)
-    base = (k.basepoint,) if k.basepoint is not None else None
-    return complex_from_facets(facets, base)
-
-
 def reduced_homology(k: SimplicialComplex) -> dict:
     """{degree: HomologyGroup} of the augmented chains, degrees -1 .. dim;
     the augmentation is the boundary onto the (-1)-simplex ()."""
@@ -327,12 +297,6 @@ def wedge_signature_from_homology(groups: dict):
     return WedgeSignature(d, h.rank)
 
 
-def _label_to_data(v):
-    if isinstance(v, tuple):
-        return [_label_to_data(x) for x in v]
-    return v
-
-
 # A label's lists may nest at most this deep.  Deeper input is refused
 # with InputError rather than left to exhaust Python's recursion limit.
 MAX_LABEL_DEPTH = 100
@@ -359,13 +323,6 @@ def _label_from_data(v, depth: int):
             f"unsupported vertex label of type {type(v).__name__}"
         )
     return v
-
-
-def complex_to_data(k: SimplicialComplex):
-    out = {"facets": [[_label_to_data(v) for v in f] for f in k.facets]}
-    if k.basepoint is not None:
-        out["basepoint"] = _label_to_data(k.basepoint)
-    return out
 
 
 def facets_from_data(data) -> tuple:

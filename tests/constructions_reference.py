@@ -1,24 +1,34 @@
-"""Two stock cosimplicial objects, for examples and scripts.
+"""Two stock cosimplicial objects and the JSON writers of cosimplicial
+objects, for the tests and the scripts.
 
 * constant objects, where every structure map is the identity;
 * cochain objects of the covering of a point by n points, whose level k
   holds functions on (k+1)-tuples and whose structure maps are the
   transposes of tuple deletion and duplication.
 
-The seeded corpus that the tests run on, built from the surjection-block
-functor, is in ``tests/corpus_reference.py``.
+``cosimplicial_to_data`` writes an object in the schema that
+``cosimplicial.cosimplicial_from_data`` reads, so the tests and scripts
+hand objects to the commands as files.  The seeded corpus, built from the
+surjection-block functor, is in ``corpus_reference.py``.  No module of the
+package uses these.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .chains import ChainComplexInt, chain_map, identity_chain_map
-from .cosimplicial import CosimplicialChain
-from .errors import InputError
-from .intlinalg import IntMatrix
+from tottower.chains import ChainComplexInt, ChainMap, chain_map
+from tottower.cosimplicial import CosimplicialChain
+from tottower.errors import InputError
+from tottower.intlinalg import IntMatrix
 
-__all__ = ["constant_object", "cech_object"]
+
+def identity_chain_map(c: ChainComplexInt) -> ChainMap:
+    mats = {
+        k: IntMatrix.identity(c.rank(k))
+        for k in c.degrees() if c.rank(k)
+    }
+    return chain_map(c, c, mats)
 
 
 def constant_object(c: ChainComplexInt, truncation: int) -> CosimplicialChain:
@@ -88,3 +98,30 @@ def cech_object(n_points: int, truncation: int) -> CosimplicialChain:
         cofaces.append(tuple(d_row))
         codegeneracies.append(tuple(s_row))
     return CosimplicialChain(levels, tuple(cofaces), tuple(codegeneracies))
+
+
+# -- writers -------------------------------------------------------------------
+
+def chain_complex_to_data(c: ChainComplexInt) -> dict:
+    return {
+        "lo": c.lo,
+        "ranks": list(c.ranks),
+        "boundaries": [b.to_rows() for b in c.boundaries],
+    }
+
+
+def _map_to_data(f: ChainMap) -> dict:
+    return {str(k): mat.to_rows() for k, mat in f.comps}
+
+
+def cosimplicial_to_data(x: CosimplicialChain) -> dict:
+    return {
+        "truncation": x.truncation,
+        "levels": [chain_complex_to_data(level) for level in x.levels],
+        "cofaces": [
+            [_map_to_data(d) for d in row] for row in x.cofaces
+        ],
+        "codegeneracies": [
+            [_map_to_data(s) for s in row] for row in x.codegeneracies
+        ],
+    }

@@ -20,11 +20,11 @@ import itertools
 import math
 import random
 
+from constructions_reference import constant_object
 from shadow_reference import CosimplicialMap
 from smith_reference import kernel_basis
 from tottower._record import record
 from tottower.chains import ChainComplexInt, ChainMap, chain_map
-from tottower.constructions import constant_object
 from tottower.cosimplicial import CosimplicialChain
 from tottower.errors import InputError
 from tottower.intlinalg import IntMatrix

@@ -6,14 +6,20 @@ routes instead: one comparison per ordered pair of elements, with no
 closure at all, and a Warshall closure of a pair list over a boolean
 matrix.  ``maximal_chains`` lists the facets of an order complex along
 the cover relation, the route ``posets.order_complex`` took before it
-listed every chain in one walk over the relation masks.  No module of
-the package uses these.
+listed every chain in one walk over the relation masks.  ``leq`` reads
+one comparison off the relation masks.  No module of the package uses
+these.
 """
 
 from __future__ import annotations
 
 from tottower.posets import FinPoset
 from tottower.simplicial import label_key
+
+
+def leq(p: FinPoset, x, y) -> bool:
+    """Whether x <= y in p."""
+    return bool((p.down[p.index(y)] >> p.index(x)) & 1)
 
 
 def pairwise_poset(elements, leq) -> FinPoset:

@@ -5,7 +5,10 @@ its wedge signature up one degree instead of suspending it.  The pointwise
 suspension diagram it stands for is built here, with the unreduced
 suspension of a complex, so the tests can check the shortcut against the
 construction itself, with the slices cut by comparing elements one pair
-at a time.  No module of the package uses these.
+at a time.  ``subset_deloop_bound`` and ``cover_suspension_bound`` are the
+closed forms 2r - size + 1 and 2r - n + 1 that the reports' ``d_max`` must
+reach on the subset and subspace models.  No module of the package uses
+these.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from poset_reference import leq
 from tottower.errors import InputError, InvariantError, PreconditionError
 from tottower.posets import (
     FinPoset,
@@ -55,7 +59,7 @@ def down_slice(incl: PosetInclusion, d) -> FinPoset:
     by one comparison per subposet element; the package cuts its slices
     from masks with ``posets.down_slice_masks`` instead."""
     picked = [
-        c for c in incl.sub.elements if incl.ambient.leq(c, d)
+        c for c in incl.sub.elements if leq(incl.ambient, c, d)
     ]
     return full_subposet(incl.sub, picked)
 
@@ -148,3 +152,21 @@ def _check_diamonds(p: FinPoset, vmaps: dict) -> None:
                     raise InvariantError(
                         "suspension diagram fails to commute"
                     )
+
+
+# -- closed-form bounds ------------------------------------------------------
+
+def subset_deloop_bound(size: int, r: int) -> int:
+    """Bound for card <= r subsets inside the power set of a size-set."""
+    if not 1 <= r <= size:
+        raise PreconditionError("need 1 <= r <= size")
+    return 2 * r - size + 1
+
+
+def cover_suspension_bound(n: int, r: int) -> int:
+    """Suspension count certified by an n-piece cover with r-acyclic
+    intersections; the same arithmetic serves dim <= r subspaces inside
+    the subspaces of F_q^n."""
+    if not 1 <= r <= n:
+        raise PreconditionError("need 1 <= r <= n")
+    return 2 * r - n + 1

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from constructions_reference import cech_object
 from corpus_reference import corpus
 from map_reference import compose_homs, is_zero_hom, take_columns, take_rows
 from shadow_reference import group_from_orders, is_iso
@@ -24,7 +25,6 @@ from tottower.abelian import (
     presented_homology,
     subquotient_presentation,
 )
-from tottower.constructions import cech_object
 from tottower.errors import InputError, InvariantError
 from tottower.intlinalg import (
     IntMatrix,

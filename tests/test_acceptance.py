@@ -20,9 +20,7 @@ from tottower.cosimplicial import tot_n, tower_fiber
 from tottower.cover import verify_cover_theorem, cover_from_subcomplexes
 from tottower.deloop import (
     analyze_inclusion,
-    cover_suspension_bound,
     delta_model,
-    subset_deloop_bound,
     subset_model,
     subspace_model,
     tot_truncation_bound,
@@ -35,7 +33,6 @@ from tottower.posets import (
     subspace_poset,
 )
 from tottower.simplicial import (
-    barycentric_subdivision,
     complex_from_facets,
     euler_characteristic,
     reduced_homology,
@@ -45,7 +42,12 @@ from tottower.spectral import e2_from_level_homology, spectral_sequence
 
 from corpus_reference import corpus, quasi_iso_pairs
 from shadow_reference import quasi_iso_invariance, shift_check
-from suspension_reference import unreduced_suspension
+from simplicial_reference import barycentric_subdivision
+from suspension_reference import (
+    cover_suspension_bound,
+    subset_deloop_bound,
+    unreduced_suspension,
+)
 
 CORPUS_SEED = 20250811
 CORPUS_COUNT = 50

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from constructions_reference import (cech_object, constant_object,
+                                    cosimplicial_to_data)
 from corpus_reference import corpus
 from map_reference import take_columns
 from test_cosimplicial import SIGNED
@@ -21,8 +23,6 @@ from tottower import (abelian, chains, cli, cosimplicial, deloop, intlinalg,
                       posets, simplicial, spectral)
 from tottower.chains import ChainComplexInt
 from tottower.cli import main
-from tottower.constructions import cech_object, constant_object
-from tottower.cosimplicial import cosimplicial_to_data
 from tottower.errors import InvariantError, PreconditionError
 from tottower.intlinalg import IntMatrix
 from tottower.posets import PosetInclusion, full_subposet, poset_from_relation
@@ -452,6 +452,29 @@ def test_subset_dim_report(capsys):
     assert report["dim"] == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--subspace", "q=2", "n=3", "--max-card", "1"], "--max-card"),
+    (["--subspace", "q=2", "n=3", "--min-card", "1"], "--min-card"),
+    (["--subset-size", "4", "--max-dim", "1"], "--max-dim"),
+    (["FILE", "--min-card", "2"], "--min-card"),
+    (["FILE", "--max-card", "2"], "--max-card"),
+    (["FILE", "--max-dim", "1"], "--max-dim"),
+], ids=["subspace-max-card", "subspace-min-card", "subset-max-dim",
+        "file-min-card", "file-max-card", "file-max-dim"])
+def test_poset_refuses_an_option_of_another_family(tmp_path, capsys, argv,
+                                                   flag):
+    """A card bound applies to --subset-size only, a dimension bound to
+    --subspace only; given to another poset, it is refused, not
+    ignored."""
+    path = write_json(tmp_path, "chain.json", {
+        "elements": ["a", "b", "c"],
+        "leq": [["a", "b"], ["b", "c"]],
+    })
+    argv = [path if a == "FILE" else a for a in argv]
+    err = assert_one_line_input_error(["poset", "dim"] + argv, capsys)
+    assert flag in err
+
+
 def test_poset_homology_action(capsys):
     report = run_report(
         ["poset", "--subset-size", "4", "--max-card", "2", "homology"],
@@ -739,7 +762,6 @@ def test_tot_stage_builds_only_that_stage(tmp_path, capsys, monkeypatch):
     assert report["homology"] == {"-1": "Z", "0": "Z"} and built == [1]
     # the range is checked before any conormalization
     monkeypatch.setattr(cosimplicial, "conormalize", refuse)
-    monkeypatch.setattr(cosimplicial, "tot_n", refuse)
     assert_one_line_input_error(["tot", "--stage", "3", path], capsys)
 
 

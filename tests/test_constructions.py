@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from constructions_reference import (cech_object, constant_object,
+                                    cosimplicial_to_data)
 from corpus_reference import (
     corpus,
     gamma_blocks,
@@ -17,8 +19,7 @@ from corpus_reference import (
 from map_reference import compose
 from shadow_reference import shift
 from tottower.chains import ChainComplexInt, chain_map
-from tottower.constructions import cech_object, constant_object
-from tottower.cosimplicial import cosimplicial_to_data, validate_cosimplicial
+from tottower.cosimplicial import validate_cosimplicial
 from tottower.errors import InputError
 from tottower.intlinalg import IntMatrix
 

@@ -15,11 +15,8 @@ from tottower.cover import (
     hocolim_chain,
     verify_cover_theorem,
 )
-from simplicial_reference import chain_complex
-from tottower.simplicial import (
-    barycentric_subdivision,
-    complex_from_facets,
-)
+from simplicial_reference import barycentric_subdivision, chain_complex
+from tottower.simplicial import complex_from_facets
 
 
 def nerve_of_cover(cov):

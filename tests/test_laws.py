@@ -10,18 +10,19 @@ is put through the check its constructor used to run.
 
 import pytest
 
+from constructions_reference import cech_object, cosimplicial_to_data
 from corpus_reference import corpus, quasi_iso_pairs
+from matching_reference import matching_kernel_agrees
+from poset_reference import leq
 from shadow_reference import quasi_iso_invariance
-from simplicial_reference import chain_complex
+from simplicial_reference import (barycentric_subdivision, chain_complex,
+                                  skeleton)
 from suspension_reference import down_slice
 from test_cosimplicial import stripe_sign_objects
 from test_simplicial import reference_canonical_check
 from tottower.chains import ChainComplexInt, ChainMap
-from tottower.constructions import cech_object
 from tottower.cosimplicial import (
     cosimplicial_from_data,
-    cosimplicial_to_data,
-    matching_kernel_agrees,
     tot_n,
     tower_fiber,
 )
@@ -38,12 +39,7 @@ from tottower.posets import (
     subset_poset,
     subspace_poset,
 )
-from tottower.simplicial import (
-    SimplicialComplex,
-    barycentric_subdivision,
-    complex_from_facets,
-    skeleton,
-)
+from tottower.simplicial import SimplicialComplex, complex_from_facets
 from tottower.spectral import spectral_sequence
 
 
@@ -94,7 +90,7 @@ def reference_inclusion_check(self):
         self.ambient.index(x)
     for x in self.sub.elements:
         for y in self.sub.elements:
-            if self.sub.leq(x, y) != self.ambient.leq(x, y):
+            if leq(self.sub, x, y) != leq(self.ambient, x, y):
                 raise InputError(
                     f"inclusion is not full at ({x!r}, {y!r})"
                 )

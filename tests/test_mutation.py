@@ -12,14 +12,11 @@ every axiom-preserving one is accepted.
 
 import copy
 
+from constructions_reference import (cech_object, constant_object,
+                                    cosimplicial_to_data)
 from corpus_reference import corpus
 from tottower.chains import ChainComplexInt, chain_map
-from tottower.constructions import cech_object, constant_object
-from tottower.cosimplicial import (
-    cosimplicial_from_data,
-    cosimplicial_to_data,
-    validate_cosimplicial,
-)
+from tottower.cosimplicial import cosimplicial_from_data, validate_cosimplicial
 from tottower.errors import InputError, InvariantError
 from tottower.intlinalg import IntMatrix
 

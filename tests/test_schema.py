@@ -27,9 +27,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from constructions_reference import cech_object, cosimplicial_to_data
 from tottower.cli import main
-from tottower.constructions import cech_object
-from tottower.cosimplicial import cosimplicial_to_data
 from tottower.errors import InputError
 from tottower.schema import degree_key, int_rows
 

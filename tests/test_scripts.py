@@ -9,8 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tottower.constructions import cech_object
-from tottower.cosimplicial import cosimplicial_to_data
+from constructions_reference import cech_object, cosimplicial_to_data
 
 ROOT = Path(__file__).resolve().parent.parent
 

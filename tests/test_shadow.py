@@ -11,9 +11,9 @@ fails in some window at k = n + 2.  The paper's dependence on m comes
 from non-additive effects that this model cannot see.
 """
 
+from constructions_reference import cech_object
 from shadow_reference import connective_cover, shift_object
 from test_cosimplicial import CORPUS, SIGNED
-from tottower.constructions import cech_object
 from tottower.cosimplicial import tower_fiber, validate_cosimplicial
 
 

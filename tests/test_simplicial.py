@@ -24,21 +24,23 @@ from tottower.simplicial import (
     MAX_LABEL_DEPTH,
     SimplicialComplex,
     WedgeSignature,
-    barycentric_subdivision,
     complex_from_data,
     complex_from_facets,
-    complex_to_data,
     euler_characteristic,
     homology_from_reduced,
     label_from_data,
     label_key,
     reduced_homology,
-    skeleton,
     wedge_signature,
 )
 
 from poset_reference import maximal_chains
-from simplicial_reference import chain_complex
+from simplicial_reference import (
+    barycentric_subdivision,
+    chain_complex,
+    complex_to_data,
+    skeleton,
+)
 from suspension_reference import down_slice, unreduced_suspension
 from torsion_reference import chain_euler
 

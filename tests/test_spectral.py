@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from constructions_reference import (cech_object, constant_object,
+                                    cosimplicial_to_data)
 from corpus_reference import corpus, gamma_co
 from map_reference import ReferenceWindow, add, stripe_head, stripe_tail
 from shadow_reference import is_iso
@@ -15,8 +17,6 @@ from tottower import abelian, cosimplicial, intlinalg, spectral
 from tottower.abelian import GroupHom, HomologyGroup
 from tottower.chains import ChainComplexInt, chain_map
 from tottower.cli import main
-from tottower.constructions import cech_object, constant_object
-from tottower.cosimplicial import cosimplicial_to_data
 from tottower.errors import InputError, InvariantError
 from tottower.intlinalg import IntMatrix, lattice_basis
 from tottower.spectral import (

@@ -9,8 +9,9 @@ import random
 
 from hypothesis import given, strategies as st
 
+from constructions_reference import cech_object, constant_object
 from corpus_reference import corpus, random_complex
-from simplicial_reference import chain_complex
+from simplicial_reference import barycentric_subdivision, chain_complex
 from test_cosimplicial import stripe_sign_objects
 from test_simplicial import RP2
 from torsion_reference import (
@@ -23,10 +24,8 @@ from torsion_reference import (
 from tottower import intlinalg
 from tottower.abelian import HomologyGroup, format_group
 from tottower.chains import ChainComplexInt
-from tottower.constructions import cech_object, constant_object
 from tottower.cosimplicial import tot_n
 from tottower.intlinalg import IntMatrix
-from tottower.simplicial import barycentric_subdivision
 from tottower.spectral import spectral_sequence
 
 # p^8 stays below 2^63 for every prime below this bound, so the local
