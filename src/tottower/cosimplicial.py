@@ -421,102 +421,101 @@ def _degree_table(pairs) -> dict:
 # Every digit but 0 becomes "-", so a nonzero cell starts at a "-" of the
 # marked text and a zero cell has none.
 _MARK_NONZERO = str.maketrans("123456789", "-" * 9)
-# A nonzero cell in the form json.dumps writes an int.  Eighteen digits at
-# most, so int() never refuses it; a longer one is left to the C scanner.
-_NONZERO_CELL = re.compile(r"-?[1-9][0-9]{0,17}").fullmatch
-
-
-# For each separator, zero cells followed by it, enough to fill a row of
-# MAX_RANK cells; a wider row is left to the C scanner.
-_ZERO_CELLS = {sep: ("0" + sep) * MAX_RANK for sep in (", ", ",")}
+# A nonzero cell in the form json.dumps writes an int, matched where it
+# starts.  Eighteen digits at most, so int() never refuses it; a longer one
+# is left to the C scanner.
+_NONZERO_CELL = re.compile(r"-?[1-9][0-9]{0,17}").match
 
 
 def _dense_rows(s: str, idx: int):
     """(IntMatrix, end) for the rows of integers at s[idx:], written as
     json.dumps writes them with either separator, or None.
 
-    Row by row, string operations find the row's end and each nonzero
-    cell, and the zeros between nonzero cells are compared with a slice
-    of _ZERO_CELLS, so no object is made for a zero cell.  The next
-    nonzero cell is guessed as the nearer "1" or "-", and both positions
-    are kept until the reading passes them.  A guess is sure once the
-    zeros in front of it check: they hold no other digit.  Where they do
-    not check, the rest of the row is marked by _MARK_NONZERO and read
-    cell by cell from the marks.  Rows in any other spelling, ragged
-    rows and empty rows give None, and the caller parses the value as
-    JSON.  Only slices are taken, so nothing here raises, and no search
-    runs past the end of the row it reads."""
+    The separator and the width come from the first row, and a row wider
+    than MAX_RANK gives None before any template is built.  The template
+    is the all-zero text of a row period, its cells and the break to the
+    next row.  The reading steps from one nonzero cell to the next and
+    compares the text in between with the template at the offset it has
+    reached, so no object is made for a zero cell, a row of another
+    length fails the comparison, and the offset of a cell gives its row
+    and column.  The next nonzero cell is guessed as the nearer "1" or
+    "-": the search for "1" stops two row periods past the cursor, the
+    one for "-" at the "1", and both are kept until the reading passes
+    them.  Where the text in front of a guess does not check, either the
+    rows end there, or a cell of first digit 2..9 comes first: the text
+    up to the guess is then marked by _MARK_NONZERO and read from the
+    marks.  Rows in any other spelling, ragged rows and empty rows give
+    None, and the caller parses the value as JSON.  Only slices are
+    taken, so nothing here raises, and past the first row no search ends
+    more than two row periods beyond the cursor."""
     comma = s.find(",", idx, s.find("]", idx) + 2)
     sep = ", " if s.startswith(", ", comma) else ","
-    zeros = _ZERO_CELLS[sep]
-    width = len(sep)
-    stride = width + 1
+    end = s.find("]", idx + 1)
+    if end < 0 or not s.startswith("[", idx + 1):
+        return None
+    ncols = s.count(sep, idx + 2, end) + 1
+    if ncols > MAX_RANK:
+        return None
+    stride = len(sep) + 1
+    period = ncols * stride + 2
+    span = 2 * period
+    zeros = (("0" + sep) * (ncols - 1) + "0]" + sep + "[") * 3
     entries = []
-    ncols = None
-    i = 0
-    one = minus = -1  # the next "1" and "-" of the row, or its end
-    p = idx + 1  # the opening bracket of row i
-    while s.startswith("[", p):
-        end = s.find("]", p)
-        if end < 0:
-            return None
-        marks = None
-        pos = p + 1
-        j = 0
-        while True:
-            if marks is not None:
-                a = marks.find("-", pos - base)
-                a = end if a < 0 else a + base
-            else:
-                if one < pos:
-                    one = s.find("1", pos, end)
+    # The template lies over the text from base on, each nonzero cell read
+    # counted as the one character of a zero cell.
+    base = pos = idx + 2
+    # the next "1", or where its search stopped, and the nearer of it and
+    # the next "-"
+    one = guess = -1
+    mend = -1  # the marks cover the text from mbase up to mend
+    while True:
+        if pos < mend:
+            a = marks.find("-", pos - mbase)
+            a = mend if a < 0 else a + mbase
+        else:
+            if guess <= pos:
+                if one <= pos:
+                    one = s.find("1", pos, pos + span)
                     if one < 0:
-                        one = end
-                if minus < pos:
-                    minus = s.find("-", pos, end)
-                    if minus < 0:
-                        minus = end
-                a = one if one < minus else minus
-            n = a - pos
-            if a == end:  # zero cells up to the end of the row
-                if n and not (n + width) % stride and zeros.startswith(
-                        s[pos:end]):
-                    j += (n + width) // stride
-                    break
-            elif not n % stride and zeros.startswith(s[pos:a]):
-                j += n // stride
-                b = s.find(",", a, end)
-                if b < 0:
-                    b = end
-                cell = s[a:b]
-                if not _NONZERO_CELL(cell):
-                    return None
-                entries.append((i, j, int(cell)))
-                j += 1
-                if b == end:
-                    break
-                if not s.startswith(sep, b):
-                    return None
-                pos = b + width
-                continue
-            # The zeros before a guess do not check, perhaps for a digit
-            # 2..9: the rest of the row is read from marks, and a zero
-            # run that does not check there refuses the rows.
-            if marks is not None:
+                        one = pos + span
+                guess = s.find("-", pos, one)
+                if guess < 0:
+                    guess = one
+            a = guess
+        if not zeros.startswith(s[pos:a], (pos - base) % period):
+            # The rows end in front of a, or a nonzero digit comes first.
+            # The end is looked for from pos - 1: a search bound set before
+            # a long cell moved the template can stop between its brackets.
+            e = s.find("]]", pos - 1, a)
+            if e >= 0 and zeros.startswith(
+                    s[pos:e + 1], (pos - base) % period) and zeros[
+                    (e - base) % period] == "]":
+                return (IntMatrix((e - base) // period + 1, ncols,
+                                  tuple(entries)), e + 2)
+            if pos < mend:
                 return None
-            base = pos
-            marks = s[pos:end].translate(_MARK_NONZERO)
-        if ncols is None:
-            ncols = j
-        elif j != ncols:
+            mbase, mend = pos, a
+            marks = s[pos:a].translate(_MARK_NONZERO)
+            continue
+        # zero cells and row breaks up to a
+        if s.startswith("1", a) and s.startswith((",", "]"), a + 1):
+            b, v = a + 1, 1
+        elif s.startswith("-1", a) and s.startswith((",", "]"), a + 2):
+            b, v = a + 2, -1
+        else:
+            cell = _NONZERO_CELL(s, a)
+            if cell is None:  # a search stopped at a
+                if a >= len(s) or s.startswith("-", a):
+                    return None
+                pos = a
+                continue
+            b, v = cell.end(), int(cell.group())
+        i, off = divmod(a - base, period)
+        if zeros[off] != "0":
             return None
-        i += 1
-        if s.startswith("]", end + 1):
-            return IntMatrix(i, ncols, tuple(entries)), end + 2
-        if not s.startswith(sep, end + 1):
-            return None
-        p = end + 1 + width
-    return None
+        entries.append((i, off // stride, v))
+        base += b - a - 1
+        pos = b
 
 
 # How deep the decoder walks in Python.  A degree table is the fourth

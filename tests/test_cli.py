@@ -968,6 +968,17 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
                 (command, name, warm)
             if command == "ss":
                 assert (memo.cache_info().misses == misses) == warm
+    # the compact spelling gives the bytes pinned for the default one
+    for command, name, (n, top) in (("ss", "cech_4_4", (4, 4)),
+                                    ("ss", "cech_3_3", (3, 3)),
+                                    ("tot", "cech_3_3", (3, 3))):
+        path = tmp_path / f"{name}_compact.json"
+        path.write_text(json.dumps(cosimplicial_to_data(cech_object(n, top)),
+                                   separators=(",", ":")))
+        code, out, err = run([command, str(path)], capsys)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            REPORT_SHA256[command, name], (command, name, "compact")
     assert "Z/" in run(["ss", files["corpus_8"]], capsys)[1]
     assert "Z/11625532016889206226710784579" in \
         run(["ss", files["dense_full"]], capsys)[1]

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,8 +27,7 @@ from tottower.chains import ChainComplexInt, chain_map
 from tottower.cli import main
 from tottower.cosimplicial import (
     _MARK_NONZERO,
-    _NONZERO_CELL,
-    _ZERO_CELLS,
+    MAX_RANK,
     CosimplicialChain,
     CosimplicialDecoder,
     conormalize,
@@ -891,8 +891,17 @@ def test_decoder_reads_matrices_from_dense_rows():
     assert decode('{"0": [[0, 1]], "x": 1}') == {"0": [[0, 1]], "x": 1}
 
 
-# -- the dense-row reader as it was before it searched for "1" and "-",
-# kept verbatim as the differential reference: it marks every row whole
+# -- the two dense-row readers before the one that steps from cell to cell,
+# kept verbatim as the differential references, with what they took from
+# cosimplicial: _ZERO_CELLS, the zeros of a row of MAX_RANK cells, and
+# _NONZERO_CELL, a whole cell in the form json.dumps writes a nonzero int
+
+_ZERO_CELLS = {sep: ("0" + sep) * MAX_RANK for sep in (", ", ",")}
+_NONZERO_CELL = re.compile(r"-?[1-9][0-9]{0,17}").fullmatch
+
+
+# the reader as it was before it searched for "1" and "-": it marks every
+# row whole
 
 def reference_dense_rows(s: str, idx: int):
     """(IntMatrix, end) for the rows of integers at s[idx:], written as
@@ -960,28 +969,133 @@ def reference_dense_rows(s: str, idx: int):
     return None
 
 
+# the reader as it was before it stepped from cell to cell: row by row, it
+# guessed the next nonzero cell as the nearer "1" or "-"
+
+def previous_dense_rows(s: str, idx: int):
+    """(IntMatrix, end) for the rows of integers at s[idx:], written as
+    json.dumps writes them with either separator, or None.
+
+    Row by row, string operations find the row's end and each nonzero
+    cell, and the zeros between nonzero cells are compared with a slice
+    of _ZERO_CELLS, so no object is made for a zero cell.  The next
+    nonzero cell is guessed as the nearer "1" or "-", and both positions
+    are kept until the reading passes them.  A guess is sure once the
+    zeros in front of it check: they hold no other digit.  Where they do
+    not check, the rest of the row is marked by _MARK_NONZERO and read
+    cell by cell from the marks.  Rows in any other spelling, ragged
+    rows and empty rows give None, and the caller parses the value as
+    JSON.  Only slices are taken, so nothing here raises, and no search
+    runs past the end of the row it reads."""
+    comma = s.find(",", idx, s.find("]", idx) + 2)
+    sep = ", " if s.startswith(", ", comma) else ","
+    zeros = _ZERO_CELLS[sep]
+    width = len(sep)
+    stride = width + 1
+    entries = []
+    ncols = None
+    i = 0
+    one = minus = -1  # the next "1" and "-" of the row, or its end
+    p = idx + 1  # the opening bracket of row i
+    while s.startswith("[", p):
+        end = s.find("]", p)
+        if end < 0:
+            return None
+        marks = None
+        pos = p + 1
+        j = 0
+        while True:
+            if marks is not None:
+                a = marks.find("-", pos - base)
+                a = end if a < 0 else a + base
+            else:
+                if one < pos:
+                    one = s.find("1", pos, end)
+                    if one < 0:
+                        one = end
+                if minus < pos:
+                    minus = s.find("-", pos, end)
+                    if minus < 0:
+                        minus = end
+                a = one if one < minus else minus
+            n = a - pos
+            if a == end:  # zero cells up to the end of the row
+                if n and not (n + width) % stride and zeros.startswith(
+                        s[pos:end]):
+                    j += (n + width) // stride
+                    break
+            elif not n % stride and zeros.startswith(s[pos:a]):
+                j += n // stride
+                b = s.find(",", a, end)
+                if b < 0:
+                    b = end
+                cell = s[a:b]
+                if not _NONZERO_CELL(cell):
+                    return None
+                entries.append((i, j, int(cell)))
+                j += 1
+                if b == end:
+                    break
+                if not s.startswith(sep, b):
+                    return None
+                pos = b + width
+                continue
+            # The zeros before a guess do not check, perhaps for a digit
+            # 2..9: the rest of the row is read from marks, and a zero
+            # run that does not check there refuses the rows.
+            if marks is not None:
+                return None
+            base = pos
+            marks = s[pos:end].translate(_MARK_NONZERO)
+        if ncols is None:
+            ncols = j
+        elif j != ncols:
+            return None
+        i += 1
+        if s.startswith("]", end + 1):
+            return IntMatrix(i, ncols, tuple(entries)), end + 2
+        if not s.startswith(sep, end + 1):
+            return None
+        p = end + 1 + width
+    return None
+
 
 def dense_read(text):
-    """What _dense_rows and the reference read at the start of text."""
-    return cosimplicial._dense_rows(text, 0), reference_dense_rows(text, 0)
+    """What _dense_rows, the previous reader and the reference read at the
+    start of text."""
+    return (cosimplicial._dense_rows(text, 0), previous_dense_rows(text, 0),
+            reference_dense_rows(text, 0))
 
 
 # cells the guess for the next nonzero cell can meet: a "1" or a "-" that
 # starts a cell, one inside a cell, a digit 2..9 that hides a later "1"
 MIXED_CELLS = ["0", "1", "-1", *map(str, range(2, 10)), "-7", "10", "-0",
                "01", "1.0", "1" * 19]
+# text after the rows; the last two hold a "1" and a "-" the search for the
+# next nonzero cell can reach
+TAILS = ["", "}", ", [[1]]}", "]", ', "1": [[1]]}', ', "x": "-1"}']
 
 
 @st.composite
 def mixed_rows(draw):
-    """Rows of one width, mostly zeros, of MIXED_CELLS, in one of the two
-    separators json.dumps writes, with text after them."""
+    """Rows of one width up to 40, in one of the two separators json.dumps
+    writes, with text after them.  A row is mostly zeros with MIXED_CELLS,
+    all zeros, zeros with one MIXED_CELLS cell in the first or the last
+    column, or a digit 2..9 followed by zeros."""
     sep = draw(st.sampled_from([", ", ","]))
-    width = draw(st.integers(1, 8))
-    cell = st.one_of(st.just("0"), st.just("0"), st.sampled_from(MIXED_CELLS))
-    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width),
-                         min_size=1, max_size=5))
-    tail = draw(st.sampled_from(["", "}", ", [[1]]}", "]"]))
+    width = draw(st.integers(1, 40))
+    zero = ["0"] * width
+    cell = st.one_of(st.just("0"), st.just("0"), st.just("0"),
+                     st.sampled_from(MIXED_CELLS))
+    row = st.one_of(
+        st.lists(cell, min_size=width, max_size=width),
+        st.just(zero),
+        st.sampled_from(MIXED_CELLS).map(lambda c: [c] + zero[1:]),
+        st.sampled_from(MIXED_CELLS).map(lambda c: zero[1:] + [c]),
+        st.sampled_from("23456789").map(lambda c: [c] + zero[1:]),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    tail = draw(st.sampled_from(TAILS))
     return "[" + sep.join("[" + sep.join(row) + "]" for row in rows) + "]" \
         + tail
 
@@ -992,8 +1106,35 @@ def test_dense_rows_reads_what_the_reference_reads(text, data):
     """The same (IntMatrix, end), or None, on a text and on a cut of it."""
     cut = data.draw(st.integers(0, len(text)))
     for doc in (text, text[:cut]):
-        new, old = dense_read(doc)
-        assert new == old, doc
+        new, previous, reference = dense_read(doc)
+        assert new == previous == reference, doc
+
+
+Z4 = "[0, 0, 0], " * 4  # four zero rows: two bounds of the search
+ZERO_ROWS = [[0] * 3] * 4
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("[" + Z4 + "[3, 0, 0], [0, 0, 1]]", ZERO_ROWS + [[3, 0, 0], [0, 0, 1]]),
+    ("[" + Z4.replace(" ", "") + "[0,0,7]], [[1]]", ZERO_ROWS + [[0, 0, 7]]),
+    ("[" + Z4 + '[0, 0, 0]], "1": [[1]]}', ZERO_ROWS + [[0, 0, 0]]),
+    ("[[1, 0, 0], " + Z4 + "[0, 0, -1]]",
+     [[1, 0, 0]] + ZERO_ROWS + [[0, 0, -1]]),
+    ("[" + Z4[:-2] + '], "x": "-1"}', ZERO_ROWS),
+    ("[" + Z4 + "[0, 0]], [[1]]", None),
+    ("[" + Z4 + "[0, 0, 0, 0]]", None),
+    ("[" + Z4 + "[0, 0, 0]", None),
+])
+def test_dense_rows_reads_runs_of_zero_rows(text, rows):
+    """Zero rows past the bound of a search for the next nonzero cell,
+    then a cell, the end of the value, a ragged row or the end of the
+    text."""
+    new, previous, reference = dense_read(text)
+    assert new == previous == reference
+    if rows is None:
+        assert new is None
+    else:
+        assert new == (IntMatrix.from_rows(rows), text.index("]]") + 2)
 
 
 @pytest.mark.parametrize("text, rows", [
@@ -1002,15 +1143,38 @@ def test_dense_rows_reads_what_the_reference_reads(text, data):
     ("[[0, 0, 5, 0, -1, 1]]", [[0, 0, 5, 0, -1, 1]]),
     ("[[1, 9, 1], [0, 0, 0]]", [[1, 9, 1], [0, 0, 0]]),
     ("[[21, 1], [-21, 0]]", [[21, 1], [-21, 0]]),
+    ("[[0, 0], [4, 0], [0, 1]]", [[0, 0], [4, 0], [0, 1]]),
     ("[[0, 2, 0, 1.0]]", None),
     ("[[0, 2, 0, 01]]", None),
     ("[[7, 0, 0], [1, 0]]", None),
 ])
 def test_dense_rows_reads_a_digit_before_the_guess(text, rows):
-    """A cell of first digit 2..9 in front of a "1" in its row is read,
-    and what follows it is refused as before."""
-    new, old = dense_read(text)
-    assert new == old
+    """A cell of first digit 2..9 in front of a "1" is read, and what
+    follows it is refused as before."""
+    new, previous, reference = dense_read(text)
+    assert new == previous == reference
+    if rows is None:
+        assert new is None
+    else:
+        assert new == (IntMatrix.from_rows(rows), len(text))
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("[[0, 11, -999999999999999999]]", [[0, 11, -999999999999999999]]),
+    ("[[0,10,0,0,999999999999999999],[0,0,0,0,0],[0,0,0,0,0]]",
+     [[0, 10, 0, 0, 999999999999999999], [0] * 5, [0] * 5]),
+    ("[[0, 0],1[0, 0]]", None),
+    ("[[0, 0]1, [0, 0]]", None),
+    ("[[0, 0], 1[0, 0]]", None),
+    ("[[0, 0], [0,1 0]]", None),
+])
+def test_dense_rows_reads_each_cell_where_the_template_has_one(text, rows):
+    """A long cell moves the template, so that a search bound set before
+    it can stop on the last bracket of the value, which is still read;
+    and a nonzero digit where the template has a separator or a bracket
+    gives None."""
+    new, previous, reference = dense_read(text)
+    assert new == previous == reference
     if rows is None:
         assert new is None
     else:
@@ -1021,7 +1185,7 @@ def test_rows_whose_separator_changes_after_a_nonzero_cell():
     """", " up to a nonzero cell and "," after it: the dense reader
     refuses the rows, and the decoder reads them as json.loads does."""
     text = '{"0": [[0, 2,0], [0, 0, 0]]}'
-    assert dense_read(text[6:-1]) == (None, None)
+    assert dense_read(text[6:-1]) == (None, None, None)
     assert typed(decode(text)) == typed(reference_parse(text))
     assert decode(text)["0"] == IntMatrix.from_rows(json.loads(text)["0"])
 
@@ -1038,11 +1202,60 @@ def test_dense_rows_reads_every_table_as_the_reference_does():
             for rows in table.values():
                 for spelling in ("default", "compact"):
                     text = json.dumps(rows, **SPELLINGS[spelling])
-                    new, old = dense_read(text)
-                    assert new == old
+                    new, previous, reference = dense_read(text)
+                    assert new == previous == reference
                     assert new == (IntMatrix.from_rows(rows), len(text))
                     read += 1
     assert read
+
+
+class SearchedText(str):
+    """A str that records, for each find and count on it, where the
+    search started and where it stopped: just past the match found, or
+    at the end of its range."""
+
+    def find(self, sub, start=0, end=None):
+        hit = str.find(self, sub, start, end)
+        stop = len(self) if end is None else min(end, len(self))
+        self.searched.append((start, hit + len(sub) if hit >= 0 else stop))
+        return hit
+
+    def count(self, sub, start=0, end=None):
+        self.searched.append(
+            (start, len(self) if end is None else min(end, len(self))))
+        return str.count(self, sub, start, end)
+
+
+def test_dense_rows_searches_stay_near_the_value():
+    """A one-hot 200 x 200 value followed by 1 MB of text with no "1" and
+    no "-": no search ends more than two row periods past the value, and
+    the searches cover at most three times its length."""
+    rows = [[int(j == 7 * i % 200) for j in range(200)] for i in range(200)]
+    value = json.dumps(rows)
+    text = SearchedText(value + ', "x": "' + "0" * (1 << 20) + '"}')
+    text.searched = []
+    assert cosimplicial._dense_rows(text, 0) == (
+        IntMatrix.from_rows(rows), len(value))
+    period = len(value) // 200
+    assert max(stop for _, stop in text.searched) <= len(value) + 2 * period
+    assert sum(stop - start for start, stop in text.searched) \
+        <= 3 * len(value)
+
+
+def test_dense_rows_refuses_a_row_wider_than_max_rank():
+    """A first row of MAX_RANK + 1 zero cells gives None, and nothing the
+    size of its row is built: the template of three such rows would take
+    147 KB."""
+    text = "[[" + ", ".join(["0"] * (MAX_RANK + 1)) + "]]"
+    tracemalloc.start()
+    try:
+        assert cosimplicial._dense_rows(text, 0) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert decode('{"0": ' + text + "}")["0"] == IntMatrix.zeros(
+        1, MAX_RANK + 1)  # the C scanner reads it
 
 
 def test_serialization_rejects_bad_truncation():
