@@ -459,6 +459,7 @@ def _dense_rows(s: str, idx: int):
     stride = len(sep) + 1
     period = ncols * stride + 2
     span = 2 * period
+    # three periods: an offset into one, and the span a search may run
     zeros = (("0" + sep) * (ncols - 1) + "0]" + sep + "[") * 3
     entries = []
     # The template lies over the text from base on, each nonzero cell read

@@ -1110,33 +1110,6 @@ def test_dense_rows_reads_what_the_reference_reads(text, data):
         assert new == previous == reference, doc
 
 
-Z4 = "[0, 0, 0], " * 4  # four zero rows: two bounds of the search
-ZERO_ROWS = [[0] * 3] * 4
-
-
-@pytest.mark.parametrize("text, rows", [
-    ("[" + Z4 + "[3, 0, 0], [0, 0, 1]]", ZERO_ROWS + [[3, 0, 0], [0, 0, 1]]),
-    ("[" + Z4.replace(" ", "") + "[0,0,7]], [[1]]", ZERO_ROWS + [[0, 0, 7]]),
-    ("[" + Z4 + '[0, 0, 0]], "1": [[1]]}', ZERO_ROWS + [[0, 0, 0]]),
-    ("[[1, 0, 0], " + Z4 + "[0, 0, -1]]",
-     [[1, 0, 0]] + ZERO_ROWS + [[0, 0, -1]]),
-    ("[" + Z4[:-2] + '], "x": "-1"}', ZERO_ROWS),
-    ("[" + Z4 + "[0, 0]], [[1]]", None),
-    ("[" + Z4 + "[0, 0, 0, 0]]", None),
-    ("[" + Z4 + "[0, 0, 0]", None),
-])
-def test_dense_rows_reads_runs_of_zero_rows(text, rows):
-    """Zero rows past the bound of a search for the next nonzero cell,
-    then a cell, the end of the value, a ragged row or the end of the
-    text."""
-    new, previous, reference = dense_read(text)
-    assert new == previous == reference
-    if rows is None:
-        assert new is None
-    else:
-        assert new == (IntMatrix.from_rows(rows), text.index("]]") + 2)
-
-
 @pytest.mark.parametrize("text, rows", [
     ("[[0, 2, 0, 1], [0, 0, 0, 1]]", [[0, 2, 0, 1], [0, 0, 0, 1]]),
     ("[[3,1],[0,1]]", [[3, 1], [0, 1]]),
@@ -1159,7 +1132,20 @@ def test_dense_rows_reads_a_digit_before_the_guess(text, rows):
         assert new == (IntMatrix.from_rows(rows), len(text))
 
 
+Z4 = "[0, 0, 0], " * 4  # four zero rows: two bounds of the search
+ZERO_ROWS = [[0] * 3] * 4
+
+
 @pytest.mark.parametrize("text, rows", [
+    ("[" + Z4 + "[3, 0, 0], [0, 0, 1]]", ZERO_ROWS + [[3, 0, 0], [0, 0, 1]]),
+    ("[" + Z4.replace(" ", "") + "[0,0,7]], [[1]]", ZERO_ROWS + [[0, 0, 7]]),
+    ("[" + Z4 + '[0, 0, 0]], "1": [[1]]}', ZERO_ROWS + [[0, 0, 0]]),
+    ("[[1, 0, 0], " + Z4 + "[0, 0, -1]]",
+     [[1, 0, 0]] + ZERO_ROWS + [[0, 0, -1]]),
+    ("[" + Z4[:-2] + '], "x": "-1"}', ZERO_ROWS),
+    ("[" + Z4 + "[0, 0]], [[1]]", None),
+    ("[" + Z4 + "[0, 0, 0, 0]]", None),
+    ("[" + Z4 + "[0, 0, 0]", None),
     ("[[0, 11, -999999999999999999]]", [[0, 11, -999999999999999999]]),
     ("[[0,10,0,0,999999999999999999],[0,0,0,0,0],[0,0,0,0,0]]",
      [[0, 10, 0, 0, 999999999999999999], [0] * 5, [0] * 5]),
@@ -1168,17 +1154,18 @@ def test_dense_rows_reads_a_digit_before_the_guess(text, rows):
     ("[[0, 0], 1[0, 0]]", None),
     ("[[0, 0], [0,1 0]]", None),
 ])
-def test_dense_rows_reads_each_cell_where_the_template_has_one(text, rows):
-    """A long cell moves the template, so that a search bound set before
-    it can stop on the last bracket of the value, which is still read;
-    and a nonzero digit where the template has a separator or a bracket
-    gives None."""
+def test_dense_rows_reads_against_the_template(text, rows):
+    """Zero rows past the bound of a search for the next nonzero cell,
+    then a cell, the end of the value, a ragged row or the end of the
+    text; a long cell, which moves the template, so that a search bound
+    set before it stops on the last bracket of the value; a nonzero digit
+    where the template has a separator or a bracket."""
     new, previous, reference = dense_read(text)
     assert new == previous == reference
     if rows is None:
         assert new is None
     else:
-        assert new == (IntMatrix.from_rows(rows), len(text))
+        assert new == (IntMatrix.from_rows(rows), text.index("]]") + 2)
 
 
 def test_rows_whose_separator_changes_after_a_nonzero_cell():
