@@ -4,7 +4,8 @@ A complex stores the rank of each degree in a contiguous window plus the
 boundary matrices inside the window; everything outside is zero.  The
 constructors trust their callers for the laws, which every complex and
 chain map the package builds obeys by construction; data from outside is
-checked once, by ``check_square_zero`` and ``check_commutes``.
+checked once, as ``cosimplicial`` reads it, by ``check_square_zero`` and
+``check_commutes``.
 
 Homology uses the rank formula (free rank n_k - r_k - r_{k+1}, torsion
 from the invariant factors of the incoming boundary).  One reduction first
@@ -24,7 +25,6 @@ from ._record import record
 from .abelian import HomologyGroup
 from .errors import InputError, InvariantError
 from .intlinalg import IntMatrix, snf_invariants
-from .schema import checked, field, list_of
 
 __all__ = [
     "ChainComplexInt",
@@ -39,7 +39,9 @@ class ChainComplexInt:
     """Chain complex concentrated in degrees lo .. lo+len(ranks)-1.
 
     boundaries[t] is the boundary C_{lo+t+1} -> C_{lo+t}, so it has shape
-    (ranks[t], ranks[t+1]).
+    (ranks[t], ranks[t+1]).  The constructor checks the boundary count and
+    shapes, which every stripe layout rests on; the ranks of a level read
+    from JSON are checked by its reader.
     """
 
     lo: int
@@ -47,10 +49,6 @@ class ChainComplexInt:
     boundaries: tuple
 
     def __post_init__(self):
-        if not self.ranks:
-            raise InputError("a complex needs at least one degree")
-        if min(self.ranks) < 0:
-            raise InputError("ranks must be nonnegative integers")
         if len(self.boundaries) != len(self.ranks) - 1:
             raise InputError("wrong number of boundary matrices")
         for t, b in enumerate(self.boundaries):
@@ -103,25 +101,6 @@ class ChainComplexInt:
 
     def homology_all(self) -> dict:
         return {k: self.homology(k) for k in self.degrees()}
-
-    # -- serialization -----------------------------------------------------
-
-    @classmethod
-    def from_data(cls, data) -> "ChainComplexInt":
-        lo, ranks, raw = (field(data, key, "chain complex")
-                          for key in ("lo", "ranks", "boundaries"))
-        checked(lo, int, "lowest degree must be an integer")
-        list_of(ranks, int, "'ranks' must be a list of integers")
-        checked(raw, list, "'boundaries' must be a list of matrices")
-        if len(raw) != max(len(ranks) - 1, 0):
-            raise InputError("wrong number of boundary matrices")
-        # the constructor checks the row counts
-        complex_ = cls(lo, tuple(ranks), tuple(
-            IntMatrix.from_rows(rows, ncols=ranks[t + 1])
-            for t, rows in enumerate(raw)
-        ))
-        complex_.check_square_zero()
-        return complex_
 
 
 def homology_from_columns(lo: int, ranks: tuple, columns) -> dict:

@@ -88,37 +88,16 @@ class CosimplicialChain:
     cofaces[k] lists d^0..d^{k+1}: X^k -> X^{k+1};
     codegeneracies[k] lists s^0..s^k: X^{k+1} -> X^k.
 
-    Entries are ChainMaps; commuting with the boundaries is checked as
-    a map is read from JSON, the cosimplicial identities separately by
-    validate_cosimplicial.
+    Entries are ChainMaps.  The constructor trusts its caller:
+    cosimplicial_from_data checks the table shapes and builds each map
+    between the levels it names, and checks commuting with the
+    boundaries as a map is read; validate_cosimplicial checks the
+    cosimplicial identities.
     """
 
     levels: tuple
     cofaces: tuple
     codegeneracies: tuple
-
-    def __post_init__(self):
-        m = len(self.levels) - 1
-        if m < 0:
-            raise InputError("need at least one level")
-        if len(self.cofaces) != m or len(self.codegeneracies) != m:
-            raise InputError("map tables must cover levels 0..M-1")
-        for k in range(m):
-            if len(self.cofaces[k]) != k + 2:
-                raise InputError(f"level {k} needs {k + 2} cofaces")
-            if len(self.codegeneracies[k]) != k + 1:
-                raise InputError(f"level {k + 1} needs {k + 1} codegeneracies")
-            for i, d in enumerate(self.cofaces[k]):
-                if d.src != self.levels[k] or d.dst != self.levels[k + 1]:
-                    raise InputError(
-                        f"coface {i} at level {k} connects wrong levels"
-                    )
-            for i, s in enumerate(self.codegeneracies[k]):
-                if s.src != self.levels[k + 1] or s.dst != self.levels[k]:
-                    raise InputError(
-                        f"codegeneracy {i} at level {k + 1} connects "
-                        f"wrong levels"
-                    )
 
     @property
     def truncation(self) -> int:
@@ -390,25 +369,14 @@ def tower_fiber(x: CosimplicialChain, n: int, m: int) -> ChainComplexInt:
 # -- serialization -----------------------------------------------------------
 
 def _degree_table(pairs) -> dict:
-    """The object of the given pairs, with each value of a degree table
-    read as an IntMatrix.
+    """The object of the given pairs, each value read as an IntMatrix.
 
-    A degree table is an object whose every key passes degree_key.  A
-    value _dense_rows did not read goes through IntMatrix.from_rows, which
-    checks every cell and takes the column count from the first row;
-    _map_from_data checks that count against the source level.  A value
-    from_rows refuses stays as parsed, and every value of an object with
-    another key is as parsed, so _map_from_data reports it exactly as it
-    would from the plain parse."""
+    A value _dense_rows did not read goes through IntMatrix.from_rows,
+    which checks every cell and takes the column count from the first
+    row; _map_from_data checks that count against the source level.  A
+    value from_rows refuses stays as parsed, so _map_from_data reports it
+    exactly as it would from the plain parse."""
     table = dict(pairs)
-    try:
-        for key in table:
-            degree_key(key)
-    except InputError:
-        for key, value in table.items():
-            if type(value) is IntMatrix:
-                table[key] = value.to_rows()
-        return table
     for key, rows in table.items():
         if type(rows) is not IntMatrix:
             try:
@@ -530,39 +498,43 @@ class CosimplicialDecoder(json.JSONDecoder):
     degree table as an IntMatrix while the document is parsed, so a
     table's rows are never built as lists.
 
-    It gives what json.loads gives, except that each degree-table value
-    from_rows accepts is that IntMatrix.  Objects, and arrays whose first
-    item is an array or an object, are walked in Python down to
-    _WALK_DEPTH; every other value, and everything deeper, goes to the
-    stdlib's C scanner, which calls _degree_table on each object it
-    reads.  An object value that opens with two brackets is tried by
-    _dense_rows first, and parsed by the C scanner if that refuses it.
-    It raises what json.loads raises on the same text, and never
-    InputError: a value from_rows refuses is left as parsed."""
+    It gives what json.loads gives, except that each value of the
+    objects four containers down, where the schema puts every degree
+    table, is the IntMatrix from_rows makes of it, where from_rows
+    accepts it.  Objects, and arrays whose first item is an array or an
+    object, are walked in Python down to _WALK_DEPTH; every other value,
+    and everything deeper, goes to the stdlib's C scanner.  The walker of
+    the fourth container passes each object it reads to _degree_table,
+    and tries a value that opens with two brackets by _dense_rows first,
+    then by the C scanner if that refuses it.  It raises what json.loads
+    raises on the same text, and never InputError: a value from_rows
+    refuses is left as parsed."""
 
     def __init__(self):
-        super().__init__(object_pairs_hook=_degree_table)
-        c_scan = make_scanner(self)
-        scan = c_scan
-        for _ in range(_WALK_DEPTH):
-            scan = self._walker(scan, c_scan)
+        super().__init__()
+        scan = c_scan = make_scanner(self)
+        for depth in range(_WALK_DEPTH, 0, -1):
+            scan = self._walker(scan, c_scan, depth == _WALK_DEPTH)
         self.scan_once = scan
 
-    def _walker(self, inner, c_scan):
+    def _walker(self, inner, c_scan, tables: bool):
         """A scan_once that walks a container in Python and reads what it
-        holds with inner."""
+        holds with inner; with tables, each object it walks is a degree
+        table."""
         strict, memo = self.strict, self.memo
-
-        def value(s, idx):
-            if s.startswith("[[", idx) and not s.startswith(
-                    ("[[[", "[[{"), idx):
-                return _dense_rows(s, idx) or c_scan(s, idx)
-            return inner(s, idx)
+        value, hook = inner, None
+        if tables:
+            def value(s, idx):
+                if s.startswith("[[", idx) and not s.startswith(
+                        ("[[[", "[[{"), idx):
+                    return _dense_rows(s, idx) or c_scan(s, idx)
+                return c_scan(s, idx)
+            hook = _degree_table
 
         def scan(s, idx):
             if s.startswith("{", idx):
-                return JSONObject((s, idx + 1), strict, value, None,
-                                  _degree_table, memo)
+                return JSONObject((s, idx + 1), strict, value, None, hook,
+                                  memo)
             if s.startswith("[", idx) and s.startswith(
                     ("[", "{"), WHITESPACE.match(s, idx + 1).end()):
                 return JSONArray((s, idx + 1), inner)
@@ -599,7 +571,9 @@ def _map_from_data(src, dst, data) -> ChainMap:
 
 def _level_from_data(data) -> ChainComplexInt:
     """A level, refused before any of its matrices is built when it
-    declares a rank above MAX_RANK, or more degrees than MAX_TOT_SPAN."""
+    declares a rank above MAX_RANK, more degrees than MAX_TOT_SPAN, no
+    degree or a negative rank.  One that does not square to zero raises
+    InvariantError."""
     ranks = field(data, "ranks", "chain complex")
     if type(ranks) is list:
         big = max(filter(is_int, ranks), default=0)
@@ -610,7 +584,24 @@ def _level_from_data(data) -> ChainComplexInt:
         if len(ranks) > MAX_TOT_SPAN:
             raise InputError(f"a level declares {len(ranks)} degrees; "
                              f"at most {MAX_TOT_SPAN} is read")
-    return ChainComplexInt.from_data(data)
+    lo, raw = (field(data, key, "chain complex")
+               for key in ("lo", "boundaries"))
+    checked(lo, int, "lowest degree must be an integer")
+    list_of(ranks, int, "'ranks' must be a list of integers")
+    checked(raw, list, "'boundaries' must be a list of matrices")
+    if len(raw) != max(len(ranks) - 1, 0):
+        raise InputError("wrong number of boundary matrices")
+    if not ranks:
+        raise InputError("a complex needs at least one degree")
+    if min(ranks) < 0:
+        raise InputError("ranks must be nonnegative integers")
+    # the constructor checks the row counts
+    level = ChainComplexInt(lo, tuple(ranks), tuple(
+        IntMatrix.from_rows(rows, ncols=ranks[t + 1])
+        for t, rows in enumerate(raw)
+    ))
+    level.check_square_zero()
+    return level
 
 
 def _check_tot_ranks(levels) -> None:
@@ -688,4 +679,9 @@ def cosimplicial_from_data(data) -> CosimplicialChain:
                        _map_from_data, levels[k + 1], levels[k], d)
               for i, d in enumerate(row))
         for k, row in enumerate(raw_codegens))
+    for k in range(truncation):
+        if len(cofaces[k]) != k + 2:
+            raise InputError(f"level {k} needs {k + 2} cofaces")
+        if len(codegeneracies[k]) != k + 1:
+            raise InputError(f"level {k + 1} needs {k + 1} codegeneracies")
     return CosimplicialChain(levels, cofaces, codegeneracies)

@@ -70,8 +70,7 @@ class CoverDiagram:
         if (self.basepoint,) not in ambient:
             raise InputError("basepoint is not a vertex")
         covered = set()
-        for idx, piece in enumerate(self.pieces, start=1):
-            simps = _simplex_set(piece)
+        for idx, simps in enumerate(self._piece_simplices, start=1):
             if not simps <= ambient:
                 raise InputError(
                     f"piece {idx} is not a subcomplex of the space"

@@ -179,27 +179,19 @@ def analyze_inclusion(incl: PosetInclusion) -> InclusionReport:
         f"{sum(1 for _, s in complement_sigs if not s.is_contractible)} "
         f"noncontractible",
     ]
-    if not dims:
-        return InclusionReport(
-            signatures=tuple(signatures),
-            uniform_sphere_dim=None,
-            complement_dim=complement_dim,
-            d_max=None,
-            trivial_fiber=True,
-            diagnostics=tuple(diagnostics),
-        )
     if len(dims) > 1:
         raise PreconditionError(
             f"complement values mix sphere dimensions {dims}"
         )
-    p = dims[0]
-    diagnostics.append(f"uniform sphere dimension {p}")
+    p = dims[0] if dims else None
+    if p is not None:
+        diagnostics.append(f"uniform sphere dimension {p}")
     return InclusionReport(
         signatures=tuple(signatures),
         uniform_sphere_dim=p,
         complement_dim=complement_dim,
-        d_max=p - complement_dim,
-        trivial_fiber=False,
+        d_max=None if p is None else p - complement_dim,
+        trivial_fiber=p is None,
         diagnostics=tuple(diagnostics),
     )
 

@@ -194,12 +194,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def to_rows(self) -> list:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for i, j, v in self.entries:
-            out[i][j] = v
-        return out
-
     def __repr__(self):
         return f"<IntMatrix {self.nrows}x{self.ncols}, {len(self.entries)} nz>"
 

@@ -72,30 +72,16 @@ class FinPoset:
     """Partial order on a canonical tuple of elements.
 
     down[i] is the bitmask of indices j with elements[j] <= elements[i].
-    The constructor checks that the elements are distinct, the mask count
-    and reflexivity.  It trusts the element order, transitivity and
-    antisymmetry: poset_from_relation, subset_poset and subspace_poset
-    sort their elements by ``label_key``, computing each key once, and get
-    their masks from one closure that refuses a cycle; full_subposet and
-    down_slice_masks keep a subsequence of a poset's elements and restrict
-    a relation that has both.
+    The constructor trusts its caller for all of it: poset_from_relation,
+    subset_poset and subspace_poset sort distinct elements by
+    ``label_key``, computing each key once, and get their masks from one
+    closure that makes them reflexive and refuses a cycle; full_subposet
+    and down_slice_masks keep a subsequence of a poset's elements and
+    restrict a relation that has both.
     """
 
     elements: tuple
     down: tuple
-
-    def __post_init__(self):
-        n = len(self.elements)
-        if len(set(self.elements)) != n:
-            raise InputError("duplicate poset elements")
-        if len(self.down) != n:
-            raise InputError("one relation mask per element required")
-        full = (1 << n) - 1
-        for i, m in enumerate(self.down):
-            if not isinstance(m, int) or m < 0 or m & ~full:
-                raise InputError("relation mask out of range")
-            if not (m >> i) & 1:
-                raise InputError("relation must be reflexive")
 
     @cached_property
     def _index(self) -> dict:

@@ -8,7 +8,8 @@ objects, for the tests and the scripts.
 
 ``cosimplicial_to_data`` writes an object in the schema that
 ``cosimplicial.cosimplicial_from_data`` reads, so the tests and scripts
-hand objects to the commands as files.  The seeded corpus, built from the
+hand objects to the commands as files; ``to_rows`` writes a matrix as
+dense rows, and ``level_from_data`` reads one level through that reader.  The seeded corpus, built from the
 surjection-block functor, is in ``corpus_reference.py``.  No module of the
 package uses these.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 
 from tottower.chains import ChainComplexInt, ChainMap, chain_map
-from tottower.cosimplicial import CosimplicialChain
+from tottower.cosimplicial import CosimplicialChain, cosimplicial_from_data
 from tottower.errors import InputError
 from tottower.intlinalg import IntMatrix
 
@@ -102,16 +103,23 @@ def cech_object(n_points: int, truncation: int) -> CosimplicialChain:
 
 # -- writers -------------------------------------------------------------------
 
+def to_rows(m: IntMatrix) -> list:
+    out = [[0] * m.ncols for _ in range(m.nrows)]
+    for i, j, v in m.entries:
+        out[i][j] = v
+    return out
+
+
 def chain_complex_to_data(c: ChainComplexInt) -> dict:
     return {
         "lo": c.lo,
         "ranks": list(c.ranks),
-        "boundaries": [b.to_rows() for b in c.boundaries],
+        "boundaries": [to_rows(b) for b in c.boundaries],
     }
 
 
 def _map_to_data(f: ChainMap) -> dict:
-    return {str(k): mat.to_rows() for k, mat in f.comps}
+    return {str(k): to_rows(mat) for k, mat in f.comps}
 
 
 def cosimplicial_to_data(x: CosimplicialChain) -> dict:
@@ -125,3 +133,12 @@ def cosimplicial_to_data(x: CosimplicialChain) -> dict:
             [_map_to_data(s) for s in row] for row in x.codegeneracies
         ],
     }
+
+
+def level_from_data(data) -> ChainComplexInt:
+    """The level data reads as, through cosimplicial_from_data: the one
+    level of a truncation-0 object.  A level that does not square to
+    zero is named as level 0."""
+    return cosimplicial_from_data({"truncation": 0, "levels": [data],
+                                   "cofaces": [], "codegeneracies": []}
+                                  ).levels[0]

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from constructions_reference import cech_object
+from constructions_reference import cech_object, to_rows
 from corpus_reference import corpus
 from map_reference import compose_homs, is_zero_hom, take_columns, take_rows
 from shadow_reference import group_from_orders, is_iso
@@ -126,7 +126,7 @@ def test_subquotient_presentation():
     # coords are additive mod the orders, and one call takes many columns
     cols = sq.coords(IntMatrix.from_rows([[2, 2, 0], [5, 0, 5]]))
     assert cols.shape == (len(sq.orders), 3)
-    s, t1, t2 = zip(*cols.to_rows())
+    s, t1, t2 = zip(*to_rows(cols))
     summed = [
         (a + b) % o if o else a + b
         for a, b, o in zip(t1, t2, sq.orders)

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from constructions_reference import (cech_object, constant_object,
-                                    cosimplicial_to_data)
+                                    cosimplicial_to_data, level_from_data,
+                                    to_rows)
 from corpus_reference import corpus
 from map_reference import take_columns
 from test_cosimplicial import SIGNED
@@ -664,6 +665,46 @@ def assert_one_line_input_error(argv, capsys):
     return err
 
 
+def one_level(ranks, boundaries):
+    """An object with one level, truncation 0 and no maps."""
+    return {"truncation": 0, "cofaces": [], "codegeneracies": [],
+            "levels": [{"lo": 0, "ranks": ranks, "boundaries": boundaries}]}
+
+
+# a negative rank is refused before any matrix is built, so the last two
+# rows no longer say "matrix dimensions must be nonnegative" and "matrix
+# row 0 is not -1 integers", which the matrix reader gave before
+@pytest.mark.parametrize("argv, data, message", [
+    (["poset", "--subspace", "q=2", "q=3", "dim"], None,
+     "need all of q, n"),
+    (["poset", "--subspace", "q=2", "n=3", "--max-dim", "0", "dim"], None,
+     "need max_dim >= 1"),
+    (["poset", "dim", "FILE"], {"elements": []},
+     "an empty poset has no dimension"),
+    (["deloop", "--subspace", "2", "3", "4"], None, "need 1 <= r <= n"),
+    (["cover", "--r", "1", "FILE"],
+     {"complex": {"facets": [[0, 1]]}, "pieces": [], "basepoint": 0},
+     "cover needs at least one piece"),
+    (["tot", "FILE"], one_level([-1], []),
+     "ranks must be nonnegative integers"),
+    (["ss", "FILE"], one_level([-1], []),
+     "ranks must be nonnegative integers"),
+    (["tot", "FILE"], one_level([0, -1], [[]]),
+     "ranks must be nonnegative integers"),
+    (["ss", "FILE"], one_level([1, -1], [[[]]]),
+     "ranks must be nonnegative integers"),
+], ids=["subspace-missing-n", "subspace-max-dim-0", "empty-poset",
+        "deloop-subspace-r-past-n", "cover-no-pieces", "tot-negative-rank",
+        "ss-negative-rank", "negative-rank-no-rows",
+        "negative-rank-empty-row"])
+def test_refusals_give_one_message(tmp_path, capsys, argv, data, message):
+    if data is not None:
+        path = write_json(tmp_path, "input.json", data)
+        argv = [path if a == "FILE" else a for a in argv]
+    assert assert_one_line_input_error(argv, capsys) == \
+        f"input error: {message}\n"
+
+
 def test_facets_must_be_a_list_of_lists(tmp_path, capsys):
     # a string of facets must not be read as one point per character
     for facets in ("abc", [[0, 1], "ab"], 7):
@@ -915,12 +956,8 @@ PAGES_8_SHA256 = \
 
 
 def dense_level(rows):
-    """An object with one level, one boundary matrix, truncation 0 and no
-    maps."""
-    return {"truncation": 0,
-            "levels": [{"lo": 0, "ranks": [len(rows), len(rows[0])],
-                        "boundaries": [rows]}],
-            "cofaces": [], "codegeneracies": []}
+    """One level with one boundary matrix, as one_level writes it."""
+    return one_level([len(rows), len(rows[0])], [rows])
 
 
 def dense_levels():
@@ -934,7 +971,7 @@ def dense_levels():
             [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)])
     full = cells(24, 24)
     deficient = cells(24, 20) @ cells(20, 24)
-    return dense_level(full.to_rows()), dense_level(deficient.to_rows())
+    return dense_level(to_rows(full)), dense_level(to_rows(deficient))
 
 
 def test_report_bytes_are_pinned(tmp_path, capsys):
@@ -1113,19 +1150,21 @@ def test_deloop_of_a_large_subset_model_is_refused_per_shape(
     counted = []
     check = deloop.checked_chain_count
     built = []
-    post_init = posets.FinPoset.__post_init__
+    init = posets.FinPoset.__init__
 
     def counting(p):
         counted.append(p)
         return check(p)
 
-    def building(self):
+    # FinPoset defines no __post_init__, so its __init__ calls none: wrap
+    # __init__ instead
+    def building(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(posets, "poset_from_relation", refuse)
     monkeypatch.setattr(deloop, "checked_chain_count", counting)
-    monkeypatch.setattr(posets.FinPoset, "__post_init__", building)
+    monkeypatch.setattr(posets.FinPoset, "__init__", building)
     err = assert_one_line_input_error(["deloop", "--subset", "11", "5"],
                                       capsys)
     assert err == ("input error: poset has 78825 chains; order complexes "
@@ -1344,7 +1383,7 @@ def test_law_failures_name_the_level_or_map(tmp_path, capsys):
     # a level must square to zero and a map commute with the boundaries;
     # each is checked as it is read, and the message says where it sits
     def constant(ranks, rows, truncation):
-        level = ChainComplexInt.from_data(
+        level = level_from_data(
             {"lo": 0, "ranks": ranks, "boundaries": rows})
         return cosimplicial_to_data(constant_object(level, truncation))
 

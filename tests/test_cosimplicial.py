@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from constructions_reference import (cech_object, constant_object,
-                                    cosimplicial_to_data, identity_chain_map)
+                                    cosimplicial_to_data, identity_chain_map,
+                                    to_rows)
 from corpus_reference import (CorpusObject, corpus, direct_sum, gamma_co,
                               quasi_iso_pairs)
 from map_reference import (ReferenceWindow, add, compose, negate,
@@ -319,7 +320,7 @@ def single_cell_perturbations(x):
                     ncols = f.src.rank(t)
                     for a in range(f.dst.rank(t)):
                         for b in range(ncols):
-                            rows = f.component(t).to_rows()
+                            rows = to_rows(f.component(t))
                             rows[a][b] += 1
                             comps = dict(f.comps)
                             comps[t] = IntMatrix.from_rows(rows, ncols)
@@ -719,6 +720,30 @@ def decode(text):
     return json.loads(text, cls=CosimplicialDecoder)
 
 
+def decode_table(text):
+    """The object text decoded where the schema puts a degree table, four
+    containers down: as the one map of a row of cofaces."""
+    return decode('{"cofaces": [[' + text + "]]}")["cofaces"][0][0]
+
+
+def reference_loads(text):
+    """json.loads, then from_rows on each value of the objects four
+    containers down; a value from_rows refuses stays as parsed."""
+    def read(value, depth):
+        if depth == 4 and type(value) is dict:
+            for key, rows in value.items():
+                try:
+                    value[key] = IntMatrix.from_rows(rows)
+                except InputError:
+                    pass
+        elif depth < 4 and type(value) in (dict, list):
+            for v in (value.values() if type(value) is dict else value):
+                read(v, depth + 1)
+    data = json.loads(text)
+    read(data, 1)
+    return data
+
+
 def typed(value):
     """value with the JSON type of every scalar spelled out, so that 1,
     1.0 and true differ, and a matrix by its shape and entries."""
@@ -864,13 +889,14 @@ def documents(draw):
 @settings(max_examples=200)
 @given(documents(), st.data())
 def test_decoder_reads_what_json_loads_reads(text, data):
-    """The decoder against json.loads with the reference hook, on whole
-    documents and on a cut of each: the same values, JSON types and
-    matrices, or the same JSONDecodeError."""
+    """The decoder against json.loads followed by from_rows on the
+    objects four containers down, on whole documents and on a cut of
+    each: the same values, JSON types and matrices, or the same
+    JSONDecodeError."""
     cut = data.draw(st.integers(0, len(text)))
     for doc in (text, text[:cut]):
         try:
-            expected = reference_parse(doc)
+            expected = reference_loads(doc)
         except ValueError as exc:  # JSONDecodeError, or too many digits
             with pytest.raises(type(exc)) as info:
                 decode(doc)
@@ -880,15 +906,19 @@ def test_decoder_reads_what_json_loads_reads(text, data):
 
 
 def test_decoder_reads_matrices_from_dense_rows():
-    read = decode('{"0": [[0, -12, 0], [3, 0, 0]], "1": [[0,0],[0,7]], '
-                  '"2": [[1]], "3": [[0]], "4": [[12345678901234567890]]}')
+    read = decode_table(
+        '{"0": [[0, -12, 0], [3, 0, 0]], "1": [[0,0],[0,7]], '
+        '"2": [[1]], "3": [[0]], "4": [[12345678901234567890]]}')
     assert read["0"] == IntMatrix(2, 3, ((0, 1, -12), (1, 0, 3)))
     assert read["1"] == IntMatrix(2, 2, ((1, 1, 7),))
     assert read["2"] == IntMatrix.identity(1)
     assert read["3"] == IntMatrix.zeros(1, 1)
     assert read["4"].entries == ((0, 0, 12345678901234567890),)
-    # a table with another key keeps its rows as parsed
+    # an object that is not four containers down keeps its rows as
+    # parsed; a table with another key keeps its matrices
     assert decode('{"0": [[0, 1]], "x": 1}') == {"0": [[0, 1]], "x": 1}
+    assert decode_table('{"0": [[0, 1]], "x": 1}') == {
+        "0": IntMatrix(1, 2, ((0, 1, 1),)), "x": 1}
 
 
 # -- the two dense-row readers before the one that steps from cell to cell,
@@ -1173,8 +1203,9 @@ def test_rows_whose_separator_changes_after_a_nonzero_cell():
     refuses the rows, and the decoder reads them as json.loads does."""
     text = '{"0": [[0, 2,0], [0, 0, 0]]}'
     assert dense_read(text[6:-1]) == (None, None, None)
-    assert typed(decode(text)) == typed(reference_parse(text))
-    assert decode(text)["0"] == IntMatrix.from_rows(json.loads(text)["0"])
+    assert typed(decode_table(text)) == typed(reference_parse(text))
+    assert decode_table(text)["0"] == IntMatrix.from_rows(
+        json.loads(text)["0"])
 
 
 def test_dense_rows_reads_every_table_as_the_reference_does():
@@ -1241,7 +1272,7 @@ def test_dense_rows_refuses_a_row_wider_than_max_rank():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
-    assert decode('{"0": ' + text + "}")["0"] == IntMatrix.zeros(
+    assert decode_table('{"0": ' + text + "}")["0"] == IntMatrix.zeros(
         1, MAX_RANK + 1)  # the C scanner reads it
 
 
@@ -1254,11 +1285,15 @@ def test_serialization_rejects_bad_truncation():
 
 
 def test_constructor_shape_validation():
+    # the constructor trusts its caller; the table shapes are checked as
+    # cosimplicial_from_data reads them
     c = square_complex()
     ident = identity_chain_map(c)
-    with pytest.raises(InputError):
-        CosimplicialChain((c, c), ((ident,),), ((ident,),))
-    with pytest.raises(InputError):
-        CosimplicialChain((c, c), ((ident, ident),), ())
+    with pytest.raises(InputError, match="^level 0 needs 2 cofaces$"):
+        cosimplicial_from_data(cosimplicial_to_data(
+            CosimplicialChain((c, c), ((ident,),), ((ident,),))))
+    with pytest.raises(InputError, match="^map tables must cover"):
+        cosimplicial_from_data(cosimplicial_to_data(
+            CosimplicialChain((c, c), ((ident, ident),), ())))
     with pytest.raises(InputError):
         matching_object(constant_object(c, 1), 1)

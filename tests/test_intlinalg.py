@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import shadow_reference
-from constructions_reference import cech_object, cosimplicial_to_data
+from constructions_reference import (cech_object, cosimplicial_to_data,
+                                    to_rows)
 from corpus_reference import corpus, quasi_iso_pairs
 from map_reference import take_columns, take_rows
 from matching_reference import matching_kernel_agrees
@@ -70,7 +71,7 @@ def det(rows):
 
 def snf_oracle(mat):
     """Invariant factors via gcds of k x k minors."""
-    rows = mat.to_rows()
+    rows = to_rows(mat)
     m, n = mat.nrows, mat.ncols
     inv = []
     prev = 1
@@ -284,7 +285,7 @@ def test_snf_invariant_under_permutation(a, rng):
     cperm = list(range(a.ncols))
     rng.shuffle(rperm)
     rng.shuffle(cperm)
-    rows = a.to_rows()
+    rows = to_rows(a)
     shuffled = IntMatrix.from_rows(
         [[rows[i][j] for j in cperm] for i in rperm], ncols=a.ncols
     )
@@ -322,7 +323,7 @@ def test_solve_detects_unsolvable():
 
 def unimodular_from_ops(n, ops):
     m = IntMatrix.identity(n)
-    rows = m.to_rows()
+    rows = to_rows(m)
     for kind, i, j, c in ops:
         i, j = i % n, j % n
         if i == j:
@@ -366,7 +367,7 @@ def test_lattice_basis_spans_same_lattice(a):
 def test_lattice_basis_hand_value():
     # three columns meet at row 0 with no unit among them; |det| = 58
     a = IntMatrix.from_rows([[4, 6, -2], [1, 0, 3], [0, 2, 5]])
-    assert lattice_basis(a).to_rows() == [[2, 0, 0], [0, 1, 0], [20, 18, 29]]
+    assert to_rows(lattice_basis(a)) == [[2, 0, 0], [0, 1, 0], [20, 18, 29]]
 
 
 @given(sparse_strategy())
@@ -613,7 +614,7 @@ def draw_unimodular(data, n):
 
 def maximal_minor_gcd(mat):
     """gcd of the k x k minors of a k x n matrix, by expansion."""
-    rows = mat.to_rows()
+    rows = to_rows(mat)
     g = 0
     for csel in itertools.combinations(range(mat.ncols), mat.nrows):
         g = math.gcd(g, det([[r[j] for j in csel] for r in rows]))
@@ -853,7 +854,7 @@ def test_matmul_matches_dense_product(m, n, p, data):
     b = IntMatrix.from_rows(b_rows, p)
     want = dense_product(a_rows, b_rows, p)
     assert (a @ b) == IntMatrix.from_rows(want, p)
-    assert (a @ b).to_rows() == want
+    assert to_rows(a @ b) == want
     # [a a] times [b; -b] cancels to zero cell by cell
     zero = IntMatrix.hstack([a, a]) @ IntMatrix.vstack([b, -b])
     assert zero.shape == (m, p) and zero.is_zero
@@ -1017,7 +1018,7 @@ def test_block_assembly():
     a = IntMatrix.from_rows([[1, 2]])
     b = IntMatrix.from_rows([[3], [4]])
     m = IntMatrix.from_blocks([1, 2], [2, 1], {(0, 0): a, (1, 1): b})
-    assert m.to_rows() == [[1, 2, 0], [0, 0, 3], [0, 0, 4]]
+    assert to_rows(m) == [[1, 2, 0], [0, 0, 3], [0, 0, 4]]
     with pytest.raises(InputError):
         IntMatrix.from_blocks([1], [1], {(0, 0): a})
 
@@ -1075,8 +1076,8 @@ def test_block_refuses_a_run_outside_the_shape():
 
 def test_take_and_stack_roundtrip():
     a = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    assert take_columns(a, [2, 0]).to_rows() == [[3, 1], [6, 4]]
-    assert take_rows(a, [1]).to_rows() == [[4, 5, 6]]
+    assert to_rows(take_columns(a, [2, 0])) == [[3, 1], [6, 4]]
+    assert to_rows(take_rows(a, [1])) == [[4, 5, 6]]
     assert IntMatrix.hstack([take_columns(a, [0, 1]),
                              take_columns(a, [2])]) == a
     assert IntMatrix.vstack([take_rows(a, [0]), take_rows(a, [1])]) == a

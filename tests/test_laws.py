@@ -1,11 +1,13 @@
-"""Every complex, chain map, simplicial complex, poset and poset inclusion
-the package builds obeys the laws its constructor trusts.
+"""Every complex, chain map, simplicial complex, poset, poset inclusion and
+cosimplicial object the package builds obeys the laws its constructor
+trusts.
 
-The constructors of ChainComplexInt, ChainMap, SimplicialComplex, FinPoset
-and PosetInclusion check only cheap shapes; the laws are checked where
-JSON (or a relation given by the caller) becomes the object.  Here every
-constructor call made by the main computations is hooked, and each object
-is put through the check its constructor used to run.
+The constructors of ChainComplexInt and ChainMap check only cheap shapes,
+and those of SimplicialComplex, FinPoset, PosetInclusion and
+CosimplicialChain check nothing; the laws are checked where JSON (or a
+relation given by the caller) becomes the object.  Here every constructor
+call made by the main computations is hooked, and each object is put
+through the check its constructor used to run.
 """
 
 import pytest
@@ -22,6 +24,7 @@ from test_cosimplicial import stripe_sign_objects
 from test_simplicial import reference_canonical_check
 from tottower.chains import ChainComplexInt, ChainMap
 from tottower.cosimplicial import (
+    CosimplicialChain,
     cosimplicial_from_data,
     tot_n,
     tower_fiber,
@@ -96,6 +99,81 @@ def reference_inclusion_check(self):
                 )
 
 
+# -- the rank checks before the ChainComplexInt constructor trusted the level
+# reader, the table checks before the CosimplicialChain constructor trusted
+# cosimplicial_from_data, and the element and mask checks before the
+# FinPoset constructor trusted its builders, kept verbatim from their
+# __post_init__
+
+def reference_poset_check(self):
+    n = len(self.elements)
+    if len(set(self.elements)) != n:
+        raise InputError("duplicate poset elements")
+    if len(self.down) != n:
+        raise InputError("one relation mask per element required")
+    full = (1 << n) - 1
+    for i, m in enumerate(self.down):
+        if not isinstance(m, int) or m < 0 or m & ~full:
+            raise InputError("relation mask out of range")
+        if not (m >> i) & 1:
+            raise InputError("relation must be reflexive")
+
+
+def reference_rank_check(self):
+    if not self.ranks:
+        raise InputError("a complex needs at least one degree")
+    if min(self.ranks) < 0:
+        raise InputError("ranks must be nonnegative integers")
+
+
+def reference_cosimplicial_check(self):
+    m = len(self.levels) - 1
+    if m < 0:
+        raise InputError("need at least one level")
+    if len(self.cofaces) != m or len(self.codegeneracies) != m:
+        raise InputError("map tables must cover levels 0..M-1")
+    for k in range(m):
+        if len(self.cofaces[k]) != k + 2:
+            raise InputError(f"level {k} needs {k + 2} cofaces")
+        if len(self.codegeneracies[k]) != k + 1:
+            raise InputError(f"level {k + 1} needs {k + 1} codegeneracies")
+        for i, d in enumerate(self.cofaces[k]):
+            if d.src != self.levels[k] or d.dst != self.levels[k + 1]:
+                raise InputError(
+                    f"coface {i} at level {k} connects wrong levels"
+                )
+        for i, s in enumerate(self.codegeneracies[k]):
+            if s.src != self.levels[k + 1] or s.dst != self.levels[k]:
+                raise InputError(
+                    f"codegeneracy {i} at level {k + 1} connects "
+                    f"wrong levels"
+                )
+
+
+def test_reference_constructor_checks_reject_bad_objects():
+    c = ChainComplexInt(0, (1,), ())
+    ident = ChainMap(c, c, ((0, IntMatrix.identity(1)),))
+    other = ChainMap(c, ChainComplexInt(1, (1,), ()), ())
+    with pytest.raises(InputError, match="nonnegative"):
+        reference_rank_check(ChainComplexInt(0, (-1,), ()))
+    for args, message in (
+            (((), (), ()), "at least one level"),
+            (((c, c), (), ()), "cover levels"),
+            (((c, c), ((ident,),), ((ident,),)), "needs 2 cofaces"),
+            (((c, c), ((ident, ident),), ((),)), "needs 1 codegeneracies"),
+            (((c, c), ((ident, other),), ((ident,),)), "coface 1 at level 0"),
+            (((c, c), ((ident, ident),), ((other,),)), "codegeneracy 0")):
+        with pytest.raises(InputError, match=message):
+            reference_cosimplicial_check(CosimplicialChain(*args))
+    for elements, down, message in (
+            (("a", "a"), (0b01, 0b10), "duplicate"),
+            ((0, 1), (0b01,), "one relation mask"),
+            ((0, 1), (0b01, 0b110), "out of range"),
+            ((0, 1), (0b01, 0b01), "reflexive")):
+        with pytest.raises(InputError, match=message):
+            reference_poset_check(FinPoset(elements, down))
+
+
 def test_reference_order_checks_reject_bad_relations():
     # 0 <= 1 <= 2 without 0 <= 2, and 0 <= 1 <= 0
     for down, message in (((0b001, 0b011, 0b110), "not transitive"),
@@ -117,23 +195,27 @@ def test_built_objects_obey_their_laws(monkeypatch):
     analysis, and the chain complexes of simplicial constructions and of
     a homotopy colimit build only complexes that square to zero, maps
     with one nonzero component per degree that commute with the
-    boundaries, canonical simplicial complexes, partial orders and full
-    poset inclusions."""
+    boundaries, canonical simplicial complexes, partial orders, full
+    poset inclusions and cosimplicial objects whose maps run between the
+    levels they name."""
     counts = {"complexes": 0, "maps": 0, "simplicial": 0, "posets": 0,
-              "inclusions": 0}
+              "inclusions": 0, "cosimplicial": 0}
     post_init = ChainComplexInt.__post_init__
     map_init = ChainMap.__init__
     simplicial_init = SimplicialComplex.__init__
-    poset_post_init = FinPoset.__post_init__
+    poset_init = FinPoset.__init__
     inclusion_init = PosetInclusion.__init__
+    cosimplicial_init = CosimplicialChain.__init__
 
     def check_complex(self):
         post_init(self)
+        reference_rank_check(self)
         self.check_square_zero()
         counts["complexes"] += 1
 
-    # ChainMap and SimplicialComplex define no __post_init__, so their
-    # __init__ calls none: wrap __init__ instead
+    # ChainMap, SimplicialComplex, FinPoset, PosetInclusion and
+    # CosimplicialChain define no __post_init__, so their __init__ calls
+    # none: wrap __init__ instead
     def check_map(self, *args, **kwargs):
         map_init(self, *args, **kwargs)
         reference_component_check(self)
@@ -145,8 +227,9 @@ def test_built_objects_obey_their_laws(monkeypatch):
         reference_canonical_check(self)
         counts["simplicial"] += 1
 
-    def check_poset(self):
-        poset_post_init(self)
+    def check_poset(self, *args, **kwargs):
+        poset_init(self, *args, **kwargs)
+        reference_poset_check(self)
         reference_order_check(self)
         counts["posets"] += 1
 
@@ -155,8 +238,14 @@ def test_built_objects_obey_their_laws(monkeypatch):
         reference_inclusion_check(self)
         counts["inclusions"] += 1
 
+    def check_cosimplicial(self, *args, **kwargs):
+        cosimplicial_init(self, *args, **kwargs)
+        reference_cosimplicial_check(self)
+        counts["cosimplicial"] += 1
+
     monkeypatch.setattr(ChainComplexInt, "__post_init__", check_complex)
-    monkeypatch.setattr(FinPoset, "__post_init__", check_poset)
+    monkeypatch.setattr(FinPoset, "__init__", check_poset)
+    monkeypatch.setattr(CosimplicialChain, "__init__", check_cosimplicial)
     monkeypatch.setattr(PosetInclusion, "__init__", check_inclusion)
     monkeypatch.setattr(ChainMap, "__init__", check_map)
     monkeypatch.setattr(SimplicialComplex, "__init__", check_simplicial)
@@ -202,3 +291,4 @@ def test_built_objects_obey_their_laws(monkeypatch):
     assert counts["simplicial"] > 35
     assert counts["posets"] > 50
     assert counts["inclusions"] == 2
+    assert counts["cosimplicial"] > 30
