@@ -21,6 +21,12 @@ we extract:
 A window's blocks hold only its own pieces and the coface sums between
 them, which is what makes the fiber of Tot_m -> Tot_n depend only on
 cosimplicial degrees n+1..m, entry for entry.
+
+The objects come from JSON through parse_cosimplicial, which reads a
+document from its bytes (a file mapping, or what a pipe gave): each
+degree table written in dense rows goes straight from the bytes into an
+IntMatrix, and only the text around the tables is decoded and parsed.
+cosimplicial_from_data then reads the schema.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ import json
 import re
 from functools import cached_property
 from json.decoder import WHITESPACE, JSONArray, JSONObject
-from json.scanner import make_scanner
 
 from ._record import record
 from .chains import ChainComplexInt, ChainMap, chain_map
@@ -37,6 +42,9 @@ from .errors import InputError, InvariantError
 from .intlinalg import IntMatrix, hermite_solve, kernel_lattice
 from .schema import checked, degree_key, field, is_int, list_of
 
+# parse_cosimplicial, the reader cli._load_json hands the bytes of tot
+# and ss to, is left out: bench/tracer.py wraps each function listed here
+# in a span of its own, and the read belongs to the span of _load_json.
 __all__ = [
     "CosimplicialChain",
     "validate_cosimplicial",
@@ -47,7 +55,6 @@ __all__ = [
     "tot_n",
     "tower_fiber",
     "cosimplicial_from_data",
-    "CosimplicialDecoder",
     "MAX_RANK",
     "MAX_TRUNCATION",
     "MAX_TOT_SPAN",
@@ -388,148 +395,186 @@ def _degree_table(pairs) -> dict:
 
 # Every digit but 0 becomes "-", so a nonzero cell starts at a "-" of the
 # marked text and a zero cell has none.
-_MARK_NONZERO = str.maketrans("123456789", "-" * 9)
+_MARK_NONZERO = bytes.maketrans(b"123456789", b"-" * 9)
 # A nonzero cell in the form json.dumps writes an int, matched where it
 # starts.  Eighteen digits at most, so int() never refuses it; a longer one
 # is left to the C scanner.
-_NONZERO_CELL = re.compile(r"-?[1-9][0-9]{0,17}").match
+_NONZERO_CELL = re.compile(rb"-?[1-9][0-9]{0,17}").match
+# The text of a first row up to its closing bracket: MAX_RANK cells of 19
+# bytes and their separators at most, since a longer row is refused.
+_FIRST_ROW = re.compile(rb"[-0-9, ]{0,%d}" % (21 * MAX_RANK)).match
 
 
-def _dense_rows(s: str, idx: int):
-    """(IntMatrix, end) for the rows of integers at s[idx:], written as
-    json.dumps writes them with either separator, or None.
+def _dense_rows(buf, idx: int):
+    """(IntMatrix, end) for the rows of integers at buf[idx:], written as
+    json.dumps writes them with either separator, or None.  buf is a
+    bytes-like object with a find method: bytes, a bytearray or an mmap.
 
     The separator and the width come from the first row, and a row wider
-    than MAX_RANK gives None before any template is built.  The template
-    is the all-zero text of a row period, its cells and the break to the
-    next row.  The reading steps from one nonzero cell to the next and
-    compares the text in between with the template at the offset it has
-    reached, so no object is made for a zero cell, a row of another
-    length fails the comparison, and the offset of a cell gives its row
-    and column.  The next nonzero cell is guessed as the nearer "1" or
-    "-": the search for "1" stops two row periods past the cursor, the
-    one for "-" at the "1", and both are kept until the reading passes
-    them.  Where the text in front of a guess does not check, either the
-    rows end there, or a cell of first digit 2..9 comes first: the text
-    up to the guess is then marked by _MARK_NONZERO and read from the
-    marks.  Rows in any other spelling, ragged rows and empty rows give
-    None, and the caller parses the value as JSON.  Only slices are
-    taken, so nothing here raises, and past the first row no search ends
-    more than two row periods beyond the cursor."""
-    comma = s.find(",", idx, s.find("]", idx) + 2)
-    sep = ", " if s.startswith(", ", comma) else ","
-    end = s.find("]", idx + 1)
-    if end < 0 or not s.startswith("[", idx + 1):
+    than MAX_RANK, or longer than _FIRST_ROW takes, gives None before any
+    template is built.  The template is the all-zero text of a row period,
+    its cells and the break to the next row.  The reading steps from one
+    nonzero cell to the next and compares the bytes in between with the
+    template at the offset it has reached, through a memoryview, so no
+    object is made for a zero cell, a row of another length fails the
+    comparison, and the offset of a cell gives its row and column.  The
+    next nonzero cell is guessed as the nearer "1" or "-": the search for
+    "1" stops two row periods past the cursor, the one for "-" at the "1",
+    and both are kept until the reading passes them.  Where the bytes in
+    front of a guess do not check, either the rows end there, or a cell of
+    first digit 2..9 comes first: the bytes up to the guess are then marked
+    by _MARK_NONZERO and read from the marks.  Rows in any other spelling,
+    ragged rows and empty rows give None, and the caller parses the value
+    as JSON.  Only slices are taken, so nothing here raises or reads past
+    the end, and past the first row no search ends more than two row
+    periods beyond the cursor."""
+    find = buf.find
+    end = _FIRST_ROW(buf, idx + 2).end()
+    if buf[idx + 1:idx + 2] != b"[" or buf[end:end + 1] != b"]":
         return None
-    ncols = s.count(sep, idx + 2, end) + 1
+    comma = find(b",", idx, end + 2)
+    sep = b", " if buf[comma:comma + 2] == b", " else b","
+    ncols = buf[idx + 2:end].count(sep) + 1
     if ncols > MAX_RANK:
         return None
     stride = len(sep) + 1
     period = ncols * stride + 2
     span = 2 * period
     # three periods: an offset into one, and the span a search may run
-    zeros = (("0" + sep) * (ncols - 1) + "0]" + sep + "[") * 3
+    zeros = ((b"0" + sep) * (ncols - 1) + b"0]" + sep + b"[") * 3
+    view = memoryview(buf)
     entries = []
-    # The template lies over the text from base on, each nonzero cell read
-    # counted as the one character of a zero cell.
+    # The template lies over the bytes from base on, each nonzero cell read
+    # counted as the one byte of a zero cell.
     base = pos = idx + 2
     # the next "1", or where its search stopped, and the nearer of it and
     # the next "-"
     one = guess = -1
-    mend = -1  # the marks cover the text from mbase up to mend
+    mend = -1  # the marks cover the bytes from mbase up to mend
     while True:
         if pos < mend:
-            a = marks.find("-", pos - mbase)
+            a = marks.find(b"-", pos - mbase)
             a = mend if a < 0 else a + mbase
         else:
             if guess <= pos:
                 if one <= pos:
-                    one = s.find("1", pos, pos + span)
+                    one = find(b"1", pos, pos + span)
                     if one < 0:
                         one = pos + span
-                guess = s.find("-", pos, one)
+                guess = find(b"-", pos, one)
                 if guess < 0:
                     guess = one
             a = guess
-        if not zeros.startswith(s[pos:a], (pos - base) % period):
+        if not zeros.startswith(view[pos:a], (pos - base) % period):
             # The rows end in front of a, or a nonzero digit comes first.
             # The end is looked for from pos - 1: a search bound set before
             # a long cell moved the template can stop between its brackets.
-            e = s.find("]]", pos - 1, a)
+            e = find(b"]]", pos - 1, a)
             if e >= 0 and zeros.startswith(
-                    s[pos:e + 1], (pos - base) % period) and zeros[
-                    (e - base) % period] == "]":
+                    view[pos:e + 1], (pos - base) % period) and \
+                    zeros.startswith(b"]", (e - base) % period):
                 return (IntMatrix((e - base) // period + 1, ncols,
                                   tuple(entries)), e + 2)
             if pos < mend:
                 return None
             mbase, mend = pos, a
-            marks = s[pos:a].translate(_MARK_NONZERO)
+            marks = buf[pos:a].translate(_MARK_NONZERO)
             continue
         # zero cells and row breaks up to a
-        if s.startswith("1", a) and s.startswith((",", "]"), a + 1):
+        if buf[a:a + 2] in (b"1,", b"1]"):
             b, v = a + 1, 1
-        elif s.startswith("-1", a) and s.startswith((",", "]"), a + 2):
+        elif buf[a:a + 3] in (b"-1,", b"-1]"):
             b, v = a + 2, -1
         else:
-            cell = _NONZERO_CELL(s, a)
+            cell = _NONZERO_CELL(buf, a)
             if cell is None:  # a search stopped at a
-                if a >= len(s) or s.startswith("-", a):
+                if a >= len(buf) or buf[a:a + 1] == b"-":
                     return None
                 pos = a
                 continue
             b, v = cell.end(), int(cell.group())
         i, off = divmod(a - base, period)
-        if zeros[off] != "0":
+        if not zeros.startswith(b"0", off):
             return None
         entries.append((i, off // stride, v))
         base += b - a - 1
         pos = b
 
 
-# How deep the decoder walks in Python.  A degree table is the fourth
-# container down: the document, a map table such as "cofaces", one row of
-# that table, the degree table.
+# Where _skeleton tries _dense_rows: two brackets whose previous byte other
+# than JSON white space is a colon, as in front of the rows of every
+# degree table.
+_ROWS_AFTER_COLON = re.compile(rb":[ \t\n\r]*\[\[").search
+# What stands in the skeleton for a value _dense_rows read.  A NUL byte is
+# no JSON anywhere, so a marker the skeleton decoder does not take fails
+# the parse.
+_MARKER = "\x00"
+
+
+def _skeleton(buf):
+    """(text, tables): the UTF-8 text of buf with each value _dense_rows
+    reads replaced by _MARKER, and those values as IntMatrix in order.
+
+    Only the text between the values read is decoded.  Raises
+    UnicodeDecodeError where that text is not UTF-8, and ValueError where
+    buf holds a NUL byte of its own: then the markers outnumber the
+    tables, and the skeleton decoder would run out of them."""
+    pieces, tables = [], []
+    pos = 0
+    found = _ROWS_AFTER_COLON(buf)
+    while found:
+        idx = found.end() - 2
+        read = _dense_rows(buf, idx)
+        if read is None:
+            found = _ROWS_AFTER_COLON(buf, idx + 2)
+            continue
+        pieces.append(buf[pos:idx])
+        tables.append(read[0])
+        pos = read[1]
+        found = _ROWS_AFTER_COLON(buf, pos)
+    pieces.append(buf[pos:])
+    text = _MARKER.join(str(piece, "utf-8") for piece in pieces)
+    if text.count(_MARKER) != len(tables):
+        raise ValueError("a NUL byte outside the degree tables")
+    return text, tables
+
+
+# How deep the skeleton decoder walks in Python.  A degree table is the
+# fourth container down: the document, a map table such as "cofaces", one
+# row of that table, the degree table.
 _WALK_DEPTH = 4
 
 
-class CosimplicialDecoder(json.JSONDecoder):
-    """The JSON decoder of cosimplicial objects: it reads each value of a
-    degree table as an IntMatrix while the document is parsed, so a
-    table's rows are never built as lists.
+class _SkeletonDecoder(json.JSONDecoder):
+    """The JSON decoder of a skeleton: it reads each marker that is a
+    value of an object four containers down, where the schema puts every
+    degree table, as the next of tables.
 
-    It gives what json.loads gives, except that each value of the
-    objects four containers down, where the schema puts every degree
-    table, is the IntMatrix from_rows makes of it, where from_rows
-    accepts it.  Objects, and arrays whose first item is an array or an
-    object, are walked in Python down to _WALK_DEPTH; every other value,
-    and everything deeper, goes to the stdlib's C scanner.  The walker of
-    the fourth container passes each object it reads to _degree_table,
-    and tries a value that opens with two brackets by _dense_rows first,
-    then by the C scanner if that refuses it.  It raises what json.loads
-    raises on the same text, and never InputError: a value from_rows
-    refuses is left as parsed."""
+    Objects, and arrays whose first item is an array or an object, are
+    walked in Python down to _WALK_DEPTH; every other value, and
+    everything deeper, goes to the stdlib's C scanner, which refuses a
+    marker.  The walker of the fourth container passes each object it
+    reads to _degree_table."""
 
-    def __init__(self):
+    def __init__(self, tables):
         super().__init__()
-        scan = c_scan = make_scanner(self)
-        for depth in range(_WALK_DEPTH, 0, -1):
-            scan = self._walker(scan, c_scan, depth == _WALK_DEPTH)
+        take = iter(tables).__next__
+        c_scan = self.scan_once  # the stdlib's C scanner
+
+        def table(s, idx):
+            if s.startswith(_MARKER, idx):
+                return take(), idx + 1
+            return c_scan(s, idx)
+        scan = self._walker(c_scan, c_scan, table, _degree_table)
+        for _ in range(_WALK_DEPTH - 1):
+            scan = self._walker(scan, c_scan, scan, None)
         self.scan_once = scan
 
-    def _walker(self, inner, c_scan, tables: bool):
-        """A scan_once that walks a container in Python and reads what it
-        holds with inner; with tables, each object it walks is a degree
-        table."""
+    def _walker(self, inner, c_scan, value, hook):
+        """A scan_once that walks a container in Python: an object's
+        values are read with value and the object passed to hook, an
+        array's items with inner."""
         strict, memo = self.strict, self.memo
-        value, hook = inner, None
-        if tables:
-            def value(s, idx):
-                if s.startswith("[[", idx) and not s.startswith(
-                        ("[[[", "[[{"), idx):
-                    return _dense_rows(s, idx) or c_scan(s, idx)
-                return c_scan(s, idx)
-            hook = _degree_table
 
         def scan(s, idx):
             if s.startswith("{", idx):
@@ -540,6 +585,26 @@ class CosimplicialDecoder(json.JSONDecoder):
                 return JSONArray((s, idx + 1), inner)
             return c_scan(s, idx)
         return scan
+
+
+def parse_cosimplicial(buf):
+    """The JSON document in buf, a bytes-like object, as json.loads gives
+    it for its UTF-8 text, with each degree table written in dense rows
+    read as an IntMatrix.
+
+    The degree tables are read from buf by _skeleton, and only the text
+    around them is decoded and parsed, by _SkeletonDecoder.  A marker
+    anywhere but where the schema puts a degree table fails that parse,
+    and so does any fault of the text.  On any such failure the whole of
+    buf is decoded and parsed by json.loads, which raises what it raises
+    on the text, or gives the document with its degree tables as lists,
+    which cosimplicial_from_data reads to the same object."""
+    try:
+        text, tables = _skeleton(buf)
+        return json.loads(text, cls=_SkeletonDecoder, tables=tables)
+    except (ValueError, RecursionError):
+        pass
+    return json.loads(str(buf, "utf-8"))
 
 
 def _map_from_data(src, dst, data) -> ChainMap:
@@ -557,7 +622,7 @@ def _map_from_data(src, dst, data) -> ChainMap:
         if type(rows) is not IntMatrix:
             mats[k] = IntMatrix.from_rows(rows, ncols=ncols)
         elif rows.ncols == ncols:
-            mats[k] = rows  # read by CosimplicialDecoder
+            mats[k] = rows  # read by parse_cosimplicial
         else:  # what from_rows says of rows of the wrong length
             raise InputError(f"matrix row 0 is not {ncols} integers")
         shape = (dst.rank(k), ncols)
@@ -649,7 +714,7 @@ def _located(where: str, read, *args):
 
 def cosimplicial_from_data(data) -> CosimplicialChain:
     """Read a cosimplicial object from JSON data.  A degree-table value may
-    already be an IntMatrix read by CosimplicialDecoder.  A level that does
+    already be an IntMatrix read by parse_cosimplicial.  A level that does
     not square to zero, or a map that does not commute, is named."""
     raw_levels, truncation, raw_cofaces, raw_codegens = (
         field(data, key, "cosimplicial")

@@ -113,11 +113,11 @@ def loaded_modules(argv):
 
 
 def test_each_subcommand_loads_only_its_layers(tmp_path):
-    # the cosimplicial JSON decoder is imported with its layer, in the
+    # the cosimplicial JSON reader is imported with its layer, in the
     # tot and ss commands, and mmap with the first file read, never at
     # start-up; records are built without dataclasses, so no command
     # loads it or inspect
-    assert not hasattr(cli, "CosimplicialDecoder")
+    assert not hasattr(cli, "parse_cosimplicial")
     bare = {"tottower", "cli", "errors", "schema"}
     for argv in (["--version"], ["--help"], ["no-such-command"], ["tot"],
                  ["tot", "--help"], ["ss", "--help"]):
@@ -222,6 +222,52 @@ def test_tot_report_is_the_same_through_a_pipe_and_with_crlf(tmp_path,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == expected.encode()
+
+
+def test_stdin_reads_as_the_file_does(tmp_path, capsys):
+    """/dev/stdin fed by a pipe is read in chunks into the document the
+    mapped file gives, and the pipe cap counts exactly: a document of
+    MAX_PIPE_BYTES is read, one byte more is refused with one line.  The
+    document is small enough to sit in the pipe before it is read."""
+    data = cosimplicial_to_data(cech_object(2, 3))
+    path = write_json(tmp_path, "cech.json", data)
+    text = Path(path).read_bytes()
+    mapped = cli._load_json(path, cosimplicial.parse_cosimplicial)
+    saved = os.dup(0)
+    try:
+        for size in (len(text), len(text) - 1):
+            read, write = os.pipe()
+            os.dup2(read, 0)
+            os.close(read)
+            os.write(write, text)
+            os.close(write)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "MAX_PIPE_BYTES", size)
+                if size == len(text):
+                    assert cli._load_json(
+                        "/dev/stdin", cosimplicial.parse_cosimplicial
+                    ) == mapped
+                else:
+                    err = assert_one_line_input_error(
+                        ["tot", "/dev/stdin"], capsys)
+                    assert err == (f"input error: cannot read /dev/stdin: "
+                                   f"more than {size} bytes\n")
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_input_is_refused_past_the_pipe_cap(monkeypatch, capsys):
+    """An input with no end, which was read until memory ran out, is
+    refused once it passes MAX_PIPE_BYTES, by every subcommand that reads
+    a file."""
+    monkeypatch.setattr(cli, "MAX_PIPE_BYTES", 3 << 20)
+    for argv in (["tot"], ["ss"], ["homology"], ["cover", "--r", "1"],
+                 ["poset", "dim"]):
+        err = assert_one_line_input_error(argv + ["/dev/zero"], capsys)
+        assert err == (f"input error: cannot read /dev/zero: more than "
+                       f"{3 << 20} bytes\n")
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -380,7 +426,7 @@ def test_subquotient_generators_are_built_only_when_read(tmp_path, capsys,
 def test_every_cut_of_a_cosimplicial_file_is_refused(tmp_path, capsys):
     """Each proper prefix of a small object, in the default and the
     compact spelling, is not JSON: tot refuses it with exit 2 and one
-    line, whichever path the decoder was on where the text stops."""
+    line, whichever path the reader was on where the text stops."""
     data = cosimplicial_to_data(cech_object(2, 1))
     path = tmp_path / "cut.json"
     for separators in ((", ", ": "), (",", ":")):

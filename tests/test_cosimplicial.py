@@ -15,6 +15,8 @@ from corpus_reference import (CorpusObject, corpus, direct_sum, gamma_co,
 from map_reference import (ReferenceWindow, add, compose, negate,
                            stage_projection, stripe_tail)
 from matching_reference import matching_kernel_agrees, matching_object
+from reader_reference import (parse_as_reference, previous_dense_rows,
+                              reference_dense_rows, reference_loads, typed)
 from shadow_reference import (
     CosimplicialMap,
     quasi_iso_invariance,
@@ -27,12 +29,11 @@ from tottower.abelian import HomologyGroup
 from tottower.chains import ChainComplexInt, chain_map
 from tottower.cli import main
 from tottower.cosimplicial import (
-    _MARK_NONZERO,
     MAX_RANK,
     CosimplicialChain,
-    CosimplicialDecoder,
     conormalize,
     cosimplicial_from_data,
+    parse_cosimplicial,
     tot_n,
     tower_fiber,
     validate_cosimplicial,
@@ -697,8 +698,8 @@ def _degree_tables(data):
 
 
 def reference_hook(obj):
-    """The json object hook CosimplicialDecoder replaced, kept verbatim as
-    its reference: each value of a degree table through from_rows."""
+    """The json object hook the decoders after it replaced, kept verbatim
+    as their reference: each value of a degree table through from_rows."""
     try:
         for key in obj:
             degree_key(key)
@@ -717,44 +718,13 @@ def reference_parse(text):
 
 
 def decode(text):
-    return json.loads(text, cls=CosimplicialDecoder)
+    return parse_cosimplicial(text.encode())
 
 
 def decode_table(text):
     """The object text decoded where the schema puts a degree table, four
     containers down: as the one map of a row of cofaces."""
     return decode('{"cofaces": [[' + text + "]]}")["cofaces"][0][0]
-
-
-def reference_loads(text):
-    """json.loads, then from_rows on each value of the objects four
-    containers down; a value from_rows refuses stays as parsed."""
-    def read(value, depth):
-        if depth == 4 and type(value) is dict:
-            for key, rows in value.items():
-                try:
-                    value[key] = IntMatrix.from_rows(rows)
-                except InputError:
-                    pass
-        elif depth < 4 and type(value) in (dict, list):
-            for v in (value.values() if type(value) is dict else value):
-                read(v, depth + 1)
-    data = json.loads(text)
-    read(data, 1)
-    return data
-
-
-def typed(value):
-    """value with the JSON type of every scalar spelled out, so that 1,
-    1.0 and true differ, and a matrix by its shape and entries."""
-    if type(value) is IntMatrix:
-        return ("matrix", value.shape,
-                [(i, j, type(v), v) for i, j, v in value.entries])
-    if type(value) is list:
-        return [typed(v) for v in value]
-    if type(value) is dict:
-        return [(k, typed(v)) for k, v in value.items()]
-    return (type(value), repr(value))
 
 
 SPELLINGS = {
@@ -766,10 +736,10 @@ SPELLINGS = {
 
 def test_hook_reads_what_the_plain_parse_reads(monkeypatch):
     """Every corpus object and every cech_object up to (4, 4), written in
-    each spelling, reads through CosimplicialDecoder as json.loads with
+    each spelling, reads through parse_cosimplicial as json.loads with
     the reference hook reads it, and every degree-table value is built.
-    The default and compact rows are read by string operations alone:
-    from_rows is never called for them."""
+    The default and compact rows are read from the bytes alone: from_rows
+    is never called for them."""
     objects = [obj.x for obj in corpus(seed=20250811, count=20)] + [
         cech_object(n, top) for n in range(1, 5) for top in range(5)
     ]
@@ -815,8 +785,9 @@ def _read_error(text, parse):
     {"0": [[]] * 4},                             # rows of no cells
 ])
 def test_hook_keeps_every_read_error(table):
-    """A malformed map is refused with the same message by the decoder,
-    by the reference hook and by the plain parse, in each spelling."""
+    """A malformed map is refused with the same message by
+    parse_cosimplicial, by the reference hook and by the plain parse, in
+    each spelling."""
     data = cosimplicial_to_data(cech_object(3, 1))
     data["cofaces"][0][0] = table
     for options in SPELLINGS.values():
@@ -889,7 +860,7 @@ def documents(draw):
 @settings(max_examples=200)
 @given(documents(), st.data())
 def test_decoder_reads_what_json_loads_reads(text, data):
-    """The decoder against json.loads followed by from_rows on the
+    """parse_cosimplicial against json.loads followed by from_rows on the
     objects four containers down, on whole documents and on a cut of
     each: the same values, JSON types and matrices, or the same
     JSONDecodeError."""
@@ -921,180 +892,89 @@ def test_decoder_reads_matrices_from_dense_rows():
         "0": IntMatrix(1, 2, ((0, 1, 1),)), "x": 1}
 
 
-# -- the two dense-row readers before the one that steps from cell to cell,
-# kept verbatim as the differential references, with what they took from
-# cosimplicial: _ZERO_CELLS, the zeros of a row of MAX_RANK cells, and
-# _NONZERO_CELL, a whole cell in the form json.dumps writes a nonzero int
-
-_ZERO_CELLS = {sep: ("0" + sep) * MAX_RANK for sep in (", ", ",")}
-_NONZERO_CELL = re.compile(r"-?[1-9][0-9]{0,17}").fullmatch
+# a document with one degree table where the schema puts it
+TABLE = b'{"cofaces": [[{"0": [[0, 1], [1, 0]]}]]}'
+DEEP = b"[" * 100_000 + b"]" * 100_000
 
 
-# the reader as it was before it searched for "1" and "-": it marks every
-# row whole
-
-def reference_dense_rows(s: str, idx: int):
-    """(IntMatrix, end) for the rows of integers at s[idx:], written as
-    json.dumps writes them with either separator, or None.
-
-    Row by row, string operations find the row's end and each nonzero
-    cell, and the zeros between nonzero cells are compared with a slice
-    of _ZERO_CELLS, so no object is made for a zero cell.  Rows in any
-    other spelling, ragged rows and empty rows give None, and the caller
-    parses the value as JSON.  Only slices are taken, so nothing here
-    raises, and no search runs past the end of the row it reads."""
-    comma = s.find(",", idx, s.find("]", idx) + 2)
-    sep = ", " if s.startswith(", ", comma) else ","
-    zeros = _ZERO_CELLS[sep]
-    width = len(sep)
-    stride = width + 1
-    entries = []
-    ncols = None
-    i = 0
-    p = idx + 1  # the opening bracket of row i
-    while s.startswith("[", p):
-        end = s.find("]", p)
-        if end < 0:
-            return None
-        row = s[p + 1:end]
-        marks = row.translate(_MARK_NONZERO)
-        stop = len(row)
-        pos = j = 0
-        while True:
-            a = marks.find("-", pos)
-            if a < 0:  # zero cells up to the end of the row
-                n = stop - pos
-                if not n or (n + width) % stride or not zeros.startswith(
-                        row[pos:]):
-                    return None
-                j += (n + width) // stride
-                break
-            n = a - pos
-            if n % stride or not zeros.startswith(row[pos:a]):
-                return None
-            j += n // stride
-            b = row.find(",", a)
-            if b < 0:
-                b = stop
-            cell = row[a:b]
-            if not _NONZERO_CELL(cell):
-                return None
-            entries.append((i, j, int(cell)))
-            j += 1
-            if b == stop:
-                break
-            if not row.startswith(sep, b):
-                return None
-            pos = b + width
-        if ncols is None:
-            ncols = j
-        elif j != ncols:
-            return None
-        i += 1
-        if s.startswith("]", end + 1):
-            return IntMatrix(i, ncols, tuple(entries)), end + 2
-        if not s.startswith(sep, end + 1):
-            return None
-        p = end + 1 + width
-    return None
+@pytest.mark.parametrize("buf, read", [
+    (TABLE, "matrix"),
+    (TABLE.replace(b": ", b":\t\r\n"), "matrix"),  # white space before it
+    (TABLE.replace(b", ", b",\r\n"), "matrix"),     # CRLF, rows in JSON
+    (TABLE.replace(b"[[0, 1]", b"[[1234567890123456789, 1]"), "matrix"),
+    (TABLE.replace(b"[[0, 1]", b"[[-999999999999999999, 1]"), "matrix"),
+    (TABLE[:-1] + b', "x": "a: [[1]]"}', "rows"),   # rows in a string
+    (TABLE[:-1] + b', "x: [[1]]": 1}', "rows"),     # rows in a key
+    (TABLE[:-1] + b', "x": {"0": [[1]]}}', "rows"),  # rows two down
+    (b'{"cofaces": [{"0": [[1]]}]}', "rows"),          # three down
+    (b'{"cofaces": [[[{"0": [[1]]}]]]}', "rows"),      # five down
+    (b'{"0": [[1]]}', "rows"),
+    (b"[[1]]", "rows"),
+    (b'{"cofaces": [[{"0": \x00}]]}', "error"),        # NUL bytes
+    (TABLE[:-1] + b', "x": \x00}', "error"),
+    (TABLE.replace(b"[[0, 1], [1, 0]]", b"[[1]], \"1\": \x00"), "error"),
+    (TABLE[:-1] + b', "x": "\x00"}', "error"),
+    (TABLE + b"\x00", "error"),
+    (b"\xef\xbb\xbf" + TABLE, "error"),                # a BOM
+    (TABLE.replace(b"[[0, 1]", b"[[0, \xff]"), "error"),  # not UTF-8
+    (TABLE[:-1] + b', "x": "\xff"}', "error"),
+    (TABLE[:-1] + b', "x": "\xe2\x82"}', "error"),
+    (TABLE[:-1] + b', "x": ' + DEEP + b"}", "error"),  # nested too deep
+    (TABLE[:-1] + b', "x": 1' + b"0" * 5000 + b"}", "error"),
+    (TABLE[:-2], "error"),
+    (b"", "error"),
+    (b" \r\n", "error"),
+])
+def test_parse_reads_what_json_loads_reads(buf, read):
+    """parse_cosimplicial against json.loads on the UTF-8 text: a table
+    four containers down is read as a matrix, rows anywhere else leave
+    the whole document to json.loads, and every fault raises what
+    json.loads raises, with its message."""
+    doc = parse_as_reference(buf)
+    if read == "error":
+        assert doc is None
+    else:
+        cell = doc["cofaces"][0][0]["0"] if read == "matrix" else None
+        assert (type(cell) is IntMatrix) == (read == "matrix")
 
 
-# the reader as it was before it stepped from cell to cell: row by row, it
-# guessed the next nonzero cell as the nearer "1" or "-"
+def test_parse_reads_every_object_as_the_decoder_did():
+    """Every object of OBJECTS, and cech_object (3, 3) and (4, 3), written
+    with either separator: every degree table is read from the bytes,
+    into the document the decoder before the skeleton reader gave and the
+    same object."""
+    objects = [obj.x for obj in OBJECTS] + [cech_object(3, 3),
+                                            cech_object(4, 3)]
+    for x in objects:
+        data = cosimplicial_to_data(x)
+        for spelling in ("default", "compact"):
+            buf = json.dumps(data, **SPELLINGS[spelling]).encode()
+            read = parse_as_reference(buf)
+            assert typed(read) == typed(reference_loads(buf.decode()))
+            tables = list(_degree_tables(read))
+            assert len(cosimplicial._skeleton(buf)[1]) == sum(
+                map(len, tables))
+            assert cosimplicial_from_data(read) == x
 
-def previous_dense_rows(s: str, idx: int):
-    """(IntMatrix, end) for the rows of integers at s[idx:], written as
-    json.dumps writes them with either separator, or None.
 
-    Row by row, string operations find the row's end and each nonzero
-    cell, and the zeros between nonzero cells are compared with a slice
-    of _ZERO_CELLS, so no object is made for a zero cell.  The next
-    nonzero cell is guessed as the nearer "1" or "-", and both positions
-    are kept until the reading passes them.  A guess is sure once the
-    zeros in front of it check: they hold no other digit.  Where they do
-    not check, the rest of the row is marked by _MARK_NONZERO and read
-    cell by cell from the marks.  Rows in any other spelling, ragged
-    rows and empty rows give None, and the caller parses the value as
-    JSON.  Only slices are taken, so nothing here raises, and no search
-    runs past the end of the row it reads."""
-    comma = s.find(",", idx, s.find("]", idx) + 2)
-    sep = ", " if s.startswith(", ", comma) else ","
-    zeros = _ZERO_CELLS[sep]
-    width = len(sep)
-    stride = width + 1
-    entries = []
-    ncols = None
-    i = 0
-    one = minus = -1  # the next "1" and "-" of the row, or its end
-    p = idx + 1  # the opening bracket of row i
-    while s.startswith("[", p):
-        end = s.find("]", p)
-        if end < 0:
-            return None
-        marks = None
-        pos = p + 1
-        j = 0
-        while True:
-            if marks is not None:
-                a = marks.find("-", pos - base)
-                a = end if a < 0 else a + base
-            else:
-                if one < pos:
-                    one = s.find("1", pos, end)
-                    if one < 0:
-                        one = end
-                if minus < pos:
-                    minus = s.find("-", pos, end)
-                    if minus < 0:
-                        minus = end
-                a = one if one < minus else minus
-            n = a - pos
-            if a == end:  # zero cells up to the end of the row
-                if n and not (n + width) % stride and zeros.startswith(
-                        s[pos:end]):
-                    j += (n + width) // stride
-                    break
-            elif not n % stride and zeros.startswith(s[pos:a]):
-                j += n // stride
-                b = s.find(",", a, end)
-                if b < 0:
-                    b = end
-                cell = s[a:b]
-                if not _NONZERO_CELL(cell):
-                    return None
-                entries.append((i, j, int(cell)))
-                j += 1
-                if b == end:
-                    break
-                if not s.startswith(sep, b):
-                    return None
-                pos = b + width
-                continue
-            # The zeros before a guess do not check, perhaps for a digit
-            # 2..9: the rest of the row is read from marks, and a zero
-            # run that does not check there refuses the rows.
-            if marks is not None:
-                return None
-            base = pos
-            marks = s[pos:end].translate(_MARK_NONZERO)
-        if ncols is None:
-            ncols = j
-        elif j != ncols:
-            return None
-        i += 1
-        if s.startswith("]", end + 1):
-            return IntMatrix(i, ncols, tuple(entries)), end + 2
-        if not s.startswith(sep, end + 1):
-            return None
-        p = end + 1 + width
-    return None
+def test_skeleton_of_the_ss_cech_input_is_under_a_percent():
+    """On cech_object(4, 4), the ss_cech benchmark input, the 24 degree
+    tables are read from the bytes, and the text decoded is less than 1%
+    of them."""
+    buf = json.dumps(cosimplicial_to_data(cech_object(4, 4))).encode()
+    text, tables = cosimplicial._skeleton(buf)
+    assert tables == [IntMatrix.from_rows(rows) for table in
+                      _degree_tables(json.loads(buf)) for rows in
+                      table.values()]
+    assert len(tables) == 24
+    assert len(text.encode()) < len(buf) / 100
 
 
 def dense_read(text):
-    """What _dense_rows, the previous reader and the reference read at the
-    start of text."""
-    return (cosimplicial._dense_rows(text, 0), previous_dense_rows(text, 0),
-            reference_dense_rows(text, 0))
+    """What _dense_rows reads at the start of the bytes of text, and what
+    the previous reader and the reference read at the start of text."""
+    return (cosimplicial._dense_rows(text.encode(), 0),
+            previous_dense_rows(text, 0), reference_dense_rows(text, 0))
 
 
 # cells the guess for the next nonzero cell can meet: a "1" or a "-" that
@@ -1200,7 +1080,8 @@ def test_dense_rows_reads_against_the_template(text, rows):
 
 def test_rows_whose_separator_changes_after_a_nonzero_cell():
     """", " up to a nonzero cell and "," after it: the dense reader
-    refuses the rows, and the decoder reads them as json.loads does."""
+    refuses the rows, and parse_cosimplicial reads them as json.loads
+    does."""
     text = '{"0": [[0, 2,0], [0, 0, 0]]}'
     assert dense_read(text[6:-1]) == (None, None, None)
     assert typed(decode_table(text)) == typed(reference_parse(text))
@@ -1227,21 +1108,16 @@ def test_dense_rows_reads_every_table_as_the_reference_does():
     assert read
 
 
-class SearchedText(str):
-    """A str that records, for each find and count on it, where the
-    search started and where it stopped: just past the match found, or
-    at the end of its range."""
+class SearchedBytes(bytes):
+    """Bytes that record, for each find on them, where the search started
+    and where it stopped: just past the match found, or at the end of its
+    range."""
 
     def find(self, sub, start=0, end=None):
-        hit = str.find(self, sub, start, end)
+        hit = bytes.find(self, sub, start, end)
         stop = len(self) if end is None else min(end, len(self))
         self.searched.append((start, hit + len(sub) if hit >= 0 else stop))
         return hit
-
-    def count(self, sub, start=0, end=None):
-        self.searched.append(
-            (start, len(self) if end is None else min(end, len(self))))
-        return str.count(self, sub, start, end)
 
 
 def test_dense_rows_searches_stay_near_the_value():
@@ -1250,7 +1126,8 @@ def test_dense_rows_searches_stay_near_the_value():
     the searches cover at most three times its length."""
     rows = [[int(j == 7 * i % 200) for j in range(200)] for i in range(200)]
     value = json.dumps(rows)
-    text = SearchedText(value + ', "x": "' + "0" * (1 << 20) + '"}')
+    text = SearchedBytes(
+        (value + ', "x": "' + "0" * (1 << 20) + '"}').encode())
     text.searched = []
     assert cosimplicial._dense_rows(text, 0) == (
         IntMatrix.from_rows(rows), len(value))
@@ -1261,13 +1138,17 @@ def test_dense_rows_searches_stay_near_the_value():
 
 
 def test_dense_rows_refuses_a_row_wider_than_max_rank():
-    """A first row of MAX_RANK + 1 zero cells gives None, and nothing the
-    size of its row is built: the template of three such rows would take
-    147 KB."""
+    """A first row of MAX_RANK + 1 zero cells gives None, and no template
+    is built: that of three such rows would take 147 KB.  A first row
+    longer than MAX_RANK cells of 19 bytes can be gives None before it
+    is copied to count its cells."""
     text = "[[" + ", ".join(["0"] * (MAX_RANK + 1)) + "]]"
+    long_row = b"[[" + b"1" * (1 << 20) + b"]]"
+    buf = text.encode()
     tracemalloc.start()
     try:
-        assert cosimplicial._dense_rows(text, 0) is None
+        assert cosimplicial._dense_rows(buf, 0) is None
+        assert cosimplicial._dense_rows(long_row, 0) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

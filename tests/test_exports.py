@@ -154,7 +154,7 @@ CENSUS_INPUTS = {
     "zigzag": cosimplicial_to_data(zigzag_two_step()),
     # d^0 is zero, so s^0 d^0 = id fails
     "broken": _cech_with_d0(lambda d0: {}),
-    # a degree table with a key that is no degree: the decoder keeps the
+    # a degree table with a key that is no degree: the parse keeps the
     # matrix it read, and the map reader refuses the key
     "stray_key": _cech_with_d0(lambda d0: {**d0, "x": 1}),
     "not_json": "{",

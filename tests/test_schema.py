@@ -15,6 +15,9 @@ stronger:
   not canonical integers or lie outside either level.  So an all-zero map
   of the wrong shape, which the library could drop as a zero map before
   checking its shape, is caught as well.
+
+The text of each cosimplicial mutant is also parsed from its bytes as
+``json.loads`` parses it (``reader_reference.parse_as_reference``).
 """
 
 import contextlib
@@ -28,6 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from constructions_reference import cech_object, cosimplicial_to_data
+from reader_reference import parse_as_reference
 from tottower.cli import main
 from tottower.errors import InputError
 from tottower.schema import degree_key, int_rows
@@ -252,6 +256,7 @@ def test_mutants_of_all_four_schemas(tmp_path_factory, case):
         assert code == 2, label
     if name == "cosimplicial":
         assert (code == 2) == (not cosimplicial_well_formed(mutant)), label
+        parse_as_reference(json.dumps(mutant).encode())
 
 
 # -- the checks themselves ----------------------------------------------------
